@@ -79,7 +79,12 @@ type Options struct {
 	// each pass application is strict-verified and equivalence-checked
 	// against its input, and a provable miscompile aborts the compile with a
 	// tv-reject outcome before any replay runs. The search sees only the
-	// failed bit, so traces are byte-identical with the flag on or off.
+	// failed bit, so the trace is the same with the flag on or off as long
+	// as every strict rejection is a miscompile replay would also discard.
+	// It is not on DroidFish: the strict verifier rejects unroll
+	// applications that leave a phi argument on an unplaced constant, which
+	// replay accepts, so the validated search evaluates fewer candidates
+	// and finds a different winner.
 	TVCheck bool
 	// LegacyBlocklist reverts region selection to the boolean native
 	// blocklist (the paper's §3.1 baseline) instead of the interprocedural

@@ -1,10 +1,10 @@
 package tv
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
 
 	"replayopt/internal/lir"
 )
@@ -16,11 +16,12 @@ import (
 //     bisimulation over successor positions). Passes that restructure the
 //     CFG break the pairing and land on Unverified — honest, since following
 //     them needs a per-pass cutpoint mapping this validator does not have.
-//   - Hash every value into a canonical symbolic expression: constants fold
-//     through the same lir.FoldInt/FoldFloat the passes use, associative and
-//     commutative integer chains flatten into sorted multisets, identities
-//     (x+0, x*1, x^0, ...) normalize away, and loads take memory-state
-//     tokens positioned by the observable prefix of their block (with exact
+//   - Hash every value into a canonical symbolic expression, interned in a
+//     node table both sides share: constants fold through the same
+//     lir.FoldInt/FoldFloat the passes use, associative and commutative
+//     integer chains flatten into sorted leaf multisets, identities (x+0,
+//     x*1, x^0, ...) normalize away, and loads take memory-state tokens
+//     positioned by the observable prefix of their block (with exact
 //     same-location store-to-load forwarding, invalidated by any other store
 //     or call).
 //   - Per block pair, the observable sequences (stores, calls, allocations)
@@ -37,62 +38,185 @@ import (
 // runs on every terminating execution. Floats are never disproved (NaN and
 // rounding make "different bits" an unsound argument).
 func Validate(before, after *lir.Function, traits lir.Traits) (Verdict, string) {
-	e := &equiv{before: newSide(before), after: newSide(after), traits: traits}
-	return e.run()
+	var e equiv
+	return e.validate(before, after, traits)
 }
 
-// side is one function plus its hashing state.
-type side struct {
-	fn *lir.Function
-	// pairID[b] is the index of b's block pair, set during pairing.
-	pairID map[*lir.Block]int
-	// memtok positions loads in their block's observable prefix.
-	memtok map[*lir.Value]string
-	// forward maps a load to the value a same-block same-location store
-	// provably wrote.
-	forward map[*lir.Value]*lir.Value
-	// phitok names non-trivial phis positionally within their pair.
-	phitok map[*lir.Value]string
+// valState is one value's hashing state, indexed by Value.ID.
+type valState struct {
+	v *lir.Value
+	// hash memoizes the canonical expression.
+	hash nodeID
+	// flat is the kFlat record of a flattened chain: the disprover reads
+	// it, and a parent chain of the same op merges it instead of walking
+	// the operands again.
+	flat nodeID
+	// phitok names a non-trivial phi positionally within its pair.
+	phitok nodeID
+	// memtok positions an unforwarded load in its block's observable prefix.
+	memtok nodeID
+	// forward is the value a same-block same-location store provably wrote.
+	forward *lir.Value
+	// obs is 1 + the value's observable index in its block (0: not found).
+	obs int32
 	// live marks values whose hashes can enter a comparison; dead phis are
 	// excluded from positional pairing (dce deletes them on one side only).
-	live map[*lir.Value]bool
-	// hashes memoizes canonical expression strings.
-	hashes map[*lir.Value]string
-	// busy guards against cycles through phis during hashing.
-	busy map[*lir.Value]bool
-	// flat records the flattened form of associative chains for the
-	// disprover.
-	flat map[*lir.Value]flatExpr
+	live bool
+	// busy guards against cycles through non-phi values during hashing.
+	busy bool
 }
 
-// flatExpr is a flattened associative/commutative integer chain.
-type flatExpr struct {
-	op     lir.Op
-	cnst   int64
-	leaves []string // sorted
+// blockState is one block's pairing, indexed by Block.ID.
+type blockState struct {
+	b    *lir.Block
+	mate *lir.Block // the paired block on the other side
+	pair int32      // 1 + the index of the block pair; 0 = unpaired
 }
 
-func newSide(f *lir.Function) *side {
-	return &side{
-		fn:      f,
-		pairID:  map[*lir.Block]int{},
-		memtok:  map[*lir.Value]string{},
-		forward: map[*lir.Value]*lir.Value{},
-		phitok:  map[*lir.Value]string{},
-		hashes:  map[*lir.Value]string{},
-		busy:    map[*lir.Value]bool{},
-		flat:    map[*lir.Value]flatExpr{},
+// side is one function plus its hashing state. Values and blocks are indexed
+// by ID: index claims each ID for exactly one pointer.
+type side struct {
+	fn     *lir.Function
+	t      *table
+	vals   []valState
+	blocks []blockState
+	stack  []*lir.Value
+	bstack []*lir.Block
+}
+
+// index sizes the tables from the largest IDs seen and claims the blocks of
+// the function and every block reachable through successors, their phis and
+// instructions, and every value reachable through arguments. It reports
+// false for IR that names two values or two blocks by one ID (or holds a nil
+// one), which dense tables cannot tell apart; the strict verifier rejects
+// such IR before validation runs.
+func (s *side) index(fn *lir.Function, t *table) bool {
+	s.fn, s.t = fn, t
+	maxV, maxB := -1, -1
+	for _, b := range fn.Blocks {
+		maxB = max(maxB, b.ID)
+		for _, v := range b.Phis {
+			maxV = max(maxV, v.ID)
+		}
+		for _, v := range b.Insns {
+			maxV = max(maxV, v.ID)
+		}
 	}
+	s.vals = resize(s.vals, maxV+1)
+	s.blocks = resize(s.blocks, maxB+1)
+	s.stack, s.bstack = s.stack[:0], s.bstack[:0]
+	claimB := func(b *lir.Block) bool {
+		if b == nil || b.ID < 0 {
+			return false
+		}
+		for b.ID >= len(s.blocks) {
+			s.blocks = append(s.blocks, blockState{})
+		}
+		if s.blocks[b.ID].b == nil {
+			s.blocks[b.ID].b = b
+			s.bstack = append(s.bstack, b)
+		}
+		return s.blocks[b.ID].b == b
+	}
+	claimV := func(v *lir.Value) bool {
+		if v == nil || v.ID < 0 {
+			return false
+		}
+		for v.ID >= len(s.vals) {
+			s.vals = append(s.vals, valState{})
+		}
+		if s.vals[v.ID].v == nil {
+			s.vals[v.ID].v = v
+			s.stack = append(s.stack, v)
+		}
+		return s.vals[v.ID].v == v
+	}
+	for _, b := range fn.Blocks {
+		if !claimB(b) {
+			return false
+		}
+	}
+	for len(s.bstack) > 0 || len(s.stack) > 0 {
+		if n := len(s.bstack); n > 0 {
+			b := s.bstack[n-1]
+			s.bstack = s.bstack[:n-1]
+			for _, p := range b.Phis {
+				if !claimV(p) {
+					return false
+				}
+			}
+			k := int32(0)
+			for _, v := range b.Insns {
+				if !claimV(v) {
+					return false
+				}
+				if st := s.val(v); v.Block == b && st.obs == 0 {
+					st.obs = k + 1
+				}
+				if observableOp(v.Op) {
+					k++
+				}
+			}
+			for _, succ := range b.Succs {
+				if !claimB(succ) {
+					return false
+				}
+			}
+			continue
+		}
+		v := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for _, a := range v.Args {
+			if !claimV(a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (s *side) val(v *lir.Value) *valState { return &s.vals[v.ID] }
+
+// block returns b's state, or nil for a block outside the function.
+func (s *side) block(b *lir.Block) *blockState {
+	if b == nil || b.ID < 0 || b.ID >= len(s.blocks) || s.blocks[b.ID].b != b {
+		return nil
+	}
+	return &s.blocks[b.ID]
+}
+
+// pairOf returns b's pair index, or false when b is unpaired.
+func (s *side) pairOf(b *lir.Block) (int, bool) {
+	if st := s.block(b); st != nil && st.pair > 0 {
+		return int(st.pair - 1), true
+	}
+	return 0, false
+}
+
+// tokenPair is the pair index that positions b's tokens: unpaired blocks
+// take a unique negative index that never matches a paired token.
+func (s *side) tokenPair(b *lir.Block) int64 {
+	if pid, ok := s.pairOf(b); ok {
+		return int64(pid)
+	}
+	return -int64(b.ID + 1)
 }
 
 type blockPair struct {
 	b, a *lir.Block
 }
 
+// equiv is one validation: the shared node table, both sides, and scratch.
+// A Checker keeps one and reuses its storage across passes.
 type equiv struct {
-	before, after *side
+	t             table
+	before, after side
 	traits        lir.Traits
 	pairs         []blockPair
+
+	listB, listA []*lir.Value
+	argsB, argsA []phiArg
+	trapB, trapA []trapKey
 }
 
 // unverified wraps a reason, flagging the anomaly of a pass that reshaped
@@ -105,10 +229,16 @@ func (e *equiv) unverified(cfgChange bool, format string, args ...any) (Verdict,
 	return Unverified, reason
 }
 
-func (e *equiv) run() (Verdict, string) {
-	if len(e.before.fn.Blocks) == 0 || len(e.after.fn.Blocks) == 0 {
+func (e *equiv) validate(before, after *lir.Function, traits lir.Traits) (Verdict, string) {
+	e.traits = traits
+	e.pairs = e.pairs[:0]
+	if len(before.Blocks) == 0 || len(after.Blocks) == 0 {
 		return Unverified, "empty function"
 	}
+	if !e.before.index(before, &e.t) || !e.after.index(after, &e.t) {
+		return Unverified, "malformed IR: two values or two blocks share one ID"
+	}
+	e.t.reset(len(e.before.vals) + len(e.after.vals))
 	if v, reason, ok := e.pair(); !ok {
 		return v, reason
 	}
@@ -147,17 +277,19 @@ func (e *equiv) run() (Verdict, string) {
 	for pid, p := range e.pairs {
 		// Non-trivial phis must correspond positionally with
 		// per-predecessor argument equality.
-		pb, pa := nontrivialPhis(e.before, p.b), nontrivialPhis(e.after, p.a)
-		if len(pb) != len(pa) {
-			return e.unverified(false, "pair %d: %d vs %d non-trivial phis", pid, len(pb), len(pa))
+		e.listB = e.before.appendNontrivialPhis(e.listB[:0], p.b)
+		e.listA = e.after.appendNontrivialPhis(e.listA[:0], p.a)
+		if len(e.listB) != len(e.listA) {
+			return e.unverified(false, "pair %d: %d vs %d non-trivial phis", pid, len(e.listB), len(e.listA))
 		}
-		for k := range pb {
-			if v, reason, ok := e.checkPhiArgs(pid, p, pb[k], pa[k]); !ok {
+		for k := range e.listB {
+			if v, reason, ok := e.checkPhiArgs(pid, p, e.listB[k], e.listA[k]); !ok {
 				return v, reason
 			}
 		}
 		// Observable sequences.
-		ob, oa := observables(p.b), observables(p.a)
+		ob, oa := appendObservables(e.listB[:0], p.b), appendObservables(e.listA[:0], p.a)
+		e.listB, e.listA = ob, oa
 		if len(ob) != len(oa) {
 			return e.unverified(false, "pair %d: %d vs %d observable ops", pid, len(ob), len(oa))
 		}
@@ -195,9 +327,9 @@ func (e *equiv) run() (Verdict, string) {
 	// (as canonical hashes, function-wide sets so code motion and GVN-style
 	// dedup pass) must be identical — removing a check that might have
 	// fired, or adding a new trap, both change behavior unprovably.
-	trapB, trapA := e.before.trapSet(), e.after.trapSet()
-	if !sameStringSet(trapB, trapA) {
-		return e.unverified(false, "trap-risky op set changed (%d vs %d distinct)", len(trapB), len(trapA))
+	e.trapB, e.trapA = e.before.appendTraps(e.trapB[:0]), e.after.appendTraps(e.trapA[:0])
+	if !slices.Equal(e.trapB, e.trapA) {
+		return e.unverified(false, "trap-risky op set changed (%d vs %d distinct)", len(e.trapB), len(e.trapA))
 	}
 
 	if len(diffs) == 0 {
@@ -224,35 +356,31 @@ func (e *equiv) run() (Verdict, string) {
 
 // pair builds the lockstep CFG bisimulation.
 func (e *equiv) pair() (Verdict, string, bool) {
-	fwd := map[*lir.Block]*lir.Block{}
-	bwd := map[*lir.Block]*lir.Block{}
-	var queue []blockPair
 	push := func(b, a *lir.Block) (Verdict, string, bool) {
-		if fb, ok := fwd[b]; ok {
-			if fb != a {
-				v, r := e.unverified(true, "block b%d pairs with both b%d and b%d", b.ID, fb.ID, a.ID)
+		sb, sa := e.before.block(b), e.after.block(a)
+		if sb.mate != nil {
+			if sb.mate != a {
+				v, r := e.unverified(true, "block b%d pairs with both b%d and b%d", b.ID, sb.mate.ID, a.ID)
 				return v, r, false
 			}
 			return 0, "", true
 		}
-		if ba, ok := bwd[a]; ok && ba != b {
-			v, r := e.unverified(true, "block b%d pairs with both b%d and b%d", a.ID, ba.ID, b.ID)
+		if sa.mate != nil && sa.mate != b {
+			v, r := e.unverified(true, "block b%d pairs with both b%d and b%d", a.ID, sa.mate.ID, b.ID)
 			return v, r, false
 		}
-		fwd[b], bwd[a] = a, b
-		e.before.pairID[b] = len(e.pairs)
-		e.after.pairID[a] = len(e.pairs)
-		pr := blockPair{b, a}
-		e.pairs = append(e.pairs, pr)
-		queue = append(queue, pr)
+		sb.mate, sa.mate = a, b
+		sb.pair = int32(len(e.pairs) + 1)
+		sa.pair = sb.pair
+		e.pairs = append(e.pairs, blockPair{b, a})
 		return 0, "", true
 	}
 	if v, r, ok := push(e.before.fn.Blocks[0], e.after.fn.Blocks[0]); !ok {
 		return v, r, false
 	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
+	// e.pairs doubles as the breadth-first queue.
+	for next := 0; next < len(e.pairs); next++ {
+		p := e.pairs[next]
 		tb, ta := p.b.Term(), p.a.Term()
 		if tb == nil || ta == nil {
 			v, r := e.unverified(false, "block b%d/b%d missing terminator", p.b.ID, p.a.ID)
@@ -279,46 +407,81 @@ func (e *equiv) pair() (Verdict, string, bool) {
 	return 0, "", true
 }
 
+// phiArg is one phi argument keyed by its predecessor's pair.
+type phiArg struct {
+	ppid int
+	hash nodeID
+}
+
+// phiArgs lists a phi's arguments from paired predecessors, grouped by
+// predecessor pair in ascending order and in occurrence order within one.
+func (s *side) phiArgs(out []phiArg, b *lir.Block, phi *lir.Value) []phiArg {
+	for i, pred := range b.Preds {
+		ppid, ok := s.pairOf(pred)
+		if !ok {
+			continue // unreachable or unpaired pred: ignore
+		}
+		if i < len(phi.Args) {
+			out = append(out, phiArg{ppid, s.hash(phi.Args[i])})
+		}
+	}
+	slices.SortStableFunc(out, func(x, y phiArg) int { return cmp.Compare(x.ppid, y.ppid) })
+	return out
+}
+
 // checkPhiArgs verifies one paired phi predecessor-wise. Predecessor pairing
 // follows the block pairing; when a predecessor appears several times in
 // Preds, the k-th occurrence on one side pairs with the k-th on the other —
 // if the k-th occurrences disagree hash-wise the result is Unverified (the
 // positional assumption cannot be trusted for a proof either way).
 func (e *equiv) checkPhiArgs(pid int, p blockPair, phiB, phiA *lir.Value) (Verdict, string, bool) {
-	// Occurrence-indexed args per paired predecessor.
-	argsAt := func(s *side, b *lir.Block, phi *lir.Value) map[int][]string {
-		m := map[int][]string{}
-		for i, pred := range b.Preds {
-			ppid, ok := s.pairID[pred]
-			if !ok {
-				continue // unreachable or unpaired pred: ignore
-			}
-			if i < len(phi.Args) {
-				m[ppid] = append(m[ppid], s.hash(phi.Args[i]))
-			}
-		}
-		return m
-	}
-	mb := argsAt(e.before, p.b, phiB)
-	ma := argsAt(e.after, p.a, phiA)
-	if len(mb) != len(ma) {
+	e.argsB = e.before.phiArgs(e.argsB[:0], p.b, phiB)
+	e.argsA = e.after.phiArgs(e.argsA[:0], p.a, phiA)
+	if distinctPreds(e.argsB) != distinctPreds(e.argsA) {
 		v, r := e.unverified(false, "pair %d phi: predecessor sets differ", pid)
 		return v, r, false
 	}
-	for ppid, hb := range mb {
-		ha, ok := ma[ppid]
-		if !ok || len(ha) != len(hb) {
+	mb, ma := e.argsB, e.argsA
+	for len(mb) > 0 {
+		ppid := mb[0].ppid
+		nb, na := groupLen(mb), 0
+		for len(ma) > 0 && ma[0].ppid < ppid {
+			ma = ma[groupLen(ma):]
+		}
+		if len(ma) > 0 && ma[0].ppid == ppid {
+			na = groupLen(ma)
+		}
+		if na != nb {
 			v, r := e.unverified(false, "pair %d phi: predecessor pair %d occurrence mismatch", pid, ppid)
 			return v, r, false
 		}
-		for k := range hb {
-			if hb[k] != ha[k] {
+		for k := 0; k < nb; k++ {
+			if mb[k].hash != ma[k].hash {
 				v, r := e.unverified(false, "pair %d phi: argument from predecessor pair %d differs", pid, ppid)
 				return v, r, false
 			}
 		}
+		mb, ma = mb[nb:], ma[na:]
 	}
 	return 0, "", true
+}
+
+// groupLen is the length of the leading run of one predecessor pair.
+func groupLen(args []phiArg) int {
+	n := 1
+	for n < len(args) && args[n].ppid == args[0].ppid {
+		n++
+	}
+	return n
+}
+
+func distinctPreds(args []phiArg) int {
+	n := 0
+	for len(args) > 0 {
+		args = args[groupLen(args):]
+		n++
+	}
+	return n
 }
 
 // disprove reports a proof that vb (before) and va (after) compute different
@@ -326,25 +489,41 @@ func (e *equiv) checkPhiArgs(pid int, p blockPair, phiB, phiA *lir.Value) (Verdi
 // identical leaves with different constant parts (x+c1 != x+c2 and
 // x^c1 != x^c2 for c1 != c2 in two's complement).
 func (e *equiv) disprove(vb, va *lir.Value) (string, bool) {
+	t := &e.t
 	hb, ha := e.before.hash(vb), e.after.hash(va)
-	cb, okB := constOf(hb)
-	ca, okA := constOf(ha)
+	cb, okB := t.intOf(hb)
+	ca, okA := t.intOf(ha)
 	if okB && okA && cb != ca {
 		return fmt.Sprintf("constant %d became %d", cb, ca), true
 	}
-	fb, fbok := e.before.flat[vb]
-	fa, faok := e.after.flat[va]
-	if fbok && faok && fb.op == fa.op && (fb.op == lir.OpAdd || fb.op == lir.OpXor) &&
-		fb.cnst != fa.cnst && sameStrings(fb.leaves, fa.leaves) {
-		return fmt.Sprintf("%s chain constant %d became %d over identical operands", fb.op, fb.cnst, fa.cnst), true
+	fb, fa := e.before.val(vb).flat, e.after.val(va).flat
+	if fb != 0 && fa != 0 {
+		opB, cnstB, leavesB, multsB := t.flat(fb)
+		opA, cnstA, leavesA, multsA := t.flat(fa)
+		if opB == opA && (opB == lir.OpAdd || opB == lir.OpXor) &&
+			cnstB != cnstA && slices.Equal(leavesB, leavesA) && slices.Equal(multsB, multsA) {
+			return fmt.Sprintf("%s chain constant %d became %d over identical operands", opB, cnstB, cnstA), true
+		}
 	}
 	// x vs x+c (c != 0): one side is a flattened chain whose leaves are
 	// exactly {other side's hash} with a nonzero constant.
-	if faok && fa.op == lir.OpAdd && fa.cnst != 0 && len(fa.leaves) == 1 && fa.leaves[0] == hb {
-		return fmt.Sprintf("value was offset by %d", fa.cnst), true
+	if fa != 0 {
+		if why, ok := offsetBy(t, fa, hb, 1); ok {
+			return why, true
+		}
 	}
-	if fbok && fb.op == lir.OpAdd && fb.cnst != 0 && len(fb.leaves) == 1 && fb.leaves[0] == ha {
-		return fmt.Sprintf("value was offset by %d", -fb.cnst), true
+	if fb != 0 {
+		return offsetBy(t, fb, ha, -1)
+	}
+	return "", false
+}
+
+// offsetBy proves x vs x+c (c != 0): chain is an add chain whose only leaf,
+// taken once, is other, with a nonzero constant; sign orients the offset.
+func offsetBy(t *table, chain, other nodeID, sign int64) (string, bool) {
+	op, cnst, leaves, mults := t.flat(chain)
+	if op == lir.OpAdd && cnst != 0 && len(leaves) == 1 && mults[0] == 1 && leaves[0] == other {
+		return fmt.Sprintf("value was offset by %d", sign*cnst), true
 	}
 	return "", false
 }
@@ -366,8 +545,7 @@ func observableOp(op lir.Op) bool {
 	return false
 }
 
-func observables(b *lir.Block) []*lir.Value {
-	var out []*lir.Value
+func appendObservables(out []*lir.Value, b *lir.Block) []*lir.Value {
 	for _, v := range b.Insns {
 		if observableOp(v.Op) {
 			out = append(out, v)
@@ -376,13 +554,12 @@ func observables(b *lir.Block) []*lir.Value {
 	return out
 }
 
-// nontrivialPhis returns the live phis that did not collapse to an argument:
-// the ones whose hash is still a positional token. Dead phis never enter a
-// comparison, so a pass deleting them must not shift the pairing.
-func nontrivialPhis(s *side, b *lir.Block) []*lir.Value {
-	var out []*lir.Value
+// appendNontrivialPhis appends the live phis that did not collapse to an
+// argument: the ones whose hash is still a positional token. Dead phis never
+// enter a comparison, so a pass deleting them must not shift the pairing.
+func (s *side) appendNontrivialPhis(out []*lir.Value, b *lir.Block) []*lir.Value {
 	for _, p := range b.Phis {
-		if s.live[p] && strings.HasPrefix(s.hash(p), "phi:") {
+		if s.val(p).live && s.t.kind(s.hash(p)) == kPhiTok {
 			out = append(out, p)
 		}
 	}
@@ -393,31 +570,31 @@ func nontrivialPhis(s *side, b *lir.Block) []*lir.Value {
 // arguments of observables and terminators, the trap-risky operations, and
 // everything reachable from those through arguments.
 func (s *side) computeLive() {
-	s.live = map[*lir.Value]bool{}
-	var mark func(v *lir.Value)
-	mark = func(v *lir.Value) {
-		if s.live[v] {
-			return
-		}
-		s.live[v] = true
-		for _, a := range v.Args {
-			mark(a)
-		}
-	}
+	stack := s.stack[:0]
 	for _, b := range s.fn.Blocks {
 		for _, v := range b.Insns {
 			if observableOp(v.Op) || v.IsTerminator() ||
 				v.Op == lir.OpDiv || v.Op == lir.OpRem || v.Op == lir.OpBoundsCheck {
-				mark(v)
+				stack = append(stack, v)
 			}
 		}
 	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if st := s.val(v); !st.live {
+			st.live = true
+			stack = append(stack, v.Args...)
+		}
+	}
+	s.stack = stack
 }
 
 // indexMemory walks each block once, assigning observable indices (memory
 // state tokens) to loads and recording exact-location store-to-load
 // forwarding. Forwarding matches on the store kind, slot, and the *identical*
-// SSA base/index values; any other store or any call invalidates everything.
+// SSA base/index values; any other store or any call invalidates everything,
+// so at most one location is available at a time.
 func (s *side) indexMemory() {
 	type loc struct {
 		op        lir.Op
@@ -425,40 +602,33 @@ func (s *side) indexMemory() {
 		base, idx *lir.Value
 	}
 	for _, b := range s.fn.Blocks {
-		avail := map[loc]*lir.Value{}
-		obs := 0
-		pid, paired := s.pairID[b]
-		if !paired {
-			pid = -(b.ID + 1) // unique, never matches a paired token
+		var avail loc
+		var stored *lir.Value // nil: nothing available
+		obs := int64(0)
+		pid := s.tokenPair(b)
+		load := func(v *lir.Value, at loc) {
+			if stored != nil && avail == at {
+				s.val(v).forward = stored
+			} else {
+				s.val(v).memtok = s.t.atom(kMem, pid, obs)
+			}
 		}
 		for _, v := range b.Insns {
 			switch v.Op {
 			case lir.OpArrLoad:
-				if st, ok := avail[loc{lir.OpArrStore, 0, v.Args[0], v.Args[1]}]; ok {
-					s.forward[v] = st
-				} else {
-					s.memtok[v] = fmt.Sprintf("m:%d:%d", pid, obs)
-				}
+				load(v, loc{lir.OpArrStore, 0, v.Args[0], v.Args[1]})
 			case lir.OpFieldLoad:
-				if st, ok := avail[loc{lir.OpFieldStore, v.Slot, v.Args[0], nil}]; ok {
-					s.forward[v] = st
-				} else {
-					s.memtok[v] = fmt.Sprintf("m:%d:%d", pid, obs)
-				}
+				load(v, loc{lir.OpFieldStore, v.Slot, v.Args[0], nil})
 			case lir.OpStaticLoad:
-				if st, ok := avail[loc{lir.OpStaticStore, v.Slot, nil, nil}]; ok {
-					s.forward[v] = st
-				} else {
-					s.memtok[v] = fmt.Sprintf("m:%d:%d", pid, obs)
-				}
+				load(v, loc{lir.OpStaticStore, v.Slot, nil, nil})
 			case lir.OpArrStore:
-				avail = map[loc]*lir.Value{{lir.OpArrStore, 0, v.Args[0], v.Args[1]}: v.Args[2]}
+				avail, stored = loc{lir.OpArrStore, 0, v.Args[0], v.Args[1]}, v.Args[2]
 			case lir.OpFieldStore:
-				avail = map[loc]*lir.Value{{lir.OpFieldStore, v.Slot, v.Args[0], nil}: v.Args[1]}
+				avail, stored = loc{lir.OpFieldStore, v.Slot, v.Args[0], nil}, v.Args[1]
 			case lir.OpStaticStore:
-				avail = map[loc]*lir.Value{{lir.OpStaticStore, v.Slot, nil, nil}: v.Args[0]}
+				avail, stored = loc{lir.OpStaticStore, v.Slot, nil, nil}, v.Args[0]
 			case lir.OpCallStatic, lir.OpCallVirtual, lir.OpCallNative:
-				avail = map[loc]*lir.Value{}
+				stored = nil
 			}
 			if observableOp(v.Op) {
 				obs++
@@ -471,19 +641,17 @@ func (s *side) indexMemory() {
 // position among its block's non-trivial phis.
 func (s *side) assignPhiTokens() {
 	for _, b := range s.fn.Blocks {
-		pid, paired := s.pairID[b]
-		if !paired {
-			pid = -(b.ID + 1)
-		}
-		k := 0
+		pid := s.tokenPair(b)
+		k := int64(0)
 		for _, p := range b.Phis {
-			if !s.live[p] {
+			st := s.val(p)
+			if !st.live {
 				continue // dead: excluded from positional pairing
 			}
-			if h, ok := s.hashes[p]; ok && !strings.HasPrefix(h, "phi:") {
+			if st.hash != 0 && s.t.kind(st.hash) != kPhiTok {
 				continue // collapsed to its unique argument
 			}
-			s.phitok[p] = fmt.Sprintf("phi:%d:%d", pid, k)
+			st.phitok = s.t.atom(kPhiTok, pid, k)
 			k++
 		}
 	}
@@ -496,14 +664,15 @@ func (s *side) collapsePhis() bool {
 	changed := false
 	for _, b := range s.fn.Blocks {
 		for _, p := range b.Phis {
-			if !s.live[p] {
+			st := s.val(p)
+			if !st.live {
 				continue
 			}
-			if h, ok := s.hashes[p]; ok && !strings.HasPrefix(h, "phi:") {
+			if st.hash != 0 && s.t.kind(st.hash) != kPhiTok {
 				continue // already collapsed
 			}
-			if to := s.trivialTo(p); to != "" {
-				s.hashes[p] = to
+			if to := s.trivialTo(p); to != 0 {
+				s.val(p).hash = to
 				changed = true
 			}
 		}
@@ -511,18 +680,18 @@ func (s *side) collapsePhis() bool {
 	return changed
 }
 
-// trivialTo returns the single shared argument hash of a trivial phi, or "".
-func (s *side) trivialTo(p *lir.Value) string {
-	shared := ""
+// trivialTo returns the single shared argument hash of a trivial phi, or 0.
+func (s *side) trivialTo(p *lir.Value) nodeID {
+	var shared nodeID
 	for _, a := range p.Args {
 		if a == p {
 			continue
 		}
 		h := s.hash(a)
-		if shared == "" {
+		if shared == 0 {
 			shared = h
 		} else if shared != h {
-			return ""
+			return 0
 		}
 	}
 	return shared
@@ -531,14 +700,16 @@ func (s *side) trivialTo(p *lir.Value) string {
 // resetHashes drops memoized hashes between phi-collapse rounds, keeping
 // collapsed phi hashes (they seed the next round).
 func (s *side) resetHashes() {
-	kept := map[*lir.Value]string{}
-	for v, h := range s.hashes {
-		if v.Op == lir.OpPhi && !strings.HasPrefix(h, "phi:") {
-			kept[v] = h
+	for i := range s.vals {
+		st := &s.vals[i]
+		if st.v == nil {
+			continue
 		}
+		if st.v.Op != lir.OpPhi || st.hash == 0 || s.t.kind(st.hash) == kPhiTok {
+			st.hash = 0
+		}
+		st.flat = 0
 	}
-	s.hashes = kept
-	s.flat = map[*lir.Value]flatExpr{}
 }
 
 // flattenable ops: fully associative and commutative over int64.
@@ -550,335 +721,271 @@ func flattenable(op lir.Op) bool {
 	return false
 }
 
-// hash returns the canonical expression string for v.
-func (s *side) hash(v *lir.Value) string {
-	if h, ok := s.hashes[v]; ok {
-		return h
+// hash returns the canonical expression node for v.
+func (s *side) hash(v *lir.Value) nodeID {
+	st := s.val(v)
+	if st.hash != 0 {
+		return st.hash
 	}
-	if s.busy[v] {
-		// A cycle not broken by a phi token: opaque, unique per side so it
+	if st.busy {
+		// A cycle not broken by a phi token: opaque, unique per value so it
 		// never spuriously matches.
-		return fmt.Sprintf("cyc:%p", v)
+		return s.t.opaqueFor(v, opaqueCycle)
 	}
-	s.busy[v] = true
+	st.busy = true
 	h := s.compute(v)
-	delete(s.busy, v)
-	s.hashes[v] = h
+	st = s.val(v)
+	st.busy = false
+	st.hash = h
 	return h
 }
 
-func (s *side) compute(v *lir.Value) string {
+func (s *side) isConst(h nodeID) bool { return s.t.kind(h) == kConstInt }
+
+func (s *side) compute(v *lir.Value) nodeID {
+	t := s.t
 	switch v.Op {
 	case lir.OpConstInt:
-		return fmt.Sprintf("ci:%d", v.Imm)
+		return t.constInt(v.Imm)
 	case lir.OpConstFloat:
-		return fmt.Sprintf("cf:%016x", math.Float64bits(v.F))
+		return t.constFloat(v.F)
 	case lir.OpParam:
-		return fmt.Sprintf("p:%d", v.Slot)
+		return t.atom(kParam, v.Slot, 0)
 	case lir.OpPhi:
 		// Trivial-phi collapse happens in collapsePhis rounds; here a phi
 		// always answers with its positional token, so hashing its own
 		// arguments (loop-carried values) stays cycle-free.
-		if t, ok := s.phitok[v]; ok {
-			return t
+		if tok := s.val(v).phitok; tok != 0 {
+			return tok
 		}
-		return fmt.Sprintf("phi?:%p", v)
+		return t.opaqueFor(v, opaquePhi)
 	case lir.OpArrLoad, lir.OpFieldLoad, lir.OpStaticLoad:
-		if st, ok := s.forward[v]; ok {
+		if st := s.val(v).forward; st != nil {
 			return s.hash(st)
 		}
-		parts := []string{"ld", v.Op.String(), fmt.Sprint(v.Slot), s.memtok[v]}
-		for _, a := range v.Args {
-			parts = append(parts, s.hash(a))
-		}
-		return "(" + strings.Join(parts, " ") + ")"
+		return s.exprOf(v, v.Slot, 0, s.val(v).memtok)
 	case lir.OpArrLen:
-		return "(arrlen " + s.hash(v.Args[0]) + ")"
+		return t.expr(lir.OpArrLen, 0, 0, s.hash(v.Args[0]))
 	}
 	if observableOp(v.Op) {
 		// An observable's value (call result, allocation address) is named
 		// by its position: pair plus observable index.
-		pid, paired := s.pairID[v.Block]
+		pid, paired := s.pairOf(v.Block)
 		if !paired {
-			return fmt.Sprintf("obs?:%p", v)
+			return t.opaqueFor(v, opaqueObs)
 		}
-		return fmt.Sprintf("obs:%d:%d", pid, s.obsIndex(v))
+		return t.atom(kObs, int64(pid), int64(s.val(v).obs)-1)
 	}
 	if flattenable(v.Op) {
-		return s.hashFlat(v)
+		var cnst int64
+		switch v.Op {
+		case lir.OpMul:
+			cnst = 1
+		case lir.OpAnd:
+			cnst = -1
+		}
+		return s.hashFlatAs(v, v.Op, cnst, v.Args)
 	}
 	// Identity normalizations for the remaining shapes.
 	switch v.Op {
-	case lir.OpSub, lir.OpShr:
+	case lir.OpSub, lir.OpShr, lir.OpShl, lir.OpDiv, lir.OpRem:
 		a, b := s.hash(v.Args[0]), s.hash(v.Args[1])
-		if ca, aok := constOf(a); aok {
-			if cb, bok := constOf(b); bok {
-				if r, ok := lir.FoldInt(v.Op, ca, cb); ok {
-					return fmt.Sprintf("ci:%d", r)
-				}
+		ca, aok := t.intOf(a)
+		cb, bok := t.intOf(b)
+		if aok && bok {
+			if r, ok := lir.FoldInt(v.Op, ca, cb); ok {
+				return t.constInt(r)
 			}
 		}
-		if cb, bok := constOf(b); bok && cb == 0 {
+		switch {
+		case !bok:
+		case cb == 0 && (v.Op == lir.OpSub || v.Op == lir.OpShr):
 			return a // x-0, x>>0
-		}
-		return "(" + v.Op.String() + " " + a + " " + b + ")"
-	case lir.OpShl:
-		a, b := s.hash(v.Args[0]), s.hash(v.Args[1])
-		if ca, aok := constOf(a); aok {
-			if cb, bok := constOf(b); bok {
-				if r, ok := lir.FoldInt(v.Op, ca, cb); ok {
-					return fmt.Sprintf("ci:%d", r)
-				}
-			}
-		}
-		if cb, bok := constOf(b); bok {
+		case v.Op == lir.OpShl:
 			// x << c is x * 2^c in wrapping two's complement (the shift count
 			// is masked to 6 bits, FoldInt's rule), so a strength-reduced
 			// shift hashes identically to the multiply it came from.
 			return s.hashFlatAs(v, lir.OpMul, int64(1)<<(uint64(cb)&63), v.Args[:1])
-		}
-		return "(shl " + a + " " + b + ")"
-	case lir.OpNeg:
-		a := s.hash(v.Args[0])
-		if ca, ok := constOf(a); ok {
-			return fmt.Sprintf("ci:%d", -ca)
-		}
-		return "(neg " + a + ")"
-	case lir.OpDiv, lir.OpRem:
-		a, b := s.hash(v.Args[0]), s.hash(v.Args[1])
-		if ca, aok := constOf(a); aok {
-			if cb, bok := constOf(b); bok {
-				if r, ok := lir.FoldInt(v.Op, ca, cb); ok {
-					return fmt.Sprintf("ci:%d", r)
-				}
-			}
-		}
-		if cb, bok := constOf(b); bok && cb == 1 && v.Op == lir.OpDiv {
+		case cb == 1 && v.Op == lir.OpDiv:
 			return a
 		}
-		return "(" + v.Op.String() + " " + a + " " + b + ")"
+		return t.expr(v.Op, 0, 0, a, b)
+	case lir.OpNeg:
+		a := s.hash(v.Args[0])
+		if ca, ok := t.intOf(a); ok {
+			return t.constInt(-ca)
+		}
+		return t.expr(lir.OpNeg, 0, 0, a)
 	case lir.OpFAdd, lir.OpFSub, lir.OpFMul, lir.OpFDiv:
 		a, b := s.hash(v.Args[0]), s.hash(v.Args[1])
-		if fa, aok := floatOf(a); aok {
-			if fb, bok := floatOf(b); bok {
+		if fa, aok := t.floatOf(a); aok {
+			if fb, bok := t.floatOf(b); bok {
 				if r, ok := lir.FoldFloat(v.Op, fa, fb); ok {
-					return fmt.Sprintf("cf:%016x", math.Float64bits(r))
+					return t.constFloat(r)
 				}
 			}
 		}
-		return "(" + v.Op.String() + " " + a + " " + b + ")"
+		return t.expr(v.Op, 0, 0, a, b)
 	case lir.OpFNeg:
 		a := s.hash(v.Args[0])
-		if fa, ok := floatOf(a); ok {
+		if fa, ok := t.floatOf(a); ok {
 			r, _ := lir.FoldFloat(lir.OpFNeg, fa, 0)
-			return fmt.Sprintf("cf:%016x", math.Float64bits(r))
+			return t.constFloat(r)
 		}
-		return "(fneg " + a + ")"
+		return t.expr(lir.OpFNeg, 0, 0, a)
 	case lir.OpI2F:
 		a := s.hash(v.Args[0])
-		if ca, ok := constOf(a); ok {
-			return fmt.Sprintf("cf:%016x", math.Float64bits(float64(ca)))
+		if ca, ok := t.intOf(a); ok {
+			return t.constFloat(float64(ca))
 		}
-		return "(i2f " + a + ")"
+		return t.expr(lir.OpI2F, 0, 0, a)
 	case lir.OpF2I:
 		a := s.hash(v.Args[0])
-		if fa, ok := floatOf(a); ok {
+		if fa, ok := t.floatOf(a); ok {
 			if r, rok := lir.FoldF2I(fa); rok {
-				return fmt.Sprintf("ci:%d", r)
+				return t.constInt(r)
 			}
 		}
-		return "(f2i " + a + ")"
+		return t.expr(lir.OpF2I, 0, 0, a)
 	case lir.OpFCmp:
 		a, b := s.hash(v.Args[0]), s.hash(v.Args[1])
-		if fa, aok := floatOf(a); aok {
-			if fb, bok := floatOf(b); bok {
-				return fmt.Sprintf("ci:%d", lir.FoldFCmp(fa, fb))
+		if fa, aok := t.floatOf(a); aok {
+			if fb, bok := t.floatOf(b); bok {
+				return t.constInt(lir.FoldFCmp(fa, fb))
 			}
 		}
-		return "(fcmp " + a + " " + b + ")"
+		return t.expr(lir.OpFCmp, 0, 0, a, b)
 	case lir.OpClassOf, lir.OpIntrinsic:
-		parts := []string{v.Op.String(), fmt.Sprint(v.Sym)}
-		for _, a := range v.Args {
-			parts = append(parts, s.hash(a))
-		}
-		return "(" + strings.Join(parts, " ") + ")"
+		return s.exprOf(v, 0, int64(v.Sym))
 	}
 	// Anything else (void checks, terminators asked for directly) hashes
 	// structurally.
-	parts := []string{v.Op.String(), fmt.Sprint(v.Slot), fmt.Sprint(v.Sym)}
+	return s.exprOf(v, v.Slot, int64(v.Sym))
+}
+
+// exprOf interns v's op over the given leading kids and v's hashed
+// arguments.
+func (s *side) exprOf(v *lir.Value, x, y int64, lead ...nodeID) nodeID {
+	var buf [4]nodeID
+	kids := append(buf[:0], lead...)
 	for _, a := range v.Args {
-		parts = append(parts, s.hash(a))
+		kids = append(kids, s.hash(a))
 	}
-	return "(" + strings.Join(parts, " ") + ")"
+	return s.t.intern(kExpr, v.Op, x, y, kids, nil)
 }
 
-// hashFlat flattens an associative-commutative chain: same-op children merge,
-// constants fold into one, identities drop out, leaves sort.
-func (s *side) hashFlat(v *lir.Value) string {
-	op := v.Op
-	var cnst int64
-	switch op {
-	case lir.OpAdd, lir.OpOr, lir.OpXor:
-		cnst = 0
-	case lir.OpMul:
-		cnst = 1
-	case lir.OpAnd:
-		cnst = -1
+// hashFlatAs flattens args as an op-chain seeded with the constant cnst:
+// same-op children merge their own memoized chains, constants fold into
+// one, identities drop out, and the leaves are counted and sorted. The
+// chain's kFlat record is memoized under v. OpShl's strength-reduction
+// alias enters here with op=OpMul and cnst=2^shift.
+//
+// Merging memoized chains keeps the work linear in the function's size
+// where walking the DAG again would be exponential in shared depth. A
+// multiplicity that would overflow int64 makes the chain opaque, which can
+// only cost a proof (Unverified), never produce a rejection.
+func (s *side) hashFlatAs(v *lir.Value, op lir.Op, cnst int64, args []*lir.Value) nodeID {
+	t := s.t
+	// Hash every operand first, so all recursion is done before the shared
+	// scratch buffers are filled.
+	type part struct {
+		hash, flat nodeID
 	}
-	return s.hashFlatAs(v, op, cnst, v.Args)
-}
-
-// hashFlatAs flattens args as an op-chain seeded with the constant cnst; the
-// result is memoized under v. OpShl's strength-reduction alias enters here
-// with op=OpMul and cnst=2^shift.
-func (s *side) hashFlatAs(v *lir.Value, op lir.Op, cnst int64, args []*lir.Value) string {
-	var leaves []string
-	var walk func(a *lir.Value)
-	walk = func(a *lir.Value) {
-		if a.Op == op && !s.busy[a] {
-			// Flatten through same-op children by their own args; mark busy
-			// to keep phi cycles finite.
-			s.busy[a] = true
-			for _, c := range a.Args {
-				walk(c)
-			}
-			delete(s.busy, a)
-			return
-		}
-		if op == lir.OpMul && a.Op == lir.OpShl && !s.busy[a] {
-			// A constant shift inside a multiply chain folds as its power of
-			// two, mirroring the OpShl case in compute.
-			if c, ok := constOf(s.hash(a.Args[1])); ok {
-				cnst, _ = lir.FoldInt(lir.OpMul, cnst, int64(1)<<(uint64(c)&63))
-				s.busy[a] = true
-				walk(a.Args[0])
-				delete(s.busy, a)
-				return
-			}
-		}
-		h := s.hash(a)
-		if c, ok := constOf(h); ok {
-			cnst, _ = lir.FoldInt(op, cnst, c)
-			return
-		}
-		leaves = append(leaves, h)
-	}
+	var buf [2]part
+	parts := buf[:0]
 	for _, a := range args {
-		walk(a)
+		enter := !s.val(a).busy && (a.Op == op ||
+			op == lir.OpMul && a.Op == lir.OpShl && s.isConst(s.hash(a.Args[1])))
+		h := s.hash(a)
+		var fl nodeID
+		if enter {
+			fl = s.val(a).flat
+		}
+		parts = append(parts, part{h, fl})
 	}
-	sort.Strings(leaves)
+	leaves := t.leafBuf[:0]
+	for _, p := range parts {
+		if p.flat != 0 {
+			_, c, ls, ms := t.flat(p.flat)
+			cnst, _ = lir.FoldInt(op, cnst, c)
+			for i, l := range ls {
+				leaves = append(leaves, leafCount{l, ms[i]})
+			}
+			continue
+		}
+		if c, ok := t.intOf(p.hash); ok {
+			cnst, _ = lir.FoldInt(op, cnst, c)
+			continue
+		}
+		leaves = append(leaves, leafCount{p.hash, 1})
+	}
+	slices.SortFunc(leaves, func(x, y leafCount) int { return cmp.Compare(x.leaf, y.leaf) })
+	kids, mults := t.kidBuf[:0], t.multBuf[:0]
+	for _, l := range leaves {
+		if n := len(kids); n > 0 && kids[n-1] == l.leaf {
+			if mults[n-1] > math.MaxInt64-l.mult {
+				t.leafBuf, t.kidBuf, t.multBuf = leaves, kids, mults
+				return t.fresh()
+			}
+			mults[n-1] += l.mult
+			continue
+		}
+		kids, mults = append(kids, l.leaf), append(mults, l.mult)
+	}
+	t.leafBuf, t.kidBuf, t.multBuf = leaves, kids, mults
 	// Annihilators and identities.
-	if (op == lir.OpMul && cnst == 0) || (op == lir.OpAnd && cnst == 0) {
-		s.flat[v] = flatExpr{op: op, cnst: cnst}
-		return "ci:0"
+	if (op == lir.OpMul || op == lir.OpAnd) && cnst == 0 {
+		s.val(v).flat = t.intern(kFlat, op, cnst, 0, nil, nil)
+		return t.constInt(0)
+	}
+	flat := t.intern(kFlat, op, cnst, 0, kids, mults)
+	s.val(v).flat = flat
+	if len(kids) == 0 {
+		return t.constInt(cnst)
 	}
 	identity := (op == lir.OpAdd && cnst == 0) || (op == lir.OpOr && cnst == 0) ||
 		(op == lir.OpXor && cnst == 0) || (op == lir.OpMul && cnst == 1) || (op == lir.OpAnd && cnst == -1)
-	if len(leaves) == 0 {
-		s.flat[v] = flatExpr{op: op, cnst: cnst}
-		return fmt.Sprintf("ci:%d", cnst)
+	if len(kids) == 1 && mults[0] == 1 && identity {
+		return kids[0]
 	}
-	if len(leaves) == 1 && identity {
-		s.flat[v] = flatExpr{op: op, cnst: cnst, leaves: leaves}
-		return leaves[0]
-	}
-	s.flat[v] = flatExpr{op: op, cnst: cnst, leaves: leaves}
-	parts := []string{op.String()}
-	if !identity {
-		parts = append(parts, fmt.Sprintf("ci:%d", cnst))
-	}
-	parts = append(parts, leaves...)
-	return "(" + strings.Join(parts, " ") + ")"
+	return flat
 }
 
-func (s *side) obsIndex(v *lir.Value) int {
-	k := 0
-	for _, x := range v.Block.Insns {
-		if x == v {
-			return k
-		}
-		if observableOp(x.Op) {
-			k++
-		}
-	}
-	return -1
+// trapKey is one potentially-trapping operation: its op and operand hashes.
+type trapKey struct {
+	op   lir.Op
+	a, b nodeID
 }
 
-// trapSet collects the function-wide set of potentially-trapping operation
-// hashes: division/remainder by a non-constant (or provably-zero) divisor,
-// and bounds checks. Hashes are positionless sets on purpose: array lengths
-// are immutable in this IR, so a check's outcome is a pure function of its
-// (array, index) values, and GVN deleting a dominated duplicate check leaves
-// the set — and the trap behavior — unchanged.
-func (s *side) trapSet() map[string]bool {
-	out := map[string]bool{}
+// appendTraps collects the function-wide set of potentially-trapping
+// operations, sorted and deduplicated: division/remainder by a non-constant
+// (or provably-zero) divisor, and bounds checks. Hashes are positionless
+// sets on purpose: array lengths are immutable in this IR, so a check's
+// outcome is a pure function of its (array, index) values, and GVN deleting
+// a dominated duplicate check leaves the set — and the trap behavior —
+// unchanged.
+func (s *side) appendTraps(out []trapKey) []trapKey {
 	for _, b := range s.fn.Blocks {
-		if _, paired := s.pairID[b]; !paired {
+		if _, paired := s.pairOf(b); !paired {
 			continue // unreachable or unpaired: never executes
 		}
 		for _, v := range b.Insns {
 			switch v.Op {
 			case lir.OpDiv, lir.OpRem:
 				db := s.hash(v.Args[1])
-				if c, ok := constOf(db); ok && c != 0 {
+				if c, ok := s.t.intOf(db); ok && c != 0 {
 					break // constant nonzero divisor: no trap possible
 				}
-				out[fmt.Sprintf("trap:%s:%s:%s", v.Op, s.hash(v.Args[0]), db)] = true
+				out = append(out, trapKey{v.Op, s.hash(v.Args[0]), db})
 			case lir.OpBoundsCheck:
-				out[fmt.Sprintf("trap:bc:%s:%s", s.hash(v.Args[0]), s.hash(v.Args[1]))] = true
+				out = append(out, trapKey{v.Op, s.hash(v.Args[0]), s.hash(v.Args[1])})
 			}
 		}
 	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Small helpers
-
-func constOf(h string) (int64, bool) {
-	if !strings.HasPrefix(h, "ci:") {
-		return 0, false
-	}
-	var n int64
-	if _, err := fmt.Sscanf(h[3:], "%d", &n); err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-func floatOf(h string) (float64, bool) {
-	if !strings.HasPrefix(h, "cf:") {
-		return 0, false
-	}
-	var bits uint64
-	if _, err := fmt.Sscanf(h[3:], "%x", &bits); err != nil {
-		return 0, false
-	}
-	return math.Float64frombits(bits), true
-}
-
-func sameStringSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(out, func(x, y trapKey) int {
+		return cmp.Or(cmp.Compare(x.op, y.op), cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	return slices.Compact(out)
 }
 
 // dominatorsOf is a local, non-mutating dominator computation (the lir one

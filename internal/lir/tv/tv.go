@@ -78,7 +78,12 @@ type Checker struct {
 	Opts     Options
 	Verdicts []PassVerdict
 
-	snap *lir.Function
+	// The snapshot's storage, the validator's tables, and their scratch
+	// are reused pass after pass: a snapshot is dead once AfterPass
+	// returns.
+	snap   *lir.Function
+	cloner cloner
+	ev     equiv
 }
 
 // NewChecker returns a checker with the given options.
@@ -86,7 +91,7 @@ func NewChecker(opts Options) *Checker { return &Checker{Opts: opts} }
 
 // BeforePass snapshots the function.
 func (c *Checker) BeforePass(f *lir.Function, pass string, info *lir.PassInfo) {
-	c.snap = Clone(f)
+	c.snap = c.cloner.clone(f)
 }
 
 // AfterPass validates the pass result against the snapshot, records the
@@ -103,7 +108,7 @@ func (c *Checker) AfterPass(f *lir.Function, pass string, info *lir.PassInfo) er
 		if info != nil {
 			traits = info.Traits
 		}
-		verdict, reason = Validate(c.snap, f, traits)
+		verdict, reason = c.ev.validate(c.snap, f, traits)
 	}
 	c.Verdicts = append(c.Verdicts, PassVerdict{Fn: f.Name, Pass: pass, Verdict: verdict, Reason: reason})
 	c.snap = nil
@@ -126,67 +131,4 @@ func (c *Checker) Counts() (verified, unverified, rejected int) {
 		}
 	}
 	return
-}
-
-// Clone deep-copies a function: fresh Blocks and Values with the same IDs,
-// ops, types, and wiring, sharing only the immutable Prog. Analysis caches
-// (IDom, LoopDepth) are not copied; the validator computes its own dominators.
-func Clone(f *lir.Function) *lir.Function {
-	bmap := make(map[*lir.Block]*lir.Block, len(f.Blocks))
-	vmap := map[*lir.Value]*lir.Value{}
-	out := &lir.Function{Prog: f.Prog, Method: f.Method, Name: f.Name}
-	for _, b := range f.Blocks {
-		bmap[b] = &lir.Block{ID: b.ID}
-	}
-	cloneVal := func(v *lir.Value, nb *lir.Block) *lir.Value {
-		nv := &lir.Value{
-			ID: v.ID, Op: v.Op, Type: v.Type, Block: nb,
-			Imm: v.Imm, F: v.F, Sym: v.Sym, Slot: v.Slot, Cond: v.Cond, Hint: v.Hint,
-			NoTrap: v.NoTrap,
-		}
-		vmap[v] = nv
-		return nv
-	}
-	for _, b := range f.Blocks {
-		nb := bmap[b]
-		for _, p := range b.Phis {
-			nb.Phis = append(nb.Phis, cloneVal(p, nb))
-		}
-		for _, v := range b.Insns {
-			nb.Insns = append(nb.Insns, cloneVal(v, nb))
-		}
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, bmap[s])
-		}
-		for _, p := range b.Preds {
-			nb.Preds = append(nb.Preds, bmap[p])
-		}
-		out.Blocks = append(out.Blocks, nb)
-	}
-	// Second pass: rewire arguments through the value map. An argument whose
-	// definition is outside every block (malformed IR) keeps the original
-	// pointer; VerifyIR reports that separately.
-	fix := func(v *lir.Value) {
-		if len(v.Args) == 0 {
-			return
-		}
-		args := make([]*lir.Value, len(v.Args))
-		for i, a := range v.Args {
-			if na, ok := vmap[a]; ok {
-				args[i] = na
-			} else {
-				args[i] = a
-			}
-		}
-		vmap[v].Args = args
-	}
-	for _, b := range f.Blocks {
-		for _, p := range b.Phis {
-			fix(p)
-		}
-		for _, v := range b.Insns {
-			fix(v)
-		}
-	}
-	return out
 }

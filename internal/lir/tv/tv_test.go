@@ -393,3 +393,67 @@ func TestReportValidates(t *testing.T) {
 		}
 	}
 }
+
+// fibChain builds a straight-line function over two parameters with
+// v[i+1] = v[i] + v[i-1], depth levels deep, whose last value feeds a static
+// store and the return. Flattening it expands v[depth] to multiplicities of
+// Fibonacci size: walking the DAG again at every level is exponential in
+// depth, while merging memoized chains is linear.
+func fibChain(depth int) *lir.Function {
+	f := &lir.Function{Name: "fibchain"}
+	b := f.NewBlock()
+	f.Blocks = []*lir.Block{b}
+	prev := f.NewValue(lir.OpParam, lir.TInt)
+	cur := f.NewValue(lir.OpParam, lir.TInt)
+	cur.Slot = 1
+	b.Append(prev)
+	b.Append(cur)
+	for i := 0; i < depth; i++ {
+		next := f.NewValue(lir.OpAdd, lir.TInt, cur, prev)
+		b.Append(next)
+		prev, cur = cur, next
+	}
+	b.Append(f.NewValue(lir.OpStaticStore, lir.TVoid, cur))
+	b.AppendRaw(f.NewValue(lir.OpReturn, lir.TVoid, cur))
+	return f
+}
+
+// Flattening shared add chains stays linear: 60 levels deep is Verified, and
+// the allocations per validation grow no faster than the value count.
+func TestValidateSharedChainIsLinear(t *testing.T) {
+	f := fibChain(60)
+	if err := VerifyStrict(f); err != nil {
+		t.Fatalf("fixture invalid: %v", err)
+	}
+	if v, reason := Validate(f, Clone(f), lir.Traits{}); v != Verified {
+		t.Fatalf("60-level chain: %s (%s), want verified", v, reason)
+	}
+	allocs := func(depth int) float64 {
+		f := fibChain(depth)
+		c := Clone(f)
+		return testing.AllocsPerRun(5, func() { Validate(f, c, lir.Traits{}) })
+	}
+	a30, a60 := allocs(30), allocs(60)
+	// Doubling the values may double the per-value work; the slack covers
+	// slice growth, which adds allocations logarithmically.
+	if a60 > 2*a30+8 {
+		t.Fatalf("allocations grew superlinearly: %.0f at depth 30, %.0f at depth 60", a30, a60)
+	}
+	t.Logf("allocations per validation: %.0f at depth 30, %.0f at depth 60", a30, a60)
+}
+
+// Inputs the dense tables and counted chains cannot represent are answered
+// Unverified, never Rejected: a multiplicity past int64 makes the chain
+// opaque, and two values sharing one ID make the function unindexable.
+func TestValidateDegenerateInputsAreUnverified(t *testing.T) {
+	deep := fibChain(100) // Fibonacci multiplicities overflow int64 near level 92
+	if v, reason := Validate(deep, Clone(deep), lir.Traits{}); v != Unverified {
+		t.Errorf("overflowing chain: %s (%s), want unverified", v, reason)
+	}
+	f := fibChain(4)
+	c := Clone(f)
+	c.Blocks[0].Insns[3].ID = c.Blocks[0].Insns[2].ID
+	if v, reason := Validate(f, c, lir.Traits{}); v != Unverified || !strings.Contains(reason, "share one ID") {
+		t.Errorf("duplicate value ID: %s (%s), want unverified", v, reason)
+	}
+}

@@ -9,19 +9,22 @@ import "fmt"
 // dominated by its definition — in straight-line code that means defined
 // earlier in the same block — and a phi argument must be available at the end
 // of the corresponding predecessor. Returns the first violation found.
+//
+// The tables are indexed by block position and value ID, so a check costs
+// time linear in the function's size.
 func VerifyIR(f *Function) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("lir-verify: %s has no blocks", f.Name)
 	}
-	inFunc := map[*Block]bool{}
-	for _, b := range f.Blocks {
-		if inFunc[b] {
+	bidx := make(map[*Block]int32, len(f.Blocks))
+	for i, b := range f.Blocks {
+		if _, dup := bidx[b]; dup {
 			return fmt.Errorf("lir-verify: block b%d listed twice", b.ID)
 		}
-		inFunc[b] = true
+		bidx[b] = int32(i)
 	}
-	defined := map[*Value]*Block{}
-	for _, b := range f.Blocks {
+	defs := newDefTable(f)
+	for bi, b := range f.Blocks {
 		for _, p := range b.Phis {
 			if p.Op != OpPhi {
 				return fmt.Errorf("lir-verify: non-phi %s in b%d's phi list", p.Op, b.ID)
@@ -30,19 +33,19 @@ func VerifyIR(f *Function) error {
 				return fmt.Errorf("lir-verify: phi v%d in b%d has %d args for %d preds",
 					p.ID, b.ID, len(p.Args), len(b.Preds))
 			}
-			if prev, dup := defined[p]; dup {
-				return fmt.Errorf("lir-verify: value v%d defined in b%d and b%d", p.ID, prev.ID, b.ID)
+			if prev, dup := defs.lookup(p); dup {
+				return fmt.Errorf("lir-verify: value v%d defined in b%d and b%d", p.ID, f.Blocks[prev.block].ID, b.ID)
 			}
-			defined[p] = b
+			defs.define(p, defSite{int32(bi), -1})
 		}
 		for i, v := range b.Insns {
 			if v.Op == OpPhi {
 				return fmt.Errorf("lir-verify: phi v%d in b%d's instruction list", v.ID, b.ID)
 			}
-			if prev, dup := defined[v]; dup {
-				return fmt.Errorf("lir-verify: value v%d defined in b%d and b%d", v.ID, prev.ID, b.ID)
+			if prev, dup := defs.lookup(v); dup {
+				return fmt.Errorf("lir-verify: value v%d defined in b%d and b%d", v.ID, f.Blocks[prev.block].ID, b.ID)
 			}
-			defined[v] = b
+			defs.define(v, defSite{int32(bi), int32(i)})
 			if v.IsTerminator() && i != len(b.Insns)-1 {
 				return fmt.Errorf("lir-verify: terminator %s mid-block in b%d", v.Op, b.ID)
 			}
@@ -72,172 +75,244 @@ func VerifyIR(f *Function) error {
 	// entry checks out).
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
-			if !inFunc[s] {
+			if _, ok := bidx[s]; !ok {
 				return fmt.Errorf("lir-verify: b%d's successor b%d is not in the function", b.ID, s.ID)
 			}
-			found := 0
-			for _, p := range s.Preds {
-				if p == b {
-					found++
-				}
-			}
-			want := 0
-			for _, s2 := range b.Succs {
-				if s2 == s {
-					want++
-				}
-			}
-			if found != want {
+			if found, want := count(s.Preds, b), count(b.Succs, s); found != want {
 				return fmt.Errorf("lir-verify: edge b%d->b%d: %d pred entries for %d succ entries",
 					b.ID, s.ID, found, want)
 			}
 		}
 		for _, p := range b.Preds {
-			if !inFunc[p] {
+			if _, ok := bidx[p]; !ok {
 				return fmt.Errorf("lir-verify: b%d's predecessor b%d is not in the function", b.ID, p.ID)
 			}
-			found := 0
-			for _, s := range p.Succs {
-				if s == b {
-					found++
-				}
-			}
-			want := 0
-			for _, p2 := range b.Preds {
-				if p2 == p {
-					want++
-				}
-			}
-			if found != want {
+			if found, want := count(p.Succs, b), count(b.Preds, p); found != want {
 				return fmt.Errorf("lir-verify: edge b%d->b%d: %d succ entries for %d pred entries",
 					p.ID, b.ID, found, want)
 			}
 		}
 	}
-	// Every argument must be defined somewhere in the function.
-	ids := map[int]*Value{}
-	check := func(v *Value, user string) error {
+	// Every argument must be defined somewhere in the function, and IDs must
+	// be unique. The user's label is formatted only for a violation.
+	label := func(v *Value, b *Block) string {
+		if v.Op == OpPhi {
+			return fmt.Sprintf("phi v%d in b%d", v.ID, b.ID)
+		}
+		return fmt.Sprintf("v%d (%s) in b%d", v.ID, v.Op, b.ID)
+	}
+	check := func(v *Value, b *Block) error {
 		for _, a := range v.Args {
 			if a == nil {
-				return fmt.Errorf("lir-verify: nil argument in %s", user)
+				return fmt.Errorf("lir-verify: nil argument in %s", label(v, b))
 			}
-			if _, ok := defined[a]; !ok {
+			if _, ok := defs.lookup(a); !ok {
 				return fmt.Errorf("lir-verify: %s uses v%d (%s) which is not defined in the function",
-					user, a.ID, a.Op)
+					label(v, b), a.ID, a.Op)
 			}
 		}
-		if prev, dup := ids[v.ID]; dup && prev != v {
+		if prev := defs.first(v.ID); prev != v {
 			return fmt.Errorf("lir-verify: two distinct values share ID v%d (%s and %s)",
 				v.ID, prev.Op, v.Op)
 		}
-		ids[v.ID] = v
 		return nil
 	}
 	for _, b := range f.Blocks {
 		for _, p := range b.Phis {
-			if err := check(p, fmt.Sprintf("phi v%d in b%d", p.ID, b.ID)); err != nil {
+			if err := check(p, b); err != nil {
 				return err
 			}
 		}
 		for _, v := range b.Insns {
-			if err := check(v, fmt.Sprintf("v%d (%s) in b%d", v.ID, v.Op, b.ID)); err != nil {
+			if err := check(v, b); err != nil {
 				return err
 			}
 		}
 	}
-	return verifyDominance(f, defined)
+	return verifyDominance(f, bidx, defs)
+}
+
+func count(blocks []*Block, b *Block) int {
+	n := 0
+	for _, x := range blocks {
+		if x == b {
+			n++
+		}
+	}
+	return n
+}
+
+// defSite locates a definition: the block's position in Function.Blocks and
+// the instruction index (-1 for a phi).
+type defSite struct {
+	block, pos int32
+}
+
+// defTable maps each value defined in the function to its site. It is
+// indexed by Value.ID offset by the smallest ID; a value whose ID another
+// value already took (malformed IR) spills into a map, so every pointer
+// keeps its own entry.
+type defTable struct {
+	base  int
+	vals  []*Value // vals[id-base]: the first value defined with that ID
+	sites []defSite
+	spill map[*Value]defSite
+}
+
+func newDefTable(f *Function) *defTable {
+	lo, hi := 0, -1
+	for _, b := range f.Blocks {
+		for _, vs := range [2][]*Value{b.Phis, b.Insns} {
+			for _, v := range vs {
+				lo, hi = min(lo, v.ID), max(hi, v.ID)
+			}
+		}
+	}
+	return &defTable{base: lo, vals: make([]*Value, hi-lo+1), sites: make([]defSite, hi-lo+1)}
+}
+
+// first returns the first value defined with the given ID, or nil.
+func (d *defTable) first(id int) *Value {
+	if i := id - d.base; i >= 0 && i < len(d.vals) {
+		return d.vals[i]
+	}
+	return nil
+}
+
+func (d *defTable) lookup(v *Value) (defSite, bool) {
+	if i := v.ID - d.base; i >= 0 && i < len(d.vals) && d.vals[i] == v {
+		return d.sites[i], true
+	}
+	s, ok := d.spill[v]
+	return s, ok
+}
+
+func (d *defTable) define(v *Value, s defSite) {
+	if i := v.ID - d.base; i >= 0 && i < len(d.vals) && d.vals[i] == nil {
+		d.vals[i], d.sites[i] = v, s
+		return
+	}
+	if d.spill == nil {
+		d.spill = map[*Value]defSite{}
+	}
+	d.spill[v] = s
 }
 
 // domInfo is a non-mutating dominator computation over the current CFG. The
 // verifier cannot call Recompute — that would prune unreachable blocks and
 // reorder Blocks, destroying the evidence it is asked to judge — so it
-// rebuilds reachability and immediate dominators in side tables.
+// rebuilds reachability and immediate dominators in side tables indexed by
+// block position, then numbers the dominator tree so a dominance query is
+// two comparisons.
 type domInfo struct {
-	reach map[*Block]bool
-	idom  map[*Block]*Block
-	rpo   map[*Block]int
+	pre, post []int32 // dominator-tree DFS entry and exit numbers; -1: unreachable
 }
 
 // dominatorsOf computes reachability from the entry and immediate dominators
 // (Cooper-Harvey-Kennedy over a local reverse postorder) without touching
-// any Block field.
-func dominatorsOf(f *Function) *domInfo {
-	d := &domInfo{reach: map[*Block]bool{}, idom: map[*Block]*Block{}, rpo: map[*Block]int{}}
-	if len(f.Blocks) == 0 {
-		return d
+// any Block field. Every successor and predecessor must be in bidx.
+func dominatorsOf(f *Function, bidx map[*Block]int32) *domInfo {
+	n := len(f.Blocks)
+	buf := make([]int32, 9*n)
+	part := func() []int32 {
+		p := buf[:n:n]
+		buf = buf[n:]
+		return p
 	}
-	entry := f.Blocks[0]
-	var post []*Block
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		if d.reach[b] {
-			return
-		}
-		d.reach[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
+	order, stack, next := part()[:0], part()[:0], part()
+	rpo, idom, child, sibling := part(), part(), part(), part()
+	d := &domInfo{pre: part(), post: part()}
+	for i := 0; i < n; i++ {
+		rpo[i], idom[i], child[i], sibling[i], d.pre[i] = -1, -1, -1, -1, -1
 	}
-	dfs(entry)
-	order := make([]*Block, len(post))
-	for i := range post {
-		order[i] = post[len(post)-1-i]
+	// Postorder by an iterative DFS from the entry; next[b] is b's
+	// successor cursor and rpo[b] >= 0 marks a block the DFS reached.
+	rpo[0] = 0
+	stack = append(stack, 0)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		if succs := f.Blocks[b].Succs; int(next[b]) < len(succs) {
+			s := bidx[succs[next[b]]]
+			next[b]++
+			if rpo[s] < 0 {
+				rpo[s] = 0
+				stack = append(stack, s)
+			}
+			continue
+		}
+		order = append(order, b)
+		stack = stack[:len(stack)-1]
+	}
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
 	}
 	for i, b := range order {
-		d.rpo[b] = i
+		rpo[b] = int32(i)
 	}
-	d.idom[entry] = entry
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
+		for a != b {
+			for rpo[a] > rpo[b] {
+				a = idom[a]
+			}
+			for rpo[b] > rpo[a] {
+				b = idom[b]
+			}
+		}
+		return a
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order[1:] {
-			var nd *Block
-			for _, p := range b.Preds {
-				if d.idom[p] == nil {
+			nd := int32(-1)
+			for _, p := range f.Blocks[b].Preds {
+				pi := bidx[p]
+				if idom[pi] < 0 {
 					continue
 				}
-				if nd == nil {
-					nd = p
+				if nd < 0 {
+					nd = pi
 				} else {
-					nd = d.intersect(p, nd)
+					nd = intersect(pi, nd)
 				}
 			}
-			if nd != nil && d.idom[b] != nd {
-				d.idom[b] = nd
+			if nd >= 0 && idom[b] != nd {
+				idom[b] = nd
 				changed = true
 			}
 		}
 	}
-	d.idom[entry] = nil
+	// Number the dominator tree: children as first-child/next-sibling
+	// links, then an iterative DFS.
+	for _, b := range order[1:] {
+		p := idom[b]
+		sibling[b], child[p] = child[p], b
+	}
+	clock := int32(0)
+	d.pre[0] = clock
+	clock++
+	stack = append(stack, 0)
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		if c := child[top]; c >= 0 {
+			child[top] = sibling[c]
+			d.pre[c] = clock
+			clock++
+			stack = append(stack, c)
+			continue
+		}
+		d.post[top] = clock
+		clock++
+		stack = stack[:len(stack)-1]
+	}
 	return d
 }
 
-func (d *domInfo) intersect(a, b *Block) *Block {
-	for a != b {
-		for d.rpo[a] > d.rpo[b] {
-			if d.idom[a] == nil {
-				return b
-			}
-			a = d.idom[a]
-		}
-		for d.rpo[b] > d.rpo[a] {
-			if d.idom[b] == nil {
-				return a
-			}
-			b = d.idom[b]
-		}
-	}
-	return a
-}
+func (d *domInfo) reach(b int32) bool { return d.pre[b] >= 0 }
 
-// dominates reports whether a dominates b (both must be reachable).
-func (d *domInfo) dominates(a, b *Block) bool {
-	for x := b; x != nil; x = d.idom[x] {
-		if x == a {
-			return true
-		}
-	}
-	return false
+// dominates reports whether block a dominates block b (both reachable).
+func (d *domInfo) dominates(a, b int32) bool {
+	return d.pre[a] <= d.pre[b] && d.post[b] <= d.post[a]
 }
 
 // verifyDominance enforces def-before-use in dominance order: an instruction
@@ -246,52 +321,40 @@ func (d *domInfo) dominates(a, b *Block) bool {
 // must be available at the end of the corresponding predecessor. Unreachable
 // blocks are exempt (Recompute deletes them wholesale), but a reachable use
 // of an unreachably-defined value is a violation.
-func verifyDominance(f *Function, defined map[*Value]*Block) error {
-	d := dominatorsOf(f)
-	pos := map[*Value]int{} // instruction index within its block
-	for _, b := range f.Blocks {
-		for i, v := range b.Insns {
-			pos[v] = i
-		}
-	}
-	available := func(a *Value, atEndOf *Block) bool {
-		da := defined[a]
-		if !d.reach[da] {
-			return false
-		}
-		return da == atEndOf || d.dominates(da, atEndOf)
-	}
-	for _, b := range f.Blocks {
-		if !d.reach[b] {
+func verifyDominance(f *Function, bidx map[*Block]int32, defs *defTable) error {
+	d := dominatorsOf(f, bidx)
+	for bi, b := range f.Blocks {
+		if !d.reach(int32(bi)) {
 			continue
 		}
 		for _, p := range b.Phis {
 			for i, a := range p.Args {
-				pred := b.Preds[i]
-				if !d.reach[pred] {
+				pred := bidx[b.Preds[i]]
+				if !d.reach(pred) {
 					continue
 				}
-				if !available(a, pred) {
+				da, _ := defs.lookup(a)
+				if !d.reach(da.block) || !d.dominates(da.block, pred) {
 					return fmt.Errorf("lir-verify: phi v%d in b%d: arg v%d (%s) does not dominate predecessor b%d",
-						p.ID, b.ID, a.ID, a.Op, pred.ID)
+						p.ID, b.ID, a.ID, a.Op, f.Blocks[pred].ID)
 				}
 			}
 		}
 		for i, v := range b.Insns {
 			for _, a := range v.Args {
-				da := defined[a]
+				da, _ := defs.lookup(a)
 				switch {
-				case da == b:
-					if a.Op != OpPhi && pos[a] >= i {
+				case da.block == int32(bi):
+					if a.Op != OpPhi && int(da.pos) >= i {
 						return fmt.Errorf("lir-verify: v%d (%s) in b%d uses v%d (%s) defined later in the block",
 							v.ID, v.Op, b.ID, a.ID, a.Op)
 					}
-				case !d.reach[da]:
+				case !d.reach(da.block):
 					return fmt.Errorf("lir-verify: v%d (%s) in b%d uses v%d defined in unreachable b%d",
-						v.ID, v.Op, b.ID, a.ID, da.ID)
-				case !d.dominates(da, b):
+						v.ID, v.Op, b.ID, a.ID, f.Blocks[da.block].ID)
+				case !d.dominates(da.block, int32(bi)):
 					return fmt.Errorf("lir-verify: v%d (%s) in b%d uses v%d defined in non-dominating b%d",
-						v.ID, v.Op, b.ID, a.ID, da.ID)
+						v.ID, v.Op, b.ID, a.ID, f.Blocks[da.block].ID)
 				}
 			}
 		}
