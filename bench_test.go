@@ -1394,22 +1394,22 @@ func BenchmarkSnapshotStore(b *testing.B) {
 	b.ReportMetric(st.DedupRatio(), "dedup-x")
 	b.ReportMetric(recoveryRate, "recovery-rate")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":      1,
-		"benchmark":           "SnapshotStore",
-		"captures":            captures,
-		"raw_page_bytes":      rawBytes,
-		"legacy_bytes":        legacyBytes,
-		"castore_bytes":       casBytes,
-		"dedup_ratio":         st.DedupRatio(),
-		"chunks_unique":       st.ChunksWritten,
-		"chunks_reused":       st.ChunksReused,
-		"save_ms":             saveMs,
-		"load_ms":             loadMs,
-		"materialize_ms":      matMs,
-		"corruption_trials":   trials,
-		"recovery_rate":       recoveryRate,
-		"torn_tail_recovered": tornRecovered,
+	artifact, err := json.MarshalIndent(castore.Bench{
+		Benchmark:         "SnapshotStore",
+		Captures:          captures,
+		CastoreBytes:      casBytes,
+		ChunksReused:      st.ChunksReused,
+		ChunksUnique:      st.ChunksWritten,
+		CorruptionTrials:  trials,
+		DedupRatio:        st.DedupRatio(),
+		LegacyBytes:       legacyBytes,
+		LoadMs:            loadMs,
+		MaterializeMs:     matMs,
+		RawPageBytes:      rawBytes,
+		RecoveryRate:      recoveryRate,
+		SaveMs:            saveMs,
+		SchemaVersion:     castore.BenchSchemaVersion,
+		TornTailRecovered: tornRecovered,
 	}, "", "  ")
 	if err != nil {
 		b.Fatal(err)

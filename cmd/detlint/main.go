@@ -1,7 +1,7 @@
 // Command detlint enforces the determinism rules of internal/sa/lint on the
 // replay-critical packages: no time.Now, no global math/rand draws, no map
 // iteration without a waiver, in internal/ga, internal/core, internal/replay,
-// and internal/sa.
+// internal/sa, and internal/schema.
 //
 // Standalone (CI uses this form):
 //
@@ -37,6 +37,7 @@ var deterministicPkgs = map[string]string{
 	"replayopt/internal/core":   "internal/core",
 	"replayopt/internal/replay": "internal/replay",
 	"replayopt/internal/sa":     "internal/sa",
+	"replayopt/internal/schema": "internal/schema",
 }
 
 // refPkgs are indexed for cross-package map-typed fields (machine.Program.Fns,

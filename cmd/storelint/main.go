@@ -12,7 +12,7 @@
 //
 // -json emits the machine-readable report (schema_version 1); -validate
 // reads a report from stdin and structurally checks it — CI pipes one into
-// the other, like replaylint and tvlint. -validate-bench checks the
+// the other, like salint and tvlint. -validate-bench checks the
 // BENCH_store.json artifact emitted by BenchmarkSnapshotStore. -verify
 // exits 1 when the scan finds damaged records, a torn tail, a lost index,
 // or skipped snapshots; plain stat mode reports the same facts but exits 0

@@ -1,9 +1,9 @@
 package apps
 
 // WitnessSpec returns the diagnostic application used by the effect-analysis
-// witness tests and as the replaylint walkthrough example. It is deliberately
-// NOT part of All() — Table 1 has exactly 21 applications — but Build accepts
-// it like any other spec.
+// witness tests and as the salint effects walkthrough example. It is
+// deliberately NOT part of All() — Table 1 has exactly 21 applications — but
+// Build accepts it like any other spec.
 //
 // The app is engineered so the boolean blocklist and the interprocedural
 // effect analysis disagree: its hot kernel dispatches through a virtual

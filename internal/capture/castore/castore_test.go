@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"replayopt/internal/schema/schematest"
 )
 
 // page builds a deterministic 4 KiB test page.
@@ -219,4 +222,102 @@ func TestOpenRejectsForeignFiles(t *testing.T) {
 	if _, err := OpenWriter(foreign); err == nil {
 		t.Error("OpenWriter accepted a foreign file")
 	}
+}
+
+// TestReportRejectionParity runs the storelint report's rejection corpus:
+// every corruption TestReportAndValidate makes, every required key deleted,
+// every field given a wrong JSON type, and the numeric cases a typed decode
+// closes.
+func TestReportRejectionParity(t *testing.T) {
+	path, _ := writeStore(t)
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(BuildReport(f, func(meta []byte) string { return string(meta) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateReportJSON(data); err != nil {
+		t.Fatalf("valid report rejected: %v", err)
+	}
+	firstSnap := func(doc map[string]any) map[string]any {
+		return doc["snapshots"].([]any)[0].(map[string]any)
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(Report{})),
+		schematest.Case{Name: "empty object", Data: []byte(`{}`)},
+		schematest.Case{Name: "bare wrong version", Data: []byte(`{"schema_version":99}`)},
+		schematest.Case{Name: "bare empty path", Data: []byte(`{"schema_version":1,"path":""}`)},
+		schematest.Corrupt(t, data, "empty digest", func(doc map[string]any) { firstSnap(doc)["digest"] = "" }),
+		schematest.Corrupt(t, data, "incomplete snapshot not skipped", func(doc map[string]any) {
+			firstSnap(doc)["complete"] = false
+		}),
+		schematest.Corrupt(t, data, "fractional schema_version", func(doc map[string]any) {
+			doc["schema_version"] = ReportSchemaVersion + 0.5
+		}),
+		schematest.Corrupt(t, data, "fractional records", func(doc map[string]any) { doc["records"] = 2.5 }),
+		schematest.Corrupt(t, data, "negative records", func(doc map[string]any) { doc["records"] = -1 }),
+		schematest.Corrupt(t, data, "negative file_bytes", func(doc map[string]any) { doc["file_bytes"] = -1 }),
+		schematest.Corrupt(t, data, "negative dedup_ratio", func(doc map[string]any) { doc["dedup_ratio"] = -1 }),
+		schematest.Corrupt(t, data, "negative pages", func(doc map[string]any) { firstSnap(doc)["pages"] = -1 }),
+		schematest.Corrupt(t, data, "negative missing_chunks", func(doc map[string]any) {
+			firstSnap(doc)["missing_chunks"] = -1
+		}),
+		schematest.Corrupt(t, data, "unknown key", func(doc map[string]any) { firstSnap(doc)["extra"] = 1 }),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against the map-based validator this decode replaced; it
+	// rejected every other case.
+	schematest.Run(t, ValidateReportJSON, cases, map[string]string{
+		"snapshots[0].app deleted":    "missing key, optional before",
+		"snapshots[0].app wrong type": "key unchecked before",
+		"fractional schema_version":   "fractional schema_version",
+		"fractional records":          "fractional count",
+		"negative records":            "negative count",
+		"negative file_bytes":         "negative count",
+		"negative dedup_ratio":        "negative count",
+		"negative pages":              "negative count",
+		"negative missing_chunks":     "negative count",
+		"unknown key":                 "unknown key",
+	})
+}
+
+// TestBenchRejectionParity runs the BENCH_store.json rejection corpus over
+// the committed artifact's values.
+func TestBenchRejectionParity(t *testing.T) {
+	data, err := json.Marshal(Bench{
+		Benchmark: "SnapshotStore", Captures: 4, CastoreBytes: 84577, ChunksReused: 3371,
+		ChunksUnique: 17, CorruptionTrials: 20, DedupRatio: 199.29, LegacyBytes: 196114,
+		LoadMs: 3.19, MaterializeMs: 2.82, RawPageBytes: 13877248, RecoveryRate: 0.75,
+		SaveMs: 99.48, SchemaVersion: BenchSchemaVersion, TornTailRecovered: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateBenchJSON(data); err != nil {
+		t.Fatalf("valid artifact rejected: %v", err)
+	}
+	set := func(key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc[key] = v }
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(Bench{})),
+		schematest.Corrupt(t, data, "wrong schema version", set("schema_version", 2)),
+		schematest.Corrupt(t, data, "wrong benchmark", set("benchmark", "Other")),
+		schematest.Corrupt(t, data, "recovery_rate above 1", set("recovery_rate", 1.5)),
+		schematest.Corrupt(t, data, "castore_bytes zero", set("castore_bytes", 0)),
+		schematest.Corrupt(t, data, "castore not smaller than legacy", set("castore_bytes", 196114)),
+		schematest.Corrupt(t, data, "fractional schema_version", set("schema_version", 1.5)),
+		schematest.Corrupt(t, data, "fractional captures", set("captures", 4.5)),
+		schematest.Corrupt(t, data, "negative chunks_reused", set("chunks_reused", -1)),
+		schematest.Corrupt(t, data, "unknown key", set("extra", 1)),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against the map-based validator this decode replaced; it
+	// rejected every other case.
+	schematest.Run(t, ValidateBenchJSON, cases, map[string]string{
+		"fractional schema_version": "fractional schema_version",
+		"fractional captures":       "fractional count",
+		"negative chunks_reused":    "negative count",
+		"unknown key":               "unknown key",
+	})
 }

@@ -1,11 +1,12 @@
 package castore
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
 	"replayopt/internal/obs"
+	"replayopt/internal/schema"
 )
 
 // ReportSchemaVersion versions the storelint JSON report.
@@ -22,7 +23,7 @@ type SnapshotReport struct {
 }
 
 // Report is the machine-readable output of cmd/storelint, schema-validated
-// in CI like the replaylint and tvlint reports.
+// in CI like the salint and tvlint reports.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
 	Path          string `json:"path"`
@@ -111,70 +112,47 @@ func BuildReport(f *File, appOf func(meta []byte) string) *Report {
 	return rep
 }
 
-// ValidateReportJSON structurally validates a JSON-encoded Report: required
-// keys, their types, and internally consistent counts. It is what CI's
-// storelint -validate runs.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("storelint report: not JSON: %w", err)
+// Check enforces the report's cross-field invariants: the schema version, a
+// non-empty path, nonnegative counts, a snapshots array whose rows carry a
+// digest, and no more incomplete snapshots than skipped_snapshots admits.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
-	num := func(key string) (float64, error) {
-		v, ok := raw[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("storelint report: %q missing or not a number", key)
-		}
-		return v, nil
+	if r.Path == "" {
+		return errors.New("path is empty")
 	}
-	ver, err := num("schema_version")
-	if err != nil {
-		return err
+	if min(r.Records, r.Chunks, r.Manifests, r.Indexes, r.Damaged, r.SkippedSnapshots) < 0 ||
+		min(r.FileBytes, r.TruncatedTailBytes, r.ReferencedRawBytes, r.UniqueRawBytes, r.StoredChunkBytes) < 0 ||
+		r.DedupRatio < 0 {
+		return errors.New("counts must be nonnegative")
 	}
-	if int(ver) != ReportSchemaVersion {
-		return fmt.Errorf("storelint report: schema_version %v, want %d", ver, ReportSchemaVersion)
-	}
-	if s, ok := raw["path"].(string); !ok || s == "" {
-		return fmt.Errorf("storelint report: %q missing or empty", "path")
-	}
-	for _, key := range []string{"file_bytes", "records", "chunks", "manifests", "indexes",
-		"damaged_records", "truncated_tail_bytes", "skipped_snapshots",
-		"referenced_raw_bytes", "unique_raw_bytes", "stored_chunk_bytes", "dedup_ratio"} {
-		if _, err := num(key); err != nil {
-			return err
-		}
-	}
-	if _, ok := raw["no_index"].(bool); !ok {
-		return fmt.Errorf("storelint report: %q missing or not a bool", "no_index")
-	}
-	snaps, ok := raw["snapshots"].([]any)
-	if !ok {
-		return fmt.Errorf("storelint report: %q missing or not an array", "snapshots")
+	if r.Snapshots == nil {
+		return errors.New("snapshots is not an array")
 	}
 	incomplete := 0
-	for i, s := range snaps {
-		obj, ok := s.(map[string]any)
-		if !ok {
-			return fmt.Errorf("storelint report: snapshots[%d] not an object", i)
+	for i, s := range r.Snapshots {
+		if s.Digest == "" {
+			return fmt.Errorf("snapshots[%d].digest is empty", i)
 		}
-		if d, ok := obj["digest"].(string); !ok || d == "" {
-			return fmt.Errorf("storelint report: snapshots[%d].digest missing or empty", i)
+		if min(s.Pages, s.MissingChunks) < 0 || s.RawMB < 0 {
+			return fmt.Errorf("snapshots[%d]: counts must be nonnegative", i)
 		}
-		for _, key := range []string{"pages", "raw_mb", "missing_chunks"} {
-			if _, ok := obj[key].(float64); !ok {
-				return fmt.Errorf("storelint report: snapshots[%d].%s missing or not a number", i, key)
-			}
-		}
-		c, ok := obj["complete"].(bool)
-		if !ok {
-			return fmt.Errorf("storelint report: snapshots[%d].complete missing or not a bool", i)
-		}
-		if !c {
+		if !s.Complete {
 			incomplete++
 		}
 	}
-	skipped, _ := num("skipped_snapshots")
-	if incomplete > int(skipped) {
-		return fmt.Errorf("storelint report: %d incomplete snapshots but skipped_snapshots=%d", incomplete, int(skipped))
+	if incomplete > r.SkippedSnapshots {
+		return fmt.Errorf("%d incomplete snapshots but skipped_snapshots=%d", incomplete, r.SkippedSnapshots)
+	}
+	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks its
+// invariants. It is what CI's storelint -validate runs.
+func ValidateReportJSON(data []byte) error {
+	if err := schema.Decode(data, new(Report)); err != nil {
+		return fmt.Errorf("storelint report: %w", err)
 	}
 	return nil
 }
@@ -297,46 +275,54 @@ func Repair(path string, sc *obs.Scope) (rs RepairStats, err error) {
 // BenchSchemaVersion versions the BENCH_store.json artifact.
 const BenchSchemaVersion = 1
 
-// ValidateBenchJSON structurally validates the BENCH_store.json artifact
-// emitted by BenchmarkSnapshotStore (CI's bench-schema check).
+// Bench is the BENCH_store.json artifact BenchmarkSnapshotStore emits. The
+// fields are declared in sorted key order, the order the artifact has
+// always had.
+type Bench struct {
+	Benchmark         string  `json:"benchmark"`
+	Captures          int     `json:"captures"`
+	CastoreBytes      int64   `json:"castore_bytes"`
+	ChunksReused      int     `json:"chunks_reused"`
+	ChunksUnique      int     `json:"chunks_unique"`
+	CorruptionTrials  int     `json:"corruption_trials"`
+	DedupRatio        float64 `json:"dedup_ratio"`
+	LegacyBytes       int64   `json:"legacy_bytes"`
+	LoadMs            float64 `json:"load_ms"`
+	MaterializeMs     float64 `json:"materialize_ms"`
+	RawPageBytes      int64   `json:"raw_page_bytes"`
+	RecoveryRate      float64 `json:"recovery_rate"`
+	SaveMs            float64 `json:"save_ms"`
+	SchemaVersion     int     `json:"schema_version"`
+	TornTailRecovered bool    `json:"torn_tail_recovered"`
+}
+
+// Check enforces the artifact's invariants: the schema version and
+// benchmark name, nonnegative counts, a recovery rate in [0,1], and a
+// castore store that is non-empty and smaller than the legacy blob.
+func (b *Bench) Check() error {
+	switch {
+	case b.SchemaVersion != BenchSchemaVersion:
+		return fmt.Errorf("schema_version %d, want %d", b.SchemaVersion, BenchSchemaVersion)
+	case b.Benchmark != "SnapshotStore":
+		return fmt.Errorf("benchmark %q, want %q", b.Benchmark, "SnapshotStore")
+	case min(b.Captures, b.ChunksReused, b.ChunksUnique, b.CorruptionTrials) < 0 ||
+		min(b.LegacyBytes, b.RawPageBytes) < 0:
+		return errors.New("counts must be nonnegative")
+	case b.RecoveryRate < 0 || b.RecoveryRate > 1:
+		return fmt.Errorf("recovery_rate %v outside [0,1]", b.RecoveryRate)
+	case b.CastoreBytes <= 0:
+		return fmt.Errorf("castore_bytes %d not positive", b.CastoreBytes)
+	case b.LegacyBytes > 0 && b.CastoreBytes >= b.LegacyBytes:
+		return fmt.Errorf("castore store (%d B) not smaller than the legacy blob (%d B)", b.CastoreBytes, b.LegacyBytes)
+	}
+	return nil
+}
+
+// ValidateBenchJSON strictly decodes a BENCH_store.json artifact and checks
+// its invariants (CI's bench-schema check).
 func ValidateBenchJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("BENCH_store.json: not JSON: %w", err)
-	}
-	if v, ok := raw["schema_version"].(float64); !ok || int(v) != BenchSchemaVersion {
-		return fmt.Errorf("BENCH_store.json: schema_version missing or != %d", BenchSchemaVersion)
-	}
-	if s, ok := raw["benchmark"].(string); !ok || s != "SnapshotStore" {
-		return fmt.Errorf("BENCH_store.json: benchmark missing or not %q", "SnapshotStore")
-	}
-	num := func(key string) (float64, error) {
-		v, ok := raw[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("BENCH_store.json: %q missing or not a number", key)
-		}
-		return v, nil
-	}
-	for _, key := range []string{"captures", "raw_page_bytes", "legacy_bytes", "castore_bytes",
-		"dedup_ratio", "chunks_unique", "chunks_reused", "save_ms", "load_ms", "materialize_ms",
-		"corruption_trials", "recovery_rate"} {
-		if _, err := num(key); err != nil {
-			return err
-		}
-	}
-	if v, _ := num("recovery_rate"); v < 0 || v > 1 {
-		return fmt.Errorf("BENCH_store.json: recovery_rate %v outside [0,1]", v)
-	}
-	if v, _ := num("castore_bytes"); v <= 0 {
-		return fmt.Errorf("BENCH_store.json: castore_bytes %v not positive", v)
-	}
-	legacy, _ := num("legacy_bytes")
-	cas, _ := num("castore_bytes")
-	if legacy > 0 && cas >= legacy {
-		return fmt.Errorf("BENCH_store.json: castore store (%v B) not smaller than the legacy blob (%v B)", cas, legacy)
-	}
-	if _, ok := raw["torn_tail_recovered"].(bool); !ok {
-		return fmt.Errorf("BENCH_store.json: %q missing or not a bool", "torn_tail_recovered")
+	if err := schema.Decode(data, new(Bench)); err != nil {
+		return fmt.Errorf("BENCH_store.json: %w", err)
 	}
 	return nil
 }

@@ -86,12 +86,6 @@ type Options struct {
 	// replay accepts, so the validated search evaluates fewer candidates
 	// and finds a different winner.
 	TVCheck bool
-	// LegacyBlocklist reverts region selection to the boolean native
-	// blocklist (the paper's §3.1 baseline) instead of the interprocedural
-	// effect analysis. The effect analysis accepts a superset of the
-	// blocklist's methods, so this flag can only shrink regions; it exists
-	// for comparison runs and as an escape hatch.
-	LegacyBlocklist bool
 	// Warm evaluates GA candidates on warm replay workers: the post-restore
 	// address space is built once per snapshot (template), cloned CoW per
 	// worker, and reset between genomes instead of re-restored. Replay cycle
@@ -316,19 +310,13 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 	}
 	p.Profile = prof
 
-	if o.Opts.LegacyBlocklist {
-		p.Analysis = profile.AnalyzeBlocklist(app.Prog)
-	} else {
-		p.Analysis = profile.Analyze(app.Prog)
-	}
-	if eff := p.Analysis.Effects; eff != nil {
-		// Interprocedural value-range and points-to summaries for the lir
-		// range and memory passes. Both are pure functions of the program,
-		// so attaching them never perturbs config fingerprints or search
-		// traces.
-		vra.Attach(eff)
-		pts.Attach(eff)
-	}
+	p.Analysis = profile.Analyze(app.Prog)
+	eff := p.Analysis.Effects
+	// Interprocedural value-range and points-to summaries for the lir range
+	// and memory passes. Both are pure functions of the program, so
+	// attaching them never perturbs config fingerprints or search traces.
+	vra.Attach(eff)
+	pts.Attach(eff)
 	region, ok := profile.HotRegion(app.Prog, p.Analysis, prof)
 	if !ok {
 		sp.End(obs.A("error", "no replayable hot region"))
@@ -336,27 +324,20 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 	}
 	p.Region = region
 	p.Breakdown = profile.Classify(app.Prog, p.Analysis, prof, region)
-	attrs := []obs.Attr{
+	rparams, rrets := vra.Narrowed(eff.Ranges)
+	sites, nonEsc, bounded := pts.Stats(eff.Alias)
+	sp.End(
 		obs.A("region_root", app.Prog.Methods[region.Root].Name),
 		obs.A("region_methods", len(region.Methods)),
 		obs.A("samples", region.EstimatedSamples),
-	}
-	if eff := p.Analysis.Effects; eff != nil {
-		rparams, rrets := vra.Narrowed(eff.Ranges)
-		sites, nonEsc, bounded := pts.Stats(eff.Alias)
-		attrs = append(attrs,
-			obs.A("analysis", "effects"),
-			obs.A("region_effect", eff.Summary[region.Root].String()),
-			obs.A("range_params_narrowed", rparams),
-			obs.A("range_rets_narrowed", rrets),
-			obs.A("alias_sites", sites),
-			obs.A("alias_non_escaping", nonEsc),
-			obs.A("alias_bounded_methods", bounded),
-		)
-	} else {
-		attrs = append(attrs, obs.A("analysis", "blocklist"))
-	}
-	sp.End(attrs...)
+		obs.A("analysis", "effects"),
+		obs.A("region_effect", eff.Summary[region.Root].String()),
+		obs.A("range_params_narrowed", rparams),
+		obs.A("range_rets_narrowed", rrets),
+		obs.A("alias_sites", sites),
+		obs.A("alias_non_escaping", nonEsc),
+		obs.A("alias_bounded_methods", bounded),
+	)
 
 	// 3) Capture during a later online run.
 	sp = prep.Start("capture")

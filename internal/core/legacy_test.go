@@ -3,41 +3,32 @@ package core
 import (
 	"testing"
 
-	"replayopt/internal/lir"
 	"replayopt/internal/minic"
+	"replayopt/internal/profile"
 )
 
-// The effect analysis may only grow the region the legacy blocklist selects,
-// and both modes must prepare, compile, and verify the same app cleanly.
+// The effect analysis may only grow the region the paper's §3.1 boolean
+// blocklist selects. Both analyses run over the same online profile: the
+// blocklist is the differential reference, prepare's analysis the subject.
 func TestLegacyBlocklistParity(t *testing.T) {
 	prog, err := minic.CompileSource("miniapp", appSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepWith := func(legacy bool) *Prepared {
-		t.Helper()
-		opts := smallOptions()
-		opts.LegacyBlocklist = legacy
-		p, err := New(opts).Prepare(&App{Name: "miniapp", Prog: prog})
-		if err != nil {
-			t.Fatalf("Prepare(legacy=%v): %v", legacy, err)
-		}
-		return p
+	eff, err := New(smallOptions()).Prepare(&App{Name: "miniapp", Prog: prog})
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy := prepWith(true)
-	eff := prepWith(false)
-
-	if legacy.Analysis.Effects != nil {
-		t.Error("legacy mode ran the effect analysis")
-	}
-	if eff.Analysis.Effects == nil {
-		t.Fatal("effect mode did not run the effect analysis")
+	legacy := profile.AnalyzeBlocklist(prog)
+	legacyRegion, ok := profile.HotRegion(prog, legacy, eff.Profile)
+	if !ok {
+		t.Fatal("blocklist found no replayable hot region")
 	}
 
 	// Sound-precision direction: every method the blocklist deems deep-
 	// replayable must stay deep-replayable under the effect analysis.
 	for id := range prog.Methods {
-		if legacy.Analysis.ReplayableDeep[id] && !eff.Analysis.ReplayableDeep[id] {
+		if legacy.ReplayableDeep[id] && !eff.Analysis.ReplayableDeep[id] {
 			t.Errorf("%s: blocklist accepts, effect analysis rejects",
 				prog.Methods[id].Name)
 		}
@@ -45,25 +36,17 @@ func TestLegacyBlocklistParity(t *testing.T) {
 	// The selected region may differ in two sound ways only: it can grow
 	// (more methods replayable) or drop methods the RTA call graph proves
 	// unreachable (virtual targets on never-instantiated classes, which the
-	// legacy prog.Callees over-approximation kept).
+	// blocklist's prog.Callees over-approximation keeps).
 	effMethods := map[int]bool{}
 	for _, m := range eff.Region.Methods {
 		effMethods[int(m)] = true
 	}
-	if legacy.Region.Root == eff.Region.Root {
-		for _, m := range legacy.Region.Methods {
+	if legacyRegion.Root == eff.Region.Root {
+		for _, m := range legacyRegion.Methods {
 			if !effMethods[int(m)] && eff.Analysis.Effects.Graph.Reachable[m] {
-				t.Errorf("RTA-reachable method %s in legacy region but not effect region",
+				t.Errorf("RTA-reachable method %s in blocklist region but not effect region",
 					prog.Methods[m].Name)
 			}
-		}
-	}
-
-	// Both modes must evaluate a real configuration to a correct outcome.
-	for _, p := range []*Prepared{legacy, eff} {
-		ev := p.Evaluate(lir.O2())
-		if ev.Outcome.Failed() {
-			t.Errorf("O2 failed under Effects=%v: %s", p.Analysis.Effects != nil, ev.Outcome)
 		}
 	}
 }

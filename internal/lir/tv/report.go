@@ -1,12 +1,12 @@
 package tv
 
-// Machine-readable reporting for cmd/tvlint, with a hand-rolled structural
-// validator (the internal/sa/report.go pattern) so CI can assert the schema
-// without a JSON-Schema dependency.
+// Machine-readable reporting for cmd/tvlint.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+
+	"replayopt/internal/schema"
 )
 
 // ReportSchemaVersion is bumped whenever the JSON layout changes shape.
@@ -50,84 +50,57 @@ func PresetFromChecker(app, preset string, c *Checker) PresetReport {
 	return pr
 }
 
-// ValidateReportJSON structurally validates a JSON-encoded Report: required
-// keys, their types, legal verdict strings, and tallies that reconcile with
-// the rows. It is what CI's tvlint -validate runs.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("tvlint report: not JSON: %w", err)
+// Check enforces the report's cross-field invariants: the schema version,
+// arrays where the schema promises them, non-empty names, legal verdict
+// strings, and tallies that reconcile with the rows.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
-	ver, ok := raw["schema_version"].(float64)
-	if !ok {
-		return fmt.Errorf("tvlint report: %q missing or not a number", "schema_version")
+	if r.Presets == nil {
+		return errors.New("presets is not an array")
 	}
-	if int(ver) != ReportSchemaVersion {
-		return fmt.Errorf("tvlint report: schema_version %v, want %d", ver, ReportSchemaVersion)
-	}
-	presets, ok := raw["presets"].([]any)
-	if !ok {
-		return fmt.Errorf("tvlint report: %q missing or not an array", "presets")
-	}
-	legal := map[string]bool{"verified": true, "unverified": true, "rejected": true}
-	for i, p := range presets {
-		obj, ok := p.(map[string]any)
-		if !ok {
-			return fmt.Errorf("tvlint report: presets[%d] not an object", i)
+	for i, p := range r.Presets {
+		if p.App == "" || p.Preset == "" {
+			return fmt.Errorf("presets[%d]: app and preset must be non-empty", i)
 		}
-		for _, key := range []string{"app", "preset"} {
-			if s, ok := obj[key].(string); !ok || s == "" {
-				return fmt.Errorf("tvlint report: presets[%d].%s missing or empty", i, key)
-			}
-		}
-		rows, ok := obj["verdicts"].([]any)
-		if !ok {
-			return fmt.Errorf("tvlint report: presets[%d].verdicts missing or not an array", i)
+		if p.Verdicts == nil {
+			return fmt.Errorf("presets[%d].verdicts is not an array", i)
 		}
 		counts := map[string]int{}
-		for j, r := range rows {
-			row, ok := r.(map[string]any)
-			if !ok {
-				return fmt.Errorf("tvlint report: presets[%d].verdicts[%d] not an object", i, j)
+		for j, v := range p.Verdicts {
+			if v.Fn == "" || v.Pass == "" {
+				return fmt.Errorf("presets[%d].verdicts[%d]: fn and pass must be non-empty", i, j)
 			}
-			for _, key := range []string{"fn", "pass", "verdict"} {
-				if s, ok := row[key].(string); !ok || s == "" {
-					return fmt.Errorf("tvlint report: presets[%d].verdicts[%d].%s missing or empty", i, j, key)
-				}
+			switch v.Verdict {
+			case "verified", "unverified", "rejected":
+				counts[v.Verdict]++
+			default:
+				return fmt.Errorf("presets[%d].verdicts[%d] has unknown verdict %q", i, j, v.Verdict)
 			}
-			v := row["verdict"].(string)
-			if !legal[v] {
-				return fmt.Errorf("tvlint report: presets[%d].verdicts[%d] has unknown verdict %q", i, j, v)
-			}
-			counts[v]++
 		}
-		for _, c := range []struct {
-			key  string
-			want int
-		}{{"verified", counts["verified"]}, {"unverified", counts["unverified"]}, {"rejected", counts["rejected"]}} {
-			got, ok := obj[c.key].(float64)
-			if !ok {
-				return fmt.Errorf("tvlint report: presets[%d].%s missing or not a number", i, c.key)
-			}
-			if int(got) != c.want {
-				return fmt.Errorf("tvlint report: presets[%d].%s = %d, rows say %d", i, c.key, int(got), c.want)
+		for _, c := range [...]struct {
+			key string
+			got int
+		}{{"verified", p.Verified}, {"unverified", p.Unverified}, {"rejected", p.Rejected}} {
+			if c.got != counts[c.key] {
+				return fmt.Errorf("presets[%d].%s = %d, rows say %d", i, c.key, c.got, counts[c.key])
 			}
 		}
 	}
-	fuzz, ok := raw["fuzz"].([]any)
-	if !ok && raw["fuzz"] != nil {
-		return fmt.Errorf("tvlint report: %q not an array", "fuzz")
+	for i, f := range r.Fuzz {
+		if f.Pass == "" || f.Kind == "" {
+			return fmt.Errorf("fuzz[%d]: pass and kind must be non-empty", i)
+		}
 	}
-	for i, f := range fuzz {
-		obj, ok := f.(map[string]any)
-		if !ok {
-			return fmt.Errorf("tvlint report: fuzz[%d] not an object", i)
-		}
-		for _, key := range []string{"pass", "kind"} {
-			if s, ok := obj[key].(string); !ok || s == "" {
-				return fmt.Errorf("tvlint report: fuzz[%d].%s missing or empty", i, key)
-			}
-		}
+	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks its
+// invariants. It is what CI's tvlint -validate runs.
+func ValidateReportJSON(data []byte) error {
+	if err := schema.Decode(data, new(Report)); err != nil {
+		return fmt.Errorf("tvlint report: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package tv
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"replayopt/internal/lir"
 	"replayopt/internal/minic"
 	"replayopt/internal/progen"
+	"replayopt/internal/schema/schematest"
 )
 
 // A small program with loops, arrays, globals, branches, and calls — enough
@@ -392,6 +394,85 @@ func TestReportValidates(t *testing.T) {
 			t.Fatal("illegal verdict string accepted")
 		}
 	}
+}
+
+// TestReportRejectionParity runs the report's rejection corpus: every
+// corruption TestReportValidates makes, every required key deleted, every
+// field given a wrong JSON type, and the numeric cases a typed decode closes.
+func TestReportRejectionParity(t *testing.T) {
+	chk := NewChecker(Options{Strict: true})
+	prog, err := minic.CompileSource("tvtest", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _ := lir.Preset("O2")
+	cfg.Check = chk
+	if _, err := lir.Compile(prog, nil, cfg, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	pr := PresetFromChecker("tvtest", "O2", chk)
+	if len(pr.Verdicts) == 0 {
+		t.Fatal("O2 produced no verdicts; the corpus assumes some")
+	}
+	// The corpus covers arrays through their first element, and reason
+	// only where it is present.
+	pr.Verdicts[0].Reason = "reason"
+	data, err := json.Marshal(&Report{
+		SchemaVersion: ReportSchemaVersion,
+		Presets:       []PresetReport{pr},
+		Fuzz:          []DiffFailure{{Pass: "licm", Seed: 3, Kind: "wrong-output", Detail: "d", Source: "s"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateReportJSON(data); err != nil {
+		t.Fatalf("valid report rejected: %v", err)
+	}
+	preset := func(doc map[string]any) map[string]any {
+		return doc["presets"].([]any)[0].(map[string]any)
+	}
+	verdict := func(doc map[string]any) map[string]any {
+		return preset(doc)["verdicts"].([]any)[0].(map[string]any)
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(Report{})),
+		schematest.Case{Name: "missing presets", Data: []byte(`{"schema_version":1}`)},
+		schematest.Corrupt(t, data, "illegal verdict string", func(doc map[string]any) { verdict(doc)["verdict"] = "maybe" }),
+		schematest.Corrupt(t, data, "wrong schema version", func(doc map[string]any) { doc["schema_version"] = 2 }),
+		schematest.Corrupt(t, data, "tally out of sync", func(doc map[string]any) {
+			p := preset(doc)
+			p["verified"] = p["verified"].(float64) + 1
+		}),
+		schematest.Corrupt(t, data, "empty fn", func(doc map[string]any) { verdict(doc)["fn"] = "" }),
+		schematest.Corrupt(t, data, "empty fuzz kind", func(doc map[string]any) {
+			doc["fuzz"].([]any)[0].(map[string]any)["kind"] = ""
+		}),
+		schematest.Corrupt(t, data, "presets null", func(doc map[string]any) { doc["presets"] = nil }),
+		schematest.Corrupt(t, data, "verdicts null", func(doc map[string]any) { preset(doc)["verdicts"] = nil }),
+		schematest.Corrupt(t, data, "fractional schema_version", func(doc map[string]any) {
+			doc["schema_version"] = ReportSchemaVersion + 0.5
+		}),
+		schematest.Corrupt(t, data, "fractional tally", func(doc map[string]any) {
+			p := preset(doc)
+			p["verified"] = p["verified"].(float64) + 0.5
+		}),
+		schematest.Corrupt(t, data, "unknown key", func(doc map[string]any) { verdict(doc)["extra"] = 1 }),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against the map-based validator this decode replaced; it
+	// rejected every other case.
+	schematest.Run(t, ValidateReportJSON, cases, map[string]string{
+		"presets[0].verdicts[0].reason wrong type": "key unchecked before",
+		"fuzz deleted":              "missing key, optional before",
+		"fuzz[0].seed deleted":      "missing key, optional before",
+		"fuzz[0].seed wrong type":   "key unchecked before",
+		"fuzz[0].detail deleted":    "missing key, optional before",
+		"fuzz[0].detail wrong type": "key unchecked before",
+		"fuzz[0].source deleted":    "missing key, optional before",
+		"fuzz[0].source wrong type": "key unchecked before",
+		"fractional schema_version": "fractional schema_version",
+		"fractional tally":          "fractional count",
+		"unknown key":               "unknown key",
+	})
 }
 
 // fibChain builds a straight-line function over two parameters with

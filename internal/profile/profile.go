@@ -85,8 +85,9 @@ func Analyze(prog *dex.Program) *Analysis {
 }
 
 // AnalyzeBlocklist classifies all methods of prog with the paper's literal
-// §3.1 boolean blocklist over the conservative Program.Callees graph. Kept
-// for differential testing and the core.Options.LegacyBlocklist mode.
+// §3.1 boolean blocklist over the conservative Program.Callees graph. It is
+// the differential reference the effect analysis is tested against: every
+// method it deems deep-replayable, the effect analysis must too.
 func AnalyzeBlocklist(prog *dex.Program) *Analysis {
 	n := len(prog.Methods)
 	a := &Analysis{
@@ -165,7 +166,7 @@ type Region struct {
 
 // reachable returns the managed methods reachable from root (including it),
 // over the precise effect call graph when available and the conservative
-// Program.Callees graph in legacy mode.
+// Program.Callees graph for an AnalyzeBlocklist analysis.
 func reachable(a *Analysis, root dex.MethodID) []dex.MethodID {
 	callees := func(id dex.MethodID) []dex.MethodID {
 		if a.Effects != nil {

@@ -10,7 +10,7 @@
 // method can have, over a much smaller (but still sound) call graph. Three
 // consumers query it: Algorithm 1's region selection (internal/profile),
 // the optimizing backend's guard-elimination decisions (internal/lir), and
-// the verification-map builder (internal/verify). cmd/replaylint exposes the
+// the verification-map builder (internal/verify). salint effects exposes the
 // verdicts as a diagnostics CLI.
 //
 // The package depends only on internal/dex so every other layer can import

@@ -3,6 +3,7 @@ package pts_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"replayopt/internal/minic"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
+	"replayopt/internal/schema/schematest"
 )
 
 func analyzeSource(t *testing.T, src string) *sa.Result {
@@ -219,7 +221,7 @@ func TestScratchAppVerdicts(t *testing.T) {
 }
 
 // TestReportSchema round-trips a report through JSON and the structural
-// validator (the aliaslint -json -validate path), then corrupts it in each
+// validator (the salint alias -json -validate path), then corrupts it in each
 // way the schema forbids.
 func TestReportSchema(t *testing.T) {
 	app, err := apps.Build(apps.ScratchSpec())
@@ -283,4 +285,75 @@ func TestReportSchema(t *testing.T) {
 	corrupt("negative count", func(doc map[string]any) {
 		firstMethod(doc)["sites"] = -1.0
 	}, "nonnegative")
+}
+
+// TestReportRejectionParity runs the report's rejection corpus: every
+// corruption TestReportSchema makes, every required key deleted, every field
+// given a wrong JSON type, and the numeric cases a typed decode closes.
+func TestReportRejectionParity(t *testing.T) {
+	app, err := apps.Build(apps.ScratchSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := sa.Analyze(app.Prog)
+	pts.Attach(static)
+	var hot []dex.MethodID
+	for i := range app.Prog.Methods {
+		hot = append(hot, dex.MethodID(i))
+	}
+	rep := pts.BuildReport("ScratchFilter", static, hot)
+	// The corpus covers arrays through their first element: lead with a
+	// row that carries witnesses.
+	for i, m := range rep.Methods {
+		if len(m.Witnesses) > 0 {
+			rep.Methods[0], rep.Methods[i] = rep.Methods[i], rep.Methods[0]
+			break
+		}
+	}
+	if len(rep.Methods[0].Witnesses) == 0 {
+		t.Fatal("scratch app has no unproven hot pairs; the corpus assumes some")
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pts.ValidateReportJSON(data); err != nil {
+		t.Fatalf("valid report rejected: %v", err)
+	}
+	firstMethod := func(doc map[string]any) map[string]any {
+		return doc["methods"].([]any)[0].(map[string]any)
+	}
+	totals := func(doc map[string]any) map[string]any { return doc["totals"].(map[string]any) }
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(pts.Report{})),
+		schematest.Corrupt(t, data, "wrong schema version", func(doc map[string]any) { doc["schema_version"] = 99 }),
+		schematest.Corrupt(t, data, "missing app", func(doc map[string]any) { delete(doc, "app") }),
+		schematest.Corrupt(t, data, "proven exceeds pairs", func(doc map[string]any) {
+			m := firstMethod(doc)
+			m["proven"] = m["pairs"].(float64) + 1
+		}),
+		schematest.Corrupt(t, data, "totals drift", func(doc map[string]any) { totals(doc)["pairs"] = 9999.0 }),
+		schematest.Corrupt(t, data, "negative count", func(doc map[string]any) { firstMethod(doc)["sites"] = -1.0 }),
+		schematest.Corrupt(t, data, "negative bounded_methods", func(doc map[string]any) { totals(doc)["bounded_methods"] = -1 }),
+		schematest.Corrupt(t, data, "fractional row count", func(doc map[string]any) {
+			m := firstMethod(doc)
+			m["pairs"] = m["pairs"].(float64) + 0.5
+			totals(doc)["pairs"] = totals(doc)["pairs"].(float64) + 0.5
+		}),
+		schematest.Corrupt(t, data, "fractional schema_version", func(doc map[string]any) {
+			doc["schema_version"] = pts.ReportSchemaVersion + 0.5
+		}),
+		schematest.Corrupt(t, data, "unknown key", func(doc map[string]any) { firstMethod(doc)["extra"] = 1 }),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against the map-based validator this decode replaced; it
+	// rejected every other case.
+	schematest.Run(t, pts.ValidateReportJSON, cases, map[string]string{
+		"methods[0].witnesses wrong type":          "key unchecked before",
+		"methods[0].witnesses[0] wrong type":       "key unchecked before",
+		"methods[0].witnesses[0].block deleted":    "missing key, optional before",
+		"methods[0].witnesses[0].block wrong type": "key unchecked before",
+		"methods[0].witnesses[0].expr deleted":     "missing key, optional before",
+		"methods[0].witnesses[0].expr wrong type":  "key unchecked before",
+		"unknown key": "unknown key",
+	})
 }

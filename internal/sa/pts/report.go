@@ -1,15 +1,16 @@
 package pts
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 )
 
-// ReportSchemaVersion identifies the aliaslint JSON layout. Bump on any
+// ReportSchemaVersion identifies the salint alias JSON layout. Bump on any
 // incompatible change.
 const ReportSchemaVersion = 1
 
@@ -17,7 +18,7 @@ const ReportSchemaVersion = 1
 // the counts always cover every pair.
 const maxWitnesses = 12
 
-// Report is the aliaslint audit of one app: per method, how many same-kind
+// Report is the salint alias audit of one app: per method, how many same-kind
 // access pairs — the pairs the alias-blind memory passes must assume conflict
 // — the points-to analysis proves apart, plus allocation-site escape
 // verdicts, with a witness obligation for every hot-region pair it cannot
@@ -163,14 +164,7 @@ func BuildReport(app string, static *sa.Result, hot []dex.MethodID) *Report {
 			continue
 		}
 		rep.Methods = append(rep.Methods, mr)
-		rep.Totals.Methods++
-		if mr.Hot {
-			rep.Totals.HotMethods++
-		}
-		rep.Totals.Pairs += mr.Pairs
-		rep.Totals.Proven += mr.Proven
-		rep.Totals.Sites += mr.Sites
-		rep.Totals.NonEscaping += mr.NonEscaping
+		rep.Totals.add(mr)
 	}
 	_, _, rep.Totals.BoundedMethods = Stats(static.Alias)
 	return rep
@@ -193,89 +187,62 @@ func witnessExpr(a, b *lir.Value) string {
 	return fmt.Sprintf("v%d (%s) ~ v%d (%s): %s", a.ID, role(a), b.ID, role(b), reason)
 }
 
-// ValidateReportJSON checks that data is a structurally valid aliaslint
-// report: schema version, required keys with the right JSON types, and the
-// cross-field invariants (totals reconcile with the rows, proven counts never
-// exceed pair counts). Mirrors vra.ValidateReportJSON for rangelint.
+// add folds one method row into the totals.
+func (t *Totals) add(m MethodReport) {
+	t.Methods++
+	if m.Hot {
+		t.HotMethods++
+	}
+	t.Pairs += m.Pairs
+	t.Proven += m.Proven
+	t.Sites += m.Sites
+	t.NonEscaping += m.NonEscaping
+}
+
+// Check enforces the report's cross-field invariants: the schema version,
+// nonnegative counts, no row proving more than it has, and totals that
+// reconcile with the rows.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
+	}
+	var rows Totals
+	for i, m := range r.Methods {
+		if min(m.Pairs, m.Proven, m.Sites, m.NonEscaping) < 0 {
+			return fmt.Errorf("methods[%d]: counts must be nonnegative", i)
+		}
+		if m.Proven > m.Pairs || m.NonEscaping > m.Sites {
+			return fmt.Errorf("methods[%d] proves more than it has", i)
+		}
+		rows.add(m)
+	}
+	t := r.Totals
+	if t.BoundedMethods < 0 {
+		return errors.New("totals.bounded_methods must be nonnegative")
+	}
+	for _, c := range [...]struct {
+		key       string
+		got, want int
+	}{
+		{"methods", t.Methods, rows.Methods},
+		{"hot_methods", t.HotMethods, rows.HotMethods},
+		{"pairs", t.Pairs, rows.Pairs},
+		{"proven", t.Proven, rows.Proven},
+		{"sites", t.Sites, rows.Sites},
+		{"non_escaping", t.NonEscaping, rows.NonEscaping},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("totals.%s = %d but rows sum to %d", c.key, c.got, c.want)
+		}
+	}
+	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks its
+// invariants. It is what CI's salint alias -validate runs.
 func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("aliaslint report: %w", err)
-	}
-	num := func(m map[string]any, key string) (int, error) {
-		v, ok := m[key]
-		if !ok {
-			return 0, fmt.Errorf("aliaslint report: missing %q", key)
-		}
-		f, ok := v.(float64)
-		if !ok || f != float64(int(f)) || f < 0 {
-			return 0, fmt.Errorf("aliaslint report: %q is not a nonnegative integer", key)
-		}
-		return int(f), nil
-	}
-	sv, err := num(raw, "schema_version")
-	if err != nil {
-		return err
-	}
-	if sv != ReportSchemaVersion {
-		return fmt.Errorf("aliaslint report: schema_version %d, want %d", sv, ReportSchemaVersion)
-	}
-	if _, ok := raw["app"].(string); !ok {
-		return fmt.Errorf("aliaslint report: missing or non-string %q", "app")
-	}
-	tot, ok := raw["totals"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("aliaslint report: missing %q object", "totals")
-	}
-	want := map[string]int{}
-	for _, key := range []string{"methods", "hot_methods", "pairs", "proven",
-		"sites", "non_escaping", "bounded_methods"} {
-		n, err := num(tot, key)
-		if err != nil {
-			return err
-		}
-		want[key] = n
-	}
-	methods, ok := raw["methods"].([]any)
-	if !ok && raw["methods"] != nil {
-		return fmt.Errorf("aliaslint report: %q is not an array", "methods")
-	}
-	got := map[string]int{}
-	for i, el := range methods {
-		m, ok := el.(map[string]any)
-		if !ok {
-			return fmt.Errorf("aliaslint report: methods[%d] is not an object", i)
-		}
-		if _, ok := m["method"].(string); !ok {
-			return fmt.Errorf("aliaslint report: methods[%d] missing %q", i, "method")
-		}
-		hot, ok := m["hot"].(bool)
-		if !ok {
-			return fmt.Errorf("aliaslint report: methods[%d] missing boolean %q", i, "hot")
-		}
-		row := map[string]int{}
-		for _, key := range []string{"pairs", "proven", "sites", "non_escaping"} {
-			n, err := num(m, key)
-			if err != nil {
-				return fmt.Errorf("methods[%d]: %w", i, err)
-			}
-			row[key] = n
-		}
-		if row["proven"] > row["pairs"] || row["non_escaping"] > row["sites"] {
-			return fmt.Errorf("aliaslint report: methods[%d] proves more than it has", i)
-		}
-		got["methods"]++
-		if hot {
-			got["hot_methods"]++
-		}
-		for _, key := range []string{"pairs", "proven", "sites", "non_escaping"} {
-			got[key] += row[key]
-		}
-	}
-	for _, key := range []string{"methods", "hot_methods", "pairs", "proven", "sites", "non_escaping"} {
-		if got[key] != want[key] {
-			return fmt.Errorf("aliaslint report: totals.%s = %d but rows sum to %d", key, want[key], got[key])
-		}
+	if err := schema.Decode(data, new(Report)); err != nil {
+		return fmt.Errorf("alias report: %w", err)
 	}
 	return nil
 }

@@ -1,21 +1,21 @@
 package sa
 
-// Machine-readable reporting for cmd/replaylint: per-method verdict rows,
+// Machine-readable reporting for salint effects: per-method verdict rows,
 // coverage totals, and witness chains for every reachable non-replayable
-// method, plus a hand-rolled structural validator for the JSON encoding so
-// CI can assert the schema without a JSON-Schema dependency.
+// method.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"replayopt/internal/dex"
+	"replayopt/internal/schema"
 )
 
 // ReportSchemaVersion is bumped whenever the JSON layout changes shape.
 const ReportSchemaVersion = 1
 
-// Report is the replaylint output for one program.
+// Report is the salint effects output for one program.
 type Report struct {
 	SchemaVersion int             `json:"schema_version"`
 	App           string          `json:"app"`
@@ -47,6 +47,20 @@ type Coverage struct {
 	ReachableReplayable int     `json:"reachable_replayable"`
 }
 
+// add counts one verdict row; ReplayablePct is left to the caller.
+func (c *Coverage) add(m MethodReport) {
+	c.Methods++
+	if m.Replayable {
+		c.Replayable++
+	}
+	if m.Reachable {
+		c.Reachable++
+		if m.Replayable {
+			c.ReachableReplayable++
+		}
+	}
+}
+
 // WitnessReport explains one hazard of one reachable method: the shortest
 // call chain to the instruction-level source.
 type WitnessReport struct {
@@ -56,7 +70,7 @@ type WitnessReport struct {
 	Cause  string   `json:"cause"`
 }
 
-// Report builds the replaylint report from an analysis result.
+// Report builds the salint effects report from an analysis result.
 func (r *Result) Report(app string) *Report {
 	rep := &Report{SchemaVersion: ReportSchemaVersion, App: app}
 	name := func(id dex.MethodID) string { return r.Prog.Methods[id].Name }
@@ -75,17 +89,7 @@ func (r *Result) Report(app string) *Report {
 			mr.Hazards = append(mr.Hazards, h.BitName())
 		}
 		rep.Methods = append(rep.Methods, mr)
-
-		rep.Coverage.Methods++
-		if mr.Replayable {
-			rep.Coverage.Replayable++
-		}
-		if mr.Reachable {
-			rep.Coverage.Reachable++
-			if mr.Replayable {
-				rep.Coverage.ReachableReplayable++
-			}
-		}
+		rep.Coverage.add(mr)
 		if mr.Reachable && !mr.Replayable {
 			for _, h := range sum.Hazards() {
 				w := WitnessReport{Method: mr.Name, Hazard: h.BitName()}
@@ -116,125 +120,70 @@ func (r *Result) witnessEnd(id dex.MethodID, hazard Effect) dex.MethodID {
 	return chain[len(chain)-1]
 }
 
-// ValidateReportJSON structurally validates a JSON-encoded Report: required
-// keys, their types, and the cross-field invariants the schema promises
-// (coverage totals reconcile with the rows; every witness chain starts at its
-// method and is non-empty). It is what CI's replaylint -validate runs.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("replaylint report: not JSON: %w", err)
+// Check enforces the report's cross-field invariants: the schema version,
+// non-empty names, arrays where the schema promises them, no replayable row
+// that lists hazards, coverage totals that reconcile with the rows, and
+// witness chains that are non-empty and start at their method.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
-	num := func(key string) (float64, error) {
-		v, ok := raw[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("replaylint report: %q missing or not a number", key)
-		}
-		return v, nil
+	if r.App == "" {
+		return errors.New("app is empty")
 	}
-	ver, err := num("schema_version")
-	if err != nil {
-		return err
+	if r.Methods == nil {
+		return errors.New("methods is not an array")
 	}
-	if int(ver) != ReportSchemaVersion {
-		return fmt.Errorf("replaylint report: schema_version %v, want %d", ver, ReportSchemaVersion)
-	}
-	if s, ok := raw["app"].(string); !ok || s == "" {
-		return fmt.Errorf("replaylint report: %q missing or empty", "app")
-	}
-
-	methods, ok := raw["methods"].([]any)
-	if !ok {
-		return fmt.Errorf("replaylint report: %q missing or not an array", "methods")
-	}
-	replayable, reachable, reachRep := 0, 0, 0
-	for i, m := range methods {
-		obj, ok := m.(map[string]any)
-		if !ok {
-			return fmt.Errorf("replaylint report: methods[%d] not an object", i)
-		}
-		for _, key := range []string{"name", "effect", "local_effect", "class"} {
-			if s, ok := obj[key].(string); !ok || s == "" {
-				return fmt.Errorf("replaylint report: methods[%d].%s missing or empty", i, key)
+	var rows Coverage
+	for i, m := range r.Methods {
+		for _, f := range [...]struct{ key, val string }{
+			{"name", m.Name}, {"effect", m.Effect}, {"local_effect", m.Local}, {"class", m.Class},
+		} {
+			if f.val == "" {
+				return fmt.Errorf("methods[%d].%s is empty", i, f.key)
 			}
 		}
-		if _, ok := obj["hazards"].([]any); !ok {
-			return fmt.Errorf("replaylint report: methods[%d].hazards missing or not an array", i)
+		if m.Hazards == nil {
+			return fmt.Errorf("methods[%d].hazards is not an array", i)
 		}
-		rep, ok := obj["replayable"].(bool)
-		if !ok {
-			return fmt.Errorf("replaylint report: methods[%d].replayable missing or not a bool", i)
+		if m.Replayable && len(m.Hazards) > 0 {
+			return fmt.Errorf("methods[%d] replayable yet lists hazards", i)
 		}
-		reach, ok := obj["reachable"].(bool)
-		if !ok {
-			return fmt.Errorf("replaylint report: methods[%d].reachable missing or not a bool", i)
-		}
-		if rep && len(obj["hazards"].([]any)) > 0 {
-			return fmt.Errorf("replaylint report: methods[%d] replayable yet lists hazards", i)
-		}
-		if rep {
-			replayable++
-		}
-		if reach {
-			reachable++
-			if rep {
-				reachRep++
-			}
-		}
+		rows.add(m)
 	}
-
-	cov, ok := raw["coverage"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("replaylint report: %q missing or not an object", "coverage")
-	}
-	covInt := func(key string) (int, error) {
-		v, ok := cov[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("replaylint report: coverage.%s missing or not a number", key)
-		}
-		return int(v), nil
-	}
-	checks := []struct {
-		key  string
-		want int
+	for _, c := range [...]struct {
+		key       string
+		got, want int
 	}{
-		{"methods", len(methods)},
-		{"replayable", replayable},
-		{"reachable", reachable},
-		{"reachable_replayable", reachRep},
-	}
-	for _, c := range checks {
-		got, err := covInt(c.key)
-		if err != nil {
-			return err
-		}
-		if got != c.want {
-			return fmt.Errorf("replaylint report: coverage.%s = %d, rows say %d", c.key, got, c.want)
+		{"methods", r.Coverage.Methods, rows.Methods},
+		{"replayable", r.Coverage.Replayable, rows.Replayable},
+		{"reachable", r.Coverage.Reachable, rows.Reachable},
+		{"reachable_replayable", r.Coverage.ReachableReplayable, rows.ReachableReplayable},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("coverage.%s = %d, rows say %d", c.key, c.got, c.want)
 		}
 	}
-	wits, ok := raw["witnesses"].([]any)
-	if !ok && raw["witnesses"] != nil {
-		return fmt.Errorf("replaylint report: %q not an array", "witnesses")
+	for i, w := range r.Witnesses {
+		switch {
+		case w.Method == "":
+			return fmt.Errorf("witnesses[%d].method is empty", i)
+		case w.Hazard == "":
+			return fmt.Errorf("witnesses[%d].hazard is empty", i)
+		case len(w.Chain) == 0:
+			return fmt.Errorf("witnesses[%d].chain is empty", i)
+		case w.Chain[0] != w.Method:
+			return fmt.Errorf("witnesses[%d].chain starts at %q, not %q", i, w.Chain[0], w.Method)
+		}
 	}
-	for i, w := range wits {
-		obj, ok := w.(map[string]any)
-		if !ok {
-			return fmt.Errorf("replaylint report: witnesses[%d] not an object", i)
-		}
-		method, _ := obj["method"].(string)
-		if method == "" {
-			return fmt.Errorf("replaylint report: witnesses[%d].method missing", i)
-		}
-		if s, ok := obj["hazard"].(string); !ok || s == "" {
-			return fmt.Errorf("replaylint report: witnesses[%d].hazard missing", i)
-		}
-		chain, ok := obj["chain"].([]any)
-		if !ok || len(chain) == 0 {
-			return fmt.Errorf("replaylint report: witnesses[%d].chain missing or empty", i)
-		}
-		if first, _ := chain[0].(string); first != method {
-			return fmt.Errorf("replaylint report: witnesses[%d].chain starts at %q, not %q", i, chain[0], method)
-		}
+	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks its
+// invariants. It is what CI's salint effects -validate runs.
+func ValidateReportJSON(data []byte) error {
+	if err := schema.Decode(data, new(Report)); err != nil {
+		return fmt.Errorf("effects report: %w", err)
 	}
 	return nil
 }

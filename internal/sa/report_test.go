@@ -2,15 +2,17 @@ package sa_test
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"replayopt/internal/apps"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema/schematest"
 )
 
 // TestReportSchema round-trips the witness app's report through JSON and the
-// structural validator — the same check replaylint -json -validate performs —
+// structural validator — the same check salint effects -json -validate performs —
 // then corrupts the document in each way the schema forbids and asserts the
 // validator rejects it.
 func TestReportSchema(t *testing.T) {
@@ -85,4 +87,76 @@ func TestReportSchema(t *testing.T) {
 	if sa.ValidateReportJSON([]byte("{not json")) == nil {
 		t.Error("non-JSON accepted")
 	}
+}
+
+// TestReportRejectionParity runs the report's rejection corpus: every
+// corruption TestReportSchema makes, every required key deleted, every field
+// given a wrong JSON type, and the numeric cases a typed decode closes.
+func TestReportRejectionParity(t *testing.T) {
+	app, err := apps.Build(apps.WitnessSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(sa.Analyze(app.Prog).Report("WitnessFilter"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.ValidateReportJSON(data); err != nil {
+		t.Fatalf("valid report rejected: %v", err)
+	}
+	firstMethod := func(doc map[string]any) map[string]any {
+		return doc["methods"].([]any)[0].(map[string]any)
+	}
+	firstWitness := func(doc map[string]any) map[string]any {
+		return doc["witnesses"].([]any)[0].(map[string]any)
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(sa.Report{})),
+		schematest.Corrupt(t, data, "wrong schema version", func(doc map[string]any) {
+			doc["schema_version"] = sa.ReportSchemaVersion + 1
+		}),
+		schematest.Corrupt(t, data, "missing app", func(doc map[string]any) { delete(doc, "app") }),
+		schematest.Corrupt(t, data, "methods not array", func(doc map[string]any) { doc["methods"] = "nope" }),
+		schematest.Corrupt(t, data, "method missing effect", func(doc map[string]any) {
+			delete(firstMethod(doc), "effect")
+		}),
+		schematest.Corrupt(t, data, "replayable with hazards", func(doc map[string]any) {
+			m := firstMethod(doc)
+			m["replayable"] = true
+			m["hazards"] = []any{"IO"}
+		}),
+		schematest.Corrupt(t, data, "coverage out of sync", func(doc map[string]any) {
+			cov := doc["coverage"].(map[string]any)
+			cov["replayable"] = cov["replayable"].(float64) + 1
+		}),
+		schematest.Corrupt(t, data, "empty witness chain", func(doc map[string]any) {
+			firstWitness(doc)["chain"] = []any{}
+		}),
+		schematest.Corrupt(t, data, "chain not rooted at method", func(doc map[string]any) {
+			firstWitness(doc)["chain"] = []any{"someoneElse"}
+		}),
+		schematest.Corrupt(t, data, "methods null", func(doc map[string]any) { doc["methods"] = nil }),
+		schematest.Corrupt(t, data, "hazards null", func(doc map[string]any) { firstMethod(doc)["hazards"] = nil }),
+		schematest.Corrupt(t, data, "unknown key", func(doc map[string]any) { doc["extra"] = 1 }),
+		schematest.Corrupt(t, data, "fractional schema_version", func(doc map[string]any) {
+			doc["schema_version"] = sa.ReportSchemaVersion + 0.5
+		}),
+		schematest.Corrupt(t, data, "fractional coverage.methods", func(doc map[string]any) {
+			cov := doc["coverage"].(map[string]any)
+			cov["methods"] = cov["methods"].(float64) + 0.5
+		}),
+		schematest.Case{Name: "not JSON", Data: []byte("{not json")},
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against the map-based validator this decode replaced; it
+	// rejected every other case.
+	schematest.Run(t, sa.ValidateReportJSON, cases, map[string]string{
+		"coverage.replayable_pct deleted":    "missing key, optional before",
+		"coverage.replayable_pct wrong type": "key unchecked before",
+		"witnesses deleted":                  "missing key, optional before",
+		"witnesses[0].cause deleted":         "missing key, optional before",
+		"witnesses[0].cause wrong type":      "key unchecked before",
+		"unknown key":                        "unknown key",
+		"fractional schema_version":          "fractional count",
+		"fractional coverage.methods":        "fractional count",
+	})
 }

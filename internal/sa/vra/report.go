@@ -1,19 +1,20 @@
 package vra
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 )
 
-// ReportSchemaVersion identifies the rangelint JSON layout. Bump on any
+// ReportSchemaVersion identifies the salint range JSON layout. Bump on any
 // incompatible change.
 const ReportSchemaVersion = 1
 
-// Report is the rangelint audit of one app: per method, how many of the
+// Report is the salint range audit of one app: per method, how many of the
 // frontend's bounds checks and divide trap guards the range analysis proves
 // redundant, with a witness expression for every hot-region check it cannot.
 type Report struct {
@@ -106,14 +107,7 @@ func BuildReport(app string, static *sa.Result, hot []dex.MethodID) *Report {
 			continue
 		}
 		rep.Methods = append(rep.Methods, mr)
-		rep.Totals.Methods++
-		if mr.Hot {
-			rep.Totals.HotMethods++
-		}
-		rep.Totals.Checks += mr.Checks
-		rep.Totals.Proven += mr.Proven
-		rep.Totals.DivSites += mr.DivSites
-		rep.Totals.DivProven += mr.DivProven
+		rep.Totals.add(mr)
 	}
 	rep.Totals.ParamsNarrowed, rep.Totals.RetsNarrowed = Narrowed(static.Ranges)
 	return rep
@@ -130,89 +124,62 @@ func witnessExpr(ra *lir.RangeFacts, b *lir.Block, check *lir.Value) string {
 	return fmt.Sprintf("v%d ∈ %s !< %s", idx.ID, ra.At(b, idx), length)
 }
 
-// ValidateReportJSON checks that data is a structurally valid rangelint
-// report: schema version, required keys with the right JSON types, and the
-// cross-field invariants (totals reconcile with the rows, proven counts never
-// exceed site counts). Mirrors sa.ValidateReportJSON for replaylint.
+// add folds one method row into the totals.
+func (t *Totals) add(m MethodReport) {
+	t.Methods++
+	if m.Hot {
+		t.HotMethods++
+	}
+	t.Checks += m.Checks
+	t.Proven += m.Proven
+	t.DivSites += m.DivSites
+	t.DivProven += m.DivProven
+}
+
+// Check enforces the report's cross-field invariants: the schema version,
+// nonnegative counts, no row proving more sites than it has, and totals
+// that reconcile with the rows.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
+	}
+	var rows Totals
+	for i, m := range r.Methods {
+		if min(m.Checks, m.Proven, m.DivSites, m.DivProven) < 0 {
+			return fmt.Errorf("methods[%d]: counts must be nonnegative", i)
+		}
+		if m.Proven > m.Checks || m.DivProven > m.DivSites {
+			return fmt.Errorf("methods[%d] proves more sites than it has", i)
+		}
+		rows.add(m)
+	}
+	t := r.Totals
+	if min(t.ParamsNarrowed, t.RetsNarrowed) < 0 {
+		return errors.New("totals: narrowed counts must be nonnegative")
+	}
+	for _, c := range [...]struct {
+		key       string
+		got, want int
+	}{
+		{"methods", t.Methods, rows.Methods},
+		{"hot_methods", t.HotMethods, rows.HotMethods},
+		{"checks", t.Checks, rows.Checks},
+		{"proven", t.Proven, rows.Proven},
+		{"div_sites", t.DivSites, rows.DivSites},
+		{"div_proven", t.DivProven, rows.DivProven},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("totals.%s = %d but rows sum to %d", c.key, c.got, c.want)
+		}
+	}
+	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks its
+// invariants. It is what CI's salint range -validate runs.
 func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("rangelint report: %w", err)
-	}
-	num := func(m map[string]any, key string) (int, error) {
-		v, ok := m[key]
-		if !ok {
-			return 0, fmt.Errorf("rangelint report: missing %q", key)
-		}
-		f, ok := v.(float64)
-		if !ok || f != float64(int(f)) || f < 0 {
-			return 0, fmt.Errorf("rangelint report: %q is not a nonnegative integer", key)
-		}
-		return int(f), nil
-	}
-	sv, err := num(raw, "schema_version")
-	if err != nil {
-		return err
-	}
-	if sv != ReportSchemaVersion {
-		return fmt.Errorf("rangelint report: schema_version %d, want %d", sv, ReportSchemaVersion)
-	}
-	if _, ok := raw["app"].(string); !ok {
-		return fmt.Errorf("rangelint report: missing or non-string %q", "app")
-	}
-	tot, ok := raw["totals"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("rangelint report: missing %q object", "totals")
-	}
-	want := map[string]int{}
-	for _, key := range []string{"methods", "hot_methods", "checks", "proven",
-		"div_sites", "div_proven", "params_narrowed", "rets_narrowed"} {
-		n, err := num(tot, key)
-		if err != nil {
-			return err
-		}
-		want[key] = n
-	}
-	methods, ok := raw["methods"].([]any)
-	if !ok && raw["methods"] != nil {
-		return fmt.Errorf("rangelint report: %q is not an array", "methods")
-	}
-	got := map[string]int{}
-	for i, el := range methods {
-		m, ok := el.(map[string]any)
-		if !ok {
-			return fmt.Errorf("rangelint report: methods[%d] is not an object", i)
-		}
-		if _, ok := m["method"].(string); !ok {
-			return fmt.Errorf("rangelint report: methods[%d] missing %q", i, "method")
-		}
-		hot, ok := m["hot"].(bool)
-		if !ok {
-			return fmt.Errorf("rangelint report: methods[%d] missing boolean %q", i, "hot")
-		}
-		row := map[string]int{}
-		for _, key := range []string{"checks", "proven", "div_sites", "div_proven"} {
-			n, err := num(m, key)
-			if err != nil {
-				return fmt.Errorf("methods[%d]: %w", i, err)
-			}
-			row[key] = n
-		}
-		if row["proven"] > row["checks"] || row["div_proven"] > row["div_sites"] {
-			return fmt.Errorf("rangelint report: methods[%d] proves more sites than it has", i)
-		}
-		got["methods"]++
-		if hot {
-			got["hot_methods"]++
-		}
-		for _, key := range []string{"checks", "proven", "div_sites", "div_proven"} {
-			got[key] += row[key]
-		}
-	}
-	for _, key := range []string{"methods", "hot_methods", "checks", "proven", "div_sites", "div_proven"} {
-		if got[key] != want[key] {
-			return fmt.Errorf("rangelint report: totals.%s = %d but rows sum to %d", key, want[key], got[key])
-		}
+	if err := schema.Decode(data, new(Report)); err != nil {
+		return fmt.Errorf("range report: %w", err)
 	}
 	return nil
 }

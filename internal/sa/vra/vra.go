@@ -157,7 +157,7 @@ func callersKnown(static *sa.Result, fns []*lir.Function, id dex.MethodID) bool 
 
 // Narrowed counts parameter and return slots carrying a fact narrower than
 // top — the observability number reported by core's prepare span and the
-// rangelint totals.
+// salint range totals.
 func Narrowed(sums []sa.RangeSummary) (params, rets int) {
 	for i := range sums {
 		for _, p := range sums[i].Params {

@@ -3,6 +3,7 @@ package vra_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"replayopt/internal/minic"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/vra"
+	"replayopt/internal/schema/schematest"
 )
 
 func analyzeSource(t *testing.T, src string) *sa.Result {
@@ -147,7 +149,7 @@ func TestAttachDeterministic(t *testing.T) {
 }
 
 // TestReportSchema round-trips a report through JSON and the structural
-// validator (the rangelint -json -validate path), then corrupts it in each
+// validator (the salint range -json -validate path), then corrupts it in each
 // way the schema forbids.
 func TestReportSchema(t *testing.T) {
 	app, err := apps.Build(apps.WitnessSpec())
@@ -218,4 +220,84 @@ func TestReportSchema(t *testing.T) {
 	corrupt("negative count", func(doc map[string]any) {
 		doc["totals"].(map[string]any)["div_sites"] = -1
 	}, "div_sites")
+}
+
+// TestReportRejectionParity runs the report's rejection corpus: every
+// corruption TestReportSchema makes, every required key deleted, every field
+// given a wrong JSON type, and the numeric cases a typed decode closes.
+func TestReportRejectionParity(t *testing.T) {
+	app, err := apps.Build(apps.WitnessSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := sa.Analyze(app.Prog)
+	vra.Attach(static)
+	var hot []dex.MethodID
+	for i := range app.Prog.Methods {
+		hot = append(hot, dex.MethodID(i))
+	}
+	rep := vra.BuildReport("WitnessFilter", static, hot)
+	// The corpus covers arrays through their first element: lead with a
+	// row that carries witnesses.
+	for i, m := range rep.Methods {
+		if len(m.Witnesses) > 0 {
+			rep.Methods[0], rep.Methods[i] = rep.Methods[i], rep.Methods[0]
+			break
+		}
+	}
+	if len(rep.Methods[0].Witnesses) == 0 {
+		t.Fatal("witness app has no unproven hot checks; the corpus assumes some")
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vra.ValidateReportJSON(data); err != nil {
+		t.Fatalf("valid report rejected: %v", err)
+	}
+	firstMethod := func(doc map[string]any) map[string]any {
+		return doc["methods"].([]any)[0].(map[string]any)
+	}
+	totals := func(doc map[string]any) map[string]any { return doc["totals"].(map[string]any) }
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(vra.Report{})),
+		schematest.Corrupt(t, data, "wrong schema version", func(doc map[string]any) {
+			doc["schema_version"] = vra.ReportSchemaVersion + 1
+		}),
+		schematest.Corrupt(t, data, "missing app", func(doc map[string]any) { delete(doc, "app") }),
+		schematest.Corrupt(t, data, "totals mismatch", func(doc map[string]any) { totals(doc)["checks"] = 9999 }),
+		schematest.Corrupt(t, data, "proven exceeds checks", func(doc map[string]any) {
+			m := firstMethod(doc)
+			m["proven"] = m["checks"].(float64) + 1
+			totals(doc)["proven"] = totals(doc)["proven"].(float64) + 1
+		}),
+		schematest.Corrupt(t, data, "missing hot flag", func(doc map[string]any) { delete(firstMethod(doc), "hot") }),
+		schematest.Corrupt(t, data, "negative count", func(doc map[string]any) { totals(doc)["div_sites"] = -1 }),
+		schematest.Corrupt(t, data, "negative row count", func(doc map[string]any) {
+			m := firstMethod(doc)
+			m["div_proven"] = -1.0
+			totals(doc)["div_proven"] = totals(doc)["div_proven"].(float64) - 1 - m["div_proven"].(float64)
+		}),
+		schematest.Corrupt(t, data, "negative params_narrowed", func(doc map[string]any) { totals(doc)["params_narrowed"] = -1 }),
+		schematest.Corrupt(t, data, "fractional row count", func(doc map[string]any) {
+			m := firstMethod(doc)
+			m["checks"] = m["checks"].(float64) + 0.5
+			totals(doc)["checks"] = totals(doc)["checks"].(float64) + 0.5
+		}),
+		schematest.Corrupt(t, data, "fractional schema_version", func(doc map[string]any) {
+			doc["schema_version"] = vra.ReportSchemaVersion + 0.5
+		}),
+		schematest.Corrupt(t, data, "unknown key", func(doc map[string]any) { totals(doc)["extra"] = 1 }),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against the map-based validator this decode replaced; it
+	// rejected every other case.
+	schematest.Run(t, vra.ValidateReportJSON, cases, map[string]string{
+		"methods[0].witnesses wrong type":          "key unchecked before",
+		"methods[0].witnesses[0] wrong type":       "key unchecked before",
+		"methods[0].witnesses[0].block deleted":    "missing key, optional before",
+		"methods[0].witnesses[0].block wrong type": "key unchecked before",
+		"methods[0].witnesses[0].expr deleted":     "missing key, optional before",
+		"methods[0].witnesses[0].expr wrong type":  "key unchecked before",
+		"unknown key": "unknown key",
+	})
 }
