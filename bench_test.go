@@ -12,6 +12,8 @@ package replayopt
 // cmd/experiments -scale full.
 
 import (
+	"compress/gzip"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -33,6 +35,7 @@ import (
 	"replayopt/internal/lir"
 	"replayopt/internal/lir/tv"
 	"replayopt/internal/machine"
+	"replayopt/internal/mem"
 	"replayopt/internal/minic"
 	"replayopt/internal/obs"
 	"replayopt/internal/profile"
@@ -1101,39 +1104,28 @@ func BenchmarkTranslationValidation(b *testing.B) {
 }
 
 // BenchmarkSearchParallel measures the replay throughput engine: the same
-// seeded GA search swept across worker counts with warm replay workers on
-// and off. Every cell of the sweep must produce a byte-identical decision
-// trace (the determinism guarantee); only the wall clock may differ. Rows
-// with evals/sec per cell land in BENCH_parallel.json (schema v3, validated
-// and regression-checked by cmd/benchlint), alongside the restore/clone/
-// reset histograms that show the warm path's amortization.
+// seeded GA search swept across worker counts on warm replay workers. Every
+// cell of the sweep must produce a byte-identical decision trace (the
+// determinism guarantee); only the wall clock may differ. Rows with
+// evals/sec per cell land in BENCH_parallel.json (schema v4, validated and
+// regression-checked by cmd/benchlint), alongside the restore/clone/reset
+// histograms that show how the warm path amortizes the snapshot restore.
 //
-// The subject is Fibonacci.recv — a restore-bound region (short replay over
-// a small heap), the shape the warm path targets. Exec-dominated apps
-// (MonteCarlo, 4inaRow) spend their eval budget inside the region itself,
-// so amortizing restore moves them far less; see README "Replay throughput".
+// The subject is Fibonacci.recv. Its search is compile-bound, not
+// restore-bound: most candidates replay in about a millisecond, but lir
+// compiles dominate evaluation time, and a few pass pipelines of the late
+// generations compile for tens to hundreds of milliseconds. So the sweep
+// measures how well the worker pool spreads uneven compile work; see README
+// "Replay throughput".
 const searchParallelApp = "Fibonacci.recv"
 
 func BenchmarkSearchParallel(b *testing.B) {
 	scale := benchScale(b)
-	p, opt, err := exp.PrepareApp(searchParallelApp, benchSeed)
+	spec, _ := apps.ByName(searchParallelApp)
+	app, err := apps.Build(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := scale.GA
-	opts.BaselineAndroidMs = p.AndroidEval.MeanMs
-	opts.BaselineO3Ms = p.O3Eval.MeanMs
-
-	run := func(parallelism int, warm bool, parent *obs.Span) (*ga.Result, float64) {
-		p.SetWarm(warm)
-		o := opts
-		o.Parallelism = parallelism
-		o.Obs = parent
-		start := time.Now()
-		res := ga.Search(rand.New(rand.NewSource(benchSeed)), p, o)
-		return res, time.Since(start).Seconds() * 1000
-	}
-
 	cpus := runtime.NumCPU()
 	sweep := []int{1, 2, 4}
 	if cpus > 4 {
@@ -1142,7 +1134,6 @@ func BenchmarkSearchParallel(b *testing.B) {
 
 	type sweepRow struct {
 		Workers     int     `json:"workers"`
-		Warm        bool    `json:"warm"`
 		Ms          float64 `json:"ms"`
 		Evaluations int     `json:"evaluations"`
 		EvalsPerSec float64 `json:"evals_per_sec"`
@@ -1155,60 +1146,56 @@ func BenchmarkSearchParallel(b *testing.B) {
 		col = &obs.Collect{}
 		sc := obs.New(col)
 		reg = sc.Registry()
-		// The replay scope records restore/clone/reset histograms for the
-		// whole sweep; the last (warm, all-cores) run also carries the span
-		// scope so the artifact keeps its per-generation latency rows.
+		// The replay scope rides the store from Prepare on, so it records
+		// the template builds the baselines trigger as well as every clone
+		// and reset of the sweep; the last (all-cores) run also carries the
+		// span scope so the artifact keeps its per-generation latency rows.
+		copts := core.DefaultOptions()
+		copts.Seed = benchSeed
+		opt := core.New(copts)
 		opt.Store.Obs = sc
+		p, err := opt.Prepare(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := scale.GA
+		opts.BaselineAndroidMs = p.AndroidEval.MeanMs
+		opts.BaselineO3Ms = p.O3Eval.MeanMs
 		rows = rows[:0]
 		refTrace := ""
-		for _, warm := range []bool{false, true} {
-			for _, w := range sweep {
-				var parent *obs.Span
-				instrumented := warm && w == sweep[len(sweep)-1]
-				if instrumented {
-					parent = sc.Start("search")
-				}
-				r, ms := run(w, warm, parent)
-				if parent != nil {
-					parent.End()
-				}
-				trace := r.DecisionTrace()
-				if refTrace == "" {
-					refTrace = trace
-				} else if trace != refTrace {
-					b.Fatalf("search diverged at workers=%d warm=%v", w, warm)
-				}
-				rows = append(rows, sweepRow{
-					Workers:     w,
-					Warm:        warm,
-					Ms:          ms,
-					Evaluations: r.Stats.Evaluations,
-					EvalsPerSec: float64(r.Stats.Evaluations) / (ms / 1000),
-				})
-				if instrumented {
-					res = r
-				}
+		for _, w := range sweep {
+			o := opts
+			o.Parallelism = w
+			instrumented := w == sweep[len(sweep)-1]
+			if instrumented {
+				o.Obs = sc.Start("search")
 			}
-		}
-		opt.Store.Obs = nil
-	}
-	cell := func(workers int, warm bool) sweepRow {
-		for _, r := range rows {
-			if r.Workers == workers && r.Warm == warm {
-				return r
+			start := time.Now()
+			r := ga.Search(rand.New(rand.NewSource(benchSeed)), p, o)
+			ms := time.Since(start).Seconds() * 1000
+			if instrumented {
+				o.Obs.End()
+				res = r
 			}
+			trace := r.DecisionTrace()
+			if refTrace == "" {
+				refTrace = trace
+			} else if trace != refTrace {
+				b.Fatalf("search diverged at workers=%d", w)
+			}
+			rows = append(rows, sweepRow{
+				Workers:     w,
+				Ms:          ms,
+				Evaluations: r.Stats.Evaluations,
+				EvalsPerSec: float64(r.Stats.Evaluations) / (ms / 1000),
+			})
 		}
-		b.Fatalf("missing sweep cell workers=%d warm=%v", workers, warm)
-		return sweepRow{}
 	}
 	maxW := sweep[len(sweep)-1]
-	coldPar, warmPar := cell(maxW, false), cell(maxW, true)
-	warmSpeedup := coldPar.Ms / warmPar.Ms
-	b.ReportMetric(cell(1, false).Ms, "cold-serial-ms")
-	b.ReportMetric(coldPar.Ms, "cold-parallel-ms")
-	b.ReportMetric(warmPar.Ms, "warm-parallel-ms")
-	b.ReportMetric(warmSpeedup, "warm-speedup")
-	b.ReportMetric(warmPar.EvalsPerSec, "evals/sec")
+	serial, par := rows[0], rows[len(rows)-1]
+	b.ReportMetric(serial.Ms, "serial-ms")
+	b.ReportMetric(par.Ms, "parallel-ms")
+	b.ReportMetric(par.EvalsPerSec, "evals/sec")
 
 	type genRow struct {
 		Gen       int     `json:"gen"`
@@ -1235,13 +1222,12 @@ func BenchmarkSearchParallel(b *testing.B) {
 	resetHist := reg.Histogram("replay.reset_ms")
 
 	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":  3,
+		"schema_version":  4,
 		"benchmark":       "SearchParallel",
 		"app":             searchParallelApp,
 		"scale":           scale.Name,
 		"max_workers":     maxW,
 		"rows":            rows,
-		"warm_speedup":    warmSpeedup,
 		"evaluations":     res.Stats.Evaluations,
 		"cache_hits":      res.Stats.CacheHits,
 		"considered":      res.Stats.Considered,
@@ -1261,16 +1247,16 @@ func BenchmarkSearchParallel(b *testing.B) {
 	if err := os.WriteFile("BENCH_parallel.json", append(artifact, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	fmt.Printf("search sweep (workers × warm):\n")
+	fmt.Printf("search sweep (workers):\n")
 	for _, r := range rows {
-		fmt.Printf("  workers=%-2d warm=%-5v %8.0f ms  %6.1f evals/sec\n", r.Workers, r.Warm, r.Ms, r.EvalsPerSec)
+		fmt.Printf("  workers=%-2d %8.0f ms  %6.1f evals/sec\n", r.Workers, r.Ms, r.EvalsPerSec)
 	}
-	fmt.Printf("warm speedup at %d workers: %.2fx; restore p50 %.3f ms vs clone p50 %.3f ms, reset p50 %.3f ms\n",
-		maxW, warmSpeedup, restoreHist.Quantile(0.5), cloneHist.Quantile(0.5), resetHist.Quantile(0.5))
+	fmt.Printf("%.2fx at %d workers; restore p50 %.3f ms vs clone p50 %.3f ms, reset p50 %.3f ms\n",
+		serial.Ms/par.Ms, maxW, restoreHist.Quantile(0.5), cloneHist.Quantile(0.5), resetHist.Quantile(0.5))
 }
 
 // BenchmarkSnapshotStore measures the content-addressed snapshot store
-// (DESIGN.md §10) against the legacy gob+gzip blob on a multi-capture
+// (DESIGN.md §10) against the version-1 gob+gzip blob on a multi-capture
 // store — the §3.2 storage budget next to Fig. 11 — plus save/load/
 // materialize latency and the corruption-recovery rate of the record
 // format. Results land in BENCH_store.json (schema checked by
@@ -1288,7 +1274,6 @@ func BenchmarkSnapshotStore(b *testing.B) {
 	rawBytes += int64(len(store.BootPages)) * 4096
 
 	dir := b.TempDir()
-	legacyPath := dir + "/store.gob.gz"
 	casPath := dir + "/store.cas"
 
 	var saveMs, loadMs, matMs float64
@@ -1296,12 +1281,10 @@ func BenchmarkSnapshotStore(b *testing.B) {
 	var st capture.SaveStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		os.Remove(legacyPath)
 		os.Remove(casPath)
-		if err := store.SaveLegacy(legacyPath); err != nil {
+		if legacyBytes, err = legacyBlobBytes(store); err != nil {
 			b.Fatal(err)
 		}
-		legacyBytes, _ = capture.DiskSize(legacyPath)
 
 		t0 := time.Now()
 		st, err = store.Persist(casPath)
@@ -1423,6 +1406,36 @@ func BenchmarkSnapshotStore(b *testing.B) {
 	fmt.Printf("snapshot store: %d captures, raw %.2f MB; legacy %.2f MB -> castore %.2f MB (%.2fx dedup); save %.1f ms, load %.1f ms, materialize %.1f ms; corruption recovery %d/%d, torn tail recovered: %v\n",
 		captures, float64(rawBytes)/(1<<20), float64(legacyBytes)/(1<<20), float64(casBytes)/(1<<20),
 		st.DedupRatio(), saveMs, loadMs, matMs, recovered, trials, tornRecovered)
+}
+
+// storeOnDisk is the version-1 store format that castore replaced: one
+// gob+gzip blob. Nothing reads it any more; BenchmarkSnapshotStore encodes
+// it only to size the legacy_bytes baseline of BENCH_store.json.
+type storeOnDisk struct {
+	BootPages map[mem.Addr][]byte
+	Snapshots []*capture.Snapshot
+}
+
+// legacyBlobBytes is the size of store encoded as a version-1 blob.
+func legacyBlobBytes(store *capture.Store) (int64, error) {
+	var n countingWriter
+	zw := gzip.NewWriter(&n)
+	disk := storeOnDisk{BootPages: store.BootPages, Snapshots: store.Snapshots}
+	if err := gob.NewEncoder(zw).Encode(&disk); err != nil {
+		return 0, err
+	}
+	if err := zw.Close(); err != nil {
+		return 0, err
+	}
+	return int64(n), nil
+}
+
+// countingWriter counts the bytes written to it and discards them.
+type countingWriter int64
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }
 
 // benchCaptureStore captures n snapshots of one app's hot region with

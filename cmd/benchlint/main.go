@@ -1,7 +1,7 @@
 // Command benchlint validates and regression-checks BENCH_*.json artifacts.
 // It dispatches on the document's "benchmark" field: SearchParallel (the
-// worker-count × warm sweep of DESIGN.md §11, with -compare regression
-// gating), RangeAnalysis (the value-range discharge artifact of
+// worker-count sweep of DESIGN.md §11, with -compare regression gating),
+// RangeAnalysis (the value-range discharge artifact of
 // BenchmarkRangeAnalysis), AliasAnalysis (the points-to disambiguation
 // artifact of BenchmarkAliasAnalysis, also -compare gated), and Fleet (the
 // fleetload coordinator sweep of DESIGN.md §15, -compare gated on cache hit
@@ -20,11 +20,12 @@
 //
 // -compare reads a baseline artifact and fails (exit 1) when the new artifact
 // regresses beyond the tolerance. For SearchParallel the gated quantity is
-// each sweep cell's evals/sec against the matching (workers, warm) cell; cells
-// present in the baseline must still exist in the new artifact, and new cells
-// (e.g. a wider sweep on a bigger runner) are allowed. -compare-normalized
-// divides every cell by the cold serial cell first, so machine-speed
-// differences cancel and only warm/parallel efficiency is compared. For
+// each sweep cell's evals/sec against the cell of the same worker count;
+// cells present in the baseline must still exist in the new artifact, and
+// new cells (e.g. a wider sweep on a bigger runner) are allowed.
+// -compare-normalized divides every cell by its run's serial cell first, so
+// machine-speed differences cancel and only parallel efficiency is
+// compared. A Fleet artifact decodes strictly into fleet.Bench. For
 // AliasAnalysis the gated quantities are machine-independent, so no
 // normalization applies: each baseline app's disambiguation rate and each
 // vmap subject's entry shrink must hold, and tv rejections and trace parity
@@ -37,11 +38,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"replayopt/internal/fleet"
+	"replayopt/internal/schema"
 )
 
 type sweepRow struct {
 	Workers     int     `json:"workers"`
-	Warm        bool    `json:"warm"`
 	Ms          float64 `json:"ms"`
 	Evaluations int     `json:"evaluations"`
 	EvalsPerSec float64 `json:"evals_per_sec"`
@@ -54,7 +57,6 @@ type artifact struct {
 	Scale          string     `json:"scale"`
 	MaxWorkers     int        `json:"max_workers"`
 	Rows           []sweepRow `json:"rows"`
-	WarmSpeedup    float64    `json:"warm_speedup"`
 	Evaluations    int        `json:"evaluations"`
 	RestoreP50Ms   float64    `json:"restore_p50_ms"`
 	CloneP50Ms     float64    `json:"clone_p50_ms"`
@@ -284,93 +286,11 @@ func compareAlias(base, next *aliasArtifact, tolerance float64) error {
 	return nil
 }
 
-// fleetSweepRow is one concurrency level of the Fleet artifact's upload sweep.
-type fleetSweepRow struct {
-	Concurrency   int     `json:"concurrency"`
-	Uploads       int     `json:"uploads"`
-	UploadsPerSec float64 `json:"uploads_per_sec"`
-}
-
-// fleetArtifact mirrors fleet.Bench (BENCH_fleet.json), the fleetload
-// coordinator load-test artifact.
-type fleetArtifact struct {
-	SchemaVersion    int             `json:"schema_version"`
-	Benchmark        string          `json:"benchmark"`
-	Devices          int             `json:"devices"`
-	Apps             int             `json:"apps"`
-	DeviceClasses    int             `json:"device_classes"`
-	Uploads          int             `json:"uploads"`
-	UploadsPerSec    float64         `json:"uploads_per_sec"`
-	UploadBytes      int64           `json:"upload_bytes"`
-	DedupFactor      float64         `json:"dedup_factor"`
-	SearchesRun      int             `json:"searches_run"`
-	SearchesPerHr    float64         `json:"searches_per_hour"`
-	ResumedEvals     int             `json:"resumed_evals"`
-	DroppedJobs      int             `json:"dropped_jobs"`
-	FailedJobs       int             `json:"failed_jobs"`
-	ArtifactRequests int             `json:"artifact_requests"`
-	ArtifactHits     int             `json:"artifact_hits"`
-	CacheHitRatio    float64         `json:"cache_hit_ratio"`
-	Sweep            []fleetSweepRow `json:"sweep"`
-	WallMs           float64         `json:"wall_ms"`
-}
-
-func validateFleet(a *fleetArtifact) error {
-	if a.SchemaVersion != 1 {
-		return fmt.Errorf("schema_version %d, want 1", a.SchemaVersion)
-	}
-	if a.Devices < 1 || a.Apps < 1 || a.DeviceClasses < 1 {
-		return fmt.Errorf("devices/apps/device_classes %d/%d/%d: non-positive", a.Devices, a.Apps, a.DeviceClasses)
-	}
-	if a.Uploads < 1 || a.UploadsPerSec <= 0 {
-		return fmt.Errorf("uploads %d at %.1f/sec: load did not run", a.Uploads, a.UploadsPerSec)
-	}
-	if a.Uploads > a.Devices {
-		return fmt.Errorf("uploads %d exceed devices %d", a.Uploads, a.Devices)
-	}
-	if a.DedupFactor < 1 {
-		return fmt.Errorf("dedup_factor %.2f below 1: shard merge lost bytes", a.DedupFactor)
-	}
-	if a.DroppedJobs != 0 {
-		return fmt.Errorf("dropped_jobs %d: the coordinator lost work", a.DroppedJobs)
-	}
-	if a.SearchesRun < 1 {
-		return fmt.Errorf("searches_run %d: uploads enqueued no searches", a.SearchesRun)
-	}
-	if a.SearchesRun+a.FailedJobs > a.Apps*a.DeviceClasses {
-		return fmt.Errorf("searches_run+failed %d exceed the app×class universe %d (dedup broke)",
-			a.SearchesRun+a.FailedJobs, a.Apps*a.DeviceClasses)
-	}
-	if a.ArtifactRequests < 1 {
-		return fmt.Errorf("artifact_requests %d: no fetch phase ran", a.ArtifactRequests)
-	}
-	if a.ArtifactHits > a.ArtifactRequests {
-		return fmt.Errorf("artifact_hits %d exceed requests %d", a.ArtifactHits, a.ArtifactRequests)
-	}
-	if a.CacheHitRatio <= 0 || a.CacheHitRatio > 1 {
-		return fmt.Errorf("cache_hit_ratio %.3f outside (0, 1]", a.CacheHitRatio)
-	}
-	if len(a.Sweep) == 0 {
-		return fmt.Errorf("no sweep rows")
-	}
-	total := 0
-	for i, r := range a.Sweep {
-		if r.Concurrency < 1 || r.Uploads < 1 || r.UploadsPerSec <= 0 {
-			return fmt.Errorf("sweep[%d] (concurrency=%d): non-positive field", i, r.Concurrency)
-		}
-		total += r.Uploads
-	}
-	if total != a.Uploads {
-		return fmt.Errorf("uploads %d but sweep rows sum to %d", a.Uploads, total)
-	}
-	return nil
-}
-
 // compareFleet gates a new Fleet artifact on a baseline: the cache hit ratio
 // and overall uploads/sec must each hold at least (1 - tolerance) of the
 // baseline. Hit ratio is machine-independent; uploads/sec is a same-machine
 // gate like the SearchParallel cells.
-func compareFleet(base, next *fleetArtifact, tolerance float64) error {
+func compareFleet(base, next *fleet.Bench, tolerance float64) error {
 	var failed bool
 	check := func(name string, b, n float64) {
 		status := "ok"
@@ -394,7 +314,7 @@ type parsed struct {
 	parallel *artifact
 	ranged   *rangeArtifact
 	alias    *aliasArtifact
-	fleet    *fleetArtifact
+	fleet    *fleet.Bench
 }
 
 func parse(data []byte) (parsed, error) {
@@ -424,19 +344,16 @@ func parse(data []byte) (parsed, error) {
 		}
 		return parsed{alias: &a}, validateAlias(&a)
 	case "Fleet":
-		var a fleetArtifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return parsed{}, fmt.Errorf("parse: %w", err)
-		}
-		return parsed{fleet: &a}, validateFleet(&a)
+		var a fleet.Bench
+		return parsed{fleet: &a}, schema.Decode(data, &a)
 	default:
 		return parsed{}, fmt.Errorf("unknown benchmark %q", probe.Benchmark)
 	}
 }
 
 func validate(a *artifact) error {
-	if a.SchemaVersion != 3 {
-		return fmt.Errorf("schema_version %d, want 3", a.SchemaVersion)
+	if a.SchemaVersion != 4 {
+		return fmt.Errorf("schema_version %d, want 4", a.SchemaVersion)
 	}
 	if a.Benchmark != "SearchParallel" {
 		return fmt.Errorf("benchmark %q, want SearchParallel", a.Benchmark)
@@ -450,30 +367,24 @@ func validate(a *artifact) error {
 	if len(a.Rows) == 0 {
 		return fmt.Errorf("no sweep rows")
 	}
-	seen := map[[2]int]bool{}
+	seen := map[int]bool{}
 	for i, r := range a.Rows {
 		if r.Workers < 1 || r.Ms <= 0 || r.Evaluations <= 0 || r.EvalsPerSec <= 0 {
-			return fmt.Errorf("row %d (workers=%d warm=%v): non-positive field", i, r.Workers, r.Warm)
+			return fmt.Errorf("row %d (workers=%d): non-positive field", i, r.Workers)
 		}
-		k := cellKey(r.Workers, r.Warm)
-		if seen[k] {
-			return fmt.Errorf("duplicate cell workers=%d warm=%v", r.Workers, r.Warm)
+		if seen[r.Workers] {
+			return fmt.Errorf("duplicate cell workers=%d", r.Workers)
 		}
-		seen[k] = true
+		seen[r.Workers] = true
 	}
-	for _, warm := range []bool{false, true} {
-		if !seen[cellKey(1, warm)] {
-			return fmt.Errorf("missing serial cell warm=%v", warm)
-		}
-		if !seen[cellKey(a.MaxWorkers, warm)] {
-			return fmt.Errorf("missing max_workers=%d cell warm=%v", a.MaxWorkers, warm)
-		}
+	if !seen[1] {
+		return fmt.Errorf("missing serial cell")
 	}
-	if a.WarmSpeedup <= 0 {
-		return fmt.Errorf("warm_speedup %.3f", a.WarmSpeedup)
+	if !seen[a.MaxWorkers] {
+		return fmt.Errorf("missing max_workers=%d cell", a.MaxWorkers)
 	}
 	if a.WarmRuns < 1 {
-		return fmt.Errorf("warm_runs %.0f: warm cells ran but no warm replay was recorded", a.WarmRuns)
+		return fmt.Errorf("warm_runs %.0f: the sweep ran but no warm replay was recorded", a.WarmRuns)
 	}
 	if a.TemplateBuilds < 1 {
 		return fmt.Errorf("template_builds %.0f", a.TemplateBuilds)
@@ -481,38 +392,29 @@ func validate(a *artifact) error {
 	return nil
 }
 
-func cellKey(workers int, warm bool) [2]int {
-	w := 0
-	if warm {
-		w = 1
-	}
-	return [2]int{workers, w}
-}
-
-func cells(a *artifact) map[[2]int]sweepRow {
-	m := make(map[[2]int]sweepRow, len(a.Rows))
+func cells(a *artifact) map[int]sweepRow {
+	m := make(map[int]sweepRow, len(a.Rows))
 	for _, r := range a.Rows {
-		m[cellKey(r.Workers, r.Warm)] = r
+		m[r.Workers] = r
 	}
 	return m
 }
 
 // compare gates the new artifact on the baseline: every baseline cell must
 // still exist and hold at least (1 - tolerance) of its evals/sec. With
-// normalize set, both sides are divided by their own cold serial cell first.
+// normalize set, both sides are divided by their own serial cell first.
 func compare(base, next *artifact, tolerance float64, normalize bool) error {
 	bc, nc := cells(base), cells(next)
 	baseUnit, nextUnit := 1.0, 1.0
 	if normalize {
-		baseUnit = bc[cellKey(1, false)].EvalsPerSec
-		nextUnit = nc[cellKey(1, false)].EvalsPerSec
+		baseUnit = bc[1].EvalsPerSec
+		nextUnit = nc[1].EvalsPerSec
 	}
 	var failed bool
 	for _, br := range base.Rows {
-		nr, ok := nc[cellKey(br.Workers, br.Warm)]
+		nr, ok := nc[br.Workers]
 		if !ok {
-			fmt.Printf("MISSING workers=%-2d warm=%-5v (baseline %.1f evals/sec)\n",
-				br.Workers, br.Warm, br.EvalsPerSec)
+			fmt.Printf("MISSING workers=%-2d (baseline %.1f evals/sec)\n", br.Workers, br.EvalsPerSec)
 			failed = true
 			continue
 		}
@@ -523,8 +425,8 @@ func compare(base, next *artifact, tolerance float64, normalize bool) error {
 			status = "REGRESSED"
 			failed = true
 		}
-		fmt.Printf("%-9s workers=%-2d warm=%-5v %8.1f -> %8.1f evals/sec (%+.1f%%)\n",
-			status, br.Workers, br.Warm, br.EvalsPerSec, nr.EvalsPerSec, delta*100)
+		fmt.Printf("%-9s workers=%-2d %8.1f -> %8.1f evals/sec (%+.1f%%)\n",
+			status, br.Workers, br.EvalsPerSec, nr.EvalsPerSec, delta*100)
 	}
 	if failed {
 		return fmt.Errorf("evals/sec regressed beyond %.0f%% tolerance", tolerance*100)
@@ -548,7 +450,7 @@ func main() {
 	validateStdin := flag.Bool("validate", false, "read the artifact from stdin and validate its structure")
 	baseline := flag.String("compare", "", "baseline artifact to regression-check the argument against")
 	tolerance := flag.Float64("tolerance", 0.2, "allowed fractional evals/sec regression in -compare")
-	normalized := flag.Bool("compare-normalized", false, "compare cells relative to each run's cold serial cell")
+	normalized := flag.Bool("compare-normalized", false, "compare cells relative to each run's serial cell")
 	flag.Parse()
 
 	if *validateStdin {
@@ -638,11 +540,11 @@ func main() {
 		return
 	}
 	next := doc.parallel
-	fmt.Printf("%s: %s on %s (%s scale), warm speedup %.2fx at %d workers\n",
-		flag.Arg(0), next.Benchmark, next.App, next.Scale, next.WarmSpeedup, next.MaxWorkers)
+	fmt.Printf("%s: %s on %s (%s scale), %d workers max\n",
+		flag.Arg(0), next.Benchmark, next.App, next.Scale, next.MaxWorkers)
 	fmt.Printf("restore p50 %.3f ms, clone p50 %.3f ms, reset p50 %.3f ms; %.0f template builds, %.0f warm runs\n",
 		next.RestoreP50Ms, next.CloneP50Ms, next.ResetP50Ms, next.TemplateBuilds, next.WarmRuns)
 	for _, r := range next.Rows {
-		fmt.Printf("  workers=%-2d warm=%-5v %8.0f ms  %8.1f evals/sec\n", r.Workers, r.Warm, r.Ms, r.EvalsPerSec)
+		fmt.Printf("  workers=%-2d %8.0f ms  %8.1f evals/sec\n", r.Workers, r.Ms, r.EvalsPerSec)
 	}
 }

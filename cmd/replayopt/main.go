@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	replayopt -app FFT [-seed 1] [-pop 50] [-gens 11] [-parallel N] [-warm on|off] [-crossvalidate 3]
+//	replayopt -app FFT [-seed 1] [-pop 50] [-gens 11] [-parallel N] [-crossvalidate 3]
 //	replayopt -app FFT -trace out.jsonl -metrics -progress
 //	replayopt -app FFT -rtrace rewrites.jsonl -lock FFT.lock.json
 //	replayopt -app FFT -replay-lock FFT.lock.json
@@ -100,8 +100,6 @@ func main() {
 	progress := flag.Bool("progress", false, "print a live per-generation progress line during the search (stderr)")
 	tvcheck := flag.Bool("tvcheck", false,
 		"validate every pass application during candidate compiles; provable miscompiles are discarded before any replay")
-	warm := flag.String("warm", "on",
-		"warm replay workers: 'on' amortizes snapshot restore across the search via CoW template clones, 'off' restores per run (escape hatch; results are identical either way)")
 	storePath := flag.String("store", "",
 		"persist the capture store to this file after the run (content-addressed; appends only unseen pages)")
 	rtracePath := flag.String("rtrace", "",
@@ -135,15 +133,6 @@ func main() {
 	opts.GA.Generations = *gens
 	opts.GA.Parallelism = *parallel
 	opts.TVCheck = *tvcheck
-	switch *warm {
-	case "on":
-		opts.Warm = true
-	case "off":
-		opts.Warm = false
-	default:
-		fmt.Fprintf(os.Stderr, "-warm must be 'on' or 'off', got %q\n", *warm)
-		os.Exit(2)
-	}
 
 	// Build the observability scope only when asked for: with every flag
 	// off opts.Obs stays nil and the run is exactly the uninstrumented one.

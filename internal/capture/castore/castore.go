@@ -28,8 +28,8 @@ import (
 
 // Format identification. A store file starts with the 4-byte magic followed
 // by a single version byte; everything after is a record stream. Version 1
-// is the legacy gob+gzip blob (recognized by the gzip magic 0x1f 0x8b, not
-// by this header); version 2 is the first content-addressed format.
+// was the gob+gzip blob that preceded this header and is no longer read;
+// version 2 is the first content-addressed format.
 const (
 	Magic   = "RPCS"
 	Version = 2
@@ -53,7 +53,7 @@ const maxPayload = 1 << 28
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNotCastore reports that a file is not in the castore format (empty,
-// foreign, or the legacy gob+gzip blob).
+// foreign, or a version-1 gob+gzip blob).
 var ErrNotCastore = errors.New("castore: not a castore file")
 
 // Key is the SHA-256 content address of a chunk (or the digest identifying

@@ -2,11 +2,9 @@ package capture
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -17,13 +15,12 @@ import (
 )
 
 // Persistence: snapshots are spooled to the device's storage (§3.2 step 6)
-// and reloaded for offline replay sessions. The current format (version 2)
-// is the content-addressed castore: pages are chunked and keyed by SHA-256
-// so boot-common and cross-snapshot duplicates are stored once, saves
-// append only unseen chunks, every record carries a CRC32C trailer, and
-// loads are lazy — page contents stay on disk until first replay access.
-// DESIGN.md §10 specifies the format; the legacy gob+gzip blob (version 1,
-// recognized by its gzip magic) remains readable.
+// and reloaded for offline replay sessions. The format is the
+// content-addressed castore: pages are chunked and keyed by SHA-256 so
+// boot-common and cross-snapshot duplicates are stored once, saves append
+// only unseen chunks, every record carries a CRC32C trailer, and loads are
+// lazy — page contents stay on disk until first replay access. DESIGN.md
+// §10 specifies the format.
 
 // SaveStats re-exports the castore dedup accounting so persistence callers
 // need not import the storage layer.
@@ -44,8 +41,6 @@ type SnapshotMeta struct {
 
 // StoreInfo reports what a Load recovered (and skipped) from a store file.
 type StoreInfo struct {
-	// Legacy is true when the file was the version-1 gob+gzip blob.
-	Legacy bool
 	// Snapshots actually loaded.
 	Snapshots int
 	// SkippedSnapshots were referenced by the store's index but had a
@@ -65,7 +60,9 @@ func (s *Store) Save(path string) error {
 
 // Persist is Save with the dedup accounting: how many chunks were appended
 // vs already present, and how many bytes actually hit storage (the Fig. 11
-// budget).
+// budget). An absent or empty path gets a fresh store; any other file that
+// is not a castore store is left as it was and the error wraps
+// castore.ErrNotCastore.
 func (s *Store) Persist(path string) (castore.SaveStats, error) {
 	// Lazily loaded state must be materialized before it can be re-chunked
 	// (dedup then makes re-persisting it to the same file a near-no-op).
@@ -79,14 +76,6 @@ func (s *Store) Persist(path string) (castore.SaveStats, error) {
 	}
 
 	w, err := castore.OpenWriter(path)
-	if errors.Is(err, castore.ErrNotCastore) {
-		// A legacy blob (or foreign file) at this path: Save semantics have
-		// always been clobber, so rewrite it in the current format.
-		if rmErr := os.Remove(path); rmErr != nil {
-			return castore.SaveStats{}, fmt.Errorf("capture: save: replacing legacy store: %w", rmErr)
-		}
-		w, err = castore.OpenWriter(path)
-	}
 	if err != nil {
 		return castore.SaveStats{}, fmt.Errorf("capture: save: %w", err)
 	}
@@ -204,8 +193,8 @@ func DecodeSnapshotMeta(meta []byte) (*SnapshotMeta, error) {
 	return &m, nil
 }
 
-// Load reads a store written by Save, accepting both the content-addressed
-// format and the legacy gob+gzip blob. The scope (nil is fine) rides the
+// Load reads a store written by Save; a file in any other format fails with
+// an error wrapping castore.ErrNotCastore. The scope (nil is fine) rides the
 // returned store so reloaded stores keep counting capture and replay
 // metrics — persisted bytes, lazy page loads, replay runs.
 func Load(path string, sc *obs.Scope) (*Store, error) {
@@ -214,47 +203,11 @@ func Load(path string, sc *obs.Scope) (*Store, error) {
 }
 
 // LoadWithInfo is Load plus integrity accounting: damaged records, skipped
-// snapshots, and torn-tail bytes from the scan.
+// snapshots, and torn-tail bytes from the scan. The store opens lazily:
+// manifests and the boot page table are read now, page contents stay on
+// disk until a replay's first access materializes them (the mem lazy-frame
+// machinery then maps them zero-copy).
 func LoadWithInfo(path string, sc *obs.Scope) (*Store, *StoreInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("capture: load: %w", err)
-	}
-	var magic [2]byte
-	n, _ := io.ReadFull(f, magic[:])
-	f.Close()
-	if n == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		store, err := loadLegacy(path, sc)
-		if err != nil {
-			return nil, nil, err
-		}
-		info := &StoreInfo{Legacy: true, Snapshots: len(store.Snapshots)}
-		countLoad(sc, info)
-		return store, info, nil
-	}
-	store, info, err := loadCAS(path, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	countLoad(sc, info)
-	return store, info, nil
-}
-
-func countLoad(sc *obs.Scope, info *StoreInfo) {
-	if sc == nil {
-		return
-	}
-	sc.Counter("capture.store_loads").Add(1)
-	sc.Counter("capture.store_damaged_records").Add(int64(info.DamagedRecords))
-	sc.Counter("capture.store_snapshots_skipped").Add(int64(info.SkippedSnapshots))
-	sc.Counter("capture.store_truncated_bytes").Add(info.TruncatedTailBytes)
-}
-
-// loadCAS opens a content-addressed store lazily: manifests and the boot
-// page table are read now, page contents stay on disk until a replay's
-// first access materializes them (the mem lazy-frame machinery then maps
-// them zero-copy).
-func loadCAS(path string, sc *obs.Scope) (*Store, *StoreInfo, error) {
 	f, err := castore.Open(path)
 	if errors.Is(err, castore.ErrNotCastore) {
 		return nil, nil, fmt.Errorf("capture: load %s: %w", path, err)
@@ -303,81 +256,13 @@ func loadCAS(path string, sc *obs.Scope) (*Store, *StoreInfo, error) {
 		out.bootRefs = boot
 		out.bootFetch = fetch
 	}
+	if sc != nil {
+		sc.Counter("capture.store_loads").Add(1)
+		sc.Counter("capture.store_damaged_records").Add(int64(info.DamagedRecords))
+		sc.Counter("capture.store_snapshots_skipped").Add(int64(info.SkippedSnapshots))
+		sc.Counter("capture.store_truncated_bytes").Add(info.TruncatedTailBytes)
+	}
 	return out, info, nil
-}
-
-// storeOnDisk is the legacy (version 1) serialized form: one gob+gzip blob.
-type storeOnDisk struct {
-	BootPages map[mem.Addr][]byte
-	Snapshots []*Snapshot
-}
-
-// SaveLegacy writes the store in the version-1 gob+gzip blob format. It
-// exists for format-migration tests and the storage benchmark's baseline;
-// new stores should use Save.
-func (s *Store) SaveLegacy(path string) error {
-	for _, sn := range s.Snapshots {
-		if err := sn.EnsurePages(); err != nil {
-			return fmt.Errorf("capture: save legacy: %w", err)
-		}
-	}
-	if err := s.EnsureBoot(); err != nil {
-		return fmt.Errorf("capture: save legacy: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("capture: save legacy: %w", err)
-	}
-	defer f.Close()
-	cw := &countingWriter{w: f}
-	zw := gzip.NewWriter(cw)
-	disk := storeOnDisk{BootPages: s.BootPages, Snapshots: s.Snapshots}
-	if err := gob.NewEncoder(zw).Encode(&disk); err != nil {
-		return fmt.Errorf("capture: save legacy: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("capture: save legacy: %w", err)
-	}
-	s.Obs.Counter("capture.persisted_bytes").Add(cw.n)
-	s.Obs.Counter("capture.persisted_stores").Add(1)
-	return f.Sync()
-}
-
-// countingWriter counts the compressed bytes spooled to storage.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// loadLegacy reads a version-1 blob.
-func loadLegacy(path string, sc *obs.Scope) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("capture: load: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("capture: load: %w", err)
-	}
-	defer zr.Close()
-	var disk storeOnDisk
-	if err := gob.NewDecoder(zr).Decode(&disk); err != nil {
-		return nil, fmt.Errorf("capture: load: %w", err)
-	}
-	out := NewStore()
-	out.Obs = sc
-	if disk.BootPages != nil {
-		out.BootPages = disk.BootPages
-	}
-	out.Snapshots = disk.Snapshots
-	return out, nil
 }
 
 // DiskSize reports the size of a saved store.

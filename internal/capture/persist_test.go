@@ -1,6 +1,8 @@
 package capture
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -201,41 +203,6 @@ func TestCompressionIsEffective(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatStillLoads pins the migration path: version-1 gob+gzip
-// blobs written by older builds must keep loading, and a Save over one
-// rewrites it in the current format.
-func TestLegacyFormatStillLoads(t *testing.T) {
-	store, snap, _ := captureOne(t)
-	path := filepath.Join(t.TempDir(), "captures.gob.gz")
-	if err := store.SaveLegacy(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, info, err := LoadWithInfo(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Legacy {
-		t.Error("legacy blob not flagged as legacy")
-	}
-	if len(loaded.Snapshots) != 1 || len(loaded.Snapshots[0].Pages) != len(snap.Pages) {
-		t.Fatal("legacy load lost snapshot data")
-	}
-	// Saving over the legacy blob migrates it.
-	if err := loaded.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	again, info2, err := LoadWithInfo(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Legacy {
-		t.Error("store still legacy after Save")
-	}
-	if len(again.Snapshots) != 1 {
-		t.Fatalf("%d snapshots after migration", len(again.Snapshots))
-	}
-}
-
 func TestLoadRejectsForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty")
@@ -252,6 +219,60 @@ func TestLoadRejectsForeignFiles(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing"), nil); err == nil {
 		t.Error("Load accepted a missing file")
+	}
+	// A gob+gzip blob, the format stores had before castore, is foreign too:
+	// Load names the format mismatch and Persist leaves the file as it was.
+	gz := filepath.Join(dir, "captures.gob.gz")
+	blob := []byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff}
+	if err := os.WriteFile(gz, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(gz, nil); !errors.Is(err, castore.ErrNotCastore) {
+		t.Errorf("Load of a gzip blob: %v, want ErrNotCastore", err)
+	}
+	store, _, _ := captureOne(t)
+	if _, err := store.Persist(gz); !errors.Is(err, castore.ErrNotCastore) {
+		t.Errorf("Persist over a gzip blob: %v, want ErrNotCastore", err)
+	}
+	if got, _ := os.ReadFile(gz); !bytes.Equal(got, blob) {
+		t.Errorf("Persist rewrote the gzip blob: % x", got)
+	}
+}
+
+// TestPersistRefusesForeignFile pins that Persist never destroys a file it
+// did not write: a path holding anything but a castore store fails with
+// ErrNotCastore and keeps its bytes, while an absent or empty path gets a
+// fresh store.
+func TestPersistRefusesForeignFile(t *testing.T) {
+	store, _, _ := captureOne(t)
+	dir := t.TempDir()
+	notes := filepath.Join(dir, "notes.txt")
+	text := []byte("remember the milk\n")
+	if err := os.WriteFile(notes, text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Persist(notes); !errors.Is(err, castore.ErrNotCastore) {
+		t.Errorf("Persist over a text file: %v, want ErrNotCastore", err)
+	}
+	if got, _ := os.ReadFile(notes); !bytes.Equal(got, text) {
+		t.Errorf("Persist replaced the text file with %d bytes", len(got))
+	}
+
+	empty := filepath.Join(dir, "empty.cas")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{empty, filepath.Join(dir, "absent.cas")} {
+		if _, err := store.Persist(path); err != nil {
+			t.Errorf("Persist to %s: %v", filepath.Base(path), err)
+			continue
+		}
+		loaded, err := Load(path, nil)
+		if err != nil {
+			t.Errorf("%s: reload after Persist: %v", filepath.Base(path), err)
+		} else if n := len(loaded.Snapshots); n != 1 {
+			t.Errorf("%s: %d snapshots after Persist, want 1", filepath.Base(path), n)
+		}
 	}
 }
 

@@ -86,12 +86,6 @@ type Options struct {
 	// replay accepts, so the validated search evaluates fewer candidates
 	// and finds a different winner.
 	TVCheck bool
-	// Warm evaluates GA candidates on warm replay workers: the post-restore
-	// address space is built once per snapshot (template), cloned CoW per
-	// worker, and reset between genomes instead of re-restored. Replay cycle
-	// counts are ASLR-layout-independent, so results — traces, reports — are
-	// byte-identical warm or cold; the flag is the escape hatch (-warm=off).
-	Warm bool
 	// Obs, when set, traces the whole Fig. 6 loop — nested spans for
 	// profile, capture, verify, search, and install plus counters and
 	// histograms in the scope's registry — and is propagated to the capture
@@ -108,10 +102,9 @@ type Options struct {
 	RTrace *obs.JSONLWriter
 }
 
-// DefaultOptions mirrors §4. Warm workers are on by default; Options.Warm
-// documents why that cannot change results.
+// DefaultOptions mirrors §4.
 func DefaultOptions() Options {
-	return Options{GA: ga.DefaultOptions(), Replays: 10, OnlineRuns: 10, Seed: 1, Warm: true}
+	return Options{GA: ga.DefaultOptions(), Replays: 10, OnlineRuns: 10, Seed: 1}
 }
 
 // Report is the pipeline outcome for one app.
@@ -200,25 +193,25 @@ type Prepared struct {
 	ev *replayEvaluator
 }
 
-// Evaluate measures one configuration by replay (ga.Evaluator).
-func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation { return p.ev.Evaluate(cfg) }
+// Evaluate measures one configuration by replay (ga.Evaluator) on a worker
+// set borrowed from the idle pool. It is safe to call concurrently.
+func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation {
+	ws := p.ev.bindWorker()
+	defer p.ev.releaseWorker(ws)
+	return ws.Evaluate(cfg)
+}
 
-// BindWorker implements ga.WorkerBinder: with warm replay enabled it hands
-// each search worker goroutine a workerSet holding warm template clones;
-// otherwise it returns the shared cold evaluator.
+// BindWorker implements ga.WorkerBinder: it hands each search worker
+// goroutine a workerSet holding warm template clones.
 func (p *Prepared) BindWorker() ga.Evaluator { return p.ev.bindWorker() }
 
 // ReleaseWorker returns a bound workerSet to the idle pool so later
 // generations (and the hill climb) reuse its warm spaces.
-func (p *Prepared) ReleaseWorker(e ga.Evaluator) { p.ev.releaseWorker(e) }
-
-// SetWarm toggles warm replay workers after preparation (benchmarks sweep
-// it). Results are identical either way; only throughput changes.
-func (p *Prepared) SetWarm(on bool) { p.ev.warm = on }
+func (p *Prepared) ReleaseWorker(e ga.Evaluator) { p.ev.releaseWorker(e.(*workerSet)) }
 
 // EvaluateImage measures a complete code image by replay.
 func (p *Prepared) EvaluateImage(code *machine.Program) (ga.Evaluation, uint64) {
-	ie := p.ev.evaluateImage(code, nil, "")
+	ie := p.ev.measureImage(code)
 	return ie.Evaluation, ie.cycles
 }
 
@@ -372,10 +365,9 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 	p.ev = &replayEvaluator{
 		o: o, app: app, snap: snap, vmap: vmap, prof: typeProf,
 		static: p.Analysis.Effects, region: region, android: android,
-		tvcheck: o.Opts.TVCheck,
-		warm:    o.Opts.Warm, templates: replay.NewTemplateCache(),
+		tvcheck: o.Opts.TVCheck, templates: replay.NewTemplateCache(),
 	}
-	andEval := p.ev.evaluateImage(android, nil, "")
+	andEval := p.ev.measureImage(android)
 	if andEval.Outcome.Failed() {
 		sp.End(obs.A("error", "baseline failed its own replay"))
 		return nil, fmt.Errorf("core: baseline failed its own replay: %s", andEval.Outcome)
@@ -389,7 +381,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		sp.End(obs.A("error", err.Error()))
 		return nil, fmt.Errorf("core: -O3 compile: %w", err)
 	}
-	o3Eval := p.ev.evaluateImage(o3Code, nil, "")
+	o3Eval := p.ev.measureImage(o3Code)
 	if o3Eval.Outcome.Failed() {
 		sp.End(obs.A("error", "-O3 failed verification"))
 		return nil, fmt.Errorf("core: -O3 failed verification: %s", o3Eval.Outcome)
@@ -591,10 +583,8 @@ type replayEvaluator struct {
 	// obsParent, when set (serially, before evaluations fan out), parents
 	// the per-discard audit spans under the search span.
 	obsParent *obs.Span
-	// warm switches candidate replays to warm template clones; templates
-	// caches the restored spaces and idle holds released workerSets for
-	// reuse across evaluation batches.
-	warm      bool
+	// templates caches the restored spaces and idle holds released
+	// workerSets for reuse across evaluation batches.
 	templates *replay.TemplateCache
 	mu        sync.Mutex
 	idle      []*workerSet
@@ -625,10 +615,7 @@ func (ws *workerSet) worker(seed int64) (*replay.Worker, error) {
 	return w, nil
 }
 
-func (ev *replayEvaluator) bindWorker() ga.Evaluator {
-	if !ev.warm {
-		return ev
-	}
+func (ev *replayEvaluator) bindWorker() *workerSet {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if n := len(ev.idle); n > 0 {
@@ -639,11 +626,7 @@ func (ev *replayEvaluator) bindWorker() ga.Evaluator {
 	return &workerSet{ev: ev, w: map[int64]*replay.Worker{}}
 }
 
-func (ev *replayEvaluator) releaseWorker(e ga.Evaluator) {
-	ws, ok := e.(*workerSet)
-	if !ok {
-		return
-	}
+func (ev *replayEvaluator) releaseWorker(ws *workerSet) {
 	ev.mu.Lock()
 	ev.idle = append(ev.idle, ws)
 	ev.mu.Unlock()
@@ -759,14 +742,17 @@ type imageEval struct {
 	cycles uint64
 }
 
-// Evaluate implements ga.Evaluator: compile the region under cfg, replay the
-// capture, verify, and time it (always on the cold restore path).
-func (ev *replayEvaluator) Evaluate(cfg lir.Config) ga.Evaluation {
-	return ev.evaluate(cfg, nil)
+// measureImage measures a whole code image on a worker set borrowed from the
+// idle pool.
+func (ev *replayEvaluator) measureImage(code *machine.Program) imageEval {
+	ws := ev.bindWorker()
+	defer ev.releaseWorker(ws)
+	return ev.evaluateImage(code, ws, "")
 }
 
-// evaluate is the shared candidate measurement; a non-nil ws replays against
-// its warm workers instead of restoring from scratch.
+// evaluate compiles the region under cfg, replays the capture, verifies,
+// and times it. A nil ws restores each replay from scratch: the reference
+// the warm path is tested against.
 func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation {
 	if ev.tvcheck {
 		// A fresh checker per evaluation: Evaluate runs concurrently and a
@@ -800,11 +786,13 @@ func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation
 // sequential state. That is what lets ga.Search call Evaluate concurrently
 // and memoize by configuration without changing any result.
 //
-// With a warm workerSet the two replays run against template clones built
-// under canonical ASLR seeds instead of image-hash-derived ones. Replay
-// cycle counts are layout-independent (the replay package's determinism
-// test), and every Evaluation field derives from cycles and the image hash
-// only, so warm and cold measurements are identical byte for byte.
+// The two replays run on ws's template clones, built under canonical ASLR
+// seeds. With a nil ws (the test reference), or when a template cannot be
+// built, each replay restores from scratch under an image-hash-derived seed
+// instead. Replay cycle counts are layout-independent (the replay package's
+// determinism test), and every Evaluation field derives from cycles and the
+// image hash only, so warm and cold measurements are identical byte for
+// byte (TestPipelineWarmMatchesColdAcrossParallelism checks each one).
 func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, passes string) imageEval {
 	imgHash := hashImage(code)
 	run := func(seed int64) (*replay.Result, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"replayopt/internal/ga"
@@ -66,21 +67,24 @@ func runPipeline(t *testing.T, seed int64) *Report {
 
 func runPipelineAt(t *testing.T, seed int64, parallelism int) *Report {
 	t.Helper()
-	return runPipelineWarm(t, seed, parallelism, true)
+	opts := smallOptions()
+	opts.Seed = seed
+	opts.GA.Parallelism = parallelism
+	return optimizeMiniApp(t, opts)
 }
 
-func runPipelineWarm(t *testing.T, seed int64, parallelism int, warm bool) *Report {
+func miniApp(t *testing.T) *App {
 	t.Helper()
 	prog, err := minic.CompileSource("miniapp", appSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := smallOptions()
-	opts.Seed = seed
-	opts.GA.Parallelism = parallelism
-	opts.Warm = warm
-	opt := New(opts)
-	rep, err := opt.Optimize(&App{Name: "miniapp", Prog: prog})
+	return &App{Name: "miniapp", Prog: prog}
+}
+
+func optimizeMiniApp(t *testing.T, opts Options) *Report {
+	t.Helper()
+	rep, err := New(opts).Optimize(miniApp(t))
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -191,42 +195,91 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Warm replay workers are a pure throughput change: the full decision trace
-// and every report field must be byte-identical with warm workers on or off,
-// at every tested worker count. This is the issue's determinism guarantee —
-// `-warm=off` is an escape hatch, never a different search.
+// Warm replay workers are the only production evaluation path; the cold
+// per-run restore survives as this test's reference. The full decision trace
+// and every report field must be identical at every tested worker count, and
+// every evaluation the search made — plus the two baselines — must equal its
+// cold re-evaluation field for field, with translation validation off or on.
 func TestPipelineWarmMatchesColdAcrossParallelism(t *testing.T) {
-	ref := runPipelineWarm(t, 4, 1, false)
+	ref := runPipelineAt(t, 4, 1)
 	refTrace := ref.Search.DecisionTrace()
-	for _, par := range []int{1, 4, 8} {
-		for _, warm := range []bool{false, true} {
-			if par == 1 && !warm {
-				continue // that is ref itself
-			}
-			got := runPipelineWarm(t, 4, par, warm)
-			label := fmt.Sprintf("parallelism=%d warm=%v", par, warm)
-			if tr := got.Search.DecisionTrace(); tr != refTrace {
-				t.Errorf("%s: decision trace differs from cold serial run:\n--- got\n%s\n--- want\n%s",
-					label, tr, refTrace)
-			}
-			if got.Best.Fingerprint() != ref.Best.Fingerprint() {
-				t.Errorf("%s: best config differs", label)
-			}
-			if got.GARegionMs != ref.GARegionMs || got.AndroidRegionMs != ref.AndroidRegionMs ||
-				got.O3RegionMs != ref.O3RegionMs {
-				t.Errorf("%s: region timings differ: %+v vs %+v", label, got, ref)
-			}
-			if got.AndroidOnlineCycles != ref.AndroidOnlineCycles ||
-				got.GAOnlineCycles != ref.GAOnlineCycles ||
-				got.SpeedupGA != ref.SpeedupGA || got.RegionSpeedupGA != ref.RegionSpeedupGA {
-				t.Errorf("%s: online measurements differ", label)
-			}
-			if got.SearchStats != ref.SearchStats {
-				t.Errorf("%s: search stats differ: %+v vs %+v", label, got.SearchStats, ref.SearchStats)
-			}
-			if got.KeptBaseline != ref.KeptBaseline {
-				t.Errorf("%s: KeptBaseline differs", label)
-			}
+	for _, par := range []int{4, 8} {
+		got := runPipelineAt(t, 4, par)
+		label := fmt.Sprintf("parallelism=%d", par)
+		if tr := got.Search.DecisionTrace(); tr != refTrace {
+			t.Errorf("%s: decision trace differs from the serial run:\n--- got\n%s\n--- want\n%s",
+				label, tr, refTrace)
+		}
+		if got.Best.Fingerprint() != ref.Best.Fingerprint() {
+			t.Errorf("%s: best config differs", label)
+		}
+		if got.GARegionMs != ref.GARegionMs || got.AndroidRegionMs != ref.AndroidRegionMs ||
+			got.O3RegionMs != ref.O3RegionMs {
+			t.Errorf("%s: region timings differ: %+v vs %+v", label, got, ref)
+		}
+		if got.AndroidOnlineCycles != ref.AndroidOnlineCycles ||
+			got.GAOnlineCycles != ref.GAOnlineCycles ||
+			got.SpeedupGA != ref.SpeedupGA || got.RegionSpeedupGA != ref.RegionSpeedupGA {
+			t.Errorf("%s: online measurements differ", label)
+		}
+		if got.SearchStats != ref.SearchStats {
+			t.Errorf("%s: search stats differ: %+v vs %+v", label, got.SearchStats, ref.SearchStats)
+		}
+		if got.KeptBaseline != ref.KeptBaseline {
+			t.Errorf("%s: KeptBaseline differs", label)
+		}
+	}
+	opts := smallOptions()
+	opts.Seed = 4
+	opts.GA.Parallelism = 1
+	checkColdMatchesWarm(t, opts, ref)
+	t.Run("tvcheck", func(t *testing.T) {
+		opts.TVCheck = true
+		checkColdMatchesWarm(t, opts, optimizeMiniApp(t, opts))
+	})
+}
+
+// checkColdMatchesWarm re-evaluates every distinct configuration of rep's
+// search trace, and the Android and -O3 images, on the cold restore path of
+// a freshly prepared pipeline, and requires each Evaluation to equal the
+// warm one the run recorded.
+func checkColdMatchesWarm(t *testing.T, opts Options, rep *Report) {
+	t.Helper()
+	p, err := New(opts).Prepare(miniApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for _, r := range rep.Search.Trace {
+		cfg := r.Genome.Decode()
+		if seen[cfg.Fingerprint()] {
+			continue
+		}
+		seen[cfg.Fingerprint()] = true
+		if cold := p.ev.evaluate(cfg, nil); !reflect.DeepEqual(cold, r.Eval) {
+			t.Errorf("trace[%d] %s: cold %+v, warm %+v", r.Index, r.Genome, cold, r.Eval)
+		}
+	}
+	if len(seen) < 2 {
+		t.Fatalf("only %d distinct configurations in the trace", len(seen))
+	}
+	o3, err := p.CompileRegion(lir.O3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name   string
+		code   *machine.Program
+		warm   ga.Evaluation
+		cycles uint64
+	}{
+		{"android", p.Android, p.AndroidEval, p.AndroidCycles},
+		{"-O3", o3, p.O3Eval, p.O3Cycles},
+	} {
+		cold := p.ev.evaluateImage(b.code, nil, "")
+		if !reflect.DeepEqual(cold.Evaluation, b.warm) || cold.cycles != b.cycles {
+			t.Errorf("%s baseline: cold %+v (%d cycles), warm %+v (%d cycles)",
+				b.name, cold.Evaluation, cold.cycles, b.warm, b.cycles)
 		}
 	}
 }

@@ -56,7 +56,6 @@ func (o *Optimizer) LoadStore(path string) (info *capture.StoreInfo, err error) 
 			obs.A("skipped_snapshots", info.SkippedSnapshots),
 			obs.A("damaged_records", info.DamagedRecords),
 			obs.A("truncated_tail_bytes", info.TruncatedTailBytes),
-			obs.A("legacy", info.Legacy),
 		)
 	}()
 	store, info, err := capture.LoadWithInfo(path, o.Opts.Obs)

@@ -66,7 +66,7 @@ func TestPersistAndLoadStore(t *testing.T) {
 	if opt.Store.Obs != sc {
 		t.Error("loaded store lost the obs scope")
 	}
-	if info.Snapshots != 2 || info.SkippedSnapshots != 0 || info.Legacy {
+	if info.Snapshots != 2 || info.SkippedSnapshots != 0 {
 		t.Errorf("unexpected load info: %+v", info)
 	}
 	snap := opt.Store.Snapshots[0]
