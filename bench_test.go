@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -40,8 +41,10 @@ import (
 	"replayopt/internal/obs"
 	"replayopt/internal/profile"
 	"replayopt/internal/rt"
+	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
+	"replayopt/internal/schema"
 	"replayopt/internal/verify"
 )
 
@@ -55,13 +58,39 @@ func benchScale(b *testing.B) exp.Scale {
 
 const benchSeed = 1
 
-func BenchmarkTable1(b *testing.B) {
+// writeArtifact writes doc to path as indented JSON, once the bytes have
+// passed the strict decode and Check that cmd/benchlint applies to them.
+func writeArtifact(b *testing.B, path string, doc schema.Checker) {
+	b.Helper()
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := schema.Decode(data, reflect.New(reflect.TypeOf(doc).Elem()).Interface().(schema.Checker)); err != nil {
+		b.Fatalf("%s: emitted artifact fails its own schema: %v", path, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchTable runs an experiment that only produces a table b.N times and
+// prints the table once.
+func benchTable(b *testing.B, run func() (*exp.Table, error)) {
+	b.Helper()
 	for i := 0; i < b.N; i++ {
-		t := exp.Table1()
+		t, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 {
 			fmt.Println(t.String())
 		}
 	}
+}
+
+func BenchmarkTable1(b *testing.B) {
+	benchTable(b, func() (*exp.Table, error) { return exp.Table1(), nil })
 }
 
 func BenchmarkFigure1(b *testing.B) {
@@ -149,16 +178,10 @@ func BenchmarkFigure9(b *testing.B) {
 }
 
 func BenchmarkFigure8(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		_, t, err := exp.Figure8(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) {
+		_, t, err := exp.Figure8(benchScale(b), benchSeed)
+		return t, err
+	})
 }
 
 func BenchmarkFigure10(b *testing.B) {
@@ -200,143 +223,53 @@ func BenchmarkFigure11(b *testing.B) {
 func BenchmarkAblationCoW(b *testing.B) {
 	scale := benchScale(b)
 	scale.Apps = []string{"FFT", "BubbleSort", "MaterialLife"}
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationCoW(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationCoW(scale, benchSeed) })
 }
 
 func BenchmarkAblationFullSnapshot(b *testing.B) {
 	scale := benchScale(b)
 	scale.Apps = []string{"FFT", "Poker Odds (Vitosha)", "4inaRow"}
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationFullSnapshot(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationFullSnapshot(scale, benchSeed) })
 }
 
 func BenchmarkAblationRandomSearch(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationRandomSearch(scale, benchSeed, "FFT")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationRandomSearch(benchScale(b), benchSeed, "FFT") })
 }
 
 func BenchmarkAblationNoVerify(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationNoVerify(scale, benchSeed, "FFT")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationNoVerify(benchScale(b), benchSeed, "FFT") })
 }
 
 func BenchmarkAblationGCCheckElim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationGCCheckElim(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationGCCheckElim(benchSeed) })
 }
 
 func BenchmarkAblationDevirt(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationDevirt(benchSeed, "DroidFish")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationDevirt(benchSeed, "DroidFish") })
 }
 
 func BenchmarkAblationCrossValidate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationCrossValidate(benchScale(b), benchSeed, "MaterialLife")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) {
+		return exp.AblationCrossValidate(benchScale(b), benchSeed, "MaterialLife")
+	})
 }
 
 func BenchmarkAblationTTestFitness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationTTestFitness(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.AblationTTestFitness(benchSeed) })
 }
 
 func BenchmarkScheduleTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := exp.ScheduleTable(nil, benchScale(b), benchSeed, "FFT")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
+	benchTable(b, func() (*exp.Table, error) { return exp.ScheduleTable(nil, benchScale(b), benchSeed, "FFT") })
 }
 
 // BenchmarkEffectAnalysis measures what the interprocedural effect analysis
 // (internal/sa) buys over the §3.1 boolean blocklist: deep-replayable method
 // coverage, guards the backend no longer emits (GC checks eliminated, virtual
 // calls devirtualized), and the §3.4 verification-map size for a region the
-// analysis proves free of heap writes. Results land in BENCH_sa.json.
+// analysis proves free of heap writes. Results land in BENCH_sa.json
+// (sa.Bench, checked by cmd/benchlint).
 func BenchmarkEffectAnalysis(b *testing.B) {
 	appNames := []string{"FFT", "BubbleSort", "MaterialLife", "DroidFish"}
-
-	type appRow struct {
-		App           string `json:"app"`
-		Methods       int    `json:"methods"`
-		DeepBlocklist int    `json:"deep_replayable_blocklist"`
-		DeepEffects   int    `json:"deep_replayable_effects"`
-		GCChkBaseline int    `json:"gcchk_baseline"`
-		GCChkEffects  int    `json:"gcchk_effects"`
-		CallVBaseline int    `json:"callv_baseline"`
-		CallVEffects  int    `json:"callv_effects"`
-	}
-	type vmapRow struct {
-		App                 string `json:"app"`
-		Region              string `json:"region_root"`
-		RegionEffect        string `json:"region_effect"`
-		EntriesConservative int    `json:"entries_conservative"`
-		EntriesEffects      int    `json:"entries_effects"`
-		StoresSkipped       bool   `json:"stores_skipped"`
-	}
 
 	countOps := func(code *machine.Program) (gcchk, callv int) {
 		for _, fn := range code.Fns {
@@ -352,29 +285,15 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 		return
 	}
 
-	specFor := func(name string) (apps.Spec, bool) {
-		if name == "WitnessFilter" {
-			return apps.WitnessSpec(), true
-		}
-		return apps.ByName(name)
-	}
-
-	var rows []appRow
-	var vmaps []vmapRow
+	var rows []sa.BenchRow
+	var vmaps []sa.BenchVmapRow
 	for i := 0; i < b.N; i++ {
 		rows, vmaps = nil, nil
 		for _, name := range append(appNames, "WitnessFilter") {
-			spec, ok := specFor(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			app := benchApp(b, name)
 			eff := profile.Analyze(app.Prog)
 			block := profile.AnalyzeBlocklist(app.Prog)
-			row := appRow{App: name, Methods: len(app.Prog.Methods)}
+			row := sa.BenchRow{App: name, Methods: len(app.Prog.Methods)}
 			var compilable []dex.MethodID
 			for id := range app.Prog.Methods {
 				if block.ReplayableDeep[id] {
@@ -411,11 +330,7 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 		// (the witness app's pure kernel) and a representative escaping-write
 		// region (FFT), each built conservatively and effect-aware.
 		for _, name := range []string{"WitnessFilter", "FFT"} {
-			spec, _ := specFor(name)
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			app := benchApp(b, name)
 			opt := core.New(core.DefaultOptions())
 			p, err := opt.Prepare(app)
 			if err != nil {
@@ -429,7 +344,7 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vmaps = append(vmaps, vmapRow{
+			vmaps = append(vmaps, sa.BenchVmapRow{
 				App:                 name,
 				Region:              app.Prog.Methods[p.Region.Root].Name,
 				RegionEffect:        p.Analysis.Effects.Summary[p.Region.Root].String(),
@@ -451,24 +366,99 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 	b.ReportMetric(float64(gcElim), "gcchk-eliminated")
 	b.ReportMetric(float64(callvElim), "callv-devirtualized")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":            2,
-		"benchmark":                 "EffectAnalysis",
-		"apps":                      rows,
-		"vmap":                      vmaps,
-		"deep_replayable_blocklist": deepBlock,
-		"deep_replayable_effects":   deepEff,
-		"gcchk_eliminated":          gcElim,
-		"callv_devirtualized":       callvElim,
-	}, "", "  ")
+	writeArtifact(b, "BENCH_sa.json", &sa.Bench{
+		Apps:               rows,
+		Benchmark:          "EffectAnalysis",
+		CallVDevirtualized: callvElim,
+		DeepBlocklist:      deepBlock,
+		DeepEffects:        deepEff,
+		GCChkEliminated:    gcElim,
+		SchemaVersion:      sa.BenchSchemaVersion,
+		Vmap:               vmaps,
+	})
+	fmt.Printf("effect analysis: deep-replayable %d -> %d; %d GC checks eliminated, %d virtual calls devirtualized\n",
+		deepBlock, deepEff, gcElim, callvElim)
+}
+
+// benchApp builds the named app: one of Table 1's, or the WitnessFilter or
+// ScratchFilter subject of the analysis benchmarks.
+func benchApp(b *testing.B, name string) *core.App {
+	b.Helper()
+	spec, ok := apps.ByName(name)
+	switch name {
+	case "WitnessFilter":
+		spec, ok = apps.WitnessSpec(), true
+	case "ScratchFilter":
+		spec, ok = apps.ScratchSpec(), true
+	}
+	if !ok {
+		b.Fatalf("unknown app %s", name)
+	}
+	app, err := apps.Build(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_sa.json", append(artifact, '\n'), 0o644); err != nil {
+	return app
+}
+
+// benchHotRegion builds the named app and locates its hot region exactly as
+// the optimizer's prepare stage does: one profiled online run under the
+// Android compiler.
+func benchHotRegion(b *testing.B, name string) (*core.App, *profile.Analysis, profile.Region) {
+	b.Helper()
+	app := benchApp(b, name)
+	android, err := aot.Compile(app.Prog)
+	if err != nil {
 		b.Fatal(err)
 	}
-	fmt.Printf("effect analysis: deep-replayable %d -> %d; %d GC checks eliminated, %d virtual calls devirtualized\n",
-		deepBlock, deepEff, gcElim, callvElim)
+	prof := profile.NewProfile()
+	_, x := app.NewProcessAndExec(android)
+	x.SamplePeriod = profile.SamplePeriodCycles
+	x.Sampler = prof
+	x.MaxCycles = 50_000_000_000
+	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+		b.Fatal(err)
+	}
+	analysis := profile.Analyze(app.Prog)
+	region, ok := profile.HotRegion(app.Prog, analysis, prof)
+	if !ok {
+		b.Fatalf("%s: no replayable hot region", name)
+	}
+	return app, analysis, region
+}
+
+// benchCycles compiles the whole program under cfg and returns the exec
+// cycles of one run.
+func benchCycles(b *testing.B, app *core.App, cfg lir.Config, eff *sa.Result) uint64 {
+	b.Helper()
+	code, err := lir.Compile(app.Prog, nil, cfg, nil, eff)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, x := app.NewProcessAndExec(code)
+	x.MaxCycles = 50_000_000_000
+	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+		b.Fatal(err)
+	}
+	return x.Cycles
+}
+
+// benchTraceParity reports whether the analysis summaries are invisible to
+// a GA search whose pool excludes the passes that consume them: the search
+// must make byte-identical decisions before and after detach removes them.
+func benchTraceParity(b *testing.B, exclude []string, detach func(*sa.Result)) bool {
+	b.Helper()
+	p, _, err := exp.PrepareApp("Fibonacci.recv", benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := benchScale(b).GA
+	opts.BaselineAndroidMs = p.AndroidEval.MeanMs
+	opts.BaselineO3Ms = p.O3Eval.MeanMs
+	opts.ExcludePasses = exclude
+	with := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
+	detach(p.Analysis.Effects)
+	return with == ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
 }
 
 // BenchmarkRangeAnalysis measures the interprocedural value-range analysis
@@ -480,7 +470,8 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 // properties the passes claim: a validated compile produces zero tv
 // rejections, and a GA search with the range passes excluded from the pool
 // yields a byte-identical decision trace whether summaries are attached or
-// not. Results land in BENCH_range.json (schema checked by cmd/benchlint).
+// not. Results land in BENCH_range.json as a vra.Bench, whose Check holds
+// these gates and runs before the file is written.
 func BenchmarkRangeAnalysis(b *testing.B) {
 	// Kernel subjects: hot regions whose index expressions the analysis can
 	// relate to array lengths (direct len() loop bounds). The others are
@@ -489,19 +480,6 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 	kernelApps := map[string]bool{"SOR": true, "SelectionSort": true}
 	appNames := []string{"SOR", "SelectionSort", "FFT", "LU", "BubbleSort", "MaterialLife"}
 	const minKernelDischargePct = 50.0
-
-	type appRow struct {
-		App           string  `json:"app"`
-		Kernel        bool    `json:"kernel"`
-		BoundsBase    int     `json:"bounds_base"`
-		BoundsOpt     int     `json:"bounds_opt"`
-		DischargePct  float64 `json:"discharge_pct"`
-		UnguardedDivs int     `json:"unguarded_divs"`
-		CyclesBase    uint64  `json:"cycles_base"`
-		CyclesOpt     uint64  `json:"cycles_opt"`
-		CycleDeltaPct float64 `json:"cycle_delta_pct"`
-		AnalysisMs    float64 `json:"analysis_ms"`
-	}
 
 	countOps := func(code *machine.Program) (bound, divu int) {
 		for _, fn := range code.Fns {
@@ -516,14 +494,6 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 		}
 		return
 	}
-	runProgram := func(app *core.App, code *machine.Program) (uint64, error) {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return 0, err
-		}
-		return x.Cycles, nil
-	}
 	rangeSpecs := []lir.PassSpec{
 		{Name: "rangecheckelim"},
 		{Name: "rangebranch"},
@@ -532,40 +502,14 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 		{Name: "dce"},
 	}
 
-	var rows []appRow
+	var rows []vra.BenchRow
 	var tvRejected int
 	traceParity := false
 	for i := 0; i < b.N; i++ {
 		rows = nil
 		tvRejected = 0
 		for _, name := range appNames {
-			spec, ok := apps.ByName(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Locate the hot region exactly as the optimizer's prepare
-			// stage does, then attach interprocedural summaries.
-			android, err := aot.Compile(app.Prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prof := profile.NewProfile()
-			_, x := app.NewProcessAndExec(android)
-			x.SamplePeriod = profile.SamplePeriodCycles
-			x.Sampler = prof
-			x.MaxCycles = 50_000_000_000
-			if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-				b.Fatal(err)
-			}
-			analysis := profile.Analyze(app.Prog)
-			region, ok := profile.HotRegion(app.Prog, analysis, prof)
-			if !ok {
-				b.Fatalf("%s: no replayable hot region", name)
-			}
+			app, analysis, region := benchHotRegion(b, name)
 			start := time.Now()
 			vra.Attach(analysis.Effects)
 			analysisMs := time.Since(start).Seconds() * 1000
@@ -590,7 +534,7 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 			_, _, rejected := chk.Counts()
 			tvRejected += rejected
 
-			row := appRow{App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs}
+			row := vra.BenchRow{App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs}
 			row.BoundsBase, _ = countOps(baseRegion)
 			row.BoundsOpt, row.UnguardedDivs = countOps(optRegion)
 			if row.BoundsBase > 0 {
@@ -598,50 +542,14 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 			}
 
 			// Whole-program exec-cycle delta with the range passes on.
-			baseAll, err := lir.Compile(app.Prog, nil, base, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			optAll, err := lir.Compile(app.Prog, nil, opt, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if row.CyclesBase, err = runProgram(app, baseAll); err != nil {
-				b.Fatal(err)
-			}
-			if row.CyclesOpt, err = runProgram(app, optAll); err != nil {
-				b.Fatal(err)
-			}
+			row.CyclesBase = benchCycles(b, app, base, analysis.Effects)
+			row.CyclesOpt = benchCycles(b, app, opt, analysis.Effects)
 			row.CycleDeltaPct = (float64(row.CyclesOpt)/float64(row.CyclesBase) - 1) * 100
-
-			if row.Kernel && row.DischargePct < minKernelDischargePct {
-				b.Fatalf("%s: rangecheckelim discharged %.0f%% of hot-region bounds checks, want >= %.0f%%",
-					name, row.DischargePct, minKernelDischargePct)
-			}
 			rows = append(rows, row)
 		}
-		if tvRejected > 0 {
-			b.Fatalf("%d tv rejections on range-pass pipelines (passes must never be Rejected)", tvRejected)
-		}
 
-		// Trace parity: with the range passes excluded from the search pool,
-		// attached summaries must be invisible to the GA — byte-identical
-		// decision traces with and without them.
-		p, _, err := exp.PrepareApp("Fibonacci.recv", benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := benchScale(b).GA
-		opts.BaselineAndroidMs = p.AndroidEval.MeanMs
-		opts.BaselineO3Ms = p.O3Eval.MeanMs
-		opts.ExcludePasses = []string{"rangecheckelim", "rangebranch", "rangestrength"}
-		withRanges := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		p.Analysis.Effects.Ranges = nil
-		withoutRanges := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		traceParity = withRanges == withoutRanges
-		if !traceParity {
-			b.Fatal("decision trace changed when range summaries were attached but the passes were unselected")
-		}
+		traceParity = benchTraceParity(b, []string{"rangecheckelim", "rangebranch", "rangestrength"},
+			func(eff *sa.Result) { eff.Ranges = nil })
 	}
 
 	var discharged, totalBase int
@@ -655,22 +563,16 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 	b.ReportMetric(float64(discharged)/float64(totalBase)*100, "%discharged")
 	b.ReportMetric(analysisMs/float64(len(rows)), "analysis-ms/app")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":           1,
-		"benchmark":                "RangeAnalysis",
-		"apps":                     rows,
-		"kernel_min_discharge_pct": minKernelDischargePct,
-		"bounds_discharged":        discharged,
-		"tv_rejected":              tvRejected,
-		"trace_parity":             traceParity,
-		"trace_app":                "Fibonacci.recv",
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_range.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_range.json", &vra.Bench{
+		Apps:          rows,
+		Benchmark:     "RangeAnalysis",
+		Discharged:    discharged,
+		KernelMinPct:  minKernelDischargePct,
+		SchemaVersion: vra.BenchSchemaVersion,
+		TraceApp:      "Fibonacci.recv",
+		TraceParity:   traceParity,
+		TVRejected:    tvRejected,
+	})
 	fmt.Printf("range analysis: %d/%d hot-region bounds checks discharged; tv rejects %d; trace parity %v\n",
 		discharged, totalBase, tvRejected, traceParity)
 	for _, r := range rows {
@@ -689,8 +591,9 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 // the two safety properties the passes claim: a validated compile produces
 // zero tv rejections, and a GA search with the alias-consuming passes
 // excluded from the pool yields a byte-identical decision trace whether
-// summaries are attached or not. Results land in BENCH_alias.json (schema
-// checked by cmd/benchlint).
+// summaries are attached or not. Results land in BENCH_alias.json as a
+// pts.Bench, whose Check holds these gates and runs before the file is
+// written.
 func BenchmarkAliasAnalysis(b *testing.B) {
 	// Kernel subjects: hot regions over several distinct arrays or fields,
 	// where base/slot separation is provable. FFT and SOR are reported but
@@ -700,41 +603,6 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 	appNames := []string{"Sparse matmult", "Linpack", "Dhrystone", "FFT", "SOR", "MaterialLife"}
 	const minKernelDisambiguationPct = 30.0
 
-	type appRow struct {
-		App               string  `json:"app"`
-		Kernel            bool    `json:"kernel"`
-		Pairs             int     `json:"pairs"`
-		Proven            int     `json:"proven"`
-		DisambiguationPct float64 `json:"disambiguation_pct"`
-		Sites             int     `json:"sites"`
-		NonEscaping       int     `json:"non_escaping"`
-		CyclesBase        uint64  `json:"cycles_base"`
-		CyclesOpt         uint64  `json:"cycles_opt"`
-		CycleDeltaPct     float64 `json:"cycle_delta_pct"`
-		AnalysisMs        float64 `json:"analysis_ms"`
-	}
-	type vmapRow struct {
-		App          string `json:"app"`
-		Region       string `json:"region"`
-		EntriesBlind int    `json:"entries_blind"`
-		EntriesAlias int    `json:"entries_alias"`
-		StoresElided int    `json:"stores_elided"`
-	}
-
-	runProgram := func(app *core.App, code *machine.Program) (uint64, error) {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return 0, err
-		}
-		return x.Cycles, nil
-	}
-	specFor := func(name string) (apps.Spec, bool) {
-		if name == "ScratchFilter" {
-			return apps.ScratchSpec(), true
-		}
-		return apps.ByName(name)
-	}
 	aliasSpecs := []lir.PassSpec{
 		{Name: "storeforward"},
 		{Name: "dse"},
@@ -744,45 +612,21 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 		{Name: "dce"},
 	}
 
-	var rows []appRow
-	var vmaps []vmapRow
+	var rows []pts.BenchRow
+	var vmaps []pts.BenchVmapRow
 	var tvRejected int
 	traceParity := false
 	for i := 0; i < b.N; i++ {
 		rows, vmaps = nil, nil
 		tvRejected = 0
 		for _, name := range appNames {
-			spec, ok := apps.ByName(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			android, err := aot.Compile(app.Prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prof := profile.NewProfile()
-			_, x := app.NewProcessAndExec(android)
-			x.SamplePeriod = profile.SamplePeriodCycles
-			x.Sampler = prof
-			x.MaxCycles = 50_000_000_000
-			if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-				b.Fatal(err)
-			}
-			analysis := profile.Analyze(app.Prog)
-			region, ok := profile.HotRegion(app.Prog, analysis, prof)
-			if !ok {
-				b.Fatalf("%s: no replayable hot region", name)
-			}
+			app, analysis, region := benchHotRegion(b, name)
 			start := time.Now()
 			pts.Attach(analysis.Effects)
 			analysisMs := time.Since(start).Seconds() * 1000
 
 			rep := pts.BuildReport(name, analysis.Effects, region.Methods)
-			row := appRow{
+			row := pts.BenchRow{
 				App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs,
 				Pairs: rep.Totals.Pairs, Proven: rep.Totals.Proven,
 				Sites: rep.Totals.Sites, NonEscaping: rep.Totals.NonEscaping,
@@ -807,41 +651,17 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			tvRejected += rejected
 
 			// Whole-program exec-cycle delta with the memory passes on.
-			baseAll, err := lir.Compile(app.Prog, nil, base, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			optAll, err := lir.Compile(app.Prog, nil, opt, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if row.CyclesBase, err = runProgram(app, baseAll); err != nil {
-				b.Fatal(err)
-			}
-			if row.CyclesOpt, err = runProgram(app, optAll); err != nil {
-				b.Fatal(err)
-			}
+			row.CyclesBase = benchCycles(b, app, base, analysis.Effects)
+			row.CyclesOpt = benchCycles(b, app, opt, analysis.Effects)
 			row.CycleDeltaPct = (float64(row.CyclesOpt)/float64(row.CyclesBase) - 1) * 100
-
-			if row.Kernel && row.DisambiguationPct < minKernelDisambiguationPct {
-				b.Fatalf("%s: alias analysis disambiguated %.0f%% of same-kind pairs, want >= %.0f%%",
-					name, row.DisambiguationPct, minKernelDisambiguationPct)
-			}
 			rows = append(rows, row)
-		}
-		if tvRejected > 0 {
-			b.Fatalf("%d tv rejections on alias-pass pipelines (passes must never be Rejected)", tvRejected)
 		}
 
 		// Verification-map shrink: regions whose hot code allocates scratch
 		// objects the analysis proves non-escaping, built with summaries
 		// nulled (blind) and attached.
 		for _, name := range []string{"ScratchFilter", "MaterialLife"} {
-			spec, _ := specFor(name)
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			app := benchApp(b, name)
 			opt := core.New(core.DefaultOptions())
 			p, err := opt.Prepare(app)
 			if err != nil {
@@ -859,10 +679,7 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(aware.Entries) > len(blind.Entries) {
-				b.Fatalf("%s: alias-aware vmap grew (%d -> %d entries)", name, len(blind.Entries), len(aware.Entries))
-			}
-			vmaps = append(vmaps, vmapRow{
+			vmaps = append(vmaps, pts.BenchVmapRow{
 				App:          name,
 				Region:       app.Prog.Methods[p.Region.Root].Name,
 				EntriesBlind: len(blind.Entries),
@@ -870,32 +687,9 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 				StoresElided: aware.StoresElided,
 			})
 		}
-		shrunk := 0
-		for _, v := range vmaps {
-			shrunk += v.EntriesBlind - v.EntriesAlias
-		}
-		if shrunk <= 0 {
-			b.Fatal("alias-aware verification maps show no size win over the blind maps")
-		}
 
-		// Trace parity: with the alias-consuming passes excluded from the
-		// search pool, attached summaries must be invisible to the GA —
-		// byte-identical decision traces with and without them.
-		p, _, err := exp.PrepareApp("Fibonacci.recv", benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := benchScale(b).GA
-		opts.BaselineAndroidMs = p.AndroidEval.MeanMs
-		opts.BaselineO3Ms = p.O3Eval.MeanMs
-		opts.ExcludePasses = []string{"storeforward", "dse", "licm", "stackalloc"}
-		withAlias := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		p.Analysis.Effects.Alias = nil
-		withoutAlias := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		traceParity = withAlias == withoutAlias
-		if !traceParity {
-			b.Fatal("decision trace changed when alias summaries were attached but the passes were unselected")
-		}
+		traceParity = benchTraceParity(b, []string{"storeforward", "dse", "licm", "stackalloc"},
+			func(eff *sa.Result) { eff.Alias = nil })
 	}
 
 	var proven, pairs, elided int
@@ -913,25 +707,19 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 	b.ReportMetric(float64(elided), "stores-elided")
 	b.ReportMetric(analysisMs/float64(len(rows)), "analysis-ms/app")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":                1,
-		"benchmark":                     "AliasAnalysis",
-		"apps":                          rows,
-		"vmap":                          vmaps,
-		"kernel_min_disambiguation_pct": minKernelDisambiguationPct,
-		"pairs_proven":                  proven,
-		"pairs_total":                   pairs,
-		"stores_elided":                 elided,
-		"tv_rejected":                   tvRejected,
-		"trace_parity":                  traceParity,
-		"trace_app":                     "Fibonacci.recv",
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_alias.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_alias.json", &pts.Bench{
+		Apps:          rows,
+		Benchmark:     "AliasAnalysis",
+		KernelMinPct:  minKernelDisambiguationPct,
+		PairsProven:   proven,
+		PairsTotal:    pairs,
+		SchemaVersion: pts.BenchSchemaVersion,
+		StoresElided:  elided,
+		TraceApp:      "Fibonacci.recv",
+		TraceParity:   traceParity,
+		TVRejected:    tvRejected,
+		Vmap:          vmaps,
+	})
 	fmt.Printf("alias analysis: %d/%d same-kind pairs disambiguated; %d vmap stores elided; tv rejects %d; trace parity %v\n",
 		proven, pairs, elided, tvRejected, traceParity)
 	for _, r := range rows {
@@ -987,34 +775,17 @@ func main() int {
 // overhead with the checker attached, verdict composition at each preset,
 // and — with the deliberately miscompiling tvbreak pass dropped into the
 // catalog — how many candidates a validated search discards statically and
-// how many replay evaluations that saves. Results land in BENCH_tv.json.
+// how many replay evaluations that saves. Results land in BENCH_tv.json
+// (tv.Bench, checked by cmd/benchlint).
 func BenchmarkTranslationValidation(b *testing.B) {
 	appNames := []string{"FFT", "BubbleSort", "MaterialLife", "DroidFish"}
 
-	type presetRow struct {
-		App        string  `json:"app"`
-		Preset     string  `json:"preset"`
-		PlainMs    float64 `json:"compile_ms"`
-		CheckedMs  float64 `json:"compile_checked_ms"`
-		PerPassUs  float64 `json:"validate_per_pass_us"`
-		Verified   int     `json:"verified"`
-		Unverified int     `json:"unverified"`
-		Rejected   int     `json:"rejected"`
-	}
-
-	var rows []presetRow
+	var rows []tv.BenchRow
 	var tvRejects, savedReplays int
 	for i := 0; i < b.N; i++ {
 		rows = nil
 		for _, name := range appNames {
-			spec, ok := apps.ByName(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			app := benchApp(b, name)
 			for _, preset := range []string{"O1", "O2", "O3"} {
 				cfg, _ := lir.Preset(preset)
 				start := time.Now()
@@ -1030,7 +801,7 @@ func BenchmarkTranslationValidation(b *testing.B) {
 					b.Fatal(err)
 				}
 				checkedMs := time.Since(start).Seconds() * 1000
-				row := presetRow{App: name, Preset: preset, PlainMs: plainMs, CheckedMs: checkedMs}
+				row := tv.BenchRow{App: name, Preset: preset, PlainMs: plainMs, CheckedMs: checkedMs}
 				row.Verified, row.Unverified, row.Rejected = chk.Counts()
 				if n := len(chk.Verdicts); n > 0 {
 					row.PerPassUs = (checkedMs - plainMs) * 1000 / float64(n)
@@ -1082,23 +853,17 @@ func BenchmarkTranslationValidation(b *testing.B) {
 	b.ReportMetric(float64(tvRejects), "tv-rejects")
 	b.ReportMetric(float64(savedReplays), "replay-evals-saved")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":     1,
-		"benchmark":          "TranslationValidation",
-		"presets":            rows,
-		"compile_ms":         plain,
-		"compile_checked_ms": checked,
-		"verified":           verified,
-		"unverified":         unverified,
-		"tv_rejects":         tvRejects,
-		"replay_evals_saved": savedReplays,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_tv.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_tv.json", &tv.Bench{
+		Benchmark:        "TranslationValidation",
+		CompileCheckedMs: checked,
+		CompileMs:        plain,
+		Presets:          rows,
+		ReplayEvalsSaved: savedReplays,
+		SchemaVersion:    tv.BenchSchemaVersion,
+		TVRejects:        tvRejects,
+		Unverified:       unverified,
+		Verified:         verified,
+	})
 	fmt.Printf("translation validation: %.0f%% compile overhead; %d/%d passes verified; %d candidates rejected statically, %d replays saved\n",
 		(checked-plain)/plain*100, verified, verified+unverified, tvRejects, savedReplays)
 }
@@ -1107,8 +872,8 @@ func BenchmarkTranslationValidation(b *testing.B) {
 // seeded GA search swept across worker counts on warm replay workers. Every
 // cell of the sweep must produce a byte-identical decision trace (the
 // determinism guarantee); only the wall clock may differ. Rows with
-// evals/sec per cell land in BENCH_parallel.json (schema v4, validated and
-// regression-checked by cmd/benchlint), alongside the restore/clone/reset
+// evals/sec per cell land in BENCH_parallel.json (core.Bench, checked and
+// regression-gated by cmd/benchlint), alongside the restore/clone/reset
 // histograms that show how the warm path amortizes the snapshot restore.
 //
 // The subject is Fibonacci.recv. Its search is compile-bound, not
@@ -1132,13 +897,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 		sweep = append(sweep, cpus)
 	}
 
-	type sweepRow struct {
-		Workers     int     `json:"workers"`
-		Ms          float64 `json:"ms"`
-		Evaluations int     `json:"evaluations"`
-		EvalsPerSec float64 `json:"evals_per_sec"`
-	}
-	var rows []sweepRow
+	var rows []core.BenchRow
 	var res *ga.Result
 	var col *obs.Collect
 	var reg *obs.Registry
@@ -1183,7 +942,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 			} else if trace != refTrace {
 				b.Fatalf("search diverged at workers=%d", w)
 			}
-			rows = append(rows, sweepRow{
+			rows = append(rows, core.BenchRow{
 				Workers:     w,
 				Ms:          ms,
 				Evaluations: r.Stats.Evaluations,
@@ -1197,23 +956,15 @@ func BenchmarkSearchParallel(b *testing.B) {
 	b.ReportMetric(par.Ms, "parallel-ms")
 	b.ReportMetric(par.EvalsPerSec, "evals/sec")
 
-	type genRow struct {
-		Gen       int     `json:"gen"`
-		Evals     int     `json:"evals"`
-		CacheHits int     `json:"cache_hits"`
-		P50Ms     float64 `json:"eval_p50_ms"`
-		P99Ms     float64 `json:"eval_p99_ms"`
-		BestSpeed float64 `json:"best_speedup"`
-	}
-	var gens []genRow
+	var gens []core.BenchGeneration
 	for _, sd := range col.ByName("ga.generation") {
-		gens = append(gens, genRow{
-			Gen:       int(obs.Num(sd.Attrs, "gen")),
-			Evals:     int(obs.Num(sd.Attrs, "evals")),
-			CacheHits: int(obs.Num(sd.Attrs, "cache_hits")),
-			P50Ms:     obs.Num(sd.Attrs, "eval_p50_ms"),
-			P99Ms:     obs.Num(sd.Attrs, "eval_p99_ms"),
-			BestSpeed: obs.Num(sd.Attrs, "best_speedup"),
+		gens = append(gens, core.BenchGeneration{
+			Gen:         int(obs.Num(sd.Attrs, "gen")),
+			Evals:       int(obs.Num(sd.Attrs, "evals")),
+			CacheHits:   int(obs.Num(sd.Attrs, "cache_hits")),
+			EvalP50Ms:   obs.Num(sd.Attrs, "eval_p50_ms"),
+			EvalP99Ms:   obs.Num(sd.Attrs, "eval_p99_ms"),
+			BestSpeedup: obs.Num(sd.Attrs, "best_speedup"),
 		})
 	}
 	evalHist := reg.Histogram("ga.eval_ms")
@@ -1221,32 +972,26 @@ func BenchmarkSearchParallel(b *testing.B) {
 	cloneHist := reg.Histogram("replay.clone_ms")
 	resetHist := reg.Histogram("replay.reset_ms")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":  4,
-		"benchmark":       "SearchParallel",
-		"app":             searchParallelApp,
-		"scale":           scale.Name,
-		"max_workers":     maxW,
-		"rows":            rows,
-		"evaluations":     res.Stats.Evaluations,
-		"cache_hits":      res.Stats.CacheHits,
-		"considered":      res.Stats.Considered,
-		"saved_replay_ms": res.Stats.SavedReplayMs,
-		"eval_p50_ms":     evalHist.Quantile(0.50),
-		"eval_p99_ms":     evalHist.Quantile(0.99),
-		"restore_p50_ms":  restoreHist.Quantile(0.50),
-		"clone_p50_ms":    cloneHist.Quantile(0.50),
-		"reset_p50_ms":    resetHist.Quantile(0.50),
-		"template_builds": reg.Counter("replay.template_builds").Value(),
-		"warm_runs":       reg.Counter("replay.warm_runs").Value(),
-		"generations":     gens,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_parallel.json", &core.Bench{
+		App:            searchParallelApp,
+		Benchmark:      "SearchParallel",
+		CacheHits:      res.Stats.CacheHits,
+		CloneP50Ms:     cloneHist.Quantile(0.50),
+		Considered:     res.Stats.Considered,
+		EvalP50Ms:      evalHist.Quantile(0.50),
+		EvalP99Ms:      evalHist.Quantile(0.99),
+		Evaluations:    res.Stats.Evaluations,
+		Generations:    gens,
+		MaxWorkers:     maxW,
+		ResetP50Ms:     resetHist.Quantile(0.50),
+		RestoreP50Ms:   restoreHist.Quantile(0.50),
+		Rows:           rows,
+		SavedReplayMs:  res.Stats.SavedReplayMs,
+		Scale:          scale.Name,
+		SchemaVersion:  core.BenchSchemaVersion,
+		TemplateBuilds: reg.Counter("replay.template_builds").Value(),
+		WarmRuns:       reg.Counter("replay.warm_runs").Value(),
+	})
 	fmt.Printf("search sweep (workers):\n")
 	for _, r := range rows {
 		fmt.Printf("  workers=%-2d %8.0f ms  %6.1f evals/sec\n", r.Workers, r.Ms, r.EvalsPerSec)
@@ -1259,8 +1004,8 @@ func BenchmarkSearchParallel(b *testing.B) {
 // (DESIGN.md §10) against the version-1 gob+gzip blob on a multi-capture
 // store — the §3.2 storage budget next to Fig. 11 — plus save/load/
 // materialize latency and the corruption-recovery rate of the record
-// format. Results land in BENCH_store.json (schema checked by
-// `storelint -validate-bench`).
+// format. Results land in BENCH_store.json (castore.Bench, checked by
+// cmd/benchlint).
 func BenchmarkSnapshotStore(b *testing.B) {
 	const captures = 4
 	store, err := benchCaptureStore(captures)
@@ -1377,7 +1122,7 @@ func BenchmarkSnapshotStore(b *testing.B) {
 	b.ReportMetric(st.DedupRatio(), "dedup-x")
 	b.ReportMetric(recoveryRate, "recovery-rate")
 
-	artifact, err := json.MarshalIndent(castore.Bench{
+	writeArtifact(b, "BENCH_store.json", &castore.Bench{
 		Benchmark:         "SnapshotStore",
 		Captures:          captures,
 		CastoreBytes:      casBytes,
@@ -1393,16 +1138,7 @@ func BenchmarkSnapshotStore(b *testing.B) {
 		SaveMs:            saveMs,
 		SchemaVersion:     castore.BenchSchemaVersion,
 		TornTailRecovered: tornRecovered,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := castore.ValidateBenchJSON(artifact); err != nil {
-		b.Fatalf("emitted artifact fails own schema: %v", err)
-	}
-	if err := os.WriteFile("BENCH_store.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	})
 	fmt.Printf("snapshot store: %d captures, raw %.2f MB; legacy %.2f MB -> castore %.2f MB (%.2fx dedup); save %.1f ms, load %.1f ms, materialize %.1f ms; corruption recovery %d/%d, torn tail recovered: %v\n",
 		captures, float64(rawBytes)/(1<<20), float64(legacyBytes)/(1<<20), float64(casBytes)/(1<<20),
 		st.DedupRatio(), saveMs, loadMs, matMs, recovered, trials, tornRecovered)

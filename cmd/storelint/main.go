@@ -8,15 +8,14 @@
 //	storelint -repair store.cas      # rewrite, dropping damaged snapshots
 //	storelint -json store.cas > store.json
 //	storelint -validate < store.json
-//	storelint -validate-bench < BENCH_store.json
 //
 // -json emits the machine-readable report (schema_version 1); -validate
 // reads a report from stdin and structurally checks it — CI pipes one into
-// the other, like salint and tvlint. -validate-bench checks the
-// BENCH_store.json artifact emitted by BenchmarkSnapshotStore. -verify
-// exits 1 when the scan finds damaged records, a torn tail, a lost index,
-// or skipped snapshots; plain stat mode reports the same facts but exits 0
-// (a degraded store is still usable — every complete snapshot replays).
+// the other, like salint and tvlint. -verify exits 1 when the scan finds
+// damaged records, a torn tail, a lost index, or skipped snapshots; plain
+// stat mode reports the same facts but exits 0 (a degraded store is still
+// usable — every complete snapshot replays). The BENCH_store.json artifact
+// is checked by benchlint, like every other benchmark artifact.
 package main
 
 import (
@@ -35,20 +34,15 @@ func main() {
 	repair := flag.Bool("repair", false, "rewrite the store keeping only recoverable snapshots")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable report instead of tables")
 	validate := flag.Bool("validate", false, "read a JSON report from stdin and validate its structure")
-	validateBench := flag.Bool("validate-bench", false, "read BENCH_store.json from stdin and validate its structure")
 	flag.Parse()
 
-	if *validate || *validateBench {
+	if *validate {
 		data, err := io.ReadAll(os.Stdin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		check := castore.ValidateReportJSON
-		if *validateBench {
-			check = castore.ValidateBenchJSON
-		}
-		if err := check(data); err != nil {
+		if err := castore.ValidateReportJSON(data); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"replayopt/internal/schema"
 	"replayopt/internal/schema/schematest"
 )
 
@@ -294,7 +295,8 @@ func TestBenchRejectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateBenchJSON(data); err != nil {
+	validate := func(data []byte) error { return schema.Decode(data, new(Bench)) }
+	if err := validate(data); err != nil {
 		t.Fatalf("valid artifact rejected: %v", err)
 	}
 	set := func(key string, v any) func(doc map[string]any) {
@@ -314,7 +316,7 @@ func TestBenchRejectionParity(t *testing.T) {
 	)
 	// Recorded against the map-based validator this decode replaced; it
 	// rejected every other case.
-	schematest.Run(t, ValidateBenchJSON, cases, map[string]string{
+	schematest.Run(t, validate, cases, map[string]string{
 		"fractional schema_version": "fractional schema_version",
 		"fractional captures":       "fractional count",
 		"negative chunks_reused":    "negative count",

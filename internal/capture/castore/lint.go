@@ -317,12 +317,3 @@ func (b *Bench) Check() error {
 	}
 	return nil
 }
-
-// ValidateBenchJSON strictly decodes a BENCH_store.json artifact and checks
-// its invariants (CI's bench-schema check).
-func ValidateBenchJSON(data []byte) error {
-	if err := schema.Decode(data, new(Bench)); err != nil {
-		return fmt.Errorf("BENCH_store.json: %w", err)
-	}
-	return nil
-}

@@ -73,8 +73,6 @@ type Options struct {
 	OnlineRuns int
 	// Seed drives every stochastic component.
 	Seed int64
-	// MaxReplayCycles guards candidate binaries; 0 = derived from baseline.
-	MaxReplayCycles uint64
 	// TVCheck attaches the translation validator to every candidate compile:
 	// each pass application is strict-verified and equivalence-checked
 	// against its input, and a provable miscompile aborts the compile with a

@@ -169,28 +169,32 @@ type WorkerBinder interface {
 	ReleaseWorker(Evaluator)
 }
 
-// Options are the §4 search hyperparameters (defaults mirror the paper).
+// The §4 search hyperparameters that never vary between runs.
+const (
+	minGenomeLen     = 2    // crossover minimum
+	maxGenomeLen     = 24   // random-genome cap
+	mutateGenomeProb = 0.05 // chance a child genome is mutated at all
+	mutateGeneProb   = 0.05 // chance each gene of a mutated genome changes
+	tournamentSize   = 7    // genomes drawn per tournament
+	tournamentProb   = 0.9  // chance each pick, fittest first, is taken
+	maxIdentical     = 100  // 100 identical binaries halt the search
+	stallGenerations = 4    // generations without improvement before halting
+	gen1Retries      = 3    // up-to-3 replacement of bad first-gen genomes
+	// seedPresets injects the -O1/-O2/-O3 genomes into the first
+	// generation, guaranteeing the search never ends below the presets.
+	seedPresets = true
+)
+
+// Options are the §4 search budgets (defaults mirror the paper) and the
+// search's execution settings.
 type Options struct {
-	Generations      int     // 11 total, first random
-	Population       int     // 50
-	Replays          int     // 10 evaluations per genome (evaluator-side)
-	MinGenomeLen     int     // crossover minimum
-	MaxGenomeLen     int     // random-genome cap
-	MutateGenomeProb float64 // 0.05
-	MutateGeneProb   float64 // 0.05
-	TournamentSize   int     // 7
-	TournamentProb   float64 // 0.9
-	MaxIdentical     int     // 100 identical binaries halt the search
-	StallGenerations int     // generations without improvement before halting
-	Gen1Retries      int     // up-to-3 replacement of bad first-gen genomes
-	HillClimbBudget  int     // extra evaluations for the final hill climb
+	Generations     int // 11 total, first random
+	Population      int // 50
+	HillClimbBudget int // extra evaluations for the final hill climb
 	// BaselineMs are the Android-compiler and LLVM -O3 replay means the
 	// first generation is biased against (§4).
 	BaselineAndroidMs float64
 	BaselineO3Ms      float64
-	// SeedPresets injects the -O1/-O2/-O3 genomes into the first
-	// generation, guaranteeing the search never ends below the presets.
-	SeedPresets bool
 	// Parallelism bounds the worker pool that evaluates each generation's
 	// candidates (0 or less = one worker per core). Search decisions stay
 	// serial, so any value yields the same trace for the same seed.
@@ -226,22 +230,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
-	return Options{
-		SeedPresets:      true,
-		Generations:      11,
-		Population:       50,
-		Replays:          10,
-		MinGenomeLen:     2,
-		MaxGenomeLen:     24,
-		MutateGenomeProb: 0.05,
-		MutateGeneProb:   0.05,
-		TournamentSize:   7,
-		TournamentProb:   0.9,
-		MaxIdentical:     100,
-		StallGenerations: 4,
-		Gen1Retries:      3,
-		HillClimbBudget:  30,
-	}
+	return Options{Generations: 11, Population: 50, HillClimbBudget: 30}
 }
 
 // EvalRecord is one evaluated genome, in evaluation order (Fig. 9's x-axis).
@@ -430,7 +419,7 @@ func (s *searcher) run() *Result {
 	halt := "generation budget"
 
 	for s.gen = 1; s.gen < s.opts.Generations; s.gen++ {
-		if s.identicalRun >= s.opts.MaxIdentical {
+		if s.identicalRun >= maxIdentical {
 			halt = "identical-binaries limit"
 			break
 		}
@@ -445,7 +434,7 @@ func (s *searcher) run() *Result {
 			stall++
 		}
 		s.endPhase(best)
-		if !improved && stall >= s.opts.StallGenerations {
+		if !improved && stall >= stallGenerations {
 			halt = "no improvement"
 			break
 		}
@@ -521,14 +510,14 @@ func (s *searcher) bestOf(pop []scored) scored {
 // firstGeneration is random, with redundant-pass removal and up-to-N
 // replacement of genomes worse than both baselines (§4). The whole
 // generation is drawn serially, measured as one batch, and then refined in
-// up to Gen1Retries replacement rounds: every random genome still worse
+// up to gen1Retries replacement rounds: every random genome still worse
 // than both baselines is redrawn (in index order) and the replacements are
 // measured as the next batch.
 func (s *searcher) firstGeneration() []scored {
 	s.gen = 0
 	genomes := make([]*Genome, 0, s.opts.Population)
 	presets := 0
-	if s.opts.SeedPresets {
+	if seedPresets {
 		for _, preset := range []string{"O1", "O2", "O3"} {
 			if len(genomes) >= s.opts.Population-1 {
 				break
@@ -545,7 +534,7 @@ func (s *searcher) firstGeneration() []scored {
 	}
 	evs := s.measureBatch(genomes)
 
-	for try := 0; try < s.opts.Gen1Retries; try++ {
+	for try := 0; try < gen1Retries; try++ {
 		var redo []int
 		for i := presets; i < len(genomes); i++ {
 			if s.worseThanBaselines(evs[i]) {
@@ -585,7 +574,7 @@ func (s *searcher) worseThanBaselines(ev Evaluation) bool {
 }
 
 func (s *searcher) randomGenome() *Genome {
-	n := s.opts.MinGenomeLen + s.rng.Intn(s.opts.MaxGenomeLen-s.opts.MinGenomeLen+1)
+	n := minGenomeLen + s.rng.Intn(maxGenomeLen-minGenomeLen+1)
 	g := &Genome{}
 	for i := 0; i < n; i++ {
 		g.Genes = append(g.Genes, s.randomGene())
@@ -660,7 +649,7 @@ func (s *searcher) nextGeneration(pop []scored) []scored {
 			b = s.tournament(sorted)
 		}
 		child := s.crossover(a, b)
-		if s.rng.Float64() < s.opts.MutateGenomeProb {
+		if s.rng.Float64() < mutateGenomeProb {
 			s.mutate(child)
 		}
 		dedupeAdjacent(child)
@@ -673,14 +662,14 @@ func (s *searcher) nextGeneration(pop []scored) []scored {
 }
 
 func (s *searcher) tournament(sorted []scored) *Genome {
-	k := min(s.opts.TournamentSize, len(sorted))
+	k := min(tournamentSize, len(sorted))
 	picks := make([]int, k)
 	for i := range picks {
 		picks[i] = s.rng.Intn(len(sorted))
 	}
 	sort.Ints(picks) // sorted[] is fitness-ordered: lower index = fitter
 	for _, p := range picks {
-		if s.rng.Float64() < s.opts.TournamentProb {
+		if s.rng.Float64() < tournamentProb {
 			return sorted[p].genome
 		}
 	}
@@ -700,14 +689,14 @@ func (s *searcher) crossover(a, b *Genome) *Genome {
 		ca := s.rng.Intn(len(a.Genes) + 1)
 		cb := s.rng.Intn(len(b.Genes) + 1)
 		n := ca + (len(b.Genes) - cb)
-		if n < s.opts.MinGenomeLen {
+		if n < minGenomeLen {
 			continue
 		}
 		child := &Genome{}
 		child.Genes = append(child.Genes, a.Clone().Genes[:ca]...)
 		child.Genes = append(child.Genes, b.Clone().Genes[cb:]...)
-		if len(child.Genes) > s.opts.MaxGenomeLen*2 {
-			child.Genes = child.Genes[:s.opts.MaxGenomeLen*2]
+		if len(child.Genes) > maxGenomeLen*2 {
+			child.Genes = child.Genes[:maxGenomeLen*2]
 		}
 		return child
 	}
@@ -719,13 +708,13 @@ func (s *searcher) crossover(a, b *Genome) *Genome {
 func (s *searcher) mutate(g *Genome) {
 	var out []Gene
 	for _, gn := range g.Genes {
-		if s.rng.Float64() >= s.opts.MutateGeneProb {
+		if s.rng.Float64() >= mutateGeneProb {
 			out = append(out, gn)
 			continue
 		}
 		switch s.rng.Intn(3) {
 		case 0: // disable: drop the gene
-			if len(g.Genes) > s.opts.MinGenomeLen {
+			if len(g.Genes) > minGenomeLen {
 				continue
 			}
 			out = append(out, gn)
@@ -735,8 +724,8 @@ func (s *searcher) mutate(g *Genome) {
 			out = append(out, gn, s.randomGene())
 		}
 	}
-	if len(out) < s.opts.MinGenomeLen {
-		for len(out) < s.opts.MinGenomeLen {
+	if len(out) < minGenomeLen {
+		for len(out) < minGenomeLen {
 			out = append(out, s.randomGene())
 		}
 	}
@@ -774,7 +763,7 @@ func (s *searcher) hillClimb(best scored) scored {
 		improved = false
 		for i := 0; i < len(best.genome.Genes) && budget > 0; i++ {
 			// Neighbor 1: drop gene i.
-			if len(best.genome.Genes) > s.opts.MinGenomeLen {
+			if len(best.genome.Genes) > minGenomeLen {
 				n := best.genome.Clone()
 				n.Genes = append(n.Genes[:i], n.Genes[i+1:]...)
 				ev := s.measure(n)

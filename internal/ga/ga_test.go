@@ -1,6 +1,8 @@
 package ga
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
@@ -398,5 +400,24 @@ func TestMutationPreservesValidity(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecisionTraceDigests pins the full decision trace of two seeded
+// searches over the synthetic landscape. Every §4 hyperparameter steers
+// these traces, so a change to any of them, or to the order of the search's
+// RNG draws, changes a digest.
+func TestDecisionTraceDigests(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{
+		{1, "900d186bc76f7aa8f9b9481b595fdc1647239f6f44105ea1b06e1869cbf0c0c8"},
+		{7, "7e26729a6ae32bd0226e929853cefcb1b60c29cf96a9f4ef1ccb52f514239177"},
+	} {
+		res, _ := searchOnce(t, c.seed)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.DecisionTrace()))); got != c.want {
+			t.Errorf("seed %d: decision trace digest %s, want %s", c.seed, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package tv_test
 
 import (
+	"os"
+	"reflect"
 	"testing"
 
 	"replayopt/internal/aot"
@@ -9,6 +11,8 @@ import (
 	"replayopt/internal/lir"
 	"replayopt/internal/lir/tv"
 	"replayopt/internal/profile"
+	"replayopt/internal/schema"
+	"replayopt/internal/schema/schematest"
 )
 
 // regionOf profiles one online run of the app and returns its hot region's
@@ -65,4 +69,41 @@ func BenchmarkChecker(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestBenchRejectionParity runs the BENCH_tv.json rejection corpus over the
+// committed artifact.
+func TestBenchRejectionParity(t *testing.T) {
+	data, err := os.ReadFile("../../../BENCH_tv.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := func(data []byte) error { return schema.Decode(data, new(tv.Bench)) }
+	if err := validate(data); err != nil {
+		t.Fatalf("committed artifact rejected: %v", err)
+	}
+	set := func(key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc[key] = v }
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(tv.Bench{})),
+		schematest.Corrupt(t, data, "wrong schema version", set("schema_version", 2)),
+		schematest.Corrupt(t, data, "wrong benchmark", set("benchmark", "Other")),
+		schematest.Corrupt(t, data, "no preset rows", set("presets", []any{})),
+		schematest.Corrupt(t, data, "verified drift", set("verified", 1)),
+		schematest.Corrupt(t, data, "unverified drift", set("unverified", 1)),
+		schematest.Corrupt(t, data, "duplicate app and preset", func(doc map[string]any) {
+			rows := doc["presets"].([]any)
+			first := rows[0].(map[string]any)
+			doc["presets"] = append(rows, first)
+			for _, k := range []string{"verified", "unverified"} {
+				doc[k] = doc[k].(float64) + first[k].(float64)
+			}
+		}),
+		schematest.Corrupt(t, data, "unknown key", set("extra", 1)),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Nothing checked BENCH_tv.json's content before this type: benchlint
+	// refused every document, the committed one included, as an unknown
+	// benchmark. So no case was accepted before, and no record is kept.
+	schematest.Run(t, validate, cases, nil)
 }

@@ -3,6 +3,7 @@ package pts_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"replayopt/internal/minic"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
+	"replayopt/internal/schema"
 	"replayopt/internal/schema/schematest"
 )
 
@@ -355,5 +357,82 @@ func TestReportRejectionParity(t *testing.T) {
 		"methods[0].witnesses[0].expr deleted":     "missing key, optional before",
 		"methods[0].witnesses[0].expr wrong type":  "key unchecked before",
 		"unknown key": "unknown key",
+	})
+}
+
+// TestBenchRejectionParity runs the BENCH_alias.json rejection corpus over
+// the committed artifact.
+func TestBenchRejectionParity(t *testing.T) {
+	data, err := os.ReadFile("../../../BENCH_alias.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := func(data []byte) error { return schema.Decode(data, new(pts.Bench)) }
+	if err := validate(data); err != nil {
+		t.Fatalf("committed artifact rejected: %v", err)
+	}
+	set := func(key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc[key] = v }
+	}
+	setIn := func(array, key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc[array].([]any)[0].(map[string]any)[key] = v }
+	}
+	// appendFirst duplicates the first row of an array and adds it to the
+	// totals, so only the duplicate key is wrong.
+	appendFirst := func(array string, totals map[string]string) func(doc map[string]any) {
+		return func(doc map[string]any) {
+			rows := doc[array].([]any)
+			first := rows[0].(map[string]any)
+			doc[array] = append(rows, first)
+			for total, key := range totals { //detlint:allow map-range — independent updates
+				doc[total] = doc[total].(float64) + first[key].(float64)
+			}
+		}
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(pts.Bench{})),
+		schematest.Corrupt(t, data, "wrong schema version", set("schema_version", 2)),
+		schematest.Corrupt(t, data, "wrong benchmark", set("benchmark", "Other")),
+		schematest.Corrupt(t, data, "no app rows", set("apps", []any{})),
+		schematest.Corrupt(t, data, "missing app name", setIn("apps", "app", "")),
+		schematest.Corrupt(t, data, "proven exceeds pairs", setIn("apps", "proven", 999)),
+		schematest.Corrupt(t, data, "non_escaping exceeds sites", setIn("apps", "non_escaping", 999)),
+		schematest.Corrupt(t, data, "zero exec cycles", setIn("apps", "cycles_base", 0)),
+		schematest.Corrupt(t, data, "kernel below the floor", setIn("apps", "disambiguation_pct", 1)),
+		schematest.Corrupt(t, data, "no kernel subjects", func(doc map[string]any) {
+			for _, r := range doc["apps"].([]any) {
+				r.(map[string]any)["kernel"] = false
+			}
+		}),
+		schematest.Corrupt(t, data, "pairs_total drift", set("pairs_total", 999)),
+		schematest.Corrupt(t, data, "missing vmap app name", setIn("vmap", "app", "")),
+		schematest.Corrupt(t, data, "vmap grew", setIn("vmap", "entries_alias", 999)),
+		schematest.Corrupt(t, data, "stores_elided drift", set("stores_elided", 1)),
+		schematest.Corrupt(t, data, "no vmap shrink", set("vmap", []any{})),
+		schematest.Corrupt(t, data, "tv rejection", set("tv_rejected", 1)),
+		schematest.Corrupt(t, data, "no trace parity", set("trace_parity", false)),
+		schematest.Corrupt(t, data, "missing trace_app", set("trace_app", "")),
+		schematest.Corrupt(t, data, "duplicate app", appendFirst("apps", map[string]string{"pairs_proven": "proven", "pairs_total": "pairs"})),
+		schematest.Corrupt(t, data, "duplicate vmap app", appendFirst("vmap", map[string]string{"stores_elided": "stores_elided"})),
+		schematest.Corrupt(t, data, "fractional pairs", setIn("apps", "pairs", 62.5)),
+		schematest.Corrupt(t, data, "unknown key", set("extra", 1)),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against benchlint's loose decode into its own copy of this
+	// struct and its validateAlias, which this decode replaced; it rejected
+	// every other case.
+	schematest.Run(t, validate, cases, map[string]string{
+		"apps[0].kernel deleted":                "missing key",
+		"apps[0].sites deleted":                 "missing key",
+		"apps[0].non_escaping deleted":          "missing key",
+		"apps[0].analysis_ms deleted":           "missing key",
+		"kernel_min_disambiguation_pct deleted": "missing key",
+		"tv_rejected deleted":                   "missing key",
+		"vmap[0].region deleted":                "missing key",
+		"vmap[0].entries_alias deleted":         "missing key",
+		"apps[0].cycle_delta_pct deleted":       "key missing from benchlint's copy",
+		"apps[0].cycle_delta_pct wrong type":    "key missing from benchlint's copy",
+		"duplicate app":                         "duplicate key, hid a regression from -compare",
+		"duplicate vmap app":                    "duplicate key, hid a regression from -compare",
+		"unknown key":                           "unknown key",
 	})
 }

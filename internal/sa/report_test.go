@@ -2,12 +2,14 @@ package sa_test
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"replayopt/internal/apps"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 	"replayopt/internal/schema/schematest"
 )
 
@@ -159,4 +161,45 @@ func TestReportRejectionParity(t *testing.T) {
 		"fractional schema_version":          "fractional count",
 		"fractional coverage.methods":        "fractional count",
 	})
+}
+
+// TestBenchRejectionParity runs the BENCH_sa.json rejection corpus over the
+// committed artifact.
+func TestBenchRejectionParity(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_sa.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := func(data []byte) error { return schema.Decode(data, new(sa.Bench)) }
+	if err := validate(data); err != nil {
+		t.Fatalf("committed artifact rejected: %v", err)
+	}
+	set := func(key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc[key] = v }
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(sa.Bench{})),
+		schematest.Corrupt(t, data, "wrong schema version", set("schema_version", 1)),
+		schematest.Corrupt(t, data, "wrong benchmark", set("benchmark", "Other")),
+		schematest.Corrupt(t, data, "no app rows", set("apps", []any{})),
+		schematest.Corrupt(t, data, "deep_replayable_blocklist drift", set("deep_replayable_blocklist", 999)),
+		schematest.Corrupt(t, data, "deep_replayable_effects drift", set("deep_replayable_effects", 999)),
+		schematest.Corrupt(t, data, "gcchk_eliminated drift", set("gcchk_eliminated", 999)),
+		schematest.Corrupt(t, data, "callv_devirtualized drift", set("callv_devirtualized", 999)),
+		schematest.Corrupt(t, data, "duplicate app", func(doc map[string]any) {
+			apps := doc["apps"].([]any)
+			first := apps[0].(map[string]any)
+			doc["apps"] = append(apps, first)
+			for _, k := range []string{"deep_replayable_blocklist", "deep_replayable_effects"} {
+				doc[k] = doc[k].(float64) + first[k].(float64)
+			}
+			doc["gcchk_eliminated"] = doc["gcchk_eliminated"].(float64) + first["gcchk_baseline"].(float64) - first["gcchk_effects"].(float64)
+			doc["callv_devirtualized"] = doc["callv_devirtualized"].(float64) + first["callv_baseline"].(float64) - first["callv_effects"].(float64)
+		}),
+		schematest.Corrupt(t, data, "unknown key", set("extra", 1)),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Nothing checked BENCH_sa.json's content before this type: benchlint
+	// refused every document, the committed one included, as an unknown
+	// benchmark. So no case was accepted before, and no record is kept.
+	schematest.Run(t, validate, cases, nil)
 }

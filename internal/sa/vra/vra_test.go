@@ -3,6 +3,7 @@ package vra_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"replayopt/internal/minic"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/vra"
+	"replayopt/internal/schema"
 	"replayopt/internal/schema/schematest"
 )
 
@@ -299,5 +301,65 @@ func TestReportRejectionParity(t *testing.T) {
 		"methods[0].witnesses[0].expr deleted":     "missing key, optional before",
 		"methods[0].witnesses[0].expr wrong type":  "key unchecked before",
 		"unknown key": "unknown key",
+	})
+}
+
+// TestBenchRejectionParity runs the BENCH_range.json rejection corpus over
+// the committed artifact.
+func TestBenchRejectionParity(t *testing.T) {
+	data, err := os.ReadFile("../../../BENCH_range.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := func(data []byte) error { return schema.Decode(data, new(vra.Bench)) }
+	if err := validate(data); err != nil {
+		t.Fatalf("committed artifact rejected: %v", err)
+	}
+	set := func(key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc[key] = v }
+	}
+	setRow := func(key string, v any) func(doc map[string]any) {
+		return func(doc map[string]any) { doc["apps"].([]any)[0].(map[string]any)[key] = v }
+	}
+	cases := append(schematest.Corpus(t, data, reflect.TypeOf(vra.Bench{})),
+		schematest.Corrupt(t, data, "wrong schema version", set("schema_version", 2)),
+		schematest.Corrupt(t, data, "wrong benchmark", set("benchmark", "Other")),
+		schematest.Corrupt(t, data, "no app rows", set("apps", []any{})),
+		schematest.Corrupt(t, data, "missing app name", setRow("app", "")),
+		schematest.Corrupt(t, data, "bounds_opt exceeds bounds_base", setRow("bounds_opt", 99)),
+		schematest.Corrupt(t, data, "zero exec cycles", setRow("cycles_opt", 0)),
+		schematest.Corrupt(t, data, "kernel below the floor", setRow("discharge_pct", 1)),
+		schematest.Corrupt(t, data, "no kernel subjects", func(doc map[string]any) {
+			for _, r := range doc["apps"].([]any) {
+				r.(map[string]any)["kernel"] = false
+			}
+		}),
+		schematest.Corrupt(t, data, "bounds_discharged drift", set("bounds_discharged", 999)),
+		schematest.Corrupt(t, data, "tv rejection", set("tv_rejected", 1)),
+		schematest.Corrupt(t, data, "no trace parity", set("trace_parity", false)),
+		schematest.Corrupt(t, data, "missing trace_app", set("trace_app", "")),
+		schematest.Corrupt(t, data, "duplicate app", func(doc map[string]any) {
+			apps := doc["apps"].([]any)
+			first := apps[0].(map[string]any)
+			doc["apps"] = append(apps, first)
+			doc["bounds_discharged"] = doc["bounds_discharged"].(float64) + first["bounds_base"].(float64) - first["bounds_opt"].(float64)
+		}),
+		schematest.Corrupt(t, data, "fractional bounds_base", setRow("bounds_base", 11.5)),
+		schematest.Corrupt(t, data, "unknown key", set("extra", 1)),
+		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
+	)
+	// Recorded against benchlint's loose decode into its own copy of this
+	// struct and its validateRange, which this decode replaced; it rejected
+	// every other case.
+	schematest.Run(t, validate, cases, map[string]string{
+		"apps[0].kernel deleted":             "missing key",
+		"apps[0].unguarded_divs deleted":     "missing key",
+		"apps[0].analysis_ms deleted":        "missing key",
+		"kernel_min_discharge_pct deleted":   "missing key",
+		"tv_rejected deleted":                "missing key",
+		"apps[0].cycle_delta_pct deleted":    "key missing from benchlint's copy",
+		"apps[0].cycle_delta_pct wrong type": "key missing from benchlint's copy",
+		"duplicate app":                      "duplicate key",
+		"unknown key":                        "unknown key",
 	})
 }

@@ -1,8 +1,9 @@
-// Package schema strictly decodes the JSON reports and benchmark artifacts
-// the audit commands emit: the effect audit of the §3.1 replayability
-// analysis, the range and alias audits of the analyses that shrink the
-// §3.4 verification map, the translation-validation audit, and the
-// snapshot-store reports of §3.2 step 6. Each format is declared once, by
+// Package schema strictly decodes the JSON reports the audit commands emit
+// and the BENCH_*.json artifacts the benchmarks emit: the effect audit of
+// the §3.1 replayability analysis, the range and alias audits of the
+// analyses that shrink the §3.4 verification map, the translation-validation
+// audit, the snapshot-store reports of §3.2 step 6, and every benchmark
+// artifact cmd/benchlint checks. Each format is declared once, by
 // the json tags of its Go struct; Decode enforces those tags and the
 // struct's own Check enforces the invariants that span fields.
 package schema
@@ -100,6 +101,20 @@ func present(t reflect.Type, val any, path string) error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// Unique rejects rows in which two elements share a key: a consumer that
+// indexes the rows by key would silently keep only the last of them.
+func Unique[T any, K comparable](field string, rows []T, key func(T) K) error {
+	seen := make(map[K]bool, len(rows))
+	for i, r := range rows {
+		k := key(r)
+		if seen[k] {
+			return fmt.Errorf("%s[%d]: duplicate %v", field, i, k)
+		}
+		seen[k] = true
 	}
 	return nil
 }
