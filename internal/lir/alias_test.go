@@ -185,7 +185,7 @@ func main() int { return f(100); }`
 	}
 	f.Recompute()
 	for _, lp := range f.Loops() {
-		for b := range lp.Blocks {
+		for _, b := range lp.Blocks {
 			for _, v := range b.Insns {
 				if v.Op == OpArrLoad && len(v.Args) > 0 && v.Args[0].Op == OpNewArray {
 					// Is this the load of `a` (the array with the invariant

@@ -242,11 +242,11 @@ type Block struct {
 	Succs []*Block
 	Preds []*Block
 
-	// Analysis caches.
-	IDom      *Block
-	LoopDepth int
-	rpo       int
-	visited   bool // scratch mark for pruneUnreachable's DFS
+	// Analysis caches, valid from one Recompute until the next CFG edit.
+	IDom            *Block
+	rpo             int
+	domPre, domPost int32 // dominator-tree DFS interval (see Dominates)
+	visited         bool  // scratch mark for pruneUnreachable's DFS
 }
 
 // Term returns the block terminator.

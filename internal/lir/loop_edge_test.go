@@ -120,7 +120,7 @@ func main() int {
 	// Each loop must retain at least one GC check within its blocks.
 	for _, l := range loops {
 		found := false
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			for _, v := range b.Insns {
 				if v.Op == OpGCCheck {
 					found = true

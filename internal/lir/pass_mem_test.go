@@ -164,7 +164,7 @@ func main() int { return f(10, 3); }`, "f")
 	if len(loops) != 1 {
 		t.Fatalf("%d loops", len(loops))
 	}
-	for b := range loops[0].Blocks {
+	for _, b := range loops[0].Blocks {
 		for _, v := range b.Insns {
 			if v.Op == OpMul {
 				t.Error("invariant multiply still inside the loop")

@@ -104,9 +104,12 @@ func runRangeCheckElim(f *Function, ctx *PassContext, params map[string]int) err
 }
 
 func runRangeBranch(f *Function, ctx *PassContext, params map[string]int) error {
+	folded := 0
 	for round := 0; round < params["rounds"]; round++ {
+		// AnalyzeRanges recomputes, pruning the previous round's
+		// now-unreachable side.
 		ra := AnalyzeRanges(f, ctx.Static)
-		folded := 0
+		folded = 0
 		for _, b := range f.Blocks {
 			keep, _, ok := ra.FoldableBranch(b)
 			if !ok || b.Succs[0] == b.Succs[1] {
@@ -131,7 +134,9 @@ func runRangeBranch(f *Function, ctx *PassContext, params map[string]int) error 
 		if folded == 0 {
 			break
 		}
-		f.Recompute() // prune the now-unreachable side before the next round
+	}
+	if folded > 0 {
+		f.Recompute() // the last round folded: prune before returning
 	}
 	return nil
 }

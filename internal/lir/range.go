@@ -84,10 +84,7 @@ func AnalyzeRanges(f *Function, static *sa.Result) *RangeFacts {
 		ra.val[i] = sa.BottomRange()
 	}
 	for _, l := range f.Loops() {
-		for _, b := range f.Blocks {
-			if !l.Blocks[b] {
-				continue
-			}
+		for _, b := range l.Blocks {
 			if cur := ra.loopOf[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
 				ra.loopOf[b] = l
 			}
@@ -167,11 +164,11 @@ func (ra *RangeFacts) At(b *Block, v *Value) sa.ValRange {
 // re-establishing the fact.
 func (ra *RangeFacts) safeAt(s, b *Block, vals ...*Value) bool {
 	for l := ra.loopOf[b]; l != nil; l = l.Parent {
-		if l.Blocks[s] {
+		if l.Contains(s) {
 			return true // ancestors are supersets
 		}
 		for _, v := range vals {
-			if v.Block != nil && l.Blocks[v.Block] {
+			if v.Block != nil && l.Contains(v.Block) {
 				return false
 			}
 		}
@@ -435,7 +432,7 @@ func (ra *RangeFacts) sameArray(fa, arr *Value, at *Block) bool {
 		return false
 	}
 	l := ra.loopOf[at]
-	if l == nil || fa.Block == nil || arr.Block == nil || !l.Blocks[fa.Block] || !l.Blocks[arr.Block] {
+	if l == nil || fa.Block == nil || arr.Block == nil || !l.Contains(fa.Block) || !l.Contains(arr.Block) {
 		return false
 	}
 	return stableGlobalSlot(l, fa.Slot)
