@@ -2,14 +2,15 @@ package lir
 
 import "math"
 
-// Structural function hashing for the rewrite trace (ROADMAP item 4): every
+// Structural function hashing for the rewrite trace (DESIGN.md §12): every
 // pass application is bracketed by before/after fragment hashes so a trace
 // consumer can tell exactly which transforms fired and a mechanical replay
 // can prove it reproduced the same IR at every step. The hash is structural,
-// not textual: ops, types, immediates, symbols, lowering hints (NoTrap),
-// argument value IDs, phi wiring, and CFG edges all contribute, while
-// analysis caches (IDom, LoopDepth) do not — two functions hash equal iff a pass left no observable
-// IR difference.
+// not textual: block order, ops, types, immediates, symbols, lowering hints
+// (NoTrap), argument value IDs, phi wiring, and CFG edges all contribute,
+// while the analysis caches (rpo, IDom, the dominator-tree numbering) do
+// not — two functions hash equal iff a pass left no observable IR
+// difference.
 
 // HashFunction returns a stable 64-bit structural digest of f. It is a pure
 // function of the IR: repeated calls on an unchanged function return the same

@@ -4,7 +4,8 @@ import "replayopt/internal/lir"
 
 // Clone deep-copies a function: fresh Blocks and Values with the same IDs,
 // ops, types, and wiring, sharing only the immutable Prog. Analysis caches
-// (IDom, LoopDepth) are not copied; the validator computes its own dominators.
+// (IDom and the dominator-tree numbering) are not copied; the validator
+// computes its own dominators.
 func Clone(f *lir.Function) *lir.Function {
 	var c cloner
 	return c.clone(f)
