@@ -131,7 +131,7 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 			return err
 		}
 		endDefs[lb] = cur
-		for _, k := range kids[lb] {
+		for _, k := range kids.children(lb) {
 			if err := rename(k, cur); err != nil {
 				return err
 			}
