@@ -695,12 +695,12 @@ func passesLabel(specs []lir.PassSpec) string {
 	return truncateLabel(b.String(), 200)
 }
 
-// DiscardCause maps an evaluation error to its stable cause label. Distinct
-// failure mechanisms that share a Fig. 1 outcome class keep distinct labels:
-// a compiler crash, a compiler timeout, a lowering failure, and a
-// translation-validation rejection are all different facts about a pass
-// pipeline even though the GA treats each as "failed".
-func DiscardCause(err error) string {
+// classifyError maps an evaluation error to its Fig. 1 outcome and its
+// stable cause label; an error it does not know takes fallback and "other".
+// Distinct failure mechanisms that share an outcome keep distinct labels: a
+// compiler crash and a lowering failure are different facts about a pass
+// pipeline even though the GA treats both as a compiler error.
+func classifyError(err error, fallback ga.Outcome) (ga.Outcome, string) {
 	var rej *tv.RejectError
 	var crash *lir.CrashError
 	var timeout *lir.TimeoutError
@@ -710,21 +710,21 @@ func DiscardCause(err error) string {
 	var thrown *interp.ThrownError
 	switch {
 	case errors.As(err, &rej):
-		return "tv-reject"
+		return ga.OutcomeTVReject, "tv-reject"
 	case errors.As(err, &timeout):
-		return "compile-timeout"
+		return ga.OutcomeCompilerTimeout, "compile-timeout"
 	case errors.As(err, &crash):
-		return "compile-crash"
+		return ga.OutcomeCompilerError, "compile-crash"
 	case errors.As(err, &mcerr):
-		return "lower-error"
+		return ga.OutcomeCompilerError, "lower-error"
 	case errors.Is(err, machine.ErrTimeout), errors.Is(err, interp.ErrTimeout):
-		return "runtime-timeout"
+		return ga.OutcomeRuntimeTimeout, "runtime-timeout"
 	case errors.Is(err, machine.ErrStackOverflow), errors.Is(err, interp.ErrStackOverflow):
-		return "runtime-stack-overflow"
+		return ga.OutcomeRuntimeCrash, "runtime-stack-overflow"
 	case errors.As(err, &trap), errors.As(err, &access), errors.As(err, &thrown):
-		return "runtime-crash"
+		return ga.OutcomeRuntimeCrash, "runtime-crash"
 	default:
-		return "other"
+		return fallback, "other"
 	}
 }
 
@@ -768,8 +768,8 @@ func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation
 	}
 	code, err := lir.Compile(ev.app.Prog, ev.region.Methods, cfg, ev.prof, ev.static)
 	if err != nil {
-		outcome := classifyCompileError(err)
-		ev.discard(outcome, DiscardCause(err), err, passes)
+		outcome, cause := classifyError(err, ga.OutcomeCompilerError)
+		ev.discard(outcome, cause, err, passes)
 		return ga.Evaluation{Outcome: outcome}
 	}
 	return ev.evaluateImage(overlay(ev.android, code), ws, passes).Evaluation
@@ -815,8 +815,8 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 	}
 	res, err := run(1)
 	if err != nil {
-		outcome := classifyRuntimeError(err)
-		ev.discard(outcome, DiscardCause(err), err, passes)
+		outcome, cause := classifyError(err, ga.OutcomeRuntimeCrash)
+		ev.discard(outcome, cause, err, passes)
 		return imageEval{Evaluation: ga.Evaluation{Outcome: outcome}}
 	}
 	if err := ev.vmap.Check(res); err != nil {
@@ -857,38 +857,6 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 			BinaryHash: imgHash,
 		},
 		cycles: res.Cycles,
-	}
-}
-
-func classifyCompileError(err error) ga.Outcome {
-	var rej *tv.RejectError
-	var crash *lir.CrashError
-	var timeout *lir.TimeoutError
-	var mcerr *machine.CompileError
-	switch {
-	case errors.As(err, &rej):
-		return ga.OutcomeTVReject
-	case errors.As(err, &timeout):
-		return ga.OutcomeCompilerTimeout
-	case errors.As(err, &crash), errors.As(err, &mcerr):
-		return ga.OutcomeCompilerError
-	default:
-		return ga.OutcomeCompilerError
-	}
-}
-
-func classifyRuntimeError(err error) ga.Outcome {
-	var trap *rt.Trap
-	var access *mem.AccessError
-	var thrown *interp.ThrownError
-	switch {
-	case errors.Is(err, machine.ErrTimeout), errors.Is(err, interp.ErrTimeout):
-		return ga.OutcomeRuntimeTimeout
-	case errors.As(err, &trap), errors.As(err, &access), errors.As(err, &thrown),
-		errors.Is(err, machine.ErrStackOverflow), errors.Is(err, interp.ErrStackOverflow):
-		return ga.OutcomeRuntimeCrash
-	default:
-		return ga.OutcomeRuntimeCrash
 	}
 }
 

@@ -301,10 +301,10 @@ func TestEvaluatorOutcomeClassification(t *testing.T) {
 	_ = rep
 	// Classification coverage is exercised via the ga package; here we only
 	// check the classifier functions directly.
-	if classifyCompileError(errTest{}) != ga.OutcomeCompilerError {
+	if got, _ := classifyError(errTest{}, ga.OutcomeCompilerError); got != ga.OutcomeCompilerError {
 		t.Error("unknown compile errors must classify as compiler error")
 	}
-	if classifyRuntimeError(errTest{}) != ga.OutcomeRuntimeCrash {
+	if got, _ := classifyError(errTest{}, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeCrash {
 		t.Error("unknown runtime errors must classify as crash")
 	}
 }
@@ -367,19 +367,19 @@ func TestOverlayPrefersReplacement(t *testing.T) {
 // TestClassifyErrors maps each substrate failure to the Fig. 1 outcome the
 // paper's taxonomy assigns it.
 func TestClassifyErrors(t *testing.T) {
-	if got := classifyCompileError(&lir.TimeoutError{}); got != ga.OutcomeCompilerTimeout {
+	if got, _ := classifyError(&lir.TimeoutError{}, ga.OutcomeCompilerError); got != ga.OutcomeCompilerTimeout {
 		t.Errorf("compile timeout -> %v", got)
 	}
-	if got := classifyCompileError(&lir.CrashError{}); got != ga.OutcomeCompilerError {
+	if got, _ := classifyError(&lir.CrashError{}, ga.OutcomeCompilerError); got != ga.OutcomeCompilerError {
 		t.Errorf("compiler crash -> %v", got)
 	}
-	if got := classifyRuntimeError(machine.ErrTimeout); got != ga.OutcomeRuntimeTimeout {
+	if got, _ := classifyError(machine.ErrTimeout, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeTimeout {
 		t.Errorf("runtime timeout -> %v", got)
 	}
-	if got := classifyRuntimeError(&rt.Trap{Kind: rt.TrapBounds}); got != ga.OutcomeRuntimeCrash {
+	if got, _ := classifyError(&rt.Trap{Kind: rt.TrapBounds}, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeCrash {
 		t.Errorf("bounds trap -> %v", got)
 	}
-	if got := classifyRuntimeError(machine.ErrStackOverflow); got != ga.OutcomeRuntimeCrash {
+	if got, _ := classifyError(machine.ErrStackOverflow, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeCrash {
 		t.Errorf("stack overflow -> %v", got)
 	}
 }

@@ -10,7 +10,8 @@ import "math/bits"
 // change); a pass that edits the CFG calls Recompute before it next reads
 // them, and before it returns, so every pass hands the next one a function in
 // reverse postorder. Loop information is not cached at all: Loops computes
-// it on demand from the current dominators.
+// it on demand from the current dominators. cfg.go's header says which CFG
+// edits leave these analyses valid.
 
 // Recompute reorders Blocks in reverse postorder, drops unreachable blocks
 // (fixing phi inputs), and refreshes dominators.

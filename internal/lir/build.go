@@ -170,6 +170,23 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 	return f, nil
 }
 
+// BuildAllSSA builds SSA once per analyzable method, indexed by method ID.
+// Uncompilable methods and frontend failures yield nil. Each call builds new
+// functions, so one analysis that prunes them (AnalyzeRanges recomputes)
+// cannot change what another analysis reads.
+func BuildAllSSA(prog *dex.Program) []*Function {
+	fns := make([]*Function, len(prog.Methods))
+	for i := range prog.Methods {
+		if prog.Methods[i].Uncompilable {
+			continue
+		}
+		if f, err := BuildSSA(prog, dex.MethodID(i)); err == nil {
+			fns[i] = f
+		}
+	}
+	return fns
+}
+
 // prunePhis removes trivial phis (all inputs identical or self-references).
 func prunePhis(f *Function) {
 	for changed := true; changed; {

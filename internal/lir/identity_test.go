@@ -19,7 +19,9 @@ import (
 	"replayopt/internal/ga"
 	"replayopt/internal/lir"
 	"replayopt/internal/machine"
+	"replayopt/internal/minic"
 	"replayopt/internal/profile"
+	"replayopt/internal/progen"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
@@ -27,7 +29,10 @@ import (
 
 var updateIdentity = flag.Bool("update-identity", false, "rewrite testdata/compile_identity.txt from the current compiler")
 
-const identityFile = "testdata/compile_identity.txt"
+const (
+	identityFile         = "testdata/compile_identity.txt"
+	unswitchIdentityFile = "testdata/unswitch_identity.txt"
+)
 
 // identityConfig is one pipeline of the compile-identity matrix.
 type identityConfig struct {
@@ -164,17 +169,98 @@ func TestCompileIdentity(t *testing.T) {
 	for _, l := range lines {
 		got = append(got, l...)
 	}
+	checkIdentity(t, identityFile, got)
+}
+
+// unswitchIdentitySrc has loops that unswitch duplicates, with several
+// loop-carried values merged at the exit; no app has such a loop, so
+// TestCompileIdentity never sees unswitch fire.
+const unswitchIdentitySrc = `
+func work(int n, int m, int d) int {
+	int s = 1;
+	int t = 2;
+	int i = 0;
+	while (i < n) {
+		t = t + s;
+		if (m > d) { s = s + i * 3 + t; }
+		else { s = s - i + t / 7; }
+		s = s % 1000;
+		i = i + 1;
+	}
+	return s + i * 10 + t;
+}
+func nest(int n, int m) int {
+	int acc = 0;
+	for (int j = 0; j < n; j = j + 1) {
+		int k = 0;
+		int x = j;
+		while (k < n) {
+			x = x + k;
+			if (m == 3) { acc = acc + x; } else { acc = acc - k; }
+			k = k + 1;
+		}
+		acc = acc + k + x;
+	}
+	return acc;
+}
+func main() int {
+	return work(20, 3, 1) + work(17, 1, 4) + nest(6, 3) + nest(5, 2);
+}
+`
+
+// TestUnswitchIdentity pins unswitch's output the way TestCompileIdentity
+// pins the apps': on unswitchIdentitySrc and three progen programs where it
+// fires, alone and after passes that reshape or annotate the loop. Update it
+// with the same flag.
+func TestUnswitchIdentity(t *testing.T) {
+	srcs := []string{unswitchIdentitySrc}
+	for _, seed := range []int64{11, 19, 22} {
+		srcs = append(srcs, progen.Generate(rand.New(rand.NewSource(seed)), progen.Default()))
+	}
+	var configs []identityConfig
+	for _, passes := range [][]string{
+		{"unswitch"},
+		{"rangecheckelim", "unswitch", "simplifycfg", "unroll"},
+		{"licm", "unswitch", "simplifycfg", "unroll"},
+		{"inline", "unroll", "unswitch", "simplifycfg", "unroll"},
+		{"peel", "simplifycfg", "unswitch", "simplifycfg", "unroll"},
+		{"gvn", "rangebranch", "unswitch", "simplifycfg", "unroll"},
+	} {
+		cfg := lir.O1()
+		for _, p := range passes {
+			cfg.Passes = append(cfg.Passes, lir.PassSpec{Name: p})
+		}
+		configs = append(configs, identityConfig{"O1+" + strings.Join(passes, "+"), cfg})
+	}
+	var got []string
+	for i, src := range srcs {
+		prog, err := minic.CompileSource(fmt.Sprintf("p%d", i), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static := profile.Analyze(prog).Effects
+		for _, c := range configs {
+			got = append(got, fmt.Sprintf("p%d\t%s\t%s", i, c.label, identityDigest(prog, c.cfg, static)))
+		}
+	}
+	checkIdentity(t, unswitchIdentityFile, got)
+}
+
+// checkIdentity compares got, "name\tconfig\tdigest" lines, with the
+// digests recorded in file, or records them under -update-identity.
+func checkIdentity(t *testing.T, file string, got []string) {
+	t.Helper()
 	if *updateIdentity {
-		if err := os.MkdirAll(filepath.Dir(identityFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(identityFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d digests to %s", len(got), identityFile)
+		t.Logf("wrote %d digests to %s", len(got), file)
 		return
 	}
-	want := readIdentity(t)
+	want := readIdentity(t, file)
 	if len(want) != len(got) {
 		t.Errorf("%d digests, want %d", len(got), len(want))
 	}
@@ -195,8 +281,8 @@ func TestCompileIdentity(t *testing.T) {
 }
 
 // readIdentity loads the recorded digests keyed by "app\tconfig".
-func readIdentity(t *testing.T) map[string]string {
-	f, err := os.Open(identityFile)
+func readIdentity(t *testing.T, file string) map[string]string {
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}

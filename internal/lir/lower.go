@@ -34,31 +34,16 @@ func Lower(f *Function, opts LowerOpts) (*machine.Fn, error) {
 // splitCriticalEdges inserts empty blocks on edges from multi-successor
 // blocks to multi-predecessor blocks, preserving phi argument positions.
 func (f *Function) splitCriticalEdges() {
-	var added []*Block
 	for _, b := range f.Blocks {
 		if len(b.Succs) < 2 {
 			continue
 		}
 		for i, s := range b.Succs {
-			if len(s.Preds) < 2 {
-				continue
+			if len(s.Preds) >= 2 {
+				splitEdge(f, b, i)
 			}
-			e := f.NewBlock()
-			e.AppendRaw(f.NewValue(OpJump, TVoid))
-			e.Succs = []*Block{s}
-			e.Preds = []*Block{b}
-			b.Succs[i] = e
-			// Keep the phi argument index: replace b with e in s.Preds.
-			for j, p := range s.Preds {
-				if p == b {
-					s.Preds[j] = e
-					break
-				}
-			}
-			added = append(added, e)
 		}
 	}
-	f.Blocks = append(f.Blocks, added...)
 }
 
 type ssaLowerer struct {

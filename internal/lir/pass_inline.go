@@ -178,33 +178,11 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 
 	// Split the call block: callBlock keeps everything before the call;
 	// cont gets the rest.
-	cont := f.NewBlock()
-	idx := -1
-	for i, v := range callBlock.Insns {
-		if v == call {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	cont := splitBlock(f, callBlock, call)
+	if cont == nil {
 		// runInline checks stillPresent first, and the callee's IDs are
 		// already allocated into f: there is no consistent way back.
 		return &CrashError{Pass: "inline", Msg: fmt.Sprintf("call v%d is not in b%d", call.ID, callBlock.ID)}
-	}
-	cont.Insns = append(cont.Insns, callBlock.Insns[idx+1:]...)
-	for _, v := range cont.Insns {
-		v.Block = cont
-	}
-	callBlock.Insns = callBlock.Insns[:idx]
-	// Move successors to cont.
-	cont.Succs = callBlock.Succs
-	callBlock.Succs = nil
-	for _, s := range cont.Succs {
-		for i, p := range s.Preds {
-			if p == callBlock {
-				s.Preds[i] = cont
-			}
-		}
 	}
 
 	// Substitute parameters with call arguments.
@@ -351,31 +329,10 @@ func runDevirt(f *Function, ctx *PassContext, params map[string]int) error {
 //	                          -> slow: r2 = callvirt m(...)
 //	merge: r = phi(r1, r2)
 func devirtGuard(f *Function, b *Block, call *Value, cls dex.ClassID, resolved dex.MethodID) {
-	// Split b after the call; the call itself is replaced by the diamond.
-	idx := -1
-	for i, v := range b.Insns {
-		if v == call {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	// Split b at the call; the call itself is replaced by the diamond.
+	merge := splitBlock(f, b, call)
+	if merge == nil {
 		return
-	}
-	merge := f.NewBlock()
-	merge.Insns = append(merge.Insns, b.Insns[idx+1:]...)
-	for _, v := range merge.Insns {
-		v.Block = merge
-	}
-	b.Insns = b.Insns[:idx]
-	merge.Succs = b.Succs
-	b.Succs = nil
-	for _, s := range merge.Succs {
-		for i, p := range s.Preds {
-			if p == b {
-				s.Preds[i] = merge
-			}
-		}
 	}
 
 	recv := call.Args[0]

@@ -4,6 +4,8 @@ package lir
 // loop), peeling, and a "vectorizer" that widens call-free counted loops and
 // crashes on anything else — the compile-time failure source of Fig. 1.
 
+import "slices"
+
 func init() { registerLoopPasses() }
 
 func registerLoopPasses() {
@@ -43,69 +45,34 @@ func registerLoopPasses() {
 
 // countedLoop is the canonical shape the loop passes handle:
 //
-//	ph -> head{phis; ...; branch(iv < limit) -> bodyEntry | exit}
-//	bodyEntry ... latch -> head
+//	ph -> head{phis; ...; branch(iv < limit) -> body | exit}
+//	body ... latch -> head
 type countedLoop struct {
-	loop      *Loop
-	head      *Block
-	latch     *Block
-	bodyEntry *Block
-	exit      *Block
-	ph        *Block
-	initIdx   int // head pred index of the preheader
-	latchIdx  int // head pred index of the latch
-	iv        *Value
-	limit     *Value
-	step      int64
+	loopShape
+	iv    *Value
+	limit *Value
+	step  int64
 }
 
 // analyzeCounted matches l against the canonical shape.
 func analyzeCounted(f *Function, l *Loop) (*countedLoop, bool) {
-	head := l.Head
-	if len(head.Preds) != 2 || len(head.Succs) != 2 {
+	sh, ok := loopShapeOf(l)
+	if !ok {
 		return nil, false
 	}
-	t := head.Term()
-	if t == nil || t.Op != OpBranch || t.Cond != CondLt {
+	// The check must exit through Succs[1]. Self-loops (the head is its own
+	// body) are excluded: cloning them with the check dropped would produce
+	// an unconditional cycle.
+	t := sh.head.Term()
+	if t == nil || t.Op != OpBranch || t.Cond != CondLt || sh.exit != sh.head.Succs[1] || sh.body == sh.head {
 		return nil, false
 	}
-	// Succs[0] must stay in the loop; Succs[1] exits. Self-loops (the head
-	// is its own body) are excluded: cloning them with the check dropped
-	// would produce an unconditional cycle.
-	if !l.Contains(head.Succs[0]) || l.Contains(head.Succs[1]) || head.Succs[0] == head {
+	if !sh.enter(f) {
 		return nil, false
 	}
-	// The head must own the only loop exit.
-	for _, b := range l.Blocks {
-		if b == head {
-			continue
-		}
-		for _, s := range b.Succs {
-			if !l.Contains(s) {
-				return nil, false
-			}
-		}
-	}
-	cl := &countedLoop{
-		loop: l, head: head,
-		bodyEntry: head.Succs[0], exit: head.Succs[1],
-	}
-	cl.ph = ensurePreheader(f, l)
-	if cl.ph == nil {
-		return nil, false
-	}
-	cl.initIdx = head.PredIndex(cl.ph)
-	for _, p := range head.Preds {
-		if l.Contains(p) {
-			cl.latch = p
-		}
-	}
-	if cl.latch == nil || cl.initIdx < 0 {
-		return nil, false
-	}
-	cl.latchIdx = head.PredIndex(cl.latch)
+	cl := &countedLoop{loopShape: *sh}
 	iv := t.Args[0]
-	if iv.Op != OpPhi || iv.Block != head {
+	if iv.Op != OpPhi || iv.Block != cl.head {
 		return nil, false
 	}
 	cl.iv = iv
@@ -151,133 +118,65 @@ func (cl *countedLoop) limitAtPreheader(f *Function) *Value {
 // stage is one cloned copy of the loop produced by cloneStage.
 type stage struct {
 	head  *Block            // clone of the head (no phis; ends in a Jump)
-	latch *Block            // clone of the latch; backedge slot is nil
+	latch *Block            // clone of the latch; its backedge goes to head until connectBackedge
 	out   map[*Value]*Value // head phi -> its value after this stage
 }
 
-// connectBackedge points the stage's dangling backedge at target, appending
+// connectBackedge points the stage's backedge at target, appending
 // target.Preds (the caller appends matching phi args if target has phis).
 func (st *stage) connectBackedge(target *Block) {
-	for i, s := range st.latch.Succs {
-		if s == nil {
-			st.latch.Succs[i] = target
-			target.Preds = append(target.Preds, st.latch)
-			return
-		}
-	}
-	panic("lir: stage has no dangling backedge")
+	st.latch.Succs[slices.Index(st.latch.Succs, st.head)] = target
+	target.Preds = append(target.Preds, st.latch)
 }
 
 // cloneStage clones every loop block. M pre-maps the head's phis to the
 // stage's incoming values and is extended with all cloned values. The cloned
-// head drops the check (terminator becomes a Jump to the cloned body entry);
-// the latch's backedge successor is left nil for connectBackedge.
+// head drops the check (its terminator becomes a Jump to the cloned body)
+// and has no predecessors; the latch's backedge is left for connectBackedge.
 func cloneStage(f *Function, cl *countedLoop, M map[*Value]*Value) *stage {
-	blocks := cl.loop.Blocks
-	bm := map[*Block]*Block{}
-	for _, b := range blocks {
-		bm[b] = f.NewBlock()
-	}
-	// Phi shells for non-head blocks (inner loop headers, join points).
-	for _, b := range blocks {
-		if b == cl.head {
-			continue
-		}
-		for _, phi := range b.Phis {
-			c := f.NewValue(OpPhi, phi.Type)
-			c.Block = bm[b]
-			c.Args = make([]*Value, len(phi.Args))
-			bm[b].Phis = append(bm[b].Phis, c)
-			M[phi] = c
-		}
-	}
-	mapped := func(a *Value) *Value {
-		if m, ok := M[a]; ok {
-			return m
-		}
-		return a
-	}
-	// Clone instructions in RPO (defs precede uses except through phis).
-	for _, b := range blocks {
-		nb := bm[b]
-		for _, v := range b.Insns {
-			if b == cl.head && v == cl.head.Term() {
-				continue // the per-stage check is dropped
-			}
-			c := f.NewValue(v.Op, v.Type)
-			c.Imm, c.F, c.Sym, c.Slot, c.Cond, c.Hint, c.NoTrap = v.Imm, v.F, v.Sym, v.Slot, v.Cond, v.Hint, v.NoTrap
-			c.Args = make([]*Value, len(v.Args))
-			for i, a := range v.Args {
-				c.Args[i] = mapped(a)
-			}
-			nb.AppendRaw(c)
-			M[v] = c
-		}
-	}
-	// The head clone jumps straight into the body clone.
+	M[cl.head.Term()] = nil // the per-stage check is dropped
+	bm := cloneLoop(f, cl.loop, M)
 	hc := bm[cl.head]
 	hc.AppendRaw(f.NewValue(OpJump, TVoid))
-	AddEdge(hc, bm[cl.bodyEntry])
-	// Wire intra-loop edges, preserving successor positions. Edges back to
-	// the head become nil placeholders.
-	for _, b := range blocks {
-		if b == cl.head {
-			continue
-		}
-		nb := bm[b]
-		for _, s := range b.Succs {
-			if s == cl.head {
-				nb.Succs = append(nb.Succs, nil)
-				continue
-			}
-			nb.Succs = append(nb.Succs, bm[s])
-		}
-	}
-	// Predecessor lists must mirror the ORIGINAL order: phi arguments are
-	// copied by index, so a permuted pred list silently rewires phis (e.g.
-	// an inner loop counter reading its init on the backedge — an infinite
-	// loop). Every pred of a non-head loop block is itself in the loop.
-	for _, b := range blocks {
-		if b == cl.head {
-			continue
-		}
-		nb := bm[b]
-		nb.Preds = nb.Preds[:0]
-		for _, p := range b.Preds {
-			nb.Preds = append(nb.Preds, bm[p])
-		}
-	}
-	// Fill non-head phi args (pred positions now match the original).
-	for _, b := range blocks {
-		if b == cl.head {
-			continue
-		}
-		for pi, phi := range b.Phis {
-			c := bm[b].Phis[pi]
-			for i, a := range phi.Args {
-				c.Args[i] = mapped(a)
-			}
-		}
-	}
-	for _, b := range blocks {
-		f.Blocks = append(f.Blocks, bm[b])
-	}
+	hc.Succs, hc.Preds = hc.Succs[:1], nil // body is the head's Succs[0]
 	out := map[*Value]*Value{}
 	for _, phi := range cl.head.Phis {
-		out[phi] = mapped(phi.Args[cl.latchIdx])
+		v := phi.Args[cl.latchIdx]
+		if m, ok := M[v]; ok {
+			v = m
+		}
+		out[phi] = v
 	}
-	return &stage{head: bm[cl.head], latch: bm[cl.latch], out: out}
+	return &stage{head: hc, latch: bm[cl.latch], out: out}
 }
 
 func runUnroll(f *Function, ctx *PassContext, params map[string]int) error {
-	factor := params["factor"]
-	if factor < 2 {
-		factor = 2
-	}
-	innerOnly := params["innermost-only"] != 0
+	factor := max(params["factor"], 2)
 	constOnly := params["const-trip-only"] == 1
 	noRemainder := params["no-remainder"] == 1
+	return unrollLoops(f, ctx, "unroll", factor, params["innermost-only"] != 0, noRemainder,
+		func(cl *countedLoop) (bool, error) {
+			trip, isC := isConstInt(cl.limit)
+			if constOnly && !isC {
+				return false, nil
+			}
+			if ctx.Tracing() {
+				if !isC {
+					trip = -1
+				}
+				ctx.Note("unroll.widen", NoteAnchor(cl.head, nil),
+					KV("factor", int64(factor)), KV("step", cl.step),
+					KV("const-limit", trip), KV("no-remainder", b2i(noRemainder)))
+			}
+			return true, nil
+		})
+}
 
+// unrollLoops is unroll's and vectorize's driver: it unrolls each counted
+// loop that pick accepts by factor, once. pick sees each candidate at most
+// once; false skips it, and an error ends the pass.
+func unrollLoops(f *Function, ctx *PassContext, pass string, factor int, innerOnly, noRemainder bool,
+	pick func(*countedLoop) (bool, error)) error {
 	processed := map[*Block]bool{}
 	for {
 		// The one Recompute per unrolled loop: Loops reads dominators, and
@@ -286,22 +185,20 @@ func runUnroll(f *Function, ctx *PassContext, params map[string]int) error {
 		loops := f.Loops()
 		var target *countedLoop
 		for _, l := range loops {
-			if processed[l.Head] {
-				continue
-			}
-			if innerOnly && !isInnermost(l, loops) {
+			if processed[l.Head] || innerOnly && !isInnermost(l, loops) {
 				continue
 			}
 			cl, ok := analyzeCounted(f, l)
+			if ok {
+				var err error
+				if ok, err = pick(cl); err != nil {
+					f.Recompute() // the rewrite trace hashes what a failed pass leaves
+					return err
+				}
+			}
 			if !ok {
 				processed[l.Head] = true
 				continue
-			}
-			if constOnly {
-				if _, isC := isConstInt(cl.limit); !isC {
-					processed[l.Head] = true
-					continue
-				}
 			}
 			target = cl
 			break
@@ -310,21 +207,12 @@ func runUnroll(f *Function, ctx *PassContext, params map[string]int) error {
 			f.Recompute() // analyzeCounted may have split preheaders
 			return nil
 		}
-		if ctx.Tracing() {
-			trip := int64(-1)
-			if c, isC := isConstInt(target.limit); isC {
-				trip = c
-			}
-			ctx.Note("unroll.widen", NoteAnchor(target.head, nil),
-				KV("factor", int64(factor)), KV("step", target.step),
-				KV("const-limit", trip), KV("no-remainder", b2i(noRemainder)))
-		}
 		mainHead := unrollOne(f, target, factor, noRemainder)
 		// Neither the new main loop nor the remainder loop is unrolled
 		// again by this invocation.
 		processed[mainHead] = true
 		processed[target.head] = true
-		if err := ctx.checkGrowth(f, "unroll"); err != nil {
+		if err := ctx.checkGrowth(f, pass); err != nil {
 			f.Recompute() // the rewrite trace hashes what a failed pass leaves
 			return err
 		}
@@ -413,7 +301,7 @@ func unrollOne(f *Function, cl *countedLoop, factor int, noRemainder bool) *Bloc
 			f.ReplaceUses(p, newPhi[p])
 		}
 		// Detach the original loop; it becomes unreachable.
-		removeLastPred(cl.head, cl.ph)
+		removePred(cl.head, cl.ph)
 	} else {
 		// Remainder = the original loop, entered with the main loop's
 		// final values through the preheader slot.
@@ -424,22 +312,6 @@ func unrollOne(f *Function, cl *countedLoop, factor int, noRemainder bool) *Bloc
 		}
 	}
 	return H
-}
-
-// removeLastPred removes the last occurrence of p from b.Preds along with
-// the matching phi argument.
-func removeLastPred(b, p *Block) {
-	for i := len(b.Preds) - 1; i >= 0; i-- {
-		if b.Preds[i] == p {
-			b.Preds = append(b.Preds[:i], b.Preds[i+1:]...)
-			for _, phi := range b.Phis {
-				if i < len(phi.Args) {
-					phi.Args = append(phi.Args[:i], phi.Args[i+1:]...)
-				}
-			}
-			return
-		}
-	}
 }
 
 func runPeel(f *Function, ctx *PassContext, params map[string]int) error {
@@ -521,47 +393,19 @@ func peelOne(f *Function, cl *countedLoop) {
 // make it crash — the not-implemented path every real vectorizer has, and
 // Fig. 1's compiler-error class.
 func runVectorize(f *Function, ctx *PassContext, _ map[string]int) error {
-	processed := map[*Block]bool{}
-	for {
-		// The one Recompute per widened loop, as in runUnroll.
-		f.Recompute()
-		loops := f.Loops()
-		var target *countedLoop
-		for _, l := range loops {
-			if processed[l.Head] || !isInnermost(l, loops) {
-				continue
-			}
-			cl, ok := analyzeCounted(f, l)
-			if !ok {
-				processed[l.Head] = true
-				continue
-			}
-			for _, b := range l.Blocks {
-				for _, v := range b.Insns {
-					if isCall(v) {
-						f.Recompute() // the rewrite trace hashes what a failed pass leaves
-						return &CrashError{Pass: "vectorize",
-							Msg: "cannot widen loop containing call in " + f.Name}
-					}
+	return unrollLoops(f, ctx, "vectorize", 4, true, false, func(cl *countedLoop) (bool, error) {
+		for _, b := range cl.loop.Blocks {
+			for _, v := range b.Insns {
+				if isCall(v) {
+					return false, &CrashError{Pass: "vectorize",
+						Msg: "cannot widen loop containing call in " + f.Name}
 				}
 			}
-			target = cl
-			break
-		}
-		if target == nil {
-			f.Recompute() // analyzeCounted may have split preheaders
-			return nil
 		}
 		if ctx.Tracing() {
-			ctx.Note("vectorize.widen", NoteAnchor(target.head, nil),
-				KV("width", 4), KV("step", target.step))
+			ctx.Note("vectorize.widen", NoteAnchor(cl.head, nil),
+				KV("width", 4), KV("step", cl.step))
 		}
-		mainHead := unrollOne(f, target, 4, false)
-		processed[mainHead] = true
-		processed[target.head] = true
-		if err := ctx.checkGrowth(f, "vectorize"); err != nil {
-			f.Recompute() // the rewrite trace hashes what a failed pass leaves
-			return err
-		}
-	}
+		return true, nil
+	})
 }

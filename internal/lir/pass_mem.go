@@ -285,47 +285,6 @@ func runDSE(f *Function, ctx *PassContext, params map[string]int) error {
 	return nil
 }
 
-// ensurePreheader returns the unique block through which the loop is
-// entered, creating one on the entering edge if needed. Returns nil when the
-// loop has multiple entering edges (we skip such loops). A new preheader is
-// only appended to Blocks: the caller recomputes before it reads rpo or
-// IDom, and before it returns. Splitting the entering edge leaves every
-// other block's place in reverse postorder, so l.Blocks keeps its order.
-func ensurePreheader(f *Function, l *Loop) *Block {
-	var enters []*Block
-	for _, p := range l.Head.Preds {
-		if !l.Contains(p) {
-			enters = append(enters, p)
-		}
-	}
-	if len(enters) != 1 {
-		return nil
-	}
-	p := enters[0]
-	if len(p.Succs) == 1 {
-		return p
-	}
-	// Split the entering edge.
-	ph := f.NewBlock()
-	ph.AppendRaw(f.NewValue(OpJump, TVoid))
-	for i, s := range p.Succs {
-		if s == l.Head {
-			p.Succs[i] = ph
-			break
-		}
-	}
-	ph.Preds = []*Block{p}
-	ph.Succs = []*Block{l.Head}
-	for i, pr := range l.Head.Preds {
-		if pr == p {
-			l.Head.Preds[i] = ph // keep the phi argument index
-			break
-		}
-	}
-	f.Blocks = append(f.Blocks, ph)
-	return ph
-}
-
 func runLICM(f *Function, ctx *PassContext, params map[string]int) error {
 	hoistLoads := params["loads"] == 1
 	unsafe := params["unsafe"] == 1

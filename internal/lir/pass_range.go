@@ -115,20 +115,15 @@ func runRangeBranch(f *Function, ctx *PassContext, params map[string]int) error 
 			if !ok || b.Succs[0] == b.Succs[1] {
 				continue // identical successors are simplifycfg's case
 			}
-			t := b.Term()
 			if ctx.Tracing() {
+				t := b.Term()
 				rA, rC := ra.At(b, t.Args[0]), ra.At(b, t.Args[1])
 				ctx.Note("rangebranch.fold", NoteAnchor(b, t), KV("keep", int64(keep)),
 					KV("a-lo", rA.Lo), KV("a-hi", rA.Hi), KV("b-lo", rC.Lo), KV("b-hi", rC.Hi))
 			}
-			// Same mechanics as simplifycfg's constant-branch fold. Facts
-			// stay valid across the sweep: folding only removes edges, which
-			// can only shrink the set of paths a recorded fact covers.
-			dead := b.Succs[1-keep]
-			removeOnePred(dead, b)
-			t.Op = OpJump
-			t.Args = nil
-			b.Succs = []*Block{b.Succs[keep]}
+			// Facts stay valid across the sweep: folding only removes edges,
+			// which can only shrink the set of paths a recorded fact covers.
+			foldBranch(b, keep)
 			folded++
 		}
 		if folded == 0 {

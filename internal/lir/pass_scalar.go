@@ -525,11 +525,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 				// Identical successors: degrade to a jump, dropping one of
 				// the two duplicate predecessor entries.
 				if b.Succs[0] == b.Succs[1] {
-					s := b.Succs[0]
-					removeOnePred(s, b)
-					t.Op = OpJump
-					t.Args = nil
-					b.Succs = []*Block{s}
+					foldBranch(b, 0)
 					folded++
 					changed, foldedNow = true, true
 					continue
@@ -538,17 +534,11 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 				a, aok := isConstInt(t.Args[0])
 				c, cok := isConstInt(t.Args[1])
 				if aok && cok {
-					take := EvalCond(t.Cond, a, c)
-					var live, dead *Block
-					if take {
-						live, dead = b.Succs[0], b.Succs[1]
-					} else {
-						live, dead = b.Succs[1], b.Succs[0]
+					keep := 1
+					if EvalCond(t.Cond, a, c) {
+						keep = 0
 					}
-					removeOnePred(dead, b)
-					t.Op = OpJump
-					t.Args = nil
-					b.Succs = []*Block{live}
+					foldBranch(b, keep)
 					folded++
 					changed, foldedNow = true, true
 					continue
@@ -567,15 +557,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 					for _, v := range s.Insns {
 						v.Block = b
 					}
-					b.Succs = s.Succs
-					for _, ss := range s.Succs {
-						for i, p := range ss.Preds {
-							if p == s {
-								ss.Preds[i] = b
-							}
-						}
-					}
-					s.Succs = nil
+					moveSuccs(s, b)
 					s.Preds = nil
 					s.Insns = nil
 					merged++
@@ -597,26 +579,6 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 		f.Recompute() // drop the blocks the last merges emptied
 	}
 	return folded, merged
-}
-
-// removeOnePred deletes the last occurrence of p from b.Preds along with the
-// corresponding phi arguments.
-func removeOnePred(b *Block, p *Block) {
-	idx := -1
-	for i, x := range b.Preds {
-		if x == p {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	b.Preds = append(b.Preds[:idx], b.Preds[idx+1:]...)
-	for _, phi := range b.Phis {
-		if idx < len(phi.Args) {
-			phi.Args = append(phi.Args[:idx], phi.Args[idx+1:]...)
-		}
-	}
 }
 
 // runSink moves pure single-use values into the block of their unique use

@@ -87,3 +87,36 @@ func TestUnswitchIRValid(t *testing.T) {
 		t.Errorf("%d loops after unswitch, want 2", n)
 	}
 }
+
+// TestUnswitchKeepsNoTrap checks that both loop versions keep the NoTrap mark
+// rangecheckelim put on the loop's remainder by a nonzero constant.
+func TestUnswitchKeepsNoTrap(t *testing.T) {
+	prog, err := minic.CompileSource("u", unswitchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := prog.MethodByName("work")
+	f, err := BuildSSA(prog, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"rangecheckelim", "unswitch"} {
+		if err := RunPassForTest(f, pass, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rems, marked := 0, 0
+	for _, b := range f.Blocks {
+		for _, v := range b.Insns {
+			if v.Op == OpRem {
+				rems++
+				if v.NoTrap {
+					marked++
+				}
+			}
+		}
+	}
+	if rems != 2 || marked != 2 {
+		t.Errorf("%d of %d remainders NoTrap after unswitch, want 2 of 2", marked, rems)
+	}
+}

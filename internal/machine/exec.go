@@ -55,9 +55,6 @@ type Exec struct {
 	// Hook, when set, intercepts the first call to Hook.Method.
 	Hook *CaptureHook
 
-	// Trace, when set, observes every executed instruction (debugging).
-	Trace func(m dex.MethodID, pc int)
-
 	// NoFuse disables superinstruction dispatch (the escape hatch for
 	// cycle-identity tests and debugging); fused and unfused execution
 	// produce identical results and identical success cycle counts.
@@ -205,7 +202,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	var prevLatency uint64
 	var readBuf [8]int
 
-	// Fast dispatch: with no sampler, tracer, or pair tally attached, the
+	// Fast dispatch: with no sampler or pair tally attached, the
 	// per-op budget check inlines against a hoisted limit (MaxCycles == 0
 	// becomes an unreachable ceiling) and fusible adjacent op pairs execute
 	// as superinstructions from the Fn's fuse table. Both transformations
@@ -213,7 +210,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	// value of a run that times out mid-pair can differ, and failed runs
 	// never contribute a measurement.
 	sampling := x.SamplePeriod > 0 && x.Sampler != nil
-	fast := !sampling && x.Trace == nil && x.PairTally == nil
+	fast := !sampling && x.PairTally == nil
 	limit := x.MaxCycles
 	if limit == 0 {
 		limit = math.MaxUint64
@@ -264,9 +261,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 				continue
 			}
 		} else {
-			if x.Trace != nil {
-				x.Trace(fn.Method, pc)
-			}
 			if x.PairTally != nil {
 				if fellThrough {
 					x.PairTally.Inc(lastOp.String() + ">" + in.Op.String())

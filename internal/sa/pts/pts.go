@@ -41,7 +41,7 @@ func Attach(static *sa.Result) {
 	// other reader may observe static.Alias until Attach returns.
 	static.Alias = al
 
-	fns := buildSSACache(prog)
+	fns := lir.BuildAllSSA(prog)
 	for i := range prog.Methods {
 		if fns[i] == nil {
 			al.ModRef[i] = sa.TopModRef()
@@ -114,22 +114,6 @@ func selfRecursive(static *sa.Result, m dex.MethodID) bool {
 		}
 	}
 	return false
-}
-
-// buildSSACache constructs SSA once per analyzable method. Uncompilable
-// methods and frontend failures yield nil — their summaries top out and their
-// allocation sites conservatively escape.
-func buildSSACache(prog *dex.Program) []*lir.Function {
-	fns := make([]*lir.Function, len(prog.Methods))
-	for i := range prog.Methods {
-		if prog.Methods[i].Uncompilable {
-			continue
-		}
-		if f, err := lir.BuildSSA(prog, dex.MethodID(i)); err == nil {
-			fns[i] = f
-		}
-	}
-	return fns
 }
 
 // Stats summarizes an attached result for observability spans and report

@@ -46,7 +46,8 @@ func Attach(static *sa.Result) {
 	// a sound previous iterate), so early reads stay sound.
 	static.Ranges = sums
 
-	fns := buildSSACache(prog)
+	// A method without SSA contributes no call sites; its summary stays top.
+	fns := lir.BuildAllSSA(prog)
 
 	// Reverse-topological components: a forward pass sees callees before
 	// callers, so return summaries propagate bottom-up in one sweep.
@@ -75,22 +76,6 @@ func Attach(static *sa.Result) {
 			copy(sums[i].Params, pend[i])
 		}
 	}
-}
-
-// buildSSACache constructs SSA once per analyzable method. Uncompilable
-// methods and frontend failures yield nil — their bodies contribute no call
-// sites and their summaries stay top.
-func buildSSACache(prog *dex.Program) []*lir.Function {
-	fns := make([]*lir.Function, len(prog.Methods))
-	for i := range prog.Methods {
-		if prog.Methods[i].Uncompilable {
-			continue
-		}
-		if f, err := lir.BuildSSA(prog, dex.MethodID(i)); err == nil {
-			fns[i] = f
-		}
-	}
-	return fns
 }
 
 // accumulateCallSites joins the argument ranges of every analyzable call site
