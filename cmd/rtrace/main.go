@@ -30,9 +30,10 @@
 // -static is set — dynamically, recompiling the app's region to detect
 // decisions that no longer fire and image drift. Exit 1 on any drift.
 //
-// -validate runs the structural validator shared with cmd/tracelint over
-// each file and prints record counts. -json switches every subcommand's
-// output to machine-readable JSON.
+// -validate reads each file with rtrace.ReadTrace, the trace reader replay
+// and bisect use, and prints a summary. A trace without an image trailer,
+// from an aborted compile, is valid but not replayable. -json switches
+// every subcommand's output to machine-readable JSON.
 package main
 
 import (
@@ -56,7 +57,7 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	validate := flag.Bool("validate", false, "validate trace files structurally (shared validator with cmd/tracelint)")
+	validate := flag.Bool("validate", false, "validate trace files with the reader replay uses")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -132,21 +133,30 @@ func runValidate(paths []string, jsonOut bool) {
 	}
 	ok := true
 	for _, path := range paths {
-		st, err := rtrace.ValidateFile(path)
+		tr, err := rtrace.ReadTraceFile(path)
 		if err != nil {
 			ok = false
 			if jsonOut {
 				emit(map[string]any{"file": path, "valid": false, "error": err.Error()})
 			} else {
-				fmt.Fprintf(os.Stderr, "rtrace: %v\n", err)
+				fmt.Fprintf(os.Stderr, "rtrace: %s: %v\n", path, err)
 			}
 			continue
 		}
+		fired := map[string]int{}
+		for _, e := range tr.Entries {
+			if e.Fired {
+				fired[e.Pass]++
+			}
+		}
+		image := "no image trailer (aborted compile, not replayable)"
+		if tr.Trailer != nil {
+			image = "image " + tr.Trailer.ImageHash
+		}
 		if jsonOut {
-			emit(map[string]any{"file": path, "valid": true, "stats": st})
+			emit(map[string]any{"file": path, "valid": true, "entries": len(tr.Entries), "fired": fired, "trailer": tr.Trailer})
 		} else {
-			fmt.Printf("%s: ok — %d header, %d rewrites (%d passes fired), %d trailer, %d locks, %d spans\n",
-				path, st.Headers, st.Rewrites, len(st.Fired), st.Trailers, st.Locks, st.Spans)
+			fmt.Printf("%s: ok — %d rewrites (%d passes fired), %s\n", path, len(tr.Entries), len(fired), image)
 		}
 	}
 	if !ok {

@@ -1,22 +1,17 @@
 // Command tracelint validates a JSONL span trace written by
-// replayopt/experiments -trace: every line must parse, span ids must be
-// unique, parent references must resolve, and durations must be
+// replayopt/experiments/fleetd -trace. It reads the file with obs.ReadJSONL,
+// the one span-trace reader: every line must decode strictly as a span (a
+// rewrite-trace record is rejected; cmd/rtrace -validate reads those), span
+// ids must be unique, parent references must resolve, and durations must be
 // non-negative. -require asserts that named spans are present — CI uses it
 // to prove a pipeline run really went profile → capture → verify → search →
 // install.
-//
-// Rewrite-trace records (the "kind"-discriminated lines of
-// internal/lir/rtrace, written by replayopt -rtrace) may share the file with
-// span records; tracelint validates them with the same structural validator
-// as cmd/rtrace -validate, so the two tools can never disagree about what a
-// well-formed artifact is.
 //
 // Usage:
 //
 //	tracelint [-require pipeline,profile,capture,verify,search,install] trace.jsonl
 //
-// Exits 0 on a valid trace, 1 otherwise, and prints per-span-name counts
-// plus rewrite-record counts when present.
+// Exits 0 on a valid trace, 1 otherwise, and prints per-span-name counts.
 package main
 
 import (
@@ -26,7 +21,6 @@ import (
 	"sort"
 	"strings"
 
-	"replayopt/internal/lir/rtrace"
 	"replayopt/internal/obs"
 )
 
@@ -51,19 +45,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracelint: %s: %v\n", path, err)
 		os.Exit(1)
 	}
-	counts, err := obs.ValidateTrace(spans)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracelint: %s: %v\n", path, err)
-		os.Exit(1)
-	}
-
-	// Second pass with the shared rtrace validator: span lines are only
-	// JSON-checked again, but every "kind"-bearing rewrite/header/trailer/
-	// lock record must satisfy the rtrace schema.
-	rst, err := rtrace.ValidateFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracelint: %v\n", err)
-		os.Exit(1)
+	counts := map[string]int{}
+	for _, sd := range spans {
+		counts[sd.Name]++
 	}
 
 	if !*quiet {
@@ -90,11 +74,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracelint: %s: required spans missing: %s\n",
 			path, strings.Join(missing, ", "))
 		os.Exit(1)
-	}
-	if rst.Rewrites > 0 || rst.Locks > 0 {
-		fmt.Printf("ok: %d spans, %d distinct names; %d rewrite entries (%d passes fired), %d locks\n",
-			len(spans), len(counts), rst.Rewrites, len(rst.Fired), rst.Locks)
-		return
 	}
 	fmt.Printf("ok: %d spans, %d distinct names\n", len(spans), len(counts))
 }

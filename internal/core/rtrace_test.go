@@ -69,17 +69,12 @@ func TestWinnerTraceReplaysAndLockHolds(t *testing.T) {
 		t.Fatal("report carries no policy lock")
 	}
 
-	st, err := rtrace.ValidateReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("winner trace does not validate: %v", err)
-	}
-	if st.Headers != 1 || st.Trailers != 1 {
-		t.Fatalf("unexpected trace shape: %+v", st)
-	}
-
 	tr, err := rtrace.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("winner trace does not read: %v", err)
+	}
+	if tr.Trailer == nil {
+		t.Fatal("winner trace has no image trailer")
 	}
 	if got, want := tr.Header.ConfigFingerprint, rtrace.HashString(rep.Best.Fingerprint()); got != want {
 		t.Errorf("trace header fingerprint %s != winner %s", got, want)

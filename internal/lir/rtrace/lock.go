@@ -25,10 +25,10 @@ import (
 	"replayopt/internal/lir"
 	"replayopt/internal/machine"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 )
 
-// Lock is the persisted policy-lock artifact (one JSON object; also valid as
-// a line inside a JSONL trace, discriminated by Kind).
+// Lock is the persisted policy-lock artifact, one JSON object per file.
 type Lock struct {
 	Kind              string         `json:"kind"`
 	SchemaVersion     int            `json:"schema"`
@@ -40,6 +40,21 @@ type Lock struct {
 	// Fired is the per-pass fired count observed when the lock was cut; a
 	// pass listed here was load-bearing, not a no-op.
 	Fired map[string]int `json:"fired,omitempty"`
+}
+
+// Check enforces the lock's own invariants: its kind and schema version and
+// the syntax of its hashes.
+func (l *Lock) Check() error {
+	if err := checkVersion(l.Kind, KindLock, l.SchemaVersion); err != nil {
+		return err
+	}
+	if err := checkHash("config fingerprint", l.ConfigFingerprint); err != nil {
+		return err
+	}
+	if l.ImageHash == "" {
+		return nil
+	}
+	return checkHash("image hash", l.ImageHash)
 }
 
 // BuildLock cuts a lock from a winning configuration. fired may be nil when
@@ -77,31 +92,39 @@ func (l *Lock) Config() (lir.Config, error) {
 
 // WriteLockFile persists a lock as indented JSON.
 func WriteLockFile(path string, l *Lock) error {
-	data, err := json.MarshalIndent(l, "", "  ")
+	data, err := encodeLock(l)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
 }
 
-// ReadLockFile loads and version-checks a lock.
+func encodeLock(l *Lock) ([]byte, error) {
+	data, err := json.MarshalIndent(l, "", "  ")
+	return append(data, '\n'), err
+}
+
+// ReadLockFile reads a lock written by WriteLockFile: the format's one
+// reader.
 func ReadLockFile(path string) (*Lock, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var l Lock
-	if err := json.Unmarshal(data, &l); err != nil {
+	l, err := decodeLock(data)
+	if err != nil {
 		return nil, fmt.Errorf("rtrace: %s: %w", path, err)
 	}
-	if l.Kind != KindLock {
-		return nil, fmt.Errorf("rtrace: %s: kind %q, want %q", path, l.Kind, KindLock)
+	return l, nil
+}
+
+// decodeLock strictly decodes and checks one lock document.
+func decodeLock(data []byte) (*Lock, error) {
+	l := new(Lock)
+	if err := schema.Decode(data, l); err != nil {
+		return nil, err
 	}
-	if l.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("rtrace: %s: schema version %d, this build understands %d",
-			path, l.SchemaVersion, SchemaVersion)
-	}
-	return &l, nil
+	return l, nil
 }
 
 // Drift is one way the current compiler deviates from a lock.

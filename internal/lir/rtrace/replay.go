@@ -9,7 +9,7 @@ package rtrace
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -18,6 +18,7 @@ import (
 	"replayopt/internal/lir"
 	"replayopt/internal/machine"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 )
 
 // Trace is a parsed rewrite trace.
@@ -27,10 +28,14 @@ type Trace struct {
 	Trailer *Trailer
 }
 
-// ReadTrace parses a JSONL stream, collecting rtrace records and skipping
-// everything else (obs span lines share the file). Record order is enforced:
-// one header first, entries with strictly increasing seq, at most one
-// trailer.
+// ReadTrace reads a rewrite trace: the format's one reader and validator,
+// behind replay, bisect and rtrace -validate. Each line is one record,
+// decoded strictly by schema.Decode into the struct its kind names and
+// checked by that struct's Check; any other kind is an error. The records
+// must come in compile order: one header first, entries with contiguous seq
+// from 0, and at most one image trailer, last, whose entry count matches. An
+// entry that carries an error ends the trace. A trace without a trailer,
+// from an aborted compile, reads; Replay refuses it.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -38,64 +43,64 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
+		if err := t.add(sc.Bytes()); err != nil {
 			return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-		}
-		switch probe.Kind {
-		case KindHeader:
-			if t.Header != nil {
-				return nil, fmt.Errorf("rtrace: line %d: duplicate header", line)
-			}
-			var h Header
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-			}
-			if h.SchemaVersion != SchemaVersion {
-				return nil, fmt.Errorf("rtrace: line %d: schema version %d, this build understands %d",
-					line, h.SchemaVersion, SchemaVersion)
-			}
-			t.Header = &h
-		case KindRewrite:
-			var e Entry
-			if err := json.Unmarshal(raw, &e); err != nil {
-				return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-			}
-			if t.Header == nil {
-				return nil, fmt.Errorf("rtrace: line %d: rewrite entry before header", line)
-			}
-			if e.Seq != len(t.Entries) {
-				return nil, fmt.Errorf("rtrace: line %d: seq %d, want %d", line, e.Seq, len(t.Entries))
-			}
-			t.Entries = append(t.Entries, e)
-		case KindImage:
-			if t.Trailer != nil {
-				return nil, fmt.Errorf("rtrace: line %d: duplicate trailer", line)
-			}
-			var tr Trailer
-			if err := json.Unmarshal(raw, &tr); err != nil {
-				return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-			}
-			t.Trailer = &tr
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	if t.Header == nil {
-		return nil, fmt.Errorf("rtrace: no header record found")
-	}
-	if t.Trailer != nil && t.Trailer.Entries != len(t.Entries) {
-		return nil, fmt.Errorf("rtrace: trailer claims %d entries, file has %d",
-			t.Trailer.Entries, len(t.Entries))
+		return nil, errors.New("rtrace: no header record found")
 	}
 	return t, nil
+}
+
+// add decodes one record and appends it where the order rules allow.
+func (t *Trace) add(raw []byte) error {
+	kind, err := schema.Kind(raw)
+	if err != nil {
+		return err
+	}
+	switch {
+	case t.Trailer != nil:
+		return errors.New("record after the image trailer")
+	case len(t.Entries) > 0 && t.Entries[len(t.Entries)-1].Error != "":
+		return errors.New("record after the entry that aborted the compile")
+	case t.Header != nil && kind == KindHeader:
+		return errors.New("duplicate header")
+	case t.Header == nil && kind != KindHeader:
+		return fmt.Errorf("%q record before the header", kind)
+	}
+	switch kind {
+	case KindHeader:
+		t.Header = new(Header)
+		return schema.Decode(raw, t.Header)
+	case KindRewrite:
+		var e Entry
+		if err := schema.Decode(raw, &e); err != nil {
+			return err
+		}
+		if e.Seq != len(t.Entries) {
+			return fmt.Errorf("seq %d, want %d", e.Seq, len(t.Entries))
+		}
+		t.Entries = append(t.Entries, e)
+	case KindImage:
+		var tr Trailer
+		if err := schema.Decode(raw, &tr); err != nil {
+			return err
+		}
+		if tr.Entries != len(t.Entries) {
+			return fmt.Errorf("trailer claims %d entries, file has %d", tr.Entries, len(t.Entries))
+		}
+		t.Trailer = &tr
+	default:
+		return fmt.Errorf("unknown record kind %q", kind)
+	}
+	return nil
 }
 
 // ReadTraceFile reads a trace from disk.

@@ -27,6 +27,7 @@
 package rtrace
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -37,14 +38,13 @@ import (
 	"replayopt/internal/obs"
 )
 
-// SchemaVersion identifies the trace record layout. Bump it on any
-// incompatible field change (see CONTRIBUTING.md: consumers hard-fail on
-// versions they do not know).
+// SchemaVersion identifies the trace and lock record layout. Every record is
+// decoded strictly, so bump it on any field change, additive ones included
+// (see CONTRIBUTING.md: consumers hard-fail on versions they do not know).
 const SchemaVersion = 1
 
-// Record kinds. Rewrite-trace lines share JSONL files with obs span lines
-// (which carry no "kind" field); every rtrace record is discriminated by one
-// of these.
+// Record kinds. Every line of a rewrite trace is one record discriminated by
+// its kind; a policy lock is a file of its own.
 const (
 	KindHeader  = "rtrace-header"
 	KindRewrite = "rewrite"
@@ -78,6 +78,15 @@ type Header struct {
 	Methods           []int          `json:"methods"`
 }
 
+// Check enforces the header's own invariants; ReadTrace enforces its place
+// in the file.
+func (h *Header) Check() error {
+	if err := checkVersion(h.Kind, KindHeader, h.SchemaVersion); err != nil {
+		return err
+	}
+	return checkHash("config fingerprint", h.ConfigFingerprint)
+}
+
 // Entry is one pass application. Seq is global across the whole compile (all
 // methods, in compile order), so a prefix of entries is a prefix of the
 // compile. Hashes are lir.HashFunction digests formatted %016x. Entries
@@ -109,6 +118,30 @@ type Entry struct {
 	Error string `json:"error,omitempty"`
 }
 
+// Check enforces the entry's own invariants: well-formed hashes, a pass
+// name, and a fired or skipped flag that agrees with the hashes.
+func (e *Entry) Check() error {
+	if err := checkKind(e.Kind, KindRewrite); err != nil {
+		return err
+	}
+	if e.Pass == "" {
+		return errors.New("rewrite entry without a pass name")
+	}
+	if err := checkHash("before hash", e.Before); err != nil {
+		return err
+	}
+	if err := checkHash("after hash", e.After); err != nil {
+		return err
+	}
+	if e.Skipped && e.Before != e.After {
+		return fmt.Errorf("skipped application changed the IR (%s -> %s)", e.Before, e.After)
+	}
+	if e.Fired && e.Before == e.After {
+		return errors.New("entry marked fired but hashes are identical")
+	}
+	return nil
+}
+
 // Trailer closes a successful trace with the image fingerprint replay must
 // reproduce.
 type Trailer struct {
@@ -116,6 +149,41 @@ type Trailer struct {
 	ImageHash string `json:"image_hash"`
 	Entries   int    `json:"entries"`
 	Methods   int    `json:"methods"`
+}
+
+// Check enforces the trailer's own invariants; ReadTrace checks its entry
+// count against the file.
+func (tr *Trailer) Check() error {
+	if err := checkKind(tr.Kind, KindImage); err != nil {
+		return err
+	}
+	return checkHash("image hash", tr.ImageHash)
+}
+
+func checkKind(got, want string) error {
+	if got != want {
+		return fmt.Errorf("kind %q, want %q", got, want)
+	}
+	return nil
+}
+
+// checkVersion checks the kind and schema version of a versioned record (a
+// trace header or a lock).
+func checkVersion(kind, want string, version int) error {
+	if err := checkKind(kind, want); err != nil {
+		return err
+	}
+	if version != SchemaVersion {
+		return fmt.Errorf("schema version %d, this build understands %d", version, SchemaVersion)
+	}
+	return nil
+}
+
+func checkHash(field, s string) error {
+	if _, err := ParseHash(s); err != nil {
+		return fmt.Errorf("%s: %w", field, err)
+	}
+	return nil
 }
 
 // HashString formats a digest the way every rtrace record stores it.

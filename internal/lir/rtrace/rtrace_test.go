@@ -2,9 +2,12 @@ package rtrace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"replayopt/internal/dex"
@@ -39,7 +42,7 @@ func main() int {
 }
 `
 
-func fixture(t *testing.T) (*dex.Program, []dex.MethodID) {
+func fixture(t testing.TB) (*dex.Program, []dex.MethodID) {
 	t.Helper()
 	prog, err := minic.CompileSource("fixture", fixtureSrc)
 	if err != nil {
@@ -56,7 +59,7 @@ func fixture(t *testing.T) (*dex.Program, []dex.MethodID) {
 
 // record compiles prog under cfg with a fresh Recorder and returns the raw
 // trace bytes alongside the compiled image hash.
-func record(t *testing.T, prog *dex.Program, methods []dex.MethodID, cfg lir.Config) ([]byte, uint64) {
+func record(t testing.TB, prog *dex.Program, methods []dex.MethodID, cfg lir.Config) ([]byte, uint64) {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := NewRecorder(obs.NewJSONLWriter(&buf), RecorderOptions{DiffLines: DefaultDiffLines})
@@ -78,9 +81,28 @@ func record(t *testing.T, prog *dex.Program, methods []dex.MethodID, cfg lir.Con
 	return buf.Bytes(), img
 }
 
+// encodeTrace writes a parsed trace back out the way a Recorder writes it.
+func encodeTrace(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := obs.NewJSONLWriter(&buf)
+	w.Write(tr.Header)
+	for _, e := range tr.Entries {
+		w.Write(e)
+	}
+	if tr.Trailer != nil {
+		w.Write(tr.Trailer)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestGoldenTrace: the same preset over the same program yields a
 // byte-identical trace — entries carry no timestamps and all map keys
-// marshal sorted, so recording is deterministic down to the bytes.
+// marshal sorted, so recording is deterministic down to the bytes — and
+// the reader keeps every byte the recorder wrote.
 func TestGoldenTrace(t *testing.T) {
 	prog, methods := fixture(t)
 	a, _ := record(t, prog, methods, lir.O3())
@@ -88,15 +110,24 @@ func TestGoldenTrace(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two recordings of the same compile differ:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
-	st, err := ValidateReader(bytes.NewReader(a))
+	tr, err := ReadTrace(bytes.NewReader(a))
 	if err != nil {
-		t.Fatalf("golden trace does not validate: %v", err)
+		t.Fatalf("golden trace does not read: %v", err)
 	}
-	if st.Headers != 1 || st.Trailers != 1 || st.Rewrites == 0 {
-		t.Fatalf("unexpected trace shape: %+v", st)
+	if tr.Trailer == nil || len(tr.Entries) == 0 {
+		t.Fatalf("unexpected trace shape: %d entries, trailer %v", len(tr.Entries), tr.Trailer)
 	}
-	if len(st.Fired) == 0 {
+	fired := 0
+	for _, e := range tr.Entries {
+		if e.Fired {
+			fired++
+		}
+	}
+	if fired == 0 {
 		t.Error("O3 over the loop fixture fired no pass at all")
+	}
+	if enc := encodeTrace(t, tr); !bytes.Equal(enc, a) {
+		t.Errorf("re-encoding the read trace changed it:\n--- recorded ---\n%s\n--- re-encoded ---\n%s", a, enc)
 	}
 }
 
@@ -338,33 +369,161 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsCorruption: the shared validator catches structural
-// damage a JSON parser alone would accept.
+// TestValidateRejectsCorruption: ReadTrace, the trace's one reader, refuses
+// damage a JSON parser alone would accept, and every record that is not part
+// of a rewrite trace.
 func TestValidateRejectsCorruption(t *testing.T) {
 	prog, methods := fixture(t)
 	raw, _ := record(t, prog, methods, lir.O2())
-	if _, err := ValidateReader(bytes.NewReader(raw)); err != nil {
+	if _, err := ReadTrace(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("clean trace rejected: %v", err)
 	}
+	// afterHeader inserts one line between the header and the first entry.
+	afterHeader := func(line string) (old, new string) {
+		return "\n" + `{"kind":"rewrite","seq":0,`, "\n" + line + "\n" + `{"kind":"rewrite","seq":0,`
+	}
+	lockOld, lockNew := afterHeader(`{"kind":"rtrace-lock","schema":99,"config_fingerprint":"0000000000000000","passes":[]}`)
+	noteOld, noteNew := afterHeader(`{"kind":"rtrace-note","seq":0}`)
+	spanOld, spanNew := afterHeader(`{"id":1,"name":"compile","start_us":0,"dur_us":5}`)
 	for _, tc := range []struct {
-		name string
-		old  []byte
-		new  []byte
+		name, old, new, want string
 	}{
-		{"seq-gap", []byte(`"kind":"rewrite","seq":1,`), []byte(`"kind":"rewrite","seq":7,`)},
-		{"unknown-kind", []byte(`"kind":"rtrace-image"`), []byte(`"kind":"rtrace-imago"`)},
-		{"bad-hash", []byte(`"before":"`), []byte(`"before":"zz`)},
+		{"seq-gap", `"kind":"rewrite","seq":1,`, `"kind":"rewrite","seq":7,`, "seq 7, want 1"},
+		{"unknown-kind", `"kind":"rtrace-image"`, `"kind":"rtrace-imago"`, `unknown record kind "rtrace-imago"`},
+		{"bad-hash", `"before":"`, `"before":"zz`, "before hash"},
+		{"unknown-kind-line", noteOld, noteNew, `unknown record kind "rtrace-note"`},
+		{"lock-line", lockOld, lockNew, `unknown record kind "rtrace-lock"`},
+		{"span-line", spanOld, spanNew, `unknown record kind ""`},
+		{"unknown-key", `"kind":"rewrite","seq":3,`, `"kind":"rewrite","seq":3,"sqe":3,`, `unknown field "sqe"`},
+		{"fired-equal-hashes", `"fired":false`, `"fired":true`, "marked fired but hashes are identical"},
+		{"entry-after-error", `"fired":false`, `"fired":false,"error":"crash"`, "after the entry that aborted the compile"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := bytes.Replace(raw, tc.old, tc.new, 1)
+			bad := bytes.Replace(raw, []byte(tc.old), []byte(tc.new), 1)
 			if bytes.Equal(bad, raw) {
 				t.Fatalf("corruption pattern %q not found in trace", tc.old)
 			}
-			if _, err := ValidateReader(bytes.NewReader(bad)); err == nil {
-				t.Error("corrupted trace validated clean")
+			_, err := ReadTrace(bytes.NewReader(bad))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("corrupted trace read with error %v, want one mentioning %q", err, tc.want)
 			}
 		})
 	}
+}
+
+// TestReadLockFileRejectsCorruption: ReadLockFile decodes strictly and
+// checks the lock's kind, version and hashes.
+func TestReadLockFileRejectsCorruption(t *testing.T) {
+	prog, methods := fixture(t)
+	_, img := record(t, prog, methods, lir.O3())
+	good, err := encodeLock(BuildLock("fixture", lir.O3(), img, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		mutate func(m map[string]any)
+		want   string
+	}{
+		{"clean", func(map[string]any) {}, ""},
+		{"unknown-key", func(m map[string]any) { m["fingerprint"] = m["config_fingerprint"] }, `unknown field "fingerprint"`},
+		{"missing-fingerprint", func(m map[string]any) { delete(m, "config_fingerprint") }, "config_fingerprint missing"},
+		{"wrong-kind", func(m map[string]any) { m["kind"] = KindHeader }, `kind "rtrace-header", want "rtrace-lock"`},
+		{"wrong-version", func(m map[string]any) { m["schema"] = SchemaVersion + 1 }, "schema version 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m map[string]any
+			if err := json.Unmarshal(good, &m); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(m)
+			data, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, tc.name+".lock.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadLockFile(path)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("clean lock rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("corrupted lock read with error %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzReadTrace: ReadTrace never panics, and whatever it accepts re-encodes
+// to a trace it accepts again, which re-encodes to the same bytes.
+func FuzzReadTrace(f *testing.F) {
+	prog, methods := fixture(f)
+	for _, cfg := range []lir.Config{lir.O2(), lir.O3()} {
+		raw, _ := record(f, prog, methods, cfg)
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc := encodeTrace(t, tr)
+		back, err := ReadTrace(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v\n%s", err, enc)
+		}
+		if again := encodeTrace(t, back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable:\n%s\nthen\n%s", enc, again)
+		}
+	})
+}
+
+// FuzzDecodeLock: decodeLock never panics, and whatever it accepts
+// re-encodes to a lock it accepts again, which re-encodes to the same bytes.
+func FuzzDecodeLock(f *testing.F) {
+	prog, methods := fixture(f)
+	raw, img := record(f, prog, methods, lir.O3())
+	tr, err := ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fired := map[string]int{}
+	for _, e := range tr.Entries {
+		if e.Fired {
+			fired[e.Pass]++
+		}
+	}
+	for _, l := range []*Lock{BuildLock("fixture", lir.O3(), img, fired), BuildLock("", lir.O0(), 0, nil)} {
+		data, err := encodeLock(l)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := decodeLock(data)
+		if err != nil {
+			return
+		}
+		enc, err := encodeLock(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeLock(enc)
+		if err != nil {
+			t.Fatalf("re-encoded lock rejected: %v\n%s", err, enc)
+		}
+		again, err := encodeLock(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable:\n%s\nthen\n%s", enc, again)
+		}
+	})
 }
 
 // TestRecordingIsObservationOnly: the compiled image is bit-identical with

@@ -8,7 +8,6 @@ import (
 	"replayopt/internal/dex"
 	"replayopt/internal/interp"
 	"replayopt/internal/mem"
-	"replayopt/internal/obs"
 	"replayopt/internal/rt"
 )
 
@@ -59,10 +58,6 @@ type Exec struct {
 	// cycle-identity tests and debugging); fused and unfused execution
 	// produce identical results and identical success cycle counts.
 	NoFuse bool
-	// PairTally, when set, counts executed fallthrough opcode pairs
-	// ("mul>add") — the measurement that selects the fusible op set. It
-	// forces the instrumented slow path, so it is for profiling runs only.
-	PairTally *obs.Tally
 
 	stack         []dex.MethodID
 	currentNative dex.NativeID
@@ -202,15 +197,14 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	var prevLatency uint64
 	var readBuf [8]int
 
-	// Fast dispatch: with no sampler or pair tally attached, the
-	// per-op budget check inlines against a hoisted limit (MaxCycles == 0
-	// becomes an unreachable ceiling) and fusible adjacent op pairs execute
-	// as superinstructions from the Fn's fuse table. Both transformations
-	// preserve the cycle model exactly on successful runs; only the Cycles
-	// value of a run that times out mid-pair can differ, and failed runs
-	// never contribute a measurement.
-	sampling := x.SamplePeriod > 0 && x.Sampler != nil
-	fast := !sampling && x.PairTally == nil
+	// Fast dispatch: with no sampler attached, the per-op budget check
+	// inlines against a hoisted limit (MaxCycles == 0 becomes an unreachable
+	// ceiling) and fusible adjacent op pairs execute as superinstructions
+	// from the Fn's fuse table. Both transformations preserve the cycle
+	// model exactly on successful runs; only the Cycles value of a run that
+	// times out mid-pair can differ, and failed runs never contribute a
+	// measurement.
+	fast := x.SamplePeriod == 0 || x.Sampler == nil
 	limit := x.MaxCycles
 	if limit == 0 {
 		limit = math.MaxUint64
@@ -219,8 +213,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	if !fast || x.NoFuse {
 		fuse = nil
 	}
-	lastOp := Nop
-	fellThrough := false
 
 	pc := 0
 	for {
@@ -259,13 +251,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 				prevLatency = opLatency[in2.Op]
 				pc += 2
 				continue
-			}
-		} else {
-			if x.PairTally != nil {
-				if fellThrough {
-					x.PairTally.Inc(lastOp.String() + ">" + in.Op.String())
-				}
-				lastOp = in.Op
 			}
 		}
 		cost := opCost[in.Op]
@@ -488,13 +473,11 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			if take {
 				pc = int(in.Imm)
 				prevDest = -1
-				fellThrough = false
 				continue
 			}
 		case Jmp:
 			pc = int(in.Imm)
 			prevDest = -1
-			fellThrough = false
 			continue
 
 		case Call, CallV:
@@ -600,7 +583,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 		default:
 			return 0, fmt.Errorf("machine: unimplemented opcode %s", in.Op)
 		}
-		fellThrough = true
 		pc++
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"testing"
 
-	"replayopt/internal/obs"
 	"replayopt/internal/rt"
 )
 
@@ -111,42 +110,5 @@ func TestBranchIntoFusedPair(t *testing.T) {
 	}
 	if fc != pc {
 		t.Errorf("cycles differ across jump into pair: fused %d, unfused %d", fc, pc)
-	}
-}
-
-// PairTally forces the instrumented path and counts fallthrough pairs —
-// the measurement used to choose the fusible op set.
-func TestPairTallyCountsHotPairs(t *testing.T) {
-	reg := obs.NewRegistry()
-	prog, code := tinyProgram(loopFn(100))
-	proc := rt.NewProcess(prog, rt.Config{})
-	x := NewExec(proc, code)
-	x.MaxCycles = 10_000_000
-	x.PairTally = reg.Tally("machine.op_pairs")
-	if _, err := x.Call(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Each loop iteration falls through mul>add, add>xor, xor>shl, shl>shr.
-	for _, pair := range []string{"mul>add", "add>xor", "xor>shl", "shl>shr"} {
-		if n := x.PairTally.Get(pair); n < 100 {
-			t.Errorf("pair %q counted %d times, want >= 100", pair, n)
-		}
-	}
-	// The tallied run must still compute the same result as the fast path.
-	x2 := NewExec(rt.NewProcess(prog, rt.Config{}), code)
-	x2.MaxCycles = 10_000_000
-	ref, err := x2.Call(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x3 := NewExec(rt.NewProcess(prog, rt.Config{}), code)
-	x3.MaxCycles = 10_000_000
-	x3.PairTally = reg.Tally("machine.op_pairs2")
-	got, err := x3.Call(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ref {
-		t.Errorf("tallied run returned %d, fast path %d", got, ref)
 	}
 }

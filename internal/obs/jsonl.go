@@ -1,14 +1,18 @@
 // JSONL trace sink: one JSON object per finished span, in end order, plus
-// the reader half used by tests and cmd/tracelint to validate traces.
+// the reader half, the one reader and validator of span traces, used by
+// tests and cmd/tracelint.
 
 package obs
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"replayopt/internal/schema"
 )
 
 // JSONLWriter streams finished spans to w as JSON Lines. Safe for
@@ -30,10 +34,7 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 func (j *JSONLWriter) SpanEnd(sd SpanData) { j.Write(sd) }
 
 // Write encodes one arbitrary record as a JSON line under the writer's lock
-// and sticky-error discipline. Non-span record kinds (the rewrite-trace
-// entries of internal/lir/rtrace) go through here, so one file can carry
-// span and rewrite records side by side; readers discriminate on the "kind"
-// field, which span records never set.
+// and sticky-error discipline.
 func (j *JSONLWriter) Write(v any) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -48,7 +49,7 @@ func (j *JSONLWriter) Write(v any) error {
 	return nil
 }
 
-// Count reports how many spans were written.
+// Count reports how many records were written.
 func (j *JSONLWriter) Count() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -62,73 +63,57 @@ func (j *JSONLWriter) Err() error {
 	return j.err
 }
 
-// ReadJSONL parses the span records of a trace written by JSONLWriter.
-// Every line must be valid JSON; lines carrying a "kind" field are non-span
-// records (rewrite-trace entries and their header/trailer, validated by
-// internal/lir/rtrace) and are skipped here. Line numbers are 1-based in
-// errors.
+// ReadJSONL reads a span trace written by JSONLWriter: the format's one
+// reader and validator. Each line is one SpanData, decoded strictly by
+// schema.Decode, so a line with a "kind" field (a rewrite-trace record) is
+// an error, and checked by SpanData.Check. The spans must form a forest:
+// unique ids, and parents that resolve (a child ends, and so is written,
+// before its parent). Line numbers are 1-based in errors.
 func ReadJSONL(r io.Reader) ([]SpanData, error) {
 	var out []SpanData
+	ids := map[uint64]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var kinded struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &kinded); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		if kinded.Kind != "" {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var sd SpanData
-		if err := json.Unmarshal(raw, &sd); err != nil {
+		if err := schema.Decode(sc.Bytes(), &sd); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		if sd.Name == "" {
-			return nil, fmt.Errorf("obs: trace line %d: span without a name", line)
+		if ids[sd.ID] {
+			return nil, fmt.Errorf("obs: trace line %d: duplicate span id %d", line, sd.ID)
 		}
-		if sd.ID == 0 {
-			return nil, fmt.Errorf("obs: trace line %d: span without an id", line)
-		}
+		ids[sd.ID] = true
 		out = append(out, sd)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: reading trace: %w", err)
 	}
-	return out, nil
-}
-
-// ValidateTrace checks structural invariants of a parsed trace: unique span
-// ids, parents that exist (spans end before their parents under normal
-// nesting, so a parent id may appear later in the stream), and non-negative
-// durations. It returns the set of span names seen.
-func ValidateTrace(spans []SpanData) (map[string]int, error) {
-	ids := make(map[uint64]bool, len(spans))
-	names := map[string]int{}
-	for _, sd := range spans {
-		if ids[sd.ID] {
-			return nil, fmt.Errorf("obs: duplicate span id %d", sd.ID)
-		}
-		ids[sd.ID] = true
-		if sd.DurUS < 0 {
-			return nil, fmt.Errorf("obs: span %q (id %d) has negative duration", sd.Name, sd.ID)
-		}
-		names[sd.Name]++
-	}
-	for _, sd := range spans {
+	for _, sd := range out {
 		if sd.Parent != 0 && !ids[sd.Parent] {
 			return nil, fmt.Errorf("obs: span %q (id %d) references missing parent %d",
 				sd.Name, sd.ID, sd.Parent)
 		}
 	}
-	return names, nil
+	return out, nil
+}
+
+// Check enforces one span record's own invariants: an id, a name, and a
+// non-negative duration.
+func (sd *SpanData) Check() error {
+	switch {
+	case sd.ID == 0:
+		return errors.New("span without an id")
+	case sd.Name == "":
+		return errors.New("span without a name")
+	case sd.DurUS < 0:
+		return fmt.Errorf("span %q (id %d) has negative duration", sd.Name, sd.ID)
+	}
+	return nil
 }
 
 // Progress is a sink that turns "ga.generation" spans into a live one-line

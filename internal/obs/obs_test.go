@@ -8,7 +8,8 @@ import (
 
 func TestSpanNestingAndOrder(t *testing.T) {
 	col := &Collect{}
-	sc := New(col)
+	var buf bytes.Buffer
+	sc := New(col, NewJSONLWriter(&buf))
 
 	root := sc.Start("pipeline", A("app", "FFT"))
 	prep := root.Start("prepare")
@@ -46,8 +47,8 @@ func TestSpanNestingAndOrder(t *testing.T) {
 			t.Errorf("span %q has negative time: start=%d dur=%d", sd.Name, sd.StartUS, sd.DurUS)
 		}
 	}
-	if _, err := ValidateTrace(spans); err != nil {
-		t.Errorf("ValidateTrace: %v", err)
+	if _, err := ReadJSONL(&buf); err != nil {
+		t.Errorf("ReadJSONL: %v", err)
 	}
 }
 
@@ -123,15 +124,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSONL: %v", err)
 	}
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	names, err := ValidateTrace(spans)
-	if err != nil {
-		t.Fatalf("ValidateTrace: %v", err)
-	}
-	if names["search"] != 1 || names["ga.generation"] != 1 {
-		t.Fatalf("bad name counts: %v", names)
+	if len(spans) != 2 || spans[0].Name != "ga.generation" || spans[1].Name != "search" {
+		t.Fatalf("got spans %+v, want ga.generation then search", spans)
 	}
 	// JSON numbers decode as float64.
 	if got := spans[0].Attrs["evals"]; got != float64(23) {
@@ -147,6 +141,8 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 		"not json\n",
 		`{"id":1}` + "\n",                  // no name
 		`{"name":"x","start_us":0}` + "\n", // no id
+		`{"kind":"rewrite","id":1,"name":"x","start_us":0,"dur_us":0}` + "\n", // a rewrite-trace record
+		`{"id":1,"name":"x","start_us":0,"dur_us":0,"nmae":"y"}` + "\n",       // unknown key
 	} {
 		if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadJSONL(%q) should fail", bad)
@@ -154,20 +150,29 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestValidateTraceCatchesBrokenTrees(t *testing.T) {
-	if _, err := ValidateTrace([]SpanData{{ID: 1, Name: "a"}, {ID: 1, Name: "b"}}); err == nil {
-		t.Error("duplicate ids should fail")
+// TestReadJSONLCatchesBrokenTrees: the reader checks the span tree, not
+// just each line.
+func TestReadJSONLCatchesBrokenTrees(t *testing.T) {
+	span := func(id, parent uint64, name string, dur int64) string {
+		var buf bytes.Buffer
+		NewJSONLWriter(&buf).SpanEnd(SpanData{ID: id, Parent: parent, Name: name, DurUS: dur})
+		return buf.String()
 	}
-	if _, err := ValidateTrace([]SpanData{{ID: 1, Name: "a", Parent: 99}}); err == nil {
-		t.Error("missing parent should fail")
-	}
-	if _, err := ValidateTrace([]SpanData{{ID: 1, Name: "a", DurUS: -5}}); err == nil {
-		t.Error("negative duration should fail")
-	}
-	// A child ending before its parent (the normal case) must pass even
-	// though the parent id appears later in the stream.
-	if _, err := ValidateTrace([]SpanData{{ID: 2, Name: "child", Parent: 1}, {ID: 1, Name: "root"}}); err != nil {
-		t.Errorf("child-before-parent order should pass: %v", err)
+	for _, tc := range []struct {
+		name, trace string
+		ok          bool
+	}{
+		{"duplicate ids", span(1, 0, "a", 0) + span(1, 0, "b", 0), false},
+		{"missing parent", span(1, 99, "a", 0), false},
+		{"negative duration", span(1, 0, "a", -5), false},
+		// A child ends, and so is written, before its parent: the normal
+		// order must pass although the parent id appears later.
+		{"child before parent", span(2, 1, "child", 0) + span(1, 0, "root", 0), true},
+	} {
+		_, err := ReadJSONL(strings.NewReader(tc.trace))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ReadJSONL error %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

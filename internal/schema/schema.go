@@ -3,9 +3,10 @@
 // the §3.1 replayability analysis, the range and alias audits of the
 // analyses that shrink the §3.4 verification map, the translation-validation
 // audit, the snapshot-store reports of §3.2 step 6, and every benchmark
-// artifact cmd/benchlint checks. Each format is declared once, by
-// the json tags of its Go struct; Decode enforces those tags and the
-// struct's own Check enforces the invariants that span fields.
+// artifact cmd/benchlint checks, and the records of the rewrite and span
+// traces and the policy lock. Each format is declared once, by the json tags
+// of its Go struct; Decode enforces those tags and the struct's own Check
+// enforces the invariants that span fields.
 package schema
 
 import (
@@ -52,6 +53,19 @@ func Decode(data []byte, v Checker) error {
 		return err
 	}
 	return v.Check()
+}
+
+// Kind returns the "kind" member of a JSON object, the discriminator of a
+// stream whose lines hold records of several types, so the caller can pick
+// the struct to Decode the line into. An object without one yields "".
+func Kind(data []byte) (string, error) {
+	var probe struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return "", err
+	}
+	return probe.Kind, nil
 }
 
 // present walks the generic decoding of a document alongside the Go type it

@@ -52,3 +52,21 @@ func TestDecode(t *testing.T) {
 		t.Errorf("Check error not returned: %v", err)
 	}
 }
+
+func TestKind(t *testing.T) {
+	for _, c := range []struct {
+		data, want string
+		ok         bool
+	}{
+		{`{"kind":"rewrite","seq":0}`, "rewrite", true},
+		{`{"id":1,"name":"x"}`, "", true},
+		{`{"kind":7}`, "", false},
+		{`[1]`, "", false},
+		{`not json`, "", false},
+	} {
+		got, err := Kind([]byte(c.data))
+		if got != c.want || (err == nil) != c.ok {
+			t.Errorf("Kind(%s) = %q, %v; want %q, ok=%v", c.data, got, err, c.want, c.ok)
+		}
+	}
+}
