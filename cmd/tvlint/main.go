@@ -84,7 +84,6 @@ func main() {
 				}
 				chk := tv.NewChecker(tv.Options{Strict: true})
 				cfg.Check = chk
-				cfg.CheckEach = true
 				if _, err := lir.Compile(app.Prog, nil, cfg, nil, nil); err != nil {
 					fmt.Fprintf(os.Stderr, "tvlint: %s at %s: %v\n", spec.Name, preset, err)
 					os.Exit(1)

@@ -74,12 +74,12 @@ type Options struct {
 	// Seed drives every stochastic component.
 	Seed int64
 	// TVCheck attaches the translation validator to every candidate compile:
-	// each pass application is strict-verified and equivalence-checked
-	// against its input, and a provable miscompile aborts the compile with a
-	// tv-reject outcome before any replay runs. The search sees only the
-	// failed bit, so the trace is the same with the flag on or off as long
-	// as every strict rejection is a miscompile replay would also discard.
-	// It is not on DroidFish: the strict verifier rejects unroll
+	// each pass application is checked by lir.VerifyIR and proved
+	// equivalent to its input where possible, and a provable miscompile
+	// aborts the compile with a tv-reject outcome before any replay runs.
+	// The search sees only the failed bit, so the trace is the same with the
+	// flag on or off as long as every verifier rejection is a miscompile
+	// replay would also discard. It is not on DroidFish: VerifyIR rejects unroll
 	// applications that leave a phi argument on an unplaced constant, which
 	// replay accepts, so the validated search evaluates fewer candidates
 	// and finds a different winner.

@@ -25,10 +25,7 @@ func TestTVCheckSearchParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := smallOptions()
-		// Seed chosen so the search samples tvbreak under the current
-		// catalog size; re-pick if the catalog grows.
-		opts.Seed = 5
+		opts := tvDrillOptions()
 		opts.TVCheck = tvcheck
 		opt := New(opts)
 		rep, err := opt.Optimize(&App{Name: "miniapp", Prog: prog})
@@ -82,8 +79,7 @@ func TestTVCheckScheduleChargesCompileOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := smallOptions()
-	opts.Seed = 5 // must sample tvbreak; see TestTVCheckSearchParity
+	opts := tvDrillOptions()
 	opts.TVCheck = true
 	opt := New(opts)
 	rep, err := opt.Optimize(&App{Name: "miniapp", Prog: prog})
@@ -98,4 +94,18 @@ func TestTVCheckScheduleChargesCompileOnly(t *testing.T) {
 		t.Errorf("schedule tv-rejects (%d) != search stats (%d)",
 			sched.Discards[ga.OutcomeTVReject.String()], rep.SearchStats.TVRejects)
 	}
+}
+
+// tvDrillOptions shrinks the search's pass pool to tvbreak and two sound
+// passes, so the search samples tvbreak by construction, whatever the seed
+// and however large the catalog grows.
+func tvDrillOptions() Options {
+	opts := smallOptions()
+	opts.Seed = 5
+	for _, n := range lir.PassNames() {
+		if n != tv.MiscompilePassName && n != "constfold" && n != "dce" {
+			opts.GA.ExcludePasses = append(opts.GA.ExcludePasses, n)
+		}
+	}
+	return opts
 }

@@ -12,54 +12,39 @@ import "math/bits"
 // reverse postorder. Loop information is not cached at all: Loops computes
 // it on demand from the current dominators. cfg.go's header says which CFG
 // edits leave these analyses valid.
+//
+// One function computes dominators: Dominance.build, which reads the CFG and
+// writes only side tables. Recompute prunes and reorders by its result and
+// stamps it into the blocks; VerifyIR and the translation validator, which
+// must not edit what they judge, query it through DominanceOf.
 
 // Recompute reorders Blocks in reverse postorder, drops unreachable blocks
 // (fixing phi inputs), and refreshes dominators.
 func (f *Function) Recompute() {
-	f.pruneUnreachable()
-	f.computeDominators()
-}
-
-func (f *Function) pruneUnreachable() {
 	if len(f.Blocks) == 0 {
 		return
 	}
-	// Every block a pass creates lands in f.Blocks, so clearing the scratch
-	// marks here lets the DFS avoid a per-Recompute visited map.
-	for _, b := range f.Blocks {
-		b.visited = false
-	}
-	post := make([]*Block, 0, len(f.Blocks))
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		if b.visited {
-			return
-		}
-		b.visited = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(f.Blocks[0])
+	d := indexBlocks(f.Blocks)
+	order := d.build()
 	// Remove edges from unreachable predecessors.
-	for _, b := range post {
+	for _, i := range order {
+		b := f.Blocks[i]
 		kept := b.Preds[:0]
 		removed := make([]int, 0, 2)
-		for i, p := range b.Preds {
-			if p.visited {
+		for j, p := range b.Preds {
+			if d.Reachable(p) {
 				kept = append(kept, p)
 			} else {
-				removed = append(removed, i)
+				removed = append(removed, j)
 			}
 		}
 		if len(removed) > 0 {
 			for _, phi := range b.Phis {
 				args := phi.Args[:0]
-				for i, a := range phi.Args {
+				for j, a := range phi.Args {
 					drop := false
 					for _, r := range removed {
-						if i == r {
+						if j == r {
 							drop = true
 							break
 						}
@@ -73,84 +58,200 @@ func (f *Function) pruneUnreachable() {
 		}
 		b.Preds = kept
 	}
-	ordered := make([]*Block, len(post))
-	for i := range post {
-		ordered[i] = post[len(post)-1-i]
+	// Numbers start at 1, so a block made by NewBlock since (numbered 0)
+	// dominates only itself.
+	ordered := make([]*Block, len(order))
+	for r, i := range order {
+		b := f.Blocks[i]
+		ordered[r] = b
+		b.rpo = r
+		b.IDom = f.Blocks[d.idom[i]]
+		b.domPre, b.domPost = d.pre[i]+1, d.post[i]+1
 	}
+	ordered[0].IDom = nil
 	f.Blocks = ordered
-	for i, b := range f.Blocks {
-		b.rpo = i
-	}
 }
 
-func (f *Function) computeDominators() {
-	if len(f.Blocks) == 0 {
-		return
+// Dominance is the dominator tree of a function's CFG as it stands, computed
+// without touching the function. Recompute stamps it into the blocks after
+// pruning; VerifyIR and the translation validator query it directly, because
+// pruning and reordering would destroy the evidence they judge. An edge to or
+// from a block that Blocks does not list is ignored.
+type Dominance struct {
+	blocks []*Block
+	// pos maps Block.ID to the block's position in blocks (-1: none). It is
+	// sized from the largest ID, not nextBlockID, which clones do not carry.
+	pos []int32
+	// By position: the immediate dominator's position (the entry's is 0)
+	// and the dominator-tree DFS interval [pre, post]; all -1 when the entry
+	// does not reach the block.
+	idom, pre, post []int32
+}
+
+// DominanceOf computes the dominator tree of f's CFG as it stands, without
+// pruning, reordering or annotating anything.
+func DominanceOf(f *Function) *Dominance {
+	d := indexBlocks(f.Blocks)
+	d.build()
+	return d
+}
+
+// indexBlocks maps each block's ID to its position. A negative ID leaves a
+// block unlisted; of two blocks sharing an ID the first is the one listed.
+func indexBlocks(blocks []*Block) *Dominance {
+	hi := -1
+	for _, b := range blocks {
+		hi = max(hi, b.ID)
 	}
-	entry := f.Blocks[0]
-	for _, b := range f.Blocks {
-		b.IDom = nil
+	d := &Dominance{blocks: blocks, pos: make([]int32, hi+1)}
+	for i := range d.pos {
+		d.pos[i] = -1
 	}
-	entry.IDom = entry
-	changed := true
-	for changed {
+	for i, b := range blocks {
+		if b.ID >= 0 && d.pos[b.ID] < 0 {
+			d.pos[b.ID] = int32(i)
+		}
+	}
+	return d
+}
+
+// build is the one dominator computation: Cooper-Harvey-Kennedy over a
+// reverse postorder from blocks[0]. It returns the reachable positions in
+// that reverse postorder.
+func (d *Dominance) build() []int32 {
+	blocks := d.blocks
+	n := len(blocks)
+	buf := make([]int32, 9*n)
+	part := func() []int32 {
+		p := buf[:n:n]
+		buf = buf[n:]
+		return p
+	}
+	order, stack, next := part()[:0], part()[:0], part()
+	rpo, child, sibling := part(), part(), part()
+	d.idom, d.pre, d.post = part(), part(), part()
+	for i := 0; i < n; i++ {
+		rpo[i], d.idom[i], child[i], sibling[i], d.pre[i], d.post[i] = -1, -1, -1, -1, -1, -1
+	}
+	if n == 0 || d.at(blocks[0]) != 0 {
+		return order
+	}
+	// Postorder by an iterative DFS from the entry; next[b] is b's
+	// successor cursor and rpo[b] >= 0 marks a block the DFS reached.
+	rpo[0] = 0
+	stack = append(stack, 0)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		if succs := blocks[b].Succs; int(next[b]) < len(succs) {
+			s := d.at(succs[next[b]])
+			next[b]++
+			if s >= 0 && rpo[s] < 0 {
+				rpo[s] = 0
+				stack = append(stack, s)
+			}
+			continue
+		}
+		order = append(order, b)
+		stack = stack[:len(stack)-1]
+	}
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
+	}
+	for i, b := range order {
+		rpo[b] = int32(i)
+	}
+	idom := d.idom
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
+		for a != b {
+			for rpo[a] > rpo[b] {
+				a = idom[a]
+			}
+			for rpo[b] > rpo[a] {
+				b = idom[b]
+			}
+		}
+		return a
+	}
+	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks[1:] {
-			var nd *Block
-			for _, p := range b.Preds {
-				if p.IDom == nil {
+		for _, b := range order[1:] {
+			nd := int32(-1)
+			for _, p := range blocks[b].Preds {
+				pi := d.at(p)
+				if pi < 0 || idom[pi] < 0 {
 					continue
 				}
-				if nd == nil {
-					nd = p
+				if nd < 0 {
+					nd = pi
 				} else {
-					nd = intersectDom(p, nd)
+					nd = intersect(pi, nd)
 				}
 			}
-			if nd != nil && b.IDom != nd {
-				b.IDom = nd
+			if nd >= 0 && idom[b] != nd {
+				idom[b] = nd
 				changed = true
 			}
 		}
 	}
-	entry.IDom = nil
-	f.numberDomTree()
-}
-
-// numberDomTree stamps every block with its dominator-tree DFS interval
-// [domPre, domPost], so Dominates is two comparisons. Numbers start at 1, so
-// a block made by NewBlock since (numbered 0) dominates only itself.
-func (f *Function) numberDomTree() {
-	kids := f.domChildren()
+	// Number the dominator tree: children as first-child/next-sibling
+	// links, then an iterative DFS. post is the last pre number in the
+	// block's subtree.
+	for _, b := range order[1:] {
+		p := idom[b]
+		sibling[b], child[p] = child[p], b
+	}
 	clock := int32(0)
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		clock++
-		b.domPre = clock
-		for _, c := range kids.children(b) {
-			walk(c)
+	d.pre[0] = clock
+	stack = append(stack, 0)
+	for len(stack) > 0 {
+		top := stack[len(stack)-1]
+		if c := child[top]; c >= 0 {
+			child[top] = sibling[c]
+			clock++
+			d.pre[c] = clock
+			stack = append(stack, c)
+			continue
 		}
-		b.domPost = clock
+		d.post[top] = clock
+		stack = stack[:len(stack)-1]
 	}
-	walk(f.Blocks[0])
+	return order
 }
 
-func intersectDom(a, b *Block) *Block {
-	for a != b {
-		for a.rpo > b.rpo {
-			if a.IDom == nil {
-				return b
-			}
-			a = a.IDom
-		}
-		for b.rpo > a.rpo {
-			if b.IDom == nil {
-				return a
-			}
-			b = b.IDom
-		}
+// at returns b's position in the blocks, or -1 when they do not list it.
+func (d *Dominance) at(b *Block) int32 {
+	if b.ID < 0 || b.ID >= len(d.pos) {
+		return -1
 	}
-	return a
+	if i := d.pos[b.ID]; i >= 0 && d.blocks[i] == b {
+		return i
+	}
+	return -1
+}
+
+func (d *Dominance) reach(i int32) bool { return d.pre[i] >= 0 }
+
+// dominates reports whether the block at position i dominates the one at
+// position j; j must be reachable.
+func (d *Dominance) dominates(i, j int32) bool {
+	return d.pre[i] <= d.pre[j] && d.pre[j] <= d.post[i]
+}
+
+// Reachable reports whether the entry reaches b.
+func (d *Dominance) Reachable(b *Block) bool {
+	i := d.at(b)
+	return i >= 0 && d.reach(i)
+}
+
+// Dominates reports whether a dominates b. An unreachable or unlisted block
+// dominates only itself.
+func (d *Dominance) Dominates(a, b *Block) bool {
+	if a == b {
+		return true
+	}
+	i, j := d.at(a), d.at(b)
+	return i >= 0 && j >= 0 && d.reach(i) && d.reach(j) && d.dominates(i, j)
 }
 
 // Dominates reports whether a dominates b, in O(1) from the dominator-tree

@@ -246,7 +246,6 @@ type Block struct {
 	IDom            *Block
 	rpo             int
 	domPre, domPost int32 // dominator-tree DFS interval (see Dominates)
-	visited         bool  // scratch mark for pruneUnreachable's DFS
 }
 
 // Term returns the block terminator.

@@ -506,6 +506,9 @@ func main() int {
 // after an O3 pipeline: Dominates agrees with a walk up the IDom chain, each
 // loop's Blocks are exactly the members of Blocks in reverse postorder, and a
 // block created after Loops belongs to no loop and dominates only itself.
+// DominanceOf, which VerifyIR and tv use where Recompute never runs, must
+// agree with Dominates, and with the IDom chain on a copy whose Blocks are out
+// of reverse postorder and include an unreachable block.
 func TestAnalysisContract(t *testing.T) {
 	for _, c := range corpus {
 		prog, err := minic.CompileSource(c.name, c.src)
@@ -526,14 +529,23 @@ func TestAnalysisContract(t *testing.T) {
 				}
 			}
 			f.Recompute()
+			idomWalk := func(a, b *Block) bool {
+				for x := b; x != nil; x = x.IDom {
+					if x == a {
+						return true
+					}
+				}
+				return false
+			}
+			d := DominanceOf(f)
 			for _, a := range f.Blocks {
 				for _, b := range f.Blocks {
-					walk := false
-					for x := b; x != nil; x = x.IDom {
-						walk = walk || x == a
-					}
+					walk := idomWalk(a, b)
 					if f.Dominates(a, b) != walk {
 						t.Fatalf("%s/%s: Dominates(b%d, b%d) = %t, IDom chain says %t", c.name, m.Name, a.ID, b.ID, !walk, walk)
+					}
+					if d.Dominates(a, b) != walk {
+						t.Fatalf("%s/%s: DominanceOf: Dominates(b%d, b%d) = %t, IDom chain says %t", c.name, m.Name, a.ID, b.ID, !walk, walk)
 					}
 				}
 			}
@@ -560,6 +572,27 @@ func TestAnalysisContract(t *testing.T) {
 			}
 			if !f.Dominates(nb, nb) || f.Dominates(f.Blocks[0], nb) || f.Dominates(nb, f.Blocks[0]) {
 				t.Errorf("%s/%s: a block created after Recompute must dominate only itself", c.name, m.Name)
+			}
+			// The copy: the entry, then the other blocks in reverse, then an
+			// unreachable block with an edge into the last one.
+			u := f.NewBlock()
+			u.AppendRaw(f.NewValue(OpJump, TVoid))
+			AddEdge(u, f.Blocks[len(f.Blocks)-1])
+			g := &Function{Name: f.Name, Blocks: []*Block{f.Blocks[0]}}
+			for i := len(f.Blocks) - 1; i > 0; i-- {
+				g.Blocks = append(g.Blocks, f.Blocks[i])
+			}
+			g.Blocks = append(g.Blocks, u)
+			d = DominanceOf(g)
+			for _, a := range g.Blocks {
+				if d.Reachable(a) != (a != u) {
+					t.Fatalf("%s/%s: shuffled copy: Reachable(b%d) = %t", c.name, m.Name, a.ID, d.Reachable(a))
+				}
+				for _, b := range g.Blocks {
+					if walk := idomWalk(a, b); d.Dominates(a, b) != walk {
+						t.Fatalf("%s/%s: shuffled copy: Dominates(b%d, b%d) = %t, IDom chain says %t", c.name, m.Name, a.ID, b.ID, !walk, walk)
+					}
+				}
 			}
 		}
 	}

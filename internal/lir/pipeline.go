@@ -47,7 +47,7 @@ type RewriteTracer interface {
 
 // Config is one point in the toolchain's optimization space: the opt-style
 // pass sequence plus the llc-style lowering options. GA genomes decode to
-// Configs. Check, CheckEach, Trace, and Obs are evaluation-harness settings,
+// Configs. Check, Trace, and Obs are evaluation-harness settings,
 // deliberately excluded from Fingerprint: they must not change which configs
 // the GA considers identical.
 type Config struct {
@@ -55,9 +55,6 @@ type Config struct {
 	Lower  LowerOpts
 	// Check, when non-nil, is called around every pass application.
 	Check PipelineCheck
-	// CheckEach runs VerifyIR after every pass; a violation is reported as a
-	// CrashError attributed to the offending pass.
-	CheckEach bool
 	// Trace, when non-nil, observes (and may veto) every pass application —
 	// the rewrite-trace seam. Purely a harness setting: recording a trace
 	// never changes what the compile produces.
@@ -152,11 +149,6 @@ func CompileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile
 			}
 			if perr == nil {
 				perr = ctx.checkGrowth(f, spec.Name)
-			}
-			if perr == nil && cfg.CheckEach {
-				if verr := VerifyIR(f); verr != nil {
-					perr = &CrashError{Pass: spec.Name, Msg: verr.Error()}
-				}
 			}
 			if perr == nil && cfg.Check != nil {
 				perr = cfg.Check.AfterPass(f, spec.Name, info)

@@ -44,8 +44,9 @@ type BenchRow struct {
 }
 
 // Check enforces the artifact's invariants: the schema version and
-// benchmark name, one row per (app, preset), and verdict totals that
-// reconcile with the rows.
+// benchmark name, one row per (app, preset), verdict totals that reconcile
+// with the rows, and the validated search's claim: it rejected at least one
+// candidate, and each rejection saved at least one replay evaluation.
 func (a *Bench) Check() error {
 	switch {
 	case a.SchemaVersion != BenchSchemaVersion:
@@ -54,6 +55,10 @@ func (a *Bench) Check() error {
 		return fmt.Errorf("benchmark %q, want TranslationValidation", a.Benchmark)
 	case len(a.Presets) == 0:
 		return errors.New("no preset rows")
+	case a.TVRejects < 1:
+		return fmt.Errorf("tv_rejects %d: the validated search rejected nothing", a.TVRejects)
+	case a.ReplayEvalsSaved < a.TVRejects:
+		return fmt.Errorf("replay_evals_saved %d below tv_rejects %d", a.ReplayEvalsSaved, a.TVRejects)
 	}
 	if err := schema.Unique("presets", a.Presets, func(r BenchRow) [2]string { return [2]string{r.App, r.Preset} }); err != nil {
 		return err

@@ -99,11 +99,15 @@ func TestBenchRejectionParity(t *testing.T) {
 				doc[k] = doc[k].(float64) + first[k].(float64)
 			}
 		}),
+		schematest.Corrupt(t, data, "no tv rejects", set("tv_rejects", 0)),
+		schematest.Corrupt(t, data, "saved replays below rejects", set("replay_evals_saved", 0)),
 		schematest.Corrupt(t, data, "unknown key", set("extra", 1)),
 		schematest.Case{Name: "trailing data", Data: append(append([]byte{}, data...), "{}"...)},
 	)
 	// Nothing checked BENCH_tv.json's content before this type: benchlint
 	// refused every document, the committed one included, as an unknown
-	// benchmark. So no case was accepted before, and no record is kept.
+	// benchmark. So no case was accepted before, and no record is kept. (The
+	// first Check accepted "no tv rejects" and "saved replays below
+	// rejects"; the search-side gates were added later.)
 	schematest.Run(t, validate, cases, nil)
 }

@@ -4,8 +4,9 @@ import "replayopt/internal/lir"
 
 // Clone deep-copies a function: fresh Blocks and Values with the same IDs,
 // ops, types, and wiring, sharing only the immutable Prog. Analysis caches
-// (IDom and the dominator-tree numbering) are not copied; the validator
-// computes its own dominators.
+// (IDom and the dominator-tree numbering) and the block-ID counter are not
+// copied; the validator reads dominators through lir.DominanceOf, which sizes
+// its tables from the largest block ID.
 func Clone(f *lir.Function) *lir.Function {
 	var c cloner
 	return c.clone(f)

@@ -1,6 +1,7 @@
 package tv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -37,9 +38,9 @@ type DiffFailure struct {
 
 // Differential cross-checks each pass on progen-generated programs: the
 // interpreter's result is ground truth; a pass applied alone on top of O0
-// must preserve it, keep the strict verifier happy, and never earn a
-// Rejected verdict. Failures are shrunk line-by-line to a minimal source.
-// Deterministic for a given options value.
+// must preserve it, pass lir.VerifyIR, and never earn a Rejected verdict.
+// Failures are shrunk line-by-line to a minimal source. Deterministic for a
+// given options value.
 func Differential(opts DiffOptions) []DiffFailure {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 10
@@ -80,24 +81,21 @@ func checkOne(src, pass string, maxCycles int64) *DiffFailure {
 	if err != nil {
 		return nil // baseline itself traps or times out: no ground truth
 	}
-	chk := NewChecker(Options{Strict: true})
 	cfg := lir.O0()
 	cfg.Passes = []lir.PassSpec{{Name: pass}}
-	cfg.CheckEach = true
-	cfg.Check = chk
+	cfg.Check = NewChecker(Options{Strict: true, Reject: true})
 	code, err := lir.Compile(prog, nil, cfg, nil, nil)
+	var rej *RejectError
+	if errors.As(err, &rej) {
+		if strings.HasPrefix(rej.Reason, strictPrefix) {
+			return &DiffFailure{Pass: pass, Kind: "verifier", Detail: rej.Reason}
+		}
+		return &DiffFailure{Pass: pass, Kind: "rejected", Detail: rej.Reason}
+	}
 	if err != nil {
 		// Designed compile-time outcomes (vectorize's crash on calls, the
-		// growth cap) are not defects; a verifier violation is.
-		if strings.Contains(err.Error(), "lir-verify:") || strings.Contains(err.Error(), "tv-strict:") {
-			return &DiffFailure{Pass: pass, Kind: "verifier", Detail: err.Error()}
-		}
+		// growth cap) are not defects.
 		return nil
-	}
-	for _, pv := range chk.Verdicts {
-		if pv.Verdict == Rejected {
-			return &DiffFailure{Pass: pass, Kind: "rejected", Detail: pv.Reason}
-		}
 	}
 	got, err := execute(prog, code, maxCycles)
 	if err != nil {

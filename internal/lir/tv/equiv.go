@@ -88,8 +88,8 @@ type side struct {
 // the function and every block reachable through successors, their phis and
 // instructions, and every value reachable through arguments. It reports
 // false for IR that names two values or two blocks by one ID (or holds a nil
-// one), which dense tables cannot tell apart; the strict verifier rejects
-// such IR before validation runs.
+// one), which dense tables cannot tell apart; lir.VerifyIR (Options.Strict)
+// rejects such IR before validation runs.
 func (s *side) index(fn *lir.Function, t *table) bool {
 	s.fn, s.t = fn, t
 	maxV, maxB := -1, -1
@@ -339,8 +339,8 @@ func (e *equiv) validate(before, after *lir.Function, traits lir.Traits) (Verdic
 	// the values are provably unequal and the block pair dominates every
 	// exit on both sides (the difference manifests on every terminating
 	// run).
-	domB := dominatorsOf(e.before.fn)
-	domA := dominatorsOf(e.after.fn)
+	domB := lir.DominanceOf(e.before.fn)
+	domA := lir.DominanceOf(e.after.fn)
 	for _, d := range diffs {
 		p := e.pairs[d.pair]
 		if !dominatesAllExits(e.before.fn, domB, p.b) || !dominatesAllExits(e.after.fn, domA, p.a) {
@@ -988,101 +988,14 @@ func (s *side) appendTraps(out []trapKey) []trapKey {
 	return slices.Compact(out)
 }
 
-// dominatorsOf is a local, non-mutating dominator computation (the lir one
-// in Recompute reorders blocks and prunes the CFG, which the validator must
-// not do to evidence).
-type domTree struct {
-	reach map[*lir.Block]bool
-	idom  map[*lir.Block]*lir.Block
-	rpo   map[*lir.Block]int
-}
-
-func dominatorsOf(f *lir.Function) *domTree {
-	d := &domTree{reach: map[*lir.Block]bool{}, idom: map[*lir.Block]*lir.Block{}, rpo: map[*lir.Block]int{}}
-	if len(f.Blocks) == 0 {
-		return d
-	}
-	entry := f.Blocks[0]
-	var post []*lir.Block
-	var dfs func(*lir.Block)
-	dfs = func(b *lir.Block) {
-		if d.reach[b] {
-			return
-		}
-		d.reach[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(entry)
-	order := make([]*lir.Block, len(post))
-	for i := range post {
-		order[i] = post[len(post)-1-i]
-	}
-	for i, b := range order {
-		d.rpo[b] = i
-	}
-	d.idom[entry] = entry
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order[1:] {
-			var nd *lir.Block
-			for _, p := range b.Preds {
-				if d.idom[p] == nil {
-					continue
-				}
-				if nd == nil {
-					nd = p
-				} else {
-					nd = d.intersect(p, nd)
-				}
-			}
-			if nd != nil && d.idom[b] != nd {
-				d.idom[b] = nd
-				changed = true
-			}
-		}
-	}
-	d.idom[entry] = nil
-	return d
-}
-
-func (d *domTree) intersect(a, b *lir.Block) *lir.Block {
-	for a != b {
-		for d.rpo[a] > d.rpo[b] {
-			if d.idom[a] == nil {
-				return b
-			}
-			a = d.idom[a]
-		}
-		for d.rpo[b] > d.rpo[a] {
-			if d.idom[b] == nil {
-				return a
-			}
-			b = d.idom[b]
-		}
-	}
-	return a
-}
-
-func (d *domTree) dominates(a, b *lir.Block) bool {
-	for x := b; x != nil; x = d.idom[x] {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
 // dominatesAllExits reports whether b dominates every reachable exit block
 // (return or throw) — i.e. runs on every terminating execution. A function
 // with no reachable exit never terminates normally; nothing dominates "all
 // exits" vacuously usefully, so that returns false.
-func dominatesAllExits(f *lir.Function, d *domTree, b *lir.Block) bool {
+func dominatesAllExits(f *lir.Function, d *lir.Dominance, b *lir.Block) bool {
 	exits := 0
 	for _, x := range f.Blocks {
-		if !d.reach[x] {
+		if !d.Reachable(x) {
 			continue
 		}
 		t := x.Term()
@@ -1090,7 +1003,7 @@ func dominatesAllExits(f *lir.Function, d *domTree, b *lir.Block) bool {
 			continue
 		}
 		exits++
-		if !d.dominates(b, x) {
+		if !d.Dominates(b, x) {
 			return false
 		}
 	}

@@ -30,9 +30,9 @@ func MiscompilePass() *lir.PassInfo {
 // skewFirstStore performs the mutation; it reports whether it changed
 // anything (no qualifying store leaves the function untouched).
 func skewFirstStore(f *lir.Function) bool {
-	d := dominatorsOf(f)
+	d := lir.DominanceOf(f)
 	for _, b := range f.Blocks {
-		if !d.reach[b] || !dominatesAllExits(f, d, b) {
+		if !d.Reachable(b) || !dominatesAllExits(f, d, b) {
 			continue
 		}
 		for i, v := range b.Insns {

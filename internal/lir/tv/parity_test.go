@@ -33,7 +33,6 @@ func TestAuditVerdictParity(t *testing.T) {
 			cfg, _ := lir.Preset(preset)
 			chk := tv.NewChecker(tv.Options{Strict: true})
 			cfg.Check = chk
-			cfg.CheckEach = true
 			if _, err := lir.Compile(app.Prog, nil, cfg, nil, nil); err != nil {
 				t.Fatalf("%s at %s: %v", spec.Name, preset, err)
 			}

@@ -61,13 +61,19 @@ type PassVerdict struct {
 	Reason  string
 }
 
+// strictPrefix starts the reason of a Rejected verdict that lir.VerifyIR
+// raised (Options.Strict), as opposed to one the equivalence check proved.
+const strictPrefix = "strict: "
+
 // Options configure a Checker.
 type Options struct {
 	// Reject makes a Rejected verdict abort the compile with a RejectError.
 	// Off, the checker only records verdicts (cmd/tvlint's audit mode).
 	Reject bool
-	// Strict additionally runs VerifyStrict after every pass; a violation is
-	// a Rejected verdict attributed to that pass.
+	// Strict additionally runs lir.VerifyIR after every pass; a violation is
+	// a Rejected verdict attributed to that pass, with reason
+	// "strict: lir-verify: ...". It is the only switch for verifying IR
+	// between passes.
 	Strict bool
 }
 
@@ -99,8 +105,8 @@ func (c *Checker) BeforePass(f *lir.Function, pass string, info *lir.PassInfo) {
 func (c *Checker) AfterPass(f *lir.Function, pass string, info *lir.PassInfo) error {
 	verdict, reason := Verified, ""
 	if c.Opts.Strict {
-		if err := VerifyStrict(f); err != nil {
-			verdict, reason = Rejected, "strict: "+err.Error()
+		if err := lir.VerifyIR(f); err != nil {
+			verdict, reason = Rejected, strictPrefix+err.Error()
 		}
 	}
 	if verdict != Rejected && c.snap != nil {

@@ -118,7 +118,6 @@ func TestGoldenPresets(t *testing.T) {
 			cfg, _ := lir.Preset(preset)
 			chk := NewChecker(Options{Strict: true})
 			cfg.Check = chk
-			cfg.CheckEach = true
 			if _, err := lir.Compile(prog, nil, cfg, nil, nil); err != nil {
 				t.Fatalf("src %d %s: %v", si, preset, err)
 			}
@@ -176,7 +175,7 @@ func TestCheckerRejectsInPipeline(t *testing.T) {
 }
 
 // Seeded corruptions: ~10 distinct ways to break a post-pass function, every
-// one caught by VerifyIR or VerifyStrict.
+// one caught by lir.VerifyIR.
 func TestSeededMutations(t *testing.T) {
 	type corruption struct {
 		name string
@@ -309,7 +308,7 @@ func TestSeededMutations(t *testing.T) {
 	for _, c := range corruptions {
 		f := buildFn(t, testSrc, "work")
 		runPass(t, f, "gvn") // a realistic post-pass function
-		if err := VerifyStrict(f); err != nil {
+		if err := lir.VerifyIR(f); err != nil {
 			t.Fatalf("%s: baseline already invalid: %v", c.name, err)
 		}
 		if !c.mut(f) {
@@ -317,7 +316,7 @@ func TestSeededMutations(t *testing.T) {
 			continue
 		}
 		applied++
-		if err := VerifyStrict(f); err == nil {
+		if err := lir.VerifyIR(f); err == nil {
 			t.Errorf("%s: corruption not detected", c.name)
 		}
 	}
@@ -330,7 +329,7 @@ func TestSeededMutations(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
 	c := Clone(f)
-	if err := VerifyStrict(c); err != nil {
+	if err := lir.VerifyIR(c); err != nil {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	skewFirstStore(c)
@@ -503,7 +502,7 @@ func fibChain(depth int) *lir.Function {
 // the allocations per validation grow no faster than the value count.
 func TestValidateSharedChainIsLinear(t *testing.T) {
 	f := fibChain(60)
-	if err := VerifyStrict(f); err != nil {
+	if err := lir.VerifyIR(f); err != nil {
 		t.Fatalf("fixture invalid: %v", err)
 	}
 	if v, reason := Validate(f, Clone(f), lir.Traits{}); v != Verified {

@@ -2,26 +2,33 @@ package lir
 
 import "fmt"
 
-// VerifyIR checks structural SSA invariants; passes are tested against it
-// and the pipeline can assert it between stages (Config.CheckEach). Beyond
-// the basic shape checks (block/phi/terminator structure, edge symmetry,
-// unique IDs) it enforces the SSA dominance discipline: every use must be
-// dominated by its definition — in straight-line code that means defined
-// earlier in the same block — and a phi argument must be available at the end
-// of the corresponding predecessor. Returns the first violation found.
+// VerifyIR is the IR well-formedness check: passes are tested against it,
+// and the translation validator's strict mode runs it after every pass. It
+// checks the shape (block, phi and terminator structure, edge symmetry,
+// unique block and value IDs), then the SSA dominance discipline: every use
+// must be dominated by its definition (in straight-line code, defined
+// earlier in the same block), and a phi argument must be available at the
+// end of the corresponding predecessor. Last it checks per-op typing and
+// memory-op legality, and that every instruction's Block pointer names its
+// block. Returns the first violation found.
 //
-// The tables are indexed by block position and value ID, so a check costs
-// time linear in the function's size.
+// The tables are indexed by block ID and value ID, so a check costs time
+// linear in the function's size.
 func VerifyIR(f *Function) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("lir-verify: %s has no blocks", f.Name)
 	}
-	bidx := make(map[*Block]int32, len(f.Blocks))
+	d := indexBlocks(f.Blocks)
 	for i, b := range f.Blocks {
-		if _, dup := bidx[b]; dup {
+		switch p := d.at(b); {
+		case p == int32(i):
+		case p >= 0:
 			return fmt.Errorf("lir-verify: block b%d listed twice", b.ID)
+		case b.ID < 0:
+			return fmt.Errorf("lir-verify: block b%d has a negative ID", b.ID)
+		default:
+			return fmt.Errorf("lir-verify: two distinct blocks share ID b%d", b.ID)
 		}
-		bidx[b] = int32(i)
 	}
 	defs := newDefTable(f)
 	for bi, b := range f.Blocks {
@@ -75,7 +82,7 @@ func VerifyIR(f *Function) error {
 	// entry checks out).
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
-			if _, ok := bidx[s]; !ok {
+			if d.at(s) < 0 {
 				return fmt.Errorf("lir-verify: b%d's successor b%d is not in the function", b.ID, s.ID)
 			}
 			if found, want := count(s.Preds, b), count(b.Succs, s); found != want {
@@ -84,7 +91,7 @@ func VerifyIR(f *Function) error {
 			}
 		}
 		for _, p := range b.Preds {
-			if _, ok := bidx[p]; !ok {
+			if d.at(p) < 0 {
 				return fmt.Errorf("lir-verify: b%d's predecessor b%d is not in the function", b.ID, p.ID)
 			}
 			if found, want := count(p.Succs, b), count(b.Preds, p); found != want {
@@ -129,7 +136,10 @@ func VerifyIR(f *Function) error {
 			}
 		}
 	}
-	return verifyDominance(f, bidx, defs)
+	if err := verifyDominance(f, d, defs); err != nil {
+		return err
+	}
+	return verifyTypes(f)
 }
 
 func count(blocks []*Block, b *Block) int {
@@ -198,138 +208,21 @@ func (d *defTable) define(v *Value, s defSite) {
 	d.spill[v] = s
 }
 
-// domInfo is a non-mutating dominator computation over the current CFG. The
-// verifier cannot call Recompute — that would prune unreachable blocks and
-// reorder Blocks, destroying the evidence it is asked to judge — so it
-// rebuilds reachability and immediate dominators in side tables indexed by
-// block position, then numbers the dominator tree so a dominance query is
-// two comparisons.
-type domInfo struct {
-	pre, post []int32 // dominator-tree DFS entry and exit numbers; -1: unreachable
-}
-
-// dominatorsOf computes reachability from the entry and immediate dominators
-// (Cooper-Harvey-Kennedy over a local reverse postorder) without touching
-// any Block field. Every successor and predecessor must be in bidx.
-func dominatorsOf(f *Function, bidx map[*Block]int32) *domInfo {
-	n := len(f.Blocks)
-	buf := make([]int32, 9*n)
-	part := func() []int32 {
-		p := buf[:n:n]
-		buf = buf[n:]
-		return p
-	}
-	order, stack, next := part()[:0], part()[:0], part()
-	rpo, idom, child, sibling := part(), part(), part(), part()
-	d := &domInfo{pre: part(), post: part()}
-	for i := 0; i < n; i++ {
-		rpo[i], idom[i], child[i], sibling[i], d.pre[i] = -1, -1, -1, -1, -1
-	}
-	// Postorder by an iterative DFS from the entry; next[b] is b's
-	// successor cursor and rpo[b] >= 0 marks a block the DFS reached.
-	rpo[0] = 0
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		if succs := f.Blocks[b].Succs; int(next[b]) < len(succs) {
-			s := bidx[succs[next[b]]]
-			next[b]++
-			if rpo[s] < 0 {
-				rpo[s] = 0
-				stack = append(stack, s)
-			}
-			continue
-		}
-		order = append(order, b)
-		stack = stack[:len(stack)-1]
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i, b := range order {
-		rpo[b] = int32(i)
-	}
-	idom[0] = 0
-	intersect := func(a, b int32) int32 {
-		for a != b {
-			for rpo[a] > rpo[b] {
-				a = idom[a]
-			}
-			for rpo[b] > rpo[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order[1:] {
-			nd := int32(-1)
-			for _, p := range f.Blocks[b].Preds {
-				pi := bidx[p]
-				if idom[pi] < 0 {
-					continue
-				}
-				if nd < 0 {
-					nd = pi
-				} else {
-					nd = intersect(pi, nd)
-				}
-			}
-			if nd >= 0 && idom[b] != nd {
-				idom[b] = nd
-				changed = true
-			}
-		}
-	}
-	// Number the dominator tree: children as first-child/next-sibling
-	// links, then an iterative DFS.
-	for _, b := range order[1:] {
-		p := idom[b]
-		sibling[b], child[p] = child[p], b
-	}
-	clock := int32(0)
-	d.pre[0] = clock
-	clock++
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		top := stack[len(stack)-1]
-		if c := child[top]; c >= 0 {
-			child[top] = sibling[c]
-			d.pre[c] = clock
-			clock++
-			stack = append(stack, c)
-			continue
-		}
-		d.post[top] = clock
-		clock++
-		stack = stack[:len(stack)-1]
-	}
-	return d
-}
-
-func (d *domInfo) reach(b int32) bool { return d.pre[b] >= 0 }
-
-// dominates reports whether block a dominates block b (both reachable).
-func (d *domInfo) dominates(a, b int32) bool {
-	return d.pre[a] <= d.pre[b] && d.post[b] <= d.post[a]
-}
-
 // verifyDominance enforces def-before-use in dominance order: an instruction
 // argument must be a phi of the same block, an earlier instruction of the
 // same block, or a definition in a strictly dominating block; a phi argument
 // must be available at the end of the corresponding predecessor. Unreachable
 // blocks are exempt (Recompute deletes them wholesale), but a reachable use
 // of an unreachably-defined value is a violation.
-func verifyDominance(f *Function, bidx map[*Block]int32, defs *defTable) error {
-	d := dominatorsOf(f, bidx)
+func verifyDominance(f *Function, d *Dominance, defs *defTable) error {
+	d.build()
 	for bi, b := range f.Blocks {
 		if !d.reach(int32(bi)) {
 			continue
 		}
 		for _, p := range b.Phis {
 			for i, a := range p.Args {
-				pred := bidx[b.Preds[i]]
+				pred := d.at(b.Preds[i])
 				if !d.reach(pred) {
 					continue
 				}
@@ -357,6 +250,211 @@ func verifyDominance(f *Function, bidx map[*Block]int32, defs *defTable) error {
 						v.ID, v.Op, b.ID, a.ID, f.Blocks[da.block].ID)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// verifyTypes enforces per-op typing and memory-op legality. One tolerated
+// irregularity, inherited from BuildSSA: an integer-constant zero is the
+// placeholder for values on never-taken paths, so an OpConstInt argument is
+// accepted where a float or reference is otherwise required.
+func verifyTypes(f *Function) error {
+	for _, b := range f.Blocks {
+		for _, p := range b.Phis {
+			if err := checkPhi(p, b); err != nil {
+				return err
+			}
+		}
+		for _, v := range b.Insns {
+			if v.Block != b {
+				return fmt.Errorf("lir-verify: v%d (%s) in b%d has Block pointer b%d",
+					v.ID, v.Op, b.ID, blockID(v.Block))
+			}
+			if err := checkValue(v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func blockID(b *Block) int {
+	if b == nil {
+		return -1
+	}
+	return b.ID
+}
+
+// loose reports whether a may stand where t is required: exact type match or
+// the BuildSSA constant-zero placeholder.
+func loose(a *Value, t Type) bool {
+	return a.Type == t || placeholderish(a, map[*Value]bool{})
+}
+
+// placeholderish reports whether a value is BuildSSA's never-taken-path
+// placeholder (an integer constant) or a phi merging only placeholders —
+// the builder threads the zero placeholder through join points, so the
+// tolerance must follow phi chains. A phi cycle with no other input can only
+// carry the placeholder, so cycles count as placeholders too.
+func placeholderish(v *Value, seen map[*Value]bool) bool {
+	if v.Op == OpConstInt {
+		return true
+	}
+	if v.Op != OpPhi || v.Type != TInt {
+		return false
+	}
+	if seen[v] {
+		return true
+	}
+	seen[v] = true
+	for _, a := range v.Args {
+		if !placeholderish(a, seen) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkPhi enforces only voidness on phi arguments, not types: dex registers
+// are untyped and BuildSSA types a phi by its dominant use, so a merge point
+// legitimately mixes types when one path's value is never consumed (the
+// never-taken placeholder, a dead-path call result). Type discipline is
+// enforced where values are used, per checkValue.
+func checkPhi(p *Value, b *Block) error {
+	if p.Type == TVoid {
+		return fmt.Errorf("lir-verify: phi v%d in b%d is void", p.ID, b.ID)
+	}
+	for i, a := range p.Args {
+		if a.Type == TVoid {
+			return fmt.Errorf("lir-verify: phi v%d arg %d is the void value v%d (%s)", p.ID, i, a.ID, a.Op)
+		}
+	}
+	return nil
+}
+
+// sig describes an op's typing: expected arg types (TVoid in want = any
+// non-void) and the required result type (res=TVoid means void-only;
+// anyRes ops skip the result check).
+type sig struct {
+	want   []Type
+	res    Type
+	anyRes bool
+}
+
+var sigs = map[Op]sig{
+	OpConstInt:    {want: []Type{}, res: TInt},
+	OpConstFloat:  {want: []Type{}, res: TFloat},
+	OpAdd:         {want: []Type{TInt, TInt}, res: TInt},
+	OpSub:         {want: []Type{TInt, TInt}, res: TInt},
+	OpMul:         {want: []Type{TInt, TInt}, res: TInt},
+	OpDiv:         {want: []Type{TInt, TInt}, res: TInt},
+	OpRem:         {want: []Type{TInt, TInt}, res: TInt},
+	OpAnd:         {want: []Type{TInt, TInt}, res: TInt},
+	OpOr:          {want: []Type{TInt, TInt}, res: TInt},
+	OpXor:         {want: []Type{TInt, TInt}, res: TInt},
+	OpShl:         {want: []Type{TInt, TInt}, res: TInt},
+	OpShr:         {want: []Type{TInt, TInt}, res: TInt},
+	OpNeg:         {want: []Type{TInt}, res: TInt},
+	OpFAdd:        {want: []Type{TFloat, TFloat}, res: TFloat},
+	OpFSub:        {want: []Type{TFloat, TFloat}, res: TFloat},
+	OpFMul:        {want: []Type{TFloat, TFloat}, res: TFloat},
+	OpFDiv:        {want: []Type{TFloat, TFloat}, res: TFloat},
+	OpFNeg:        {want: []Type{TFloat}, res: TFloat},
+	OpI2F:         {want: []Type{TInt}, res: TFloat},
+	OpF2I:         {want: []Type{TFloat}, res: TInt},
+	OpFCmp:        {want: []Type{TFloat, TFloat}, res: TInt},
+	OpArrLen:      {want: []Type{TRef}, res: TInt},
+	OpBoundsCheck: {want: []Type{TRef, TInt}, res: TVoid},
+	OpArrLoad:     {want: []Type{TRef, TInt}, anyRes: true},
+	OpArrStore:    {want: []Type{TRef, TInt, TVoid}, res: TVoid},
+	OpFieldLoad:   {want: []Type{TRef}, anyRes: true},
+	OpFieldStore:  {want: []Type{TRef, TVoid}, res: TVoid},
+	OpStaticLoad:  {want: []Type{}, anyRes: true},
+	OpStaticStore: {want: []Type{TVoid}, res: TVoid},
+	OpNewArray:    {want: []Type{TInt}, res: TRef},
+	OpNewObject:   {want: []Type{}, res: TRef},
+	OpClassOf:     {want: []Type{TRef}, res: TInt},
+	OpGCCheck:     {want: []Type{}, res: TVoid},
+	OpJump:        {want: []Type{}, res: TVoid},
+}
+
+func checkValue(v *Value) error {
+	// Ops with variable arity or fully dynamic typing.
+	switch v.Op {
+	case OpParam:
+		if v.Type == TVoid {
+			return fmt.Errorf("lir-verify: v%d param is void", v.ID)
+		}
+		return checkArity(v, 0)
+	case OpCallStatic, OpCallNative, OpIntrinsic:
+		return checkNonVoidArgs(v)
+	case OpCallVirtual:
+		if len(v.Args) == 0 {
+			return fmt.Errorf("lir-verify: v%d callvirt has no receiver", v.ID)
+		}
+		if !loose(v.Args[0], TRef) {
+			return fmt.Errorf("lir-verify: v%d callvirt receiver has type %s", v.ID, v.Args[0].Type)
+		}
+		return checkNonVoidArgs(v)
+	case OpBranch:
+		if err := checkArity(v, 2); err != nil {
+			return err
+		}
+		if v.Type != TVoid {
+			return fmt.Errorf("lir-verify: v%d branch is non-void", v.ID)
+		}
+		return checkNonVoidArgs(v)
+	case OpReturn:
+		if len(v.Args) > 1 {
+			return fmt.Errorf("lir-verify: v%d return has %d args", v.ID, len(v.Args))
+		}
+		return checkNonVoidArgs(v)
+	case OpThrow:
+		if err := checkArity(v, 1); err != nil {
+			return err
+		}
+		return checkNonVoidArgs(v)
+	}
+	s, ok := sigs[v.Op]
+	if !ok {
+		return fmt.Errorf("lir-verify: v%d has unknown op %s", v.ID, v.Op)
+	}
+	if err := checkArity(v, len(s.want)); err != nil {
+		return err
+	}
+	for i, t := range s.want {
+		a := v.Args[i]
+		if a.Type == TVoid {
+			return fmt.Errorf("lir-verify: v%d (%s) arg %d is the void value v%d (%s)", v.ID, v.Op, i, a.ID, a.Op)
+		}
+		if t == TVoid {
+			continue // any non-void (store payloads, load results)
+		}
+		if !loose(a, t) {
+			return fmt.Errorf("lir-verify: v%d (%s) arg %d has type %s, want %s", v.ID, v.Op, i, a.Type, t)
+		}
+	}
+	if !s.anyRes && v.Type != s.res {
+		return fmt.Errorf("lir-verify: v%d (%s) has result type %s, want %s", v.ID, v.Op, v.Type, s.res)
+	}
+	if s.anyRes && v.Type == TVoid {
+		return fmt.Errorf("lir-verify: v%d (%s) has void result", v.ID, v.Op)
+	}
+	return nil
+}
+
+func checkArity(v *Value, n int) error {
+	if len(v.Args) != n {
+		return fmt.Errorf("lir-verify: v%d (%s) has %d args, want %d", v.ID, v.Op, len(v.Args), n)
+	}
+	return nil
+}
+
+func checkNonVoidArgs(v *Value) error {
+	for i, a := range v.Args {
+		if a.Type == TVoid {
+			return fmt.Errorf("lir-verify: v%d (%s) arg %d is the void value v%d (%s)", v.ID, v.Op, i, a.ID, a.Op)
 		}
 	}
 	return nil

@@ -62,6 +62,10 @@ func TestVerifyIRErrorText(t *testing.T) {
 			"lir-verify: fixture has no blocks"},
 		{"block listed twice", func(fx *verifyFixture) { fx.f.Blocks = append(fx.f.Blocks, fx.b1) },
 			"lir-verify: block b1 listed twice"},
+		{"two blocks share an ID", func(fx *verifyFixture) { fx.b2.ID = fx.b1.ID },
+			"lir-verify: two distinct blocks share ID b1"},
+		{"negative block ID", func(fx *verifyFixture) { fx.b2.ID = -1 },
+			"lir-verify: block b-1 has a negative ID"},
 		{"non-phi in phi list", func(fx *verifyFixture) { fx.b3.Phis = append(fx.b3.Phis, fx.x) },
 			"lir-verify: non-phi add in b3's phi list"},
 		{"phi arg count", func(fx *verifyFixture) { fx.phi.Args = append(fx.phi.Args, fx.x) },
@@ -121,6 +125,18 @@ func TestVerifyIRErrorText(t *testing.T) {
 		}, "lir-verify: v3 (add) in b1 uses v9 defined in unreachable b4"},
 		{"use of a non-dominating definition", func(fx *verifyFixture) { fx.x.Args[1] = fx.y },
 			"lir-verify: v3 (add) in b1 uses v5 defined in non-dominating b2"},
+		{"void phi", func(fx *verifyFixture) { fx.phi.Type = TVoid },
+			"lir-verify: phi v7 in b3 is void"},
+		{"stale Block pointer", func(fx *verifyFixture) { fx.x.Block = fx.b2 },
+			"lir-verify: v3 (add) in b1 has Block pointer b2"},
+		{"arity", func(fx *verifyFixture) { fx.x.Args = fx.x.Args[:1] },
+			"lir-verify: v3 (add) has 1 args, want 2"},
+		{"void argument", func(fx *verifyFixture) { fx.x.Args[1] = fx.b0.Term() },
+			"lir-verify: v3 (add) arg 1 is the void value v2 (branch)"},
+		{"argument type", func(fx *verifyFixture) { fx.p.Type = TRef },
+			"lir-verify: v3 (add) arg 0 has type ref, want int"},
+		{"result type", func(fx *verifyFixture) { fx.y.Type = TFloat },
+			"lir-verify: v5 (sub) has result type float, want int"},
 	}
 	for _, c := range cases {
 		fx := newVerifyFixture()

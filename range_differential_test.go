@@ -93,7 +93,6 @@ func TestRangePassDifferential(t *testing.T) {
 					}
 					chk := tv.NewChecker(tv.Options{Reject: true, Strict: true})
 					cfg.Check = chk
-					cfg.CheckEach = true
 					code, err := lir.Compile(app.Prog, nil, cfg, nil, static)
 					if err != nil {
 						t.Fatalf("%s+%v compile: %v", pre.name, names, err)
