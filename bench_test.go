@@ -909,25 +909,27 @@ func BenchmarkSearchParallel(b *testing.B) {
 		col = &obs.Collect{}
 		sc := obs.New(col)
 		reg = sc.Registry()
-		// The replay scope rides the store from Prepare on, so it records
-		// the template builds the baselines trigger as well as every clone
-		// and reset of the sweep; the last (all-cores) run also carries the
-		// span scope so the artifact keeps its per-generation latency rows.
-		copts := core.DefaultOptions()
-		copts.Seed = benchSeed
-		opt := core.New(copts)
-		opt.Store.Obs = sc
-		p, err := opt.Prepare(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := scale.GA
-		opts.BaselineAndroidMs = p.AndroidEval.MeanMs
-		opts.BaselineO3Ms = p.O3Eval.MeanMs
 		rows = rows[:0]
 		refTrace := ""
 		for _, w := range sweep {
-			o := opts
+			// Each cell prepares its own pipeline, so every search starts
+			// with an empty image cache and replays what the serial one
+			// does. The replay scope rides the store from Prepare on, so it
+			// records the template builds the baselines trigger as well as
+			// every clone and reset of the sweep; the last (all-cores) run
+			// also carries the span scope so the artifact keeps its
+			// per-generation latency rows.
+			copts := core.DefaultOptions()
+			copts.Seed = benchSeed
+			opt := core.New(copts)
+			opt.Store.Obs = sc
+			p, err := opt.Prepare(app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := scale.GA
+			o.BaselineAndroidMs = p.AndroidEval.MeanMs
+			o.BaselineO3Ms = p.O3Eval.MeanMs
 			o.Parallelism = w
 			instrumented := w == sweep[len(sweep)-1]
 			if instrumented {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -364,6 +365,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		o: o, app: app, snap: snap, vmap: vmap, prof: typeProf,
 		static: p.Analysis.Effects, region: region, android: android,
 		tvcheck: o.Opts.TVCheck, templates: replay.NewTemplateCache(),
+		images: map[uint64]imageResult{},
 	}
 	andEval := p.ev.measureImage(android)
 	if andEval.Outcome.Failed() {
@@ -584,8 +586,24 @@ type replayEvaluator struct {
 	// templates caches the restored spaces and idle holds released
 	// workerSets for reuse across evaluation batches.
 	templates *replay.TemplateCache
-	mu        sync.Mutex
-	idle      []*workerSet
+	// images is the image cache: every warm measurement of this search, by
+	// image hash (DESIGN.md §11).
+	images map[uint64]imageResult
+	mu     sync.Mutex // guards idle and images
+	idle   []*workerSet
+}
+
+// imageResult is one finished image measurement. A discarded image also
+// keeps its cause label and error, so every caller re-emits the same audit.
+// A cache hit must also match the image size and the cycle budget the entry
+// was measured under: the Android baseline is measured before the budget is
+// set.
+type imageResult struct {
+	imageEval
+	cause     string
+	err       error
+	size      int
+	maxCycles uint64
 }
 
 // workerSet is the per-goroutine warm evaluation context: one replay.Worker
@@ -779,20 +797,59 @@ func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation
 // ASLR layouts (whose deterministic cycle counts must agree), a verification
 // check, and Replays noisy clock readings for the statistics (§4).
 //
-// The whole measurement is a pure function of the code image: ASLR layouts
-// and timing noise are derived from the image hash, never from shared
-// sequential state. That is what lets ga.Search call Evaluate concurrently
-// and memoize by configuration without changing any result.
+// The whole measurement is a pure function of the code image and the cycle
+// budget: ASLR layouts and timing noise are derived from the image hash,
+// never from shared sequential state. That is what lets ga.Search call
+// Evaluate concurrently and memoize by configuration without changing any
+// result, and what lets the image cache replay each distinct image once per
+// search. A warm evaluation first looks the image up by hash; a hit returns
+// the stored measurement, with its own TimesMs, and re-emits a discarded
+// image's audit under this caller's passes label. Two workers that miss on
+// one image both measure it and store identical results.
 //
 // The two replays run on ws's template clones, built under canonical ASLR
-// seeds. With a nil ws (the test reference), or when a template cannot be
-// built, each replay restores from scratch under an image-hash-derived seed
-// instead. Replay cycle counts are layout-independent (the replay package's
-// determinism test), and every Evaluation field derives from cycles and the
-// image hash only, so warm and cold measurements are identical byte for
-// byte (TestPipelineWarmMatchesColdAcrossParallelism checks each one).
+// seeds. With a nil ws (the test reference) the cache is bypassed, and each
+// replay restores from scratch under an image-hash-derived seed, as it does
+// when a template cannot be built. Replay cycle counts are
+// layout-independent (the replay package's determinism test), and every
+// Evaluation field derives from cycles and the image hash only, so warm,
+// cached and cold measurements are identical byte for byte
+// (TestPipelineWarmMatchesColdAcrossParallelism checks each one).
 func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, passes string) imageEval {
-	imgHash := hashImage(code)
+	imgHash, size := hashImage(code), code.Size()
+	if ws == nil {
+		return ev.settle(ev.replayImage(code, imgHash, size, nil), passes)
+	}
+	sc := ev.o.Opts.Obs
+	ev.mu.Lock()
+	c, ok := ev.images[imgHash]
+	ev.mu.Unlock()
+	if ok && c.size == size && c.maxCycles == ev.maxCycles {
+		sc.Counter("replay.image_hits").Add(1)
+		return ev.settle(c, passes)
+	}
+	sc.Counter("replay.image_misses").Add(1)
+	r := ev.replayImage(code, imgHash, size, ws)
+	r.size, r.maxCycles = size, ev.maxCycles
+	ev.mu.Lock()
+	ev.images[imgHash] = r
+	ev.mu.Unlock()
+	return ev.settle(r, passes)
+}
+
+// settle hands a measurement to one caller: it audits a discarded image
+// under the caller's passes label and returns a copy owning its TimesMs.
+func (ev *replayEvaluator) settle(r imageResult, passes string) imageEval {
+	if r.cause != "" {
+		ev.discard(r.Outcome, r.cause, r.err, passes)
+	}
+	ie := r.imageEval
+	ie.TimesMs = slices.Clone(ie.TimesMs)
+	return ie
+}
+
+// replayImage measures code for evaluateImage.
+func (ev *replayEvaluator) replayImage(code *machine.Program, imgHash uint64, size int, ws *workerSet) imageResult {
 	run := func(seed int64) (*replay.Result, error) {
 		req := replay.Request{
 			Snapshot:  ev.snap,
@@ -813,15 +870,16 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 		req.ASLRSeed = int64(imgHash>>1)*131 + seed
 		return replay.Run(ev.o.Dev, ev.o.Store, req)
 	}
+	discarded := func(outcome ga.Outcome, cause string, err error) imageResult {
+		return imageResult{imageEval: imageEval{Evaluation: ga.Evaluation{Outcome: outcome}}, cause: cause, err: err}
+	}
 	res, err := run(1)
 	if err != nil {
 		outcome, cause := classifyError(err, ga.OutcomeRuntimeCrash)
-		ev.discard(outcome, cause, err, passes)
-		return imageEval{Evaluation: ga.Evaluation{Outcome: outcome}}
+		return discarded(outcome, cause, err)
 	}
 	if err := ev.vmap.Check(res); err != nil {
-		ev.discard(ga.OutcomeWrongOutput, "verify-mismatch", err, passes)
-		return imageEval{Evaluation: ga.Evaluation{Outcome: ga.OutcomeWrongOutput}}
+		return discarded(ga.OutcomeWrongOutput, "verify-mismatch", err)
 	}
 	// Replays under a second ASLR layout must agree cycle-for-cycle;
 	// clearly losing binaries skip the cross-check (they are never
@@ -834,8 +892,7 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 				err = fmt.Errorf("nondeterministic: %d cycles under the second ASLR layout, %d under the first",
 					res2.Cycles, res.Cycles)
 			}
-			ev.discard(ga.OutcomeWrongOutput, "nondeterministic", err, passes)
-			return imageEval{Evaluation: ga.Evaluation{Outcome: ga.OutcomeWrongOutput}}
+			return discarded(ga.OutcomeWrongOutput, "nondeterministic", err)
 		}
 	}
 	n := ev.o.Opts.Replays
@@ -848,16 +905,16 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 		times[i] = device.ReplayMillisSeeded(res.Cycles, nrng)
 	}
 	clean := stats.RemoveOutliersMAD(times, 3)
-	return imageEval{
+	return imageResult{imageEval: imageEval{
 		Evaluation: ga.Evaluation{
 			Outcome:    ga.OutcomeCorrect,
 			TimesMs:    times,
 			MeanMs:     stats.Mean(clean),
-			SizeBytes:  code.Size(),
+			SizeBytes:  size,
 			BinaryHash: imgHash,
 		},
 		cycles: res.Cycles,
-	}
+	}}
 }
 
 // hashImage fingerprints generated code for the identical-binaries halt; the

@@ -3,12 +3,15 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"replayopt/internal/ga"
 	"replayopt/internal/lir"
+	"replayopt/internal/lir/tv"
 	"replayopt/internal/machine"
 	"replayopt/internal/minic"
+	"replayopt/internal/obs"
 	"replayopt/internal/profile"
 	"replayopt/internal/rt"
 )
@@ -195,13 +198,18 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Warm replay workers are the only production evaluation path; the cold
-// per-run restore survives as this test's reference. The full decision trace
-// and every report field must be identical at every tested worker count, and
-// every evaluation the search made — plus the two baselines — must equal its
-// cold re-evaluation field for field, with translation validation off or on.
+// Warm replay workers and the image cache are the only production
+// evaluation path; the cold per-run restore survives as this test's
+// reference. The full decision trace and every report field must be
+// identical at every tested worker count, and every evaluation the search
+// made — plus the two baselines, and at least one image-cache hit — must
+// equal its cold re-evaluation field for field, with translation validation
+// off or on.
 func TestPipelineWarmMatchesColdAcrossParallelism(t *testing.T) {
-	ref := runPipelineAt(t, 4, 1)
+	opts := smallOptions()
+	opts.Seed = 4
+	opts.GA.Parallelism = 1
+	ref, hits := optimizeCountingHits(t, opts)
 	refTrace := ref.Search.DecisionTrace()
 	for _, par := range []int{4, 8} {
 		got := runPipelineAt(t, 4, par)
@@ -229,22 +237,35 @@ func TestPipelineWarmMatchesColdAcrossParallelism(t *testing.T) {
 			t.Errorf("%s: KeptBaseline differs", label)
 		}
 	}
-	opts := smallOptions()
-	opts.Seed = 4
-	opts.GA.Parallelism = 1
-	checkColdMatchesWarm(t, opts, ref)
+	checkColdMatchesWarm(t, opts, ref, hits)
 	t.Run("tvcheck", func(t *testing.T) {
 		opts.TVCheck = true
-		checkColdMatchesWarm(t, opts, optimizeMiniApp(t, opts))
+		rep, hits := optimizeCountingHits(t, opts)
+		checkColdMatchesWarm(t, opts, rep, hits)
 	})
+}
+
+// optimizeCountingHits runs the mini app's pipeline under opts with a
+// metrics scope attached and returns the report and the replay.image_hits
+// counter.
+func optimizeCountingHits(t *testing.T, opts Options) (*Report, int64) {
+	t.Helper()
+	opts.Obs = obs.New()
+	rep := optimizeMiniApp(t, opts)
+	return rep, opts.Obs.Counter("replay.image_hits").Value()
 }
 
 // checkColdMatchesWarm re-evaluates every distinct configuration of rep's
 // search trace, and the Android and -O3 images, on the cold restore path of
 // a freshly prepared pipeline, and requires each Evaluation to equal the
-// warm one the run recorded.
-func checkColdMatchesWarm(t *testing.T, opts Options, rep *Report) {
+// warm one the run recorded. hits is the warm run's image-cache hit count:
+// at least one warm evaluation must have been a hit, so the comparison
+// covers the cache.
+func checkColdMatchesWarm(t *testing.T, opts Options, rep *Report, hits int64) {
 	t.Helper()
+	if hits == 0 {
+		t.Error("the warm run served no image-cache hit")
+	}
 	p, err := New(opts).Prepare(miniApp(t))
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +302,71 @@ func checkColdMatchesWarm(t *testing.T, opts Options, rep *Report) {
 			t.Errorf("%s baseline: cold %+v (%d cycles), warm %+v (%d cycles)",
 				b.name, cold.Evaluation, cold.cycles, b.warm, b.cycles)
 		}
+	}
+}
+
+// TestImageCacheReplaysDiscard evaluates two configurations that compile to
+// one wrong image: tvbreak with translation validation off, then the same
+// pipeline plus a dce that finds nothing to delete. The second evaluation is
+// an image-cache hit equal to the first, and it is still audited as a
+// discard of its own, with the same error text. A hit on a correct image
+// returns TimesMs its caller owns.
+func TestImageCacheReplaysDiscard(t *testing.T) {
+	cleanup := lir.RegisterForTesting(tv.MiscompilePass())
+	defer cleanup()
+	col := &obs.Collect{}
+	opts := smallOptions()
+	opts.Obs = obs.New(col)
+	p, err := New(opts).Prepare(miniApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := opts.Obs.Registry()
+	hits := reg.Counter("replay.image_hits")
+	before := reg.Snapshot()
+
+	broken := lir.O1()
+	broken.Passes = append(broken.Passes, lir.PassSpec{Name: tv.MiscompilePassName})
+	padded := broken
+	padded.Passes = append(slices.Clone(broken.Passes), lir.PassSpec{Name: "dce"})
+	first := p.Evaluate(broken)
+	if first.Outcome != ga.OutcomeWrongOutput {
+		t.Fatalf("tvbreak image: outcome %s, want %s", first.Outcome, ga.OutcomeWrongOutput)
+	}
+	h := hits.Value()
+	second := p.Evaluate(padded)
+	if hits.Value() != h+1 {
+		t.Fatalf("padded pipeline was not an image-cache hit (hits %d -> %d)", h, hits.Value())
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("hit %+v, miss %+v", second, first)
+	}
+	after := reg.Snapshot()
+	for _, key := range []string{"core.discards." + ga.OutcomeWrongOutput.String(), "core.discard_causes.verify-mismatch"} {
+		if n := after[key] - before[key]; n != 2 {
+			t.Errorf("%s counted %v discards, want 2", key, n)
+		}
+	}
+	spans := col.ByName("eval.discard")
+	if len(spans) != 2 {
+		t.Fatalf("%d eval.discard spans, want 2", len(spans))
+	}
+	if a, b := spans[0].Attrs["error"], spans[1].Attrs["error"]; a != b || a == "" {
+		t.Errorf("discard errors %q and %q, want one non-empty text", a, b)
+	}
+	if a, b := spans[0].Attrs["passes"], spans[1].Attrs["passes"]; a == b {
+		t.Errorf("both discards labelled %q; each must carry its own pipeline", a)
+	}
+
+	miss := p.Evaluate(lir.O1())
+	hit := p.Evaluate(lir.O1())
+	if miss.Outcome != ga.OutcomeCorrect || len(miss.TimesMs) == 0 {
+		t.Fatalf("-O1 image: %+v", miss)
+	}
+	want := hit.TimesMs[0]
+	miss.TimesMs[0] = -1
+	if hit.TimesMs[0] != want || p.Evaluate(lir.O1()).TimesMs[0] != want {
+		t.Error("mutating one evaluation's TimesMs changed another's")
 	}
 }
 

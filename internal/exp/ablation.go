@@ -11,6 +11,7 @@ import (
 	"replayopt/internal/device"
 	"replayopt/internal/ga"
 	"replayopt/internal/lir"
+	"replayopt/internal/machine"
 	"replayopt/internal/replay"
 	"replayopt/internal/stats"
 )
@@ -134,7 +135,10 @@ func AblationNoVerify(scale Scale, seed int64, app string) (*Table, error) {
 			if err != nil {
 				continue
 			}
-			if opt.Dev.ReplayMillis(res.Cycles) < bestCorrect {
+			// Noise seeded by the image, as the evaluator seeds it, so the
+			// row does not depend on how many replays ran before this one.
+			nrng := rand.New(rand.NewSource(opt.Opts.Seed ^ int64(machine.HashProgram(code))))
+			if device.ReplayMillisSeeded(res.Cycles, nrng) < bestCorrect {
 				wrongFaster++
 			}
 		}
