@@ -14,7 +14,6 @@
 // Usage:
 //
 //	benchlint BENCH_parallel.json                    # stat: summary + schema check
-//	benchlint -validate < BENCH_alias.json           # schema check from stdin
 //	benchlint -compare base.json [-tolerance 0.2] BENCH_parallel.json
 //	benchlint -compare base_alias.json BENCH_alias.json
 //	benchlint -compare base_fleet.json BENCH_fleet.json
@@ -38,7 +37,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"replayopt/internal/capture/castore"
@@ -230,28 +228,13 @@ func compare(base, next *core.Bench, tolerance float64, normalize bool) error {
 }
 
 func main() {
-	validateStdin := flag.Bool("validate", false, "read the artifact from stdin and validate its structure")
 	baseline := flag.String("compare", "", "baseline artifact to regression-check the argument against")
 	tolerance := flag.Float64("tolerance", 0.2, "allowed fractional regression of each gated quantity in -compare")
 	normalized := flag.Bool("compare-normalized", false, "compare SearchParallel cells relative to each run's serial cell")
 	flag.Parse()
 
-	if *validateStdin {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if _, err := parse(data); err != nil {
-			fmt.Fprintf(os.Stderr, "benchlint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("artifact ok")
-		return
-	}
-
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchlint [-validate|-compare base.json] BENCH_file.json")
+		fmt.Fprintln(os.Stderr, "usage: benchlint [-compare base.json] BENCH_file.json")
 		os.Exit(2)
 	}
 	doc, err := load(flag.Arg(0))

@@ -60,17 +60,15 @@ func main() {
 	// has real counters; sinks are attached only on request. Results are
 	// unaffected (the scope is purely observational).
 	var sinks []obs.SpanSink
-	var traceJSONL *obs.JSONLWriter
-	var traceFile *os.File
+	var traceFile *obs.TraceFile
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+		var err error
+		traceFile, err = obs.CreateTraceFile(*tracePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		traceFile = f
-		traceJSONL = obs.NewJSONLWriter(f)
-		sinks = append(sinks, traceJSONL)
+		sinks = append(sinks, traceFile)
 	}
 	if *progress {
 		sinks = append(sinks, obs.NewProgress(os.Stderr))
@@ -180,15 +178,11 @@ func main() {
 		fmt.Println()
 	}
 	if traceFile != nil {
-		if err := traceJSONL.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
 		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace: %d spans written to %s\n", traceJSONL.Count(), *tracePath)
+		fmt.Printf("trace: %d spans written to %s\n", traceFile.Count(), *tracePath)
 	}
 	fmt.Printf("done in %.1fs (scale=%s)\n", time.Since(start).Seconds(), scale.Name)
 }

@@ -53,16 +53,15 @@ func main() {
 	}
 
 	sc := obs.New()
-	var traceW *obs.JSONLWriter
+	var traceFile *obs.TraceFile
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+		var err error
+		traceFile, err = obs.CreateTraceFile(*tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleetd: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		traceW = obs.NewJSONLWriter(f)
-		sc.AddSink(traceW)
+		sc.AddSink(traceFile)
 	}
 
 	var appList []string
@@ -117,9 +116,9 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-	if traceW != nil {
-		if err := traceW.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "fleetd: trace writer: %v\n", err)
+	if traceFile != nil {
+		if err := traceFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "fleetd: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -2,9 +2,9 @@
 // synthetic devices upload captures in a rising-concurrency sweep (the
 // saturation curve), wait for the coordinator's searches, then fetch their
 // artifacts — measuring uploads/sec, the fleet-scale dedup factor, cache
-// hit ratio, and searches/hour. Results land in BENCH_fleet.json
-// (schema-checked by benchlint; see EXPERIMENTS.md for how to read the
-// sweep's saturation knee).
+// hit ratio, and searches/hour. Results land in BENCH_fleet.json, checked
+// against its schema before it is written (see EXPERIMENTS.md for how to
+// read the sweep's saturation knee).
 //
 // Usage:
 //
@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,6 +29,7 @@ import (
 	"time"
 
 	"replayopt/internal/fleet"
+	"replayopt/internal/schema"
 )
 
 type device struct {
@@ -284,12 +284,11 @@ func main() {
 	}
 	bench.WallMs = float64(time.Since(start).Milliseconds())
 
-	data, err := json.MarshalIndent(&bench, "", "  ")
+	data, err := schema.Encode(&bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "fleetload: %s: %v\n", *out, err)
 		os.Exit(1)
 	}
-	data = append(data, '\n')
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -137,18 +137,16 @@ func main() {
 	// Build the observability scope only when asked for: with every flag
 	// off opts.Obs stays nil and the run is exactly the uninstrumented one.
 	var scope *obs.Scope
-	var traceJSONL *obs.JSONLWriter
-	var traceFile *os.File
+	var traceFile *obs.TraceFile
 	if *tracePath != "" || *metrics || *progress {
 		var sinks []obs.SpanSink
 		if *tracePath != "" {
-			traceFile, err = os.Create(*tracePath)
+			traceFile, err = obs.CreateTraceFile(*tracePath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			traceJSONL = obs.NewJSONLWriter(traceFile)
-			sinks = append(sinks, traceJSONL)
+			sinks = append(sinks, traceFile)
 		}
 		if *progress {
 			sinks = append(sinks, obs.NewProgress(os.Stderr))
@@ -255,15 +253,10 @@ func main() {
 		scope.Registry().WriteText(os.Stdout)
 	}
 	if traceFile != nil {
-		name := traceFile.Name()
-		if err := traceJSONL.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
 		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("\ntrace: %d spans written to %s\n", traceJSONL.Count(), name)
+		fmt.Printf("\ntrace: %d spans written to %s\n", traceFile.Count(), *tracePath)
 	}
 }

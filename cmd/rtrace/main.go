@@ -7,7 +7,6 @@
 //	rtrace [-json] replay [-app NAME] trace.jsonl
 //	rtrace [-json] bisect -app NAME [-base O2|catalog] [-at 4] [-seed 1]
 //	rtrace [-json] lock-check [-static] [-app NAME] [-seed 1] lock.json
-//	rtrace [-json] -validate trace.jsonl [more.jsonl ...]
 //
 // replay re-executes a trace mechanically against a re-prepared pipeline
 // (core.Prepare is deterministic for the header's seed) and proves it
@@ -30,10 +29,9 @@
 // -static is set — dynamically, recompiling the app's region to detect
 // decisions that no longer fire and image drift. Exit 1 on any drift.
 //
-// -validate reads each file with rtrace.ReadTrace, the trace reader replay
-// and bisect use, and prints a summary. A trace without an image trailer,
-// from an aborted compile, is valid but not replayable. -json switches
-// every subcommand's output to machine-readable JSON.
+// replay reads the trace with rtrace.ReadTrace, the format's one reader and
+// validator, so a corrupt trace fails before any compile runs. -json
+// switches every subcommand's output to machine-readable JSON.
 package main
 
 import (
@@ -57,15 +55,10 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	validate := flag.Bool("validate", false, "validate trace files with the reader replay uses")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
 
-	if *validate {
-		runValidate(args, *jsonOut)
-		return
-	}
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
@@ -88,8 +81,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rtrace [-json] replay [-app NAME] trace.jsonl
   rtrace [-json] bisect -app NAME [-base O2|catalog] [-at 4] [-seed 1]
-  rtrace [-json] lock-check [-static] [-app NAME] [-seed 1] lock.json
-  rtrace [-json] -validate trace.jsonl [more.jsonl ...]`)
+  rtrace [-json] lock-check [-static] [-app NAME] [-seed 1] lock.json`)
 }
 
 func die(err error) {
@@ -124,44 +116,6 @@ func prepareApp(name string, seed int64) (*core.App, *core.Prepared, error) {
 		return nil, nil, err
 	}
 	return app, p, nil
-}
-
-func runValidate(paths []string, jsonOut bool) {
-	if len(paths) == 0 {
-		usage()
-		os.Exit(2)
-	}
-	ok := true
-	for _, path := range paths {
-		tr, err := rtrace.ReadTraceFile(path)
-		if err != nil {
-			ok = false
-			if jsonOut {
-				emit(map[string]any{"file": path, "valid": false, "error": err.Error()})
-			} else {
-				fmt.Fprintf(os.Stderr, "rtrace: %s: %v\n", path, err)
-			}
-			continue
-		}
-		fired := map[string]int{}
-		for _, e := range tr.Entries {
-			if e.Fired {
-				fired[e.Pass]++
-			}
-		}
-		image := "no image trailer (aborted compile, not replayable)"
-		if tr.Trailer != nil {
-			image = "image " + tr.Trailer.ImageHash
-		}
-		if jsonOut {
-			emit(map[string]any{"file": path, "valid": true, "entries": len(tr.Entries), "fired": fired, "trailer": tr.Trailer})
-		} else {
-			fmt.Printf("%s: ok — %d rewrites (%d passes fired), %s\n", path, len(tr.Entries), len(fired), image)
-		}
-	}
-	if !ok {
-		os.Exit(1)
-	}
 }
 
 func runReplay(args []string, jsonOut bool) {

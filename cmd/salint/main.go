@@ -23,20 +23,19 @@
 //	salint range -app FFT -method kernel       # detail for methods matching a substring
 //	salint alias -all                          # summary line for every app
 //	salint effects -app DroidFish -json        # machine-readable report
-//	salint range -all -json -validate          # JSON reports, schema-checked (CI)
+//	salint range -all -json                    # JSON reports, one per app (CI)
 //	salint alias -list                         # list the known applications
 //
 // Every subcommand covers Table 1 plus the diagnostic WitnessFilter and
 // ScratchFilter apps. The hot region that range and alias report on comes
 // from the same online profiling run the optimizer's prepare stage performs,
-// so "hot" means exactly the code the search would compile. -validate strictly
-// decodes every emitted JSON document against its report schema and fails
+// so "hot" means exactly the code the search would compile. -json strictly
+// decodes every document it emits against its report schema first and fails
 // the run on any mismatch. Exit status: 0 on success, 1 on
 // build/analysis/validation failure, 2 on usage errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,9 +49,10 @@ import (
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
+	"replayopt/internal/schema"
 )
 
-const usage = "usage: salint {effects|range|alias} [-app NAME | -all | -list] [-method SUBSTR] [-json [-validate]]"
+const usage = "usage: salint {effects|range|alias} [-app NAME | -all | -list] [-method SUBSTR] [-json]"
 
 func main() {
 	os.Exit(salint(os.Args[1:], os.Stdout, os.Stderr))
@@ -66,11 +66,11 @@ func salint(args []string, stdout, stderr io.Writer) int {
 	}
 	switch sub, rest := args[0], args[1:]; sub {
 	case "effects":
-		return audit(sub, rest, stdout, stderr, buildEffects, sa.ValidateReportJSON, printEffects)
+		return audit(sub, rest, stdout, stderr, buildEffects, printEffects)
 	case "range":
-		return audit(sub, rest, stdout, stderr, buildRange, vra.ValidateReportJSON, printRange)
+		return audit(sub, rest, stdout, stderr, buildRange, printRange)
 	case "alias":
-		return audit(sub, rest, stdout, stderr, buildAlias, pts.ValidateReportJSON, printAlias)
+		return audit(sub, rest, stdout, stderr, buildAlias, printAlias)
 	default:
 		fmt.Fprintf(stderr, "salint: unknown subcommand %q\n%s\n", sub, usage)
 		return 2
@@ -78,10 +78,10 @@ func salint(args []string, stdout, stderr io.Writer) int {
 }
 
 // audit is the loop every subcommand shares: parse the flags, select apps,
-// build each app's report, and emit it as JSON (optionally validated) or
-// through the subcommand's human printer.
-func audit[R any](sub string, args []string, stdout, stderr io.Writer,
-	build func(apps.Spec) (R, error), validate func([]byte) error,
+// build each app's report, and emit it as self-checked JSON or through the
+// subcommand's human printer.
+func audit[R schema.Checker](sub string, args []string, stdout, stderr io.Writer,
+	build func(apps.Spec) (R, error),
 	show func(w io.Writer, rep R, methodFilter string, summaryOnly bool)) int {
 	fs := flag.NewFlagSet("salint "+sub, flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -89,7 +89,6 @@ func audit[R any](sub string, args []string, stdout, stderr io.Writer,
 	all := fs.Bool("all", false, "lint every known application")
 	method := fs.String("method", "", "only report methods whose name contains this substring")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (one document per app)")
-	validateOut := fs.Bool("validate", false, "with -json: schema-check every emitted document")
 	list := fs.Bool("list", false, "list the known applications")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -102,10 +101,6 @@ func audit[R any](sub string, args []string, stdout, stderr io.Writer,
 			fmt.Fprintf(stdout, "%-14s %-22s %s\n", s.Type, s.Name, s.Desc)
 		}
 		return 0
-	}
-	if *validateOut && !*jsonOut {
-		fmt.Fprintln(stderr, "salint: -validate requires -json")
-		return 2
 	}
 
 	var specs []apps.Spec
@@ -124,8 +119,6 @@ func audit[R any](sub string, args []string, stdout, stderr io.Writer,
 		return 2
 	}
 
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
 	for _, spec := range specs {
 		rep, err := build(spec)
 		if err != nil {
@@ -136,18 +129,12 @@ func audit[R any](sub string, args []string, stdout, stderr io.Writer,
 			show(stdout, rep, *method, *all)
 			continue
 		}
-		if *validateOut {
-			data, err := json.Marshal(rep)
-			if err != nil {
-				fmt.Fprintf(stderr, "salint: %v\n", err)
-				return 1
-			}
-			if err := validate(data); err != nil {
-				fmt.Fprintf(stderr, "salint: %s: %v\n", spec.Name, err)
-				return 1
-			}
+		data, err := schema.Encode(rep)
+		if err != nil {
+			fmt.Fprintf(stderr, "salint: %s: %v\n", spec.Name, err)
+			return 1
 		}
-		if err := enc.Encode(rep); err != nil {
+		if _, err := stdout.Write(data); err != nil {
 			fmt.Fprintf(stderr, "salint: %v\n", err)
 			return 1
 		}

@@ -13,8 +13,8 @@ import (
 // digests of what the three single-analysis commands it folds together
 // printed for their app lists. effects and range now also cover
 // ScratchFilter; its document, the only new output, is split off the end
-// before hashing. The JSON runs pass -validate, so every app's real report
-// must also pass its strict schema.
+// before hashing. -json checks every document against its strict schema
+// before writing it, so every app's real report must also pass it.
 func TestOutputParity(t *testing.T) {
 	for _, c := range []struct {
 		sub     string
@@ -31,7 +31,7 @@ func TestOutputParity(t *testing.T) {
 	} {
 		args := []string{c.sub, "-all"}
 		if c.json {
-			args = append(args, "-json", "-validate")
+			args = append(args, "-json")
 		}
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			t.Parallel()
@@ -76,7 +76,6 @@ func TestUsageErrors(t *testing.T) {
 		{"bogus"},
 		{"effects"},
 		{"range", "-app", "NoSuchApp"},
-		{"alias", "-app", "FFT", "-validate"},
 		{"effects", "-nosuchflag"},
 	} {
 		if code := salint(args, new(bytes.Buffer), new(bytes.Buffer)); code != 2 {

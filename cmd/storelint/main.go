@@ -7,48 +7,31 @@
 //	storelint -verify store.cas      # exit 1 unless the store is healthy
 //	storelint -repair store.cas      # rewrite, dropping damaged snapshots
 //	storelint -json store.cas > store.json
-//	storelint -validate < store.json
 //
-// -json emits the machine-readable report (schema_version 1); -validate
-// reads a report from stdin and structurally checks it — CI pipes one into
-// the other, like salint and tvlint. -verify exits 1 when the scan finds
-// damaged records, a torn tail, a lost index, or skipped snapshots; plain
-// stat mode reports the same facts but exits 0 (a degraded store is still
-// usable — every complete snapshot replays). The BENCH_store.json artifact
-// is checked by benchlint, like every other benchmark artifact.
+// -json emits the machine-readable report (schema_version 1), strictly
+// decoded against its schema before it is written, like salint's and
+// tvlint's. -verify exits 1 when the scan finds damaged records, a torn
+// tail, a lost index, or skipped snapshots; plain stat mode reports the same
+// facts but exits 0 (a degraded store is still usable — every complete
+// snapshot replays). The BENCH_store.json artifact is checked by benchlint,
+// like every other benchmark artifact.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"replayopt/internal/capture"
 	"replayopt/internal/capture/castore"
+	"replayopt/internal/schema"
 )
 
 func main() {
 	verify := flag.Bool("verify", false, "exit 1 unless the store is fully healthy")
 	repair := flag.Bool("repair", false, "rewrite the store keeping only recoverable snapshots")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable report instead of tables")
-	validate := flag.Bool("validate", false, "read a JSON report from stdin and validate its structure")
 	flag.Parse()
-
-	if *validate {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := castore.ValidateReportJSON(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("report ok")
-		return
-	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: storelint [-verify|-repair|-json] store.cas")
@@ -76,16 +59,12 @@ func main() {
 	rep := castore.BuildReport(f, appLabel)
 
 	if *jsonOut {
-		data, err := json.MarshalIndent(rep, "", "  ")
+		data, err := schema.Encode(rep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintf(os.Stderr, "storelint: %v\n", err)
 			os.Exit(1)
 		}
-		if err := castore.ValidateReportJSON(data); err != nil {
-			fmt.Fprintf(os.Stderr, "storelint: emitted report fails own validation: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(data, '\n'))
+		os.Stdout.Write(data)
 	} else {
 		printReport(rep)
 	}

@@ -8,27 +8,25 @@
 //	tvlint [-apps FFT,DroidFish] [-presets O1,O2,O3]
 //	tvlint -fuzz 10 [-passes dce,gvn]
 //	tvlint -json > tv.json
-//	tvlint -validate < tv.json
 //
-// -json emits the machine-readable report (schema_version 1); -validate
-// reads a report from stdin and structurally checks it — CI pipes one into
-// the other. The exit status is 1 when any pass is Rejected (a provable
-// miscompile), when the fuzzer finds a defect, or when validation fails;
+// -json emits the machine-readable report (schema_version 1), strictly
+// decoded against its schema before it is written. The exit status is 1
+// when any pass is Rejected (a provable miscompile), when the fuzzer finds a
+// defect, or when the report fails its own schema;
 // Unverified verdicts are informational (the validator could not prove
 // equivalence, which is not evidence of a bug).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"replayopt/internal/apps"
 	"replayopt/internal/lir"
 	"replayopt/internal/lir/tv"
+	"replayopt/internal/schema"
 )
 
 func main() {
@@ -37,22 +35,7 @@ func main() {
 	fuzz := flag.Int("fuzz", 0, "differentially fuzz each pass on N generated programs (0 = off)")
 	passesFlag := flag.String("passes", "", "comma-separated pass subset for -fuzz (default: all registered)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable report instead of tables")
-	validate := flag.Bool("validate", false, "read a JSON report from stdin and validate its structure")
 	flag.Parse()
-
-	if *validate {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := tv.ValidateReportJSON(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("report ok")
-		return
-	}
 
 	rep := tv.Report{SchemaVersion: tv.ReportSchemaVersion, Presets: []tv.PresetReport{}, Fuzz: []tv.DiffFailure{}}
 	bad := false
@@ -96,16 +79,12 @@ func main() {
 	}
 
 	if *jsonOut {
-		data, err := json.MarshalIndent(rep, "", "  ")
+		data, err := schema.Encode(&rep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintf(os.Stderr, "tvlint: %v\n", err)
 			os.Exit(1)
 		}
-		if err := tv.ValidateReportJSON(data); err != nil {
-			fmt.Fprintf(os.Stderr, "tvlint: emitted report fails own validation: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(data, '\n'))
+		os.Stdout.Write(data)
 	} else {
 		printTables(rep)
 	}

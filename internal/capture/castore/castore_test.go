@@ -187,7 +187,7 @@ func TestReportAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(Report)); err != nil {
 		t.Fatalf("own report fails validation: %v", err)
 	}
 	for _, bad := range []string{
@@ -195,7 +195,7 @@ func TestReportAndValidate(t *testing.T) {
 		`{"schema_version":99}`,
 		`{"schema_version":1,"path":""}`,
 	} {
-		if err := ValidateReportJSON([]byte(bad)); err == nil {
+		if err := schema.Decode([]byte(bad), new(Report)); err == nil {
 			t.Errorf("validator accepted %s", bad)
 		}
 	}
@@ -239,7 +239,7 @@ func TestReportRejectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	firstSnap := func(doc map[string]any) map[string]any {
@@ -269,7 +269,7 @@ func TestReportRejectionParity(t *testing.T) {
 	)
 	// Recorded against the map-based validator this decode replaced; it
 	// rejected every other case.
-	schematest.Run(t, ValidateReportJSON, cases, map[string]string{
+	schematest.Run(t, func(data []byte) error { return schema.Decode(data, new(Report)) }, cases, map[string]string{
 		"snapshots[0].app deleted":    "missing key, optional before",
 		"snapshots[0].app wrong type": "key unchecked before",
 		"fractional schema_version":   "fractional schema_version",

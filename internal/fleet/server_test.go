@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,12 +46,17 @@ func waitJob(t *testing.T, s *Server, id, state string, timeout time.Duration) J
 }
 
 // TestServerEndToEnd drives the full loop over HTTP: upload → search →
-// artifact, with repeat fetches hitting the shared cache.
+// artifact, with repeat fetches hitting the shared cache. After the drain,
+// the server's span trace must read back through the one span-trace reader
+// and hold the merge and search spans.
 func TestServerEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, hs, c := bootServer(t, dir, 1)
 	defer hs.Close()
-	defer s.Drain()
+	drain := sync.OnceFunc(s.Drain)
+	defer drain()
+	col := &obs.Collect{}
+	s.sc.AddSink(col)
 
 	up, err := BuildDeviceStore(dir, testApp, "dev-1")
 	if err != nil {
@@ -113,6 +120,26 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if len(st.Jobs) != 1 || st.Jobs[0].State != JobDone {
 		t.Fatalf("status %+v", st)
+	}
+
+	drain()
+	var buf bytes.Buffer
+	w := obs.NewJSONLWriter(&buf)
+	for _, sd := range col.Spans() {
+		w.SpanEnd(sd)
+	}
+	spans, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatalf("server trace: %v", err)
+	}
+	counts := map[string]int{}
+	for _, sd := range spans {
+		counts[sd.Name]++
+	}
+	for _, name := range []string{"fleet.merge", "fleet.search"} {
+		if counts[name] == 0 {
+			t.Errorf("span %q missing from the server trace (got %v)", name, counts)
+		}
 	}
 }
 

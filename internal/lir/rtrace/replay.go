@@ -29,13 +29,13 @@ type Trace struct {
 }
 
 // ReadTrace reads a rewrite trace: the format's one reader and validator,
-// behind replay, bisect and rtrace -validate. Each line is one record,
-// decoded strictly by schema.Decode into the struct its kind names and
-// checked by that struct's Check; any other kind is an error. The records
-// must come in compile order: one header first, entries with contiguous seq
-// from 0, and at most one image trailer, last, whose entry count matches. An
-// entry that carries an error ends the trace. A trace without a trailer,
-// from an aborted compile, reads; Replay refuses it.
+// behind replay and bisect. Each line is one record, decoded strictly by
+// schema.Decode into the struct its kind names and checked by that struct's
+// Check; any other kind is an error. The records must come in compile
+// order: one header first, entries with contiguous seq from 0, and at most
+// one image trailer, last, whose entry count matches. An entry that carries
+// an error ends the trace. A trace without a trailer, from an aborted
+// compile, reads; Replay refuses it.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)

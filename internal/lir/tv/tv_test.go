@@ -11,6 +11,7 @@ import (
 	"replayopt/internal/lir"
 	"replayopt/internal/minic"
 	"replayopt/internal/progen"
+	"replayopt/internal/schema"
 	"replayopt/internal/schema/schematest"
 )
 
@@ -381,15 +382,15 @@ func TestReportValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(Report)); err != nil {
 		t.Fatalf("own report does not validate: %v", err)
 	}
-	if err := ValidateReportJSON([]byte(`{"schema_version":1}`)); err == nil {
+	if err := schema.Decode([]byte(`{"schema_version":1}`), new(Report)); err == nil {
 		t.Fatal("missing presets accepted")
 	}
 	bad := strings.Replace(string(data), `"verified"`, `"maybe"`, 1)
 	if bad != string(data) {
-		if err := ValidateReportJSON([]byte(bad)); err == nil {
+		if err := schema.Decode([]byte(bad), new(Report)); err == nil {
 			t.Fatal("illegal verdict string accepted")
 		}
 	}
@@ -424,7 +425,7 @@ func TestReportRejectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	preset := func(doc map[string]any) map[string]any {
@@ -459,7 +460,7 @@ func TestReportRejectionParity(t *testing.T) {
 	)
 	// Recorded against the map-based validator this decode replaced; it
 	// rejected every other case.
-	schematest.Run(t, ValidateReportJSON, cases, map[string]string{
+	schematest.Run(t, func(data []byte) error { return schema.Decode(data, new(Report)) }, cases, map[string]string{
 		"presets[0].verdicts[0].reason wrong type": "key unchecked before",
 		"fuzz deleted":              "missing key, optional before",
 		"fuzz[0].seed deleted":      "missing key, optional before",

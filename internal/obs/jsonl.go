@@ -1,6 +1,6 @@
-// JSONL trace sink: one JSON object per finished span, in end order, plus
-// the reader half, the one reader and validator of span traces, used by
-// tests and cmd/tracelint.
+// JSONL trace sink: one JSON object per finished span, in end order; the
+// file sink that checks what it wrote when it closes; and the reader half,
+// the one reader and validator of span traces.
 
 package obs
 
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"replayopt/internal/schema"
@@ -61,6 +62,48 @@ func (j *JSONLWriter) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
+}
+
+// TraceFile is a span sink writing a JSONL trace to a file, the sink behind
+// every -trace flag.
+type TraceFile struct {
+	*JSONLWriter
+	f *os.File
+}
+
+// CreateTraceFile creates (or truncates) the trace file at path.
+func CreateTraceFile(path string) (*TraceFile, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &TraceFile{JSONLWriter: NewJSONLWriter(f), f: f}, nil
+}
+
+// Close reports the first write error, closes the file, and reads it back
+// through ReadJSONL, so a trace that closes cleanly holds every span written
+// and is one every reader accepts.
+func (t *TraceFile) Close() error {
+	err := t.Err()
+	if cerr := t.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("obs: writing trace %s: %w", t.f.Name(), err)
+	}
+	f, err := os.Open(t.f.Name())
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	spans, err := ReadJSONL(f)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%s: %w", t.f.Name(), err)
+	case len(spans) != t.Count():
+		return fmt.Errorf("obs: trace %s: %d spans read back, %d written", t.f.Name(), len(spans), t.Count())
+	}
+	return nil
 }
 
 // ReadJSONL reads a span trace written by JSONLWriter: the format's one

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -136,44 +139,134 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// garbageTraces are traces with a line ReadJSONL must reject.
+var garbageTraces = []string{
+	"not json\n",
+	`{"id":1}` + "\n",                  // no name
+	`{"name":"x","start_us":0}` + "\n", // no id
+	`{"kind":"rewrite","id":1,"name":"x","start_us":0,"dur_us":0}` + "\n", // a rewrite-trace record
+	`{"id":1,"name":"x","start_us":0,"dur_us":0,"nmae":"y"}` + "\n",       // unknown key
+}
+
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"not json\n",
-		`{"id":1}` + "\n",                  // no name
-		`{"name":"x","start_us":0}` + "\n", // no id
-		`{"kind":"rewrite","id":1,"name":"x","start_us":0,"dur_us":0}` + "\n", // a rewrite-trace record
-		`{"id":1,"name":"x","start_us":0,"dur_us":0,"nmae":"y"}` + "\n",       // unknown key
-	} {
+	for _, bad := range garbageTraces {
 		if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadJSONL(%q) should fail", bad)
 		}
 	}
 }
 
+// spanLine encodes one span as JSONLWriter writes it.
+func spanLine(id, parent uint64, name string, dur int64) string {
+	var buf bytes.Buffer
+	NewJSONLWriter(&buf).SpanEnd(SpanData{ID: id, Parent: parent, Name: name, DurUS: dur})
+	return buf.String()
+}
+
+// treeTraces are traces of well-formed lines whose span tree may not hold.
+var treeTraces = []struct {
+	name, trace string
+	ok          bool
+}{
+	{"duplicate ids", spanLine(1, 0, "a", 0) + spanLine(1, 0, "b", 0), false},
+	{"missing parent", spanLine(1, 99, "a", 0), false},
+	{"negative duration", spanLine(1, 0, "a", -5), false},
+	// A child ends, and so is written, before its parent: the normal
+	// order must pass although the parent id appears later.
+	{"child before parent", spanLine(2, 1, "child", 0) + spanLine(1, 0, "root", 0), true},
+}
+
 // TestReadJSONLCatchesBrokenTrees: the reader checks the span tree, not
 // just each line.
 func TestReadJSONLCatchesBrokenTrees(t *testing.T) {
-	span := func(id, parent uint64, name string, dur int64) string {
-		var buf bytes.Buffer
-		NewJSONLWriter(&buf).SpanEnd(SpanData{ID: id, Parent: parent, Name: name, DurUS: dur})
-		return buf.String()
-	}
-	for _, tc := range []struct {
-		name, trace string
-		ok          bool
-	}{
-		{"duplicate ids", span(1, 0, "a", 0) + span(1, 0, "b", 0), false},
-		{"missing parent", span(1, 99, "a", 0), false},
-		{"negative duration", span(1, 0, "a", -5), false},
-		// A child ends, and so is written, before its parent: the normal
-		// order must pass although the parent id appears later.
-		{"child before parent", span(2, 1, "child", 0) + span(1, 0, "root", 0), true},
-	} {
+	for _, tc := range treeTraces {
 		_, err := ReadJSONL(strings.NewReader(tc.trace))
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: ReadJSONL error %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
+}
+
+// TestTraceFileChecksOnClose: a trace file closes cleanly only when the
+// bytes on disk read back through ReadJSONL with every span written.
+func TestTraceFileChecksOnClose(t *testing.T) {
+	write := func() (*TraceFile, string) {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		tf, err := CreateTraceFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := New(tf)
+		root := sc.Start("pipeline")
+		root.Start("profile").End()
+		root.End()
+		sc.Start("install").End()
+		return tf, path
+	}
+	tf, _ := write()
+	if err := tf.Close(); err != nil {
+		t.Fatalf("intact trace: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		keep func(data []byte) int // bytes of the file left before Close
+	}{
+		{"truncated mid-line", func(data []byte) int { return len(data) - 5 }},
+		{"last span lost", func(data []byte) int { return bytes.LastIndexByte(data[:len(data)-1], '\n') + 1 }},
+	} {
+		tf, path := write()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, int64(c.keep(data))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tf.Close(); err == nil {
+			t.Errorf("%s: Close accepted the damaged trace", c.name)
+		}
+	}
+}
+
+// FuzzReadJSONL: ReadJSONL never panics, and a trace it accepts re-encodes
+// through JSONLWriter to a trace it accepts again, holding equal spans. The
+// real seed is the span trace of replayopt -app Sieve -pop 4 -gens 1.
+func FuzzReadJSONL(f *testing.F) {
+	for _, g := range garbageTraces {
+		f.Add([]byte(g))
+	}
+	for _, tc := range treeTraces {
+		f.Add([]byte(tc.trace))
+	}
+	trace, err := os.ReadFile("testdata/pipeline.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trace)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		w := NewJSONLWriter(&buf)
+		for i := range spans {
+			w.SpanEnd(spans[i])
+			if len(spans[i].Attrs) == 0 {
+				spans[i].Attrs = nil // omitempty drops an empty attrs object
+			}
+		}
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, spans) {
+			t.Fatalf("re-encoding changed the spans:\n%+v\nthen\n%+v", spans, back)
+		}
+	})
 }
 
 func TestProgressLine(t *testing.T) {

@@ -223,8 +223,8 @@ func TestScratchAppVerdicts(t *testing.T) {
 }
 
 // TestReportSchema round-trips a report through JSON and the structural
-// validator (the salint alias -json -validate path), then corrupts it in each
-// way the schema forbids.
+// validator (the check salint alias -json runs on its own output), then
+// corrupts it in each way the schema forbids.
 func TestReportSchema(t *testing.T) {
 	app, err := apps.Build(apps.ScratchSpec())
 	if err != nil {
@@ -244,7 +244,7 @@ func TestReportSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pts.ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(pts.Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 
@@ -259,7 +259,7 @@ func TestReportSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = pts.ValidateReportJSON(bad)
+		err = schema.Decode(bad, new(pts.Report))
 		if err == nil {
 			t.Errorf("%s: corrupted report accepted", name)
 			return
@@ -319,7 +319,7 @@ func TestReportRejectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pts.ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(pts.Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	firstMethod := func(doc map[string]any) map[string]any {
@@ -349,7 +349,7 @@ func TestReportRejectionParity(t *testing.T) {
 	)
 	// Recorded against the map-based validator this decode replaced; it
 	// rejected every other case.
-	schematest.Run(t, pts.ValidateReportJSON, cases, map[string]string{
+	schematest.Run(t, func(data []byte) error { return schema.Decode(data, new(pts.Report)) }, cases, map[string]string{
 		"methods[0].witnesses wrong type":          "key unchecked before",
 		"methods[0].witnesses[0] wrong type":       "key unchecked before",
 		"methods[0].witnesses[0].block deleted":    "missing key, optional before",

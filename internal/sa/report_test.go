@@ -14,7 +14,7 @@ import (
 )
 
 // TestReportSchema round-trips the witness app's report through JSON and the
-// structural validator — the same check salint effects -json -validate performs —
+// structural validator — the check salint effects -json runs on its own output —
 // then corrupts the document in each way the schema forbids and asserts the
 // validator rejects it.
 func TestReportSchema(t *testing.T) {
@@ -27,7 +27,7 @@ func TestReportSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(sa.Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	if len(rep.Witnesses) == 0 {
@@ -45,7 +45,7 @@ func TestReportSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sa.ValidateReportJSON(bad)
+		err = schema.Decode(bad, new(sa.Report))
 		if err == nil {
 			t.Errorf("%s: corrupted report accepted", name)
 			return
@@ -86,7 +86,7 @@ func TestReportSchema(t *testing.T) {
 		w["chain"] = []any{"someoneElse"}
 	}, "chain")
 
-	if sa.ValidateReportJSON([]byte("{not json")) == nil {
+	if schema.Decode([]byte("{not json"), new(sa.Report)) == nil {
 		t.Error("non-JSON accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestReportRejectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sa.ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(sa.Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	firstMethod := func(doc map[string]any) map[string]any {
@@ -151,7 +151,7 @@ func TestReportRejectionParity(t *testing.T) {
 	)
 	// Recorded against the map-based validator this decode replaced; it
 	// rejected every other case.
-	schematest.Run(t, sa.ValidateReportJSON, cases, map[string]string{
+	schematest.Run(t, func(data []byte) error { return schema.Decode(data, new(sa.Report)) }, cases, map[string]string{
 		"coverage.replayable_pct deleted":    "missing key, optional before",
 		"coverage.replayable_pct wrong type": "key unchecked before",
 		"witnesses deleted":                  "missing key, optional before",

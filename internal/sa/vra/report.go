@@ -7,7 +7,6 @@ import (
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/sa"
-	"replayopt/internal/schema"
 )
 
 // ReportSchemaVersion identifies the salint range JSON layout. Bump on any
@@ -171,15 +170,6 @@ func (r *Report) Check() error {
 		if c.got != c.want {
 			return fmt.Errorf("totals.%s = %d but rows sum to %d", c.key, c.got, c.want)
 		}
-	}
-	return nil
-}
-
-// ValidateReportJSON strictly decodes a JSON-encoded Report and checks its
-// invariants. It is what CI's salint range -validate runs.
-func ValidateReportJSON(data []byte) error {
-	if err := schema.Decode(data, new(Report)); err != nil {
-		return fmt.Errorf("range report: %w", err)
 	}
 	return nil
 }

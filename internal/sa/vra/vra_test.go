@@ -151,8 +151,8 @@ func TestAttachDeterministic(t *testing.T) {
 }
 
 // TestReportSchema round-trips a report through JSON and the structural
-// validator (the salint range -json -validate path), then corrupts it in each
-// way the schema forbids.
+// validator (the check salint range -json runs on its own output), then
+// corrupts it in each way the schema forbids.
 func TestReportSchema(t *testing.T) {
 	app, err := apps.Build(apps.WitnessSpec())
 	if err != nil {
@@ -173,7 +173,7 @@ func TestReportSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vra.ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(vra.Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 
@@ -188,7 +188,7 @@ func TestReportSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = vra.ValidateReportJSON(bad)
+		err = schema.Decode(bad, new(vra.Report))
 		if err == nil {
 			t.Errorf("%s: corrupted report accepted", name)
 			return
@@ -254,7 +254,7 @@ func TestReportRejectionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vra.ValidateReportJSON(data); err != nil {
+	if err := schema.Decode(data, new(vra.Report)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	firstMethod := func(doc map[string]any) map[string]any {
@@ -293,7 +293,7 @@ func TestReportRejectionParity(t *testing.T) {
 	)
 	// Recorded against the map-based validator this decode replaced; it
 	// rejected every other case.
-	schematest.Run(t, vra.ValidateReportJSON, cases, map[string]string{
+	schematest.Run(t, func(data []byte) error { return schema.Decode(data, new(vra.Report)) }, cases, map[string]string{
 		"methods[0].witnesses wrong type":          "key unchecked before",
 		"methods[0].witnesses[0] wrong type":       "key unchecked before",
 		"methods[0].witnesses[0].block deleted":    "missing key, optional before",

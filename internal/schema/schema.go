@@ -6,7 +6,8 @@
 // artifact cmd/benchlint checks, and the records of the rewrite and span
 // traces and the policy lock. Each format is declared once, by the json tags
 // of its Go struct; Decode enforces those tags and the struct's own Check
-// enforces the invariants that span fields.
+// enforces the invariants that span fields. Encode is the matching writer:
+// every emitter checks its own bytes through Decode before they leave it.
 package schema
 
 import (
@@ -53,6 +54,20 @@ func Decode(data []byte, v Checker) error {
 		return err
 	}
 	return v.Check()
+}
+
+// Encode marshals doc with a two-space indent and a trailing newline, then
+// strictly decodes those bytes into a fresh value of doc's type and runs its
+// Check, so an emitter never writes a document its own readers would reject.
+func Encode(doc Checker) ([]byte, error) {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := Decode(data, reflect.New(reflect.TypeOf(doc).Elem()).Interface().(Checker)); err != nil {
+		return nil, fmt.Errorf("emitted document fails its own schema: %w", err)
+	}
+	return append(data, '\n'), nil
 }
 
 // Kind returns the "kind" member of a JSON object, the discriminator of a

@@ -53,6 +53,31 @@ func TestDecode(t *testing.T) {
 	}
 }
 
+// positive is a document whose Check reads a decoded field.
+type positive struct {
+	N int `json:"n"`
+}
+
+func (p *positive) Check() error {
+	if p.N <= 0 {
+		return errors.New("n must be positive")
+	}
+	return nil
+}
+
+func TestEncode(t *testing.T) {
+	data, err := Encode(&positive{N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"n\": 2\n}\n"; string(data) != want {
+		t.Errorf("Encode = %q, want %q", data, want)
+	}
+	if _, err := Encode(&positive{N: 0}); err == nil || !strings.Contains(err.Error(), "n must be positive") {
+		t.Errorf("document failing Check encoded: %v", err)
+	}
+}
+
 func TestKind(t *testing.T) {
 	for _, c := range []struct {
 		data, want string
