@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"replayopt/internal/dex"
+	"replayopt/internal/flow"
 	"replayopt/internal/hgraph"
 )
 
@@ -254,23 +255,24 @@ func copyProp(g *hgraph.Graph) {
 // read (the dead_code_elimination pass), using global liveness.
 func deadCode(g *hgraph.Graph) {
 	liveOut := g.Liveness()
+	live := flow.NewSets(1, g.Method.NumRegs)[0]
 	var buf [8]int
 	for _, b := range g.Blocks {
-		live := liveOut[b].Clone()
+		copy(live, liveOut[b.ID])
 		keep := make([]bool, len(b.Insns))
 		for i := len(b.Insns) - 1; i >= 0; i-- {
 			in := &b.Insns[i]
 			w := hgraph.InsnDef(g.Prog, in)
-			dead := w >= 0 && !live[w] && !hgraph.InsnHasSideEffects(in)
+			dead := w >= 0 && !live.Has(w) && !hgraph.InsnHasSideEffects(in)
 			keep[i] = !dead
 			if dead {
 				continue
 			}
 			if w >= 0 {
-				delete(live, w)
+				live.Remove(w)
 			}
 			for _, r := range hgraph.InsnUses(in, buf[:]) {
-				live[r] = true
+				live.Add(r)
 			}
 		}
 		var out []dex.Insn

@@ -21,7 +21,7 @@ type lowerer struct {
 	opts    lowerOpts
 	code    []machine.Insn
 	nextReg int
-	starts  map[*hgraph.Block]int
+	starts  []int // machine pc of each block, by Block.ID
 	// fixups: (machine pc, target block)
 	fixups []fixup
 }
@@ -32,18 +32,18 @@ type fixup struct {
 }
 
 func lower(g *hgraph.Graph, opts lowerOpts) *machine.Fn {
-	lo := &lowerer{g: g, opts: opts, nextReg: g.Method.NumRegs, starts: map[*hgraph.Block]int{}}
+	lo := &lowerer{g: g, opts: opts, nextReg: g.Method.NumRegs, starts: make([]int, len(g.Blocks))}
 	for i, b := range g.Blocks {
-		lo.starts[b] = len(lo.code)
+		lo.starts[b.ID] = len(lo.code)
 		// A single GC check per loop (§3.5): the runtime requires a
 		// safepoint in every loop body; the baseline puts it in the header.
-		if b.LoopHead == b && b.LoopDepth > 0 {
+		if g.IsLoopHeader(b) {
 			lo.emit(machine.Insn{Op: machine.GCChk})
 		}
 		lo.lowerBlock(b, i)
 	}
 	for _, f := range lo.fixups {
-		lo.code[f.pc].Imm = int64(lo.starts[f.target])
+		lo.code[f.pc].Imm = int64(lo.starts[f.target.ID])
 	}
 	return &machine.Fn{Method: methodID(g), NumRegs: lo.nextReg, Code: lo.code}
 }

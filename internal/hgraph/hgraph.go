@@ -1,19 +1,23 @@
 // Package hgraph builds the control-flow graph IR the baseline compiler and
 // the LLVM-analogue backend both start from — the analogue of ART's HGraph
 // in the paper's §2 compilation pipeline.
-// It provides basic blocks over dex instructions, reverse postorder,
-// dominator trees, and natural-loop detection.
+// It provides basic blocks over dex instructions in reverse postorder, and
+// answers dominance, loop-header and liveness queries through
+// internal/flow.
 package hgraph
 
 import (
 	"fmt"
 
 	"replayopt/internal/dex"
+	"replayopt/internal/flow"
 )
 
 // Block is one basic block: straight-line dex instructions ending in an
 // (implicit or explicit) terminator.
 type Block struct {
+	// ID is the block's position in Graph.Blocks; -1 for a block the entry
+	// does not reach, which Blocks leaves out.
 	ID    int
 	Insns []dex.Insn
 	// StartPC is the original bytecode pc of Insns[0], valid until a pass
@@ -25,11 +29,9 @@ type Block struct {
 	Succs []*Block
 	Preds []*Block
 
-	// Analysis results (filled by Analyze).
-	IDom      *Block // immediate dominator; nil for entry
-	LoopDepth int
-	LoopHead  *Block // innermost loop header containing this block, or nil
-	rpo       int
+	// domPre and domPost are the block's dominator-tree interval, numbered
+	// from 1; both 0 for a block the entry does not reach.
+	domPre, domPost int32
 }
 
 // Terminator returns the block's final instruction.
@@ -45,15 +47,6 @@ type Graph struct {
 	Prog   *dex.Program
 	Method *dex.Method
 	Blocks []*Block // in reverse postorder; Blocks[0] is the entry
-	Loops  []*Loop
-}
-
-// Loop is a natural loop.
-type Loop struct {
-	Head   *Block
-	Blocks map[*Block]bool
-	Depth  int
-	Parent *Loop
 }
 
 // Build constructs the CFG for m. Branch targets inside block instructions
@@ -74,16 +67,14 @@ func Build(prog *dex.Program, m *dex.Method) (*Graph, error) {
 			leader[pc+1] = true
 		}
 	}
-	// Carve blocks.
-	byStart := make(map[int]*Block)
+	// Carve blocks, numbered for now by their position in order.
+	byStart := make([]*Block, len(code))
 	var order []*Block
 	var cur *Block
-	starts := make(map[*Block]int)
 	for pc, in := range code {
 		if leader[pc] {
-			cur = &Block{StartPC: pc}
+			cur = &Block{ID: len(order), StartPC: pc}
 			byStart[pc] = cur
-			starts[cur] = pc
 			order = append(order, cur)
 		}
 		// Deep-copy the argument slice: passes mutate block instructions in
@@ -103,14 +94,14 @@ func Build(prog *dex.Program, m *dex.Method) (*Graph, error) {
 		t := b.Terminator()
 		switch {
 		case t.Op.IsBranch():
-			link(b, byStart[int(t.Imm)])
+			link(b, byStart[t.Imm])
 			if i+1 < len(order) {
 				link(b, order[i+1])
 			} else {
 				return nil, fmt.Errorf("hgraph: %s: branch falls off the end", m.Name)
 			}
 		case t.Op == dex.OpGoto:
-			link(b, byStart[int(t.Imm)])
+			link(b, byStart[t.Imm])
 		case t.Op == dex.OpReturn, t.Op == dex.OpReturnVoid, t.Op == dex.OpThrow:
 			// no successors
 		default:
@@ -122,236 +113,48 @@ func Build(prog *dex.Program, m *dex.Method) (*Graph, error) {
 			}
 		}
 	}
-	g := &Graph{Prog: prog, Method: m}
-	g.Blocks = reversePostorder(order[0])
-	for i, b := range g.Blocks {
-		b.ID = i
-		b.rpo = i
+	// Keep the reachable blocks in flow's reverse postorder, renumbered by
+	// their place there.
+	succ, pred := flow.NewAdj(len(order), 2*len(order)), flow.NewAdj(len(order), 2*len(order))
+	for _, b := range order {
+		for _, s := range b.Succs {
+			succ.Add(int32(s.ID))
+		}
+		succ.End()
+		for _, p := range b.Preds {
+			pred.Add(int32(p.ID))
+		}
+		pred.End()
 	}
-	g.Analyze()
+	dom := flow.Dominators(succ, pred, 0)
+	for _, b := range order {
+		b.ID = -1
+	}
+	g := &Graph{Prog: prog, Method: m, Blocks: make([]*Block, len(dom.Order))}
+	for r, i := range dom.Order {
+		b := order[i]
+		b.ID, b.domPre, b.domPost = r, dom.Pre[i]+1, dom.Post[i]+1
+		g.Blocks[r] = b
+	}
 	return g, nil
 }
 
-func reversePostorder(entry *Block) []*Block {
-	var post []*Block
-	seen := map[*Block]bool{}
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(entry)
-	out := make([]*Block, len(post))
-	for i := range post {
-		out[i] = post[len(post)-1-i]
-	}
-	return out
-}
-
-// Analyze (re)computes dominators and loops. Call after any CFG mutation.
-func (g *Graph) Analyze() {
-	g.computeDominators()
-	g.findLoops()
-}
-
-// computeDominators uses the Cooper-Harvey-Kennedy iterative algorithm.
-func (g *Graph) computeDominators() {
-	if len(g.Blocks) == 0 {
-		return
-	}
-	entry := g.Blocks[0]
-	for _, b := range g.Blocks {
-		b.IDom = nil
-	}
-	entry.IDom = entry
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range g.Blocks[1:] {
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if p.IDom == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && b.IDom != newIdom {
-				b.IDom = newIdom
-				changed = true
-			}
-		}
-	}
-	entry.IDom = nil // by convention the entry has no idom
-}
-
-func intersect(a, b *Block) *Block {
-	for a != b {
-		for a.rpo > b.rpo {
-			if a.IDom == nil {
-				return b
-			}
-			a = a.IDom
-		}
-		for b.rpo > a.rpo {
-			if b.IDom == nil {
-				return a
-			}
-			b = b.IDom
-		}
-	}
-	return a
-}
-
-// Dominates reports whether a dominates b.
+// Dominates reports whether a dominates b. A block the entry does not reach
+// dominates only itself.
 func (g *Graph) Dominates(a, b *Block) bool {
-	for x := b; x != nil; x = x.IDom {
-		if x == a {
+	if a.domPre == 0 || b.domPre == 0 {
+		return a == b
+	}
+	return a.domPre <= b.domPre && b.domPre <= a.domPost
+}
+
+// IsLoopHeader reports whether b heads a natural loop: whether b dominates
+// one of its predecessors, the source of a back edge.
+func (g *Graph) IsLoopHeader(b *Block) bool {
+	for _, p := range b.Preds {
+		if g.Dominates(b, p) {
 			return true
 		}
 	}
 	return false
-}
-
-// findLoops detects natural loops from back edges (tail -> head where head
-// dominates tail).
-func (g *Graph) findLoops() {
-	g.Loops = nil
-	for _, b := range g.Blocks {
-		b.LoopDepth = 0
-		b.LoopHead = nil
-	}
-	byHead := map[*Block]*Loop{}
-	for _, tail := range g.Blocks {
-		for _, head := range tail.Succs {
-			if !g.Dominates(head, tail) {
-				continue
-			}
-			l := byHead[head]
-			if l == nil {
-				l = &Loop{Head: head, Blocks: map[*Block]bool{head: true}}
-				byHead[head] = l
-				g.Loops = append(g.Loops, l)
-			}
-			// Collect the loop body: reverse flood from the tail.
-			var stack []*Block
-			if !l.Blocks[tail] {
-				l.Blocks[tail] = true
-				stack = append(stack, tail)
-			}
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, p := range x.Preds {
-					if !l.Blocks[p] {
-						l.Blocks[p] = true
-						stack = append(stack, p)
-					}
-				}
-			}
-		}
-	}
-	// Nesting: a loop is nested in another if its head belongs to it.
-	for _, l := range g.Loops {
-		for _, outer := range g.Loops {
-			if outer == l || !outer.Blocks[l.Head] {
-				continue
-			}
-			if l.Parent == nil || len(outer.Blocks) < len(l.Parent.Blocks) {
-				l.Parent = outer
-			}
-		}
-	}
-	for _, l := range g.Loops {
-		d := 1
-		for p := l.Parent; p != nil; p = p.Parent {
-			d++
-		}
-		l.Depth = d
-		for b := range l.Blocks {
-			if d > b.LoopDepth {
-				b.LoopDepth = d
-				b.LoopHead = l.Head
-			}
-		}
-	}
-}
-
-// BackEdges returns tail blocks of back edges into head.
-func (g *Graph) BackEdges(head *Block) []*Block {
-	var out []*Block
-	for _, p := range head.Preds {
-		if g.Dominates(head, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Linearize flattens the graph back to a dex instruction stream with branch
-// targets rewritten, in current block order.
-func (g *Graph) Linearize() []dex.Insn {
-	// Assign start pcs.
-	start := map[*Block]int{}
-	pc := 0
-	for _, b := range g.Blocks {
-		start[b] = pc
-		pc += len(b.Insns)
-		// A block whose fall-through successor is not next needs a goto.
-		if needsGoto(g, b) {
-			pc++
-		}
-	}
-	var out []dex.Insn
-	for i, b := range g.Blocks {
-		for _, in := range b.Insns {
-			out = append(out, in)
-		}
-		t := b.Terminator()
-		fixAt := len(out) - 1
-		switch {
-		case t.Op.IsBranch():
-			out[fixAt].Imm = int64(start[b.Succs[0]])
-			// Fall-through must be the next block, or insert a goto.
-			if i+1 >= len(g.Blocks) || g.Blocks[i+1] != b.Succs[1] {
-				out = append(out, dex.Insn{Op: dex.OpGoto, Imm: int64(start[b.Succs[1]])})
-			}
-		case t.Op == dex.OpGoto:
-			out[fixAt].Imm = int64(start[b.Succs[0]])
-		case t.Op == dex.OpReturn, t.Op == dex.OpReturnVoid, t.Op == dex.OpThrow:
-		default:
-			if i+1 >= len(g.Blocks) || g.Blocks[i+1] != b.Succs[0] {
-				out = append(out, dex.Insn{Op: dex.OpGoto, Imm: int64(start[b.Succs[0]])})
-			}
-		}
-	}
-	return out
-}
-
-func needsGoto(g *Graph, b *Block) bool {
-	idx := -1
-	for i, x := range g.Blocks {
-		if x == b {
-			idx = i
-			break
-		}
-	}
-	t := b.Terminator()
-	switch {
-	case t.Op.IsBranch():
-		return idx+1 >= len(g.Blocks) || g.Blocks[idx+1] != b.Succs[1]
-	case t.Op == dex.OpGoto, t.Op == dex.OpReturn, t.Op == dex.OpReturnVoid, t.Op == dex.OpThrow:
-		return false
-	default:
-		return idx+1 >= len(g.Blocks) || g.Blocks[idx+1] != b.Succs[0]
-	}
 }

@@ -1,18 +1,9 @@
 package hgraph
 
-import "replayopt/internal/dex"
-
-// RegSet is a set of dex register indices.
-type RegSet map[int]bool
-
-// Clone returns a copy of the set.
-func (s RegSet) Clone() RegSet {
-	out := make(RegSet, len(s))
-	for r := range s {
-		out[r] = true
-	}
-	return out
-}
+import (
+	"replayopt/internal/dex"
+	"replayopt/internal/flow"
+)
 
 // InsnUses appends the registers read by in.
 func InsnUses(in *dex.Insn, buf []int) []int {
@@ -84,56 +75,32 @@ func InsnHasSideEffects(in *dex.Insn) bool {
 	return false
 }
 
-// Liveness computes live-out register sets per block via backward dataflow.
-func (g *Graph) Liveness() map[*Block]RegSet {
-	use := map[*Block]RegSet{}
-	def := map[*Block]RegSet{}
+// Liveness returns the registers live out of each block, indexed by
+// Block.ID, as sets over 0..Method.NumRegs-1 (the bound dex.Validate
+// enforces).
+func (g *Graph) Liveness() []flow.Set {
+	n, nreg := len(g.Blocks), g.Method.NumRegs
+	succ := flow.NewAdj(n, 2*n)
+	use, def := flow.NewSets(n, nreg), flow.NewSets(n, nreg)
 	var buf [8]int
 	for _, b := range g.Blocks {
-		u, d := RegSet{}, RegSet{}
+		for _, s := range b.Succs {
+			succ.Add(int32(s.ID))
+		}
+		succ.End()
+		u, d := use[b.ID], def[b.ID]
 		for i := range b.Insns {
 			in := &b.Insns[i]
 			for _, r := range InsnUses(in, buf[:]) {
-				if !d[r] {
-					u[r] = true
+				if !d.Has(r) {
+					u.Add(r)
 				}
 			}
 			if w := InsnDef(g.Prog, in); w >= 0 {
-				d[w] = true
+				d.Add(w)
 			}
 		}
-		use[b], def[b] = u, d
 	}
-	liveIn := map[*Block]RegSet{}
-	liveOut := map[*Block]RegSet{}
-	for _, b := range g.Blocks {
-		liveIn[b] = RegSet{}
-		liveOut[b] = RegSet{}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(g.Blocks) - 1; i >= 0; i-- {
-			b := g.Blocks[i]
-			out := RegSet{}
-			for _, s := range b.Succs {
-				for r := range liveIn[s] {
-					out[r] = true
-				}
-			}
-			in := out.Clone()
-			for r := range def[b] {
-				delete(in, r)
-			}
-			for r := range use[b] {
-				in[r] = true
-			}
-			if len(out) != len(liveOut[b]) || len(in) != len(liveIn[b]) {
-				changed = true
-			}
-			liveOut[b] = out
-			liveIn[b] = in
-		}
-	}
-	return liveOut
+	_, out := flow.Backward(succ, use, def)
+	return out
 }

@@ -1,6 +1,11 @@
 package lir
 
-import "math/bits"
+import (
+	"math/bits"
+	"sort"
+
+	"replayopt/internal/flow"
+)
 
 // Analyses over the SSA CFG: reverse postorder, dominators, and loops.
 //
@@ -13,8 +18,9 @@ import "math/bits"
 // it on demand from the current dominators. cfg.go's header says which CFG
 // edits leave these analyses valid.
 //
-// One function computes dominators: Dominance.build, which reads the CFG and
-// writes only side tables. Recompute prunes and reorders by its result and
+// One function computes dominators: internal/flow's Dominators, which
+// Dominance.build feeds the CFG's edges by block position and which writes
+// only side tables. Recompute prunes and reorders by its result and
 // stamps it into the blocks; VerifyIR and the translation validator, which
 // must not edit what they judge, query it through DominanceOf.
 
@@ -65,8 +71,8 @@ func (f *Function) Recompute() {
 		b := f.Blocks[i]
 		ordered[r] = b
 		b.rpo = r
-		b.IDom = f.Blocks[d.idom[i]]
-		b.domPre, b.domPost = d.pre[i]+1, d.post[i]+1
+		b.IDom = f.Blocks[d.dom.Idom[i]]
+		b.domPre, b.domPost = d.dom.Pre[i]+1, d.dom.Post[i]+1
 	}
 	ordered[0].IDom = nil
 	f.Blocks = ordered
@@ -82,10 +88,8 @@ type Dominance struct {
 	// pos maps Block.ID to the block's position in blocks (-1: none). It is
 	// sized from the largest ID, not nextBlockID, which clones do not carry.
 	pos []int32
-	// By position: the immediate dominator's position (the entry's is 0)
-	// and the dominator-tree DFS interval [pre, post]; all -1 when the entry
-	// does not reach the block.
-	idom, pre, post []int32
+	// dom is the dominator tree over positions.
+	dom flow.Dom
 }
 
 // DominanceOf computes the dominator tree of f's CFG as it stands, without
@@ -115,108 +119,28 @@ func indexBlocks(blocks []*Block) *Dominance {
 	return d
 }
 
-// build is the one dominator computation: Cooper-Harvey-Kennedy over a
-// reverse postorder from blocks[0]. It returns the reachable positions in
-// that reverse postorder.
+// build computes the dominator tree with internal/flow's builder over the
+// blocks' positions and returns the reachable positions in reverse
+// postorder. An edge to or from an unlisted block is dropped.
 func (d *Dominance) build() []int32 {
-	blocks := d.blocks
-	n := len(blocks)
-	buf := make([]int32, 9*n)
-	part := func() []int32 {
-		p := buf[:n:n]
-		buf = buf[n:]
-		return p
-	}
-	order, stack, next := part()[:0], part()[:0], part()
-	rpo, child, sibling := part(), part(), part()
-	d.idom, d.pre, d.post = part(), part(), part()
-	for i := 0; i < n; i++ {
-		rpo[i], d.idom[i], child[i], sibling[i], d.pre[i], d.post[i] = -1, -1, -1, -1, -1, -1
-	}
-	if n == 0 || d.at(blocks[0]) != 0 {
-		return order
-	}
-	// Postorder by an iterative DFS from the entry; next[b] is b's
-	// successor cursor and rpo[b] >= 0 marks a block the DFS reached.
-	rpo[0] = 0
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		if succs := blocks[b].Succs; int(next[b]) < len(succs) {
-			s := d.at(succs[next[b]])
-			next[b]++
-			if s >= 0 && rpo[s] < 0 {
-				rpo[s] = 0
-				stack = append(stack, s)
-			}
-			continue
+	n := len(d.blocks)
+	succ, pred := flow.NewAdj(n, 2*n), flow.NewAdj(n, 2*n) // two successors at most
+	for _, b := range d.blocks {
+		for _, s := range b.Succs {
+			succ.Add(d.at(s))
 		}
-		order = append(order, b)
-		stack = stack[:len(stack)-1]
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i, b := range order {
-		rpo[b] = int32(i)
-	}
-	idom := d.idom
-	idom[0] = 0
-	intersect := func(a, b int32) int32 {
-		for a != b {
-			for rpo[a] > rpo[b] {
-				a = idom[a]
-			}
-			for rpo[b] > rpo[a] {
-				b = idom[b]
-			}
+		succ.End()
+		for _, p := range b.Preds {
+			pred.Add(d.at(p))
 		}
-		return a
+		pred.End()
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order[1:] {
-			nd := int32(-1)
-			for _, p := range blocks[b].Preds {
-				pi := d.at(p)
-				if pi < 0 || idom[pi] < 0 {
-					continue
-				}
-				if nd < 0 {
-					nd = pi
-				} else {
-					nd = intersect(pi, nd)
-				}
-			}
-			if nd >= 0 && idom[b] != nd {
-				idom[b] = nd
-				changed = true
-			}
-		}
+	entry := int32(-1)
+	if n > 0 {
+		entry = d.at(d.blocks[0])
 	}
-	// Number the dominator tree: children as first-child/next-sibling
-	// links, then an iterative DFS. post is the last pre number in the
-	// block's subtree.
-	for _, b := range order[1:] {
-		p := idom[b]
-		sibling[b], child[p] = child[p], b
-	}
-	clock := int32(0)
-	d.pre[0] = clock
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		top := stack[len(stack)-1]
-		if c := child[top]; c >= 0 {
-			child[top] = sibling[c]
-			clock++
-			d.pre[c] = clock
-			stack = append(stack, c)
-			continue
-		}
-		d.post[top] = clock
-		stack = stack[:len(stack)-1]
-	}
-	return order
+	d.dom = flow.Dominators(succ, pred, entry)
+	return d.dom.Order
 }
 
 // at returns b's position in the blocks, or -1 when they do not list it.
@@ -230,18 +154,10 @@ func (d *Dominance) at(b *Block) int32 {
 	return -1
 }
 
-func (d *Dominance) reach(i int32) bool { return d.pre[i] >= 0 }
-
-// dominates reports whether the block at position i dominates the one at
-// position j; j must be reachable.
-func (d *Dominance) dominates(i, j int32) bool {
-	return d.pre[i] <= d.pre[j] && d.pre[j] <= d.post[i]
-}
-
 // Reachable reports whether the entry reaches b.
 func (d *Dominance) Reachable(b *Block) bool {
 	i := d.at(b)
-	return i >= 0 && d.reach(i)
+	return i >= 0 && d.dom.Reachable(i)
 }
 
 // Dominates reports whether a dominates b. An unreachable or unlisted block
@@ -251,7 +167,7 @@ func (d *Dominance) Dominates(a, b *Block) bool {
 		return true
 	}
 	i, j := d.at(a), d.at(b)
-	return i >= 0 && j >= 0 && d.reach(i) && d.reach(j) && d.dominates(i, j)
+	return i >= 0 && j >= 0 && d.dom.Dominates(i, j)
 }
 
 // Dominates reports whether a dominates b, in O(1) from the dominator-tree
@@ -392,26 +308,30 @@ func (f *Function) domChildren() domTree {
 	return t
 }
 
-// dominanceFrontiers computes DF per block (Cooper-Harvey-Kennedy).
-func (f *Function) dominanceFrontiers() map[*Block]map[*Block]bool {
-	df := map[*Block]map[*Block]bool{}
-	for _, b := range f.Blocks {
-		df[b] = map[*Block]bool{}
-	}
+// dominanceFrontiers returns each block's dominance frontier, indexed by
+// Block.ID (Cooper-Harvey-Kennedy). Each list is sorted by ID, the order
+// in which BuildSSA places phis, so value numbering is deterministic.
+func (f *Function) dominanceFrontiers() [][]*Block {
+	df := make([][]*Block, f.nextBlockID)
 	for _, b := range f.Blocks {
 		if len(b.Preds) < 2 {
 			continue
 		}
 		for _, p := range b.Preds {
-			runner := p
-			for runner != nil && runner != b.IDom {
-				df[runner][b] = true
+			for runner := p; runner != nil && runner != b.IDom; runner = runner.IDom {
+				// b's appends all happen while b is current, so a
+				// repeat would be the list's last entry.
+				if fr := df[runner.ID]; len(fr) == 0 || fr[len(fr)-1] != b {
+					df[runner.ID] = append(fr, b)
+				}
 				if runner.IDom == runner {
 					break
 				}
-				runner = runner.IDom
 			}
 		}
+	}
+	for _, fr := range df {
+		sort.Slice(fr, func(i, j int) bool { return fr[i].ID < fr[j].ID })
 	}
 	return df
 }

@@ -22,16 +22,18 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 	}
 	f := &Function{Prog: prog, Method: id, Name: m.Name}
 
-	// 1. Mirror the CFG.
-	bmap := map[*hgraph.Block]*Block{}
+	// 1. Mirror the CFG. lbOf maps an hgraph block ID to its mirror, and
+	// hbOf maps back from the mirror's ID.
+	lbOf := make([]*Block, len(g.Blocks))
+	hbOf := make([]*hgraph.Block, len(g.Blocks))
 	for _, hb := range g.Blocks {
 		lb := f.NewBlock()
-		bmap[hb] = lb
+		lbOf[hb.ID], hbOf[lb.ID] = lb, hb
 		f.Blocks = append(f.Blocks, lb)
 	}
 	for _, hb := range g.Blocks {
 		for _, s := range hb.Succs {
-			AddEdge(bmap[hb], bmap[s])
+			AddEdge(lbOf[hb.ID], lbOf[s.ID])
 		}
 	}
 	f.Recompute()
@@ -39,7 +41,7 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 	// 2. Def sites per dex register.
 	defs := map[int]map[*Block]bool{}
 	for _, hb := range g.Blocks {
-		lb := bmap[hb]
+		lb := lbOf[hb.ID]
 		for i := range hb.Insns {
 			if w := hgraph.InsnDef(prog, &hb.Insns[i]); w >= 0 {
 				if defs[w] == nil {
@@ -83,14 +85,7 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			// Deterministic frontier order: map iteration would scramble
-			// phi placement (and therefore value numbering) across runs.
-			front := make([]*Block, 0, len(df[b]))
-			for d := range df[b] {
-				front = append(front, d)
-			}
-			sort.Slice(front, func(i, j int) bool { return front[i].ID < front[j].ID })
-			for _, d := range front {
+			for _, d := range df[b.ID] {
 				if placed[d] || len(d.Preds) < 2 {
 					continue
 				}
@@ -111,7 +106,7 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 	// 4. Rename: dominator-tree DFS carrying the def environment.
 	kids := f.domChildren()
 	endDefs := map[*Block]map[int]*Value{} // defs live at block end
-	tr := &translator{f: f, g: g, bmap: bmap, prog: prog}
+	tr := &translator{f: f, g: g, hbOf: hbOf, prog: prog}
 
 	var rename func(lb *Block, env map[int]*Value) error
 	rename = func(lb *Block, env map[int]*Value) error {
@@ -235,7 +230,7 @@ func typeOfKind(k dex.Kind) Type {
 type translator struct {
 	f    *Function
 	g    *hgraph.Graph
-	bmap map[*hgraph.Block]*Block
+	hbOf []*hgraph.Block // source block by lir block ID
 	prog *dex.Program
 }
 
@@ -254,13 +249,9 @@ var lirCond = map[dex.Op]Cond{
 }
 
 func (tr *translator) translateBlock(lb *Block, env map[int]*Value) error {
-	// Reverse-map to the hgraph block.
 	var hb *hgraph.Block
-	for h, l := range tr.bmap {
-		if l == lb {
-			hb = h
-			break
-		}
+	if lb.ID < len(tr.hbOf) {
+		hb = tr.hbOf[lb.ID]
 	}
 	if hb == nil {
 		return fmt.Errorf("lir: no source block for b%d", lb.ID)
@@ -271,7 +262,7 @@ func (tr *translator) translateBlock(lb *Block, env map[int]*Value) error {
 		return v
 	}
 	// GC checks: at loop headers and at back-edge sources (§3.5).
-	needGC := hb.LoopHead == hb && hb.LoopDepth > 0
+	needGC := tr.g.IsLoopHeader(hb)
 	if !needGC {
 		for _, s := range hb.Succs {
 			if tr.g.Dominates(s, hb) {

@@ -217,17 +217,17 @@ func (d *defTable) define(v *Value, s defSite) {
 func verifyDominance(f *Function, d *Dominance, defs *defTable) error {
 	d.build()
 	for bi, b := range f.Blocks {
-		if !d.reach(int32(bi)) {
+		if !d.dom.Reachable(int32(bi)) {
 			continue
 		}
 		for _, p := range b.Phis {
 			for i, a := range p.Args {
 				pred := d.at(b.Preds[i])
-				if !d.reach(pred) {
+				if !d.dom.Reachable(pred) {
 					continue
 				}
 				da, _ := defs.lookup(a)
-				if !d.reach(da.block) || !d.dominates(da.block, pred) {
+				if !d.dom.Reachable(da.block) || !d.dom.Dominates(da.block, pred) {
 					return fmt.Errorf("lir-verify: phi v%d in b%d: arg v%d (%s) does not dominate predecessor b%d",
 						p.ID, b.ID, a.ID, a.Op, f.Blocks[pred].ID)
 				}
@@ -242,10 +242,10 @@ func verifyDominance(f *Function, d *Dominance, defs *defTable) error {
 						return fmt.Errorf("lir-verify: v%d (%s) in b%d uses v%d (%s) defined later in the block",
 							v.ID, v.Op, b.ID, a.ID, a.Op)
 					}
-				case !d.reach(da.block):
+				case !d.dom.Reachable(da.block):
 					return fmt.Errorf("lir-verify: v%d (%s) in b%d uses v%d defined in unreachable b%d",
 						v.ID, v.Op, b.ID, a.ID, f.Blocks[da.block].ID)
-				case !d.dominates(da.block, int32(bi)):
+				case !d.dom.Dominates(da.block, int32(bi)):
 					return fmt.Errorf("lir-verify: v%d (%s) in b%d uses v%d defined in non-dominating b%d",
 						v.ID, v.Op, b.ID, a.ID, f.Blocks[da.block].ID)
 				}

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 	"sort"
+
+	"replayopt/internal/flow"
 )
 
 // LowerOpts are the llc-analogue knobs (CPU-specific options in §4). They
@@ -103,108 +105,46 @@ func useCounts(code []Insn, nreg int) []int32 {
 	return uses
 }
 
-// regSet is a dense register bitset; the liveness fixpoints run over these
-// instead of map[int]bool sets (registers are small dense indices, and the
-// per-genome compile is on the GA's critical path).
-type regSet []uint64
-
-func newRegSets(n, nreg int) []regSet {
-	words := (nreg + 63) / 64
-	backing := make([]uint64, n*words)
-	sets := make([]regSet, n)
-	for i := range sets {
-		sets[i] = backing[i*words : (i+1)*words]
-	}
-	return sets
-}
-
-func (s regSet) has(r int) bool { return s[r>>6]&(1<<(uint(r)&63)) != 0 }
-func (s regSet) add(r int)      { s[r>>6] |= 1 << (uint(r) & 63) }
-
-// orInto ors o into s, reporting whether s changed.
-func (s regSet) orInto(o regSet) bool {
-	changed := false
-	for i, w := range o {
-		if nw := s[i] | w; nw != s[i] {
-			s[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// blockSuccs returns each block's successor blocks over linear code.
-func blockSuccs(code []Insn, starts, blockOf []int) [][]int {
-	succs := make([][]int, len(starts))
-	for bi, s := range starts {
-		end := len(code)
-		if bi+1 < len(starts) {
-			end = starts[bi+1]
-		}
-		_ = s
-		last := &code[end-1]
-		switch {
-		case last.Op == Br:
-			succs[bi] = append(succs[bi], blockOf[last.Imm])
-			if end < len(code) {
-				succs[bi] = append(succs[bi], bi+1)
-			}
-		case last.Op == Jmp:
-			succs[bi] = append(succs[bi], blockOf[last.Imm])
-		case !last.isTerminator() && end < len(code):
-			succs[bi] = append(succs[bi], bi+1)
-		}
-	}
-	return succs
-}
-
 // liveness computes per-block live-in and live-out register sets over linear
-// code via the standard backward fixpoint.
-func liveness(code []Insn, starts, blockOf []int, nreg int) (liveIn, liveOut []regSet) {
+// code with flow's backward solver. The sets are dense bitsets, not
+// map[int]bool sets: registers are small dense indices, and the per-genome
+// compile is on the GA's critical path.
+func liveness(code []Insn, starts, blockOf []int, nreg int) (liveIn, liveOut []flow.Set) {
 	nblocks := len(starts)
-	succs := blockSuccs(code, starts, blockOf)
-	use := newRegSets(nblocks, nreg)
-	def := newRegSets(nblocks, nreg)
+	succ := flow.NewAdj(nblocks, 2*nblocks)
+	use, def := flow.NewSets(nblocks, nreg), flow.NewSets(nblocks, nreg)
 	var buf [8]int
 	for bi, s := range starts {
 		end := len(code)
-		if bi+1 < len(starts) {
+		if bi+1 < nblocks {
 			end = starts[bi+1]
 		}
 		u, d := use[bi], def[bi]
 		for pc := s; pc < end; pc++ {
 			in := &code[pc]
 			for _, r := range in.reads(buf[:]) {
-				if !d.has(r) {
-					u.add(r)
+				if !d.Has(r) {
+					u.Add(r)
 				}
 			}
 			if w := in.writes(); w >= 0 {
-				d.add(w)
+				d.Add(w)
 			}
 		}
-	}
-	liveIn = newRegSets(nblocks, nreg)
-	liveOut = newRegSets(nblocks, nreg)
-	for changed := true; changed; {
-		changed = false
-		for bi := nblocks - 1; bi >= 0; bi-- {
-			out := liveOut[bi]
-			for _, sb := range succs[bi] {
-				if out.orInto(liveIn[sb]) {
-					changed = true
-				}
+		switch last := &code[end-1]; {
+		case last.Op == Br:
+			succ.Add(int32(blockOf[last.Imm]))
+			if end < len(code) {
+				succ.Add(int32(bi + 1))
 			}
-			in := liveIn[bi]
-			for i, w := range out {
-				if nw := in[i] | (w &^ def[bi][i]) | use[bi][i]; nw != in[i] {
-					in[i] = nw
-					changed = true
-				}
-			}
+		case last.Op == Jmp:
+			succ.Add(int32(blockOf[last.Imm]))
+		case !last.isTerminator() && end < len(code):
+			succ.Add(int32(bi + 1))
 		}
+		succ.End()
 	}
-	return liveIn, liveOut
+	return flow.Backward(succ, use, def)
 }
 
 // blockIndex returns, per pc, the index of the block containing it.
@@ -254,7 +194,7 @@ func foldMoves(fn *Fn) {
 				return true // redefined before any read
 			}
 		}
-		return !liveOut[bi].has(x)
+		return !liveOut[bi].Has(x)
 	}
 	remap := make([]int, len(code)+1)
 	out := code[:0]
@@ -606,7 +546,7 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 			}
 			target := blockOf[in.Imm]
 			for r := 0; r < nreg; r++ {
-				if !liveIn[target].has(r) || !ivSet[r] {
+				if !liveIn[target].Has(r) || !ivSet[r] {
 					continue
 				}
 				// The register is live around the loop [target start, pc].

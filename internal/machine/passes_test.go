@@ -113,7 +113,7 @@ func TestBlockLiveOutLoopCarried(t *testing.T) {
 	if bodyIdx < 0 {
 		t.Fatalf("blocks: %v", starts)
 	}
-	if !liveOut[bodyIdx].has(1) {
+	if !liveOut[bodyIdx].Has(1) {
 		t.Error("loop-carried register not live-out of the body")
 	}
 }
