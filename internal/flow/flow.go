@@ -14,9 +14,20 @@ type Adj struct{ at, to []int32 }
 
 // NewAdj returns an empty Adj with room for n nodes and m edges in one
 // allocation. Fill it node by node: Add the node's neighbours, then End it.
-func NewAdj(n, m int) Adj {
-	buf := make([]int32, n+1+m)
-	return Adj{at: buf[: 1 : n+1], to: buf[n+1 : n+1 : n+1+m]}
+func NewAdj(n, m int) Adj { return adjIn(make([]int32, n+1+m), n) }
+
+// NewAdjPair returns two empty Adjs, a graph's successor and predecessor
+// lists, each with room for n nodes and m edges, in one allocation.
+func NewAdjPair(n, m int) (succ, pred Adj) {
+	buf := make([]int32, 2*(n+1+m))
+	half := n + 1 + m
+	return adjIn(buf[:half:half], n), adjIn(buf[half:], n)
+}
+
+// adjIn lays an empty Adj over n nodes out in buf: the n+1 offsets first,
+// the edges in the rest.
+func adjIn(buf []int32, n int) Adj {
+	return Adj{at: buf[: 1 : n+1], to: buf[n+1 : n+1 : len(buf)]}
 }
 
 // Add appends w to the neighbours of the node being filled.

@@ -10,7 +10,6 @@ package ga
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -474,27 +473,10 @@ func (s *searcher) endPhase(best scored) {
 		obs.A("cache_hits", s.phaseHits),
 		obs.A("best_ms", best.eval.MeanMs),
 		obs.A("best_speedup", speedup),
-		obs.A("eval_p50_ms", nearestRank(s.phaseLat, 0.50)),
-		obs.A("eval_p99_ms", nearestRank(s.phaseLat, 0.99)),
+		obs.A("eval_p50_ms", obs.NearestRank(s.phaseLat, 0.50)),
+		obs.A("eval_p99_ms", obs.NearestRank(s.phaseLat, 0.99)),
 	)
 	s.phase = nil
-}
-
-// nearestRank is the exact q-quantile of vs by the nearest-rank rule.
-func nearestRank(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 func (s *searcher) bestOf(pop []scored) scored {

@@ -115,7 +115,11 @@ func Build(prog *dex.Program, m *dex.Method) (*Graph, error) {
 	}
 	// Keep the reachable blocks in flow's reverse postorder, renumbered by
 	// their place there.
-	succ, pred := flow.NewAdj(len(order), 2*len(order)), flow.NewAdj(len(order), 2*len(order))
+	edges := 0
+	for _, b := range order {
+		edges += len(b.Succs)
+	}
+	succ, pred := flow.NewAdjPair(len(order), edges)
 	for _, b := range order {
 		for _, s := range b.Succs {
 			succ.Add(int32(s.ID))

@@ -123,8 +123,11 @@ func indexBlocks(blocks []*Block) *Dominance {
 // blocks' positions and returns the reachable positions in reverse
 // postorder. An edge to or from an unlisted block is dropped.
 func (d *Dominance) build() []int32 {
-	n := len(d.blocks)
-	succ, pred := flow.NewAdj(n, 2*n), flow.NewAdj(n, 2*n) // two successors at most
+	n, m := len(d.blocks), 0
+	for _, b := range d.blocks {
+		m += max(len(b.Succs), len(b.Preds))
+	}
+	succ, pred := flow.NewAdjPair(n, m)
 	for _, b := range d.blocks {
 		for _, s := range b.Succs {
 			succ.Add(d.at(s))

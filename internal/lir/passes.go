@@ -227,12 +227,12 @@ var registry = map[string]*PassInfo{}
 func register(p *PassInfo) { registry[p.Name] = p }
 
 // RegisterForTesting registers an extra pass for the duration of a test and
-// returns the cleanup that removes it again. Tests use it to drop a
-// deliberately miscompiling pass into the catalog (the validator drills), and
-// cmd/rtrace's bisection drill seeds tv.MiscompilePass through it.
+// returns the cleanup that removes it again. Tests and benchmarks use it to
+// drop a deliberately miscompiling pass (tv.MiscompilePass) into the catalog
+// for the validator, search and bisection drills; nothing else calls it.
 // Registering a pass deterministically shifts OptCatalog's composition, so
-// the hook must never be live while a catalog-driven search runs — tests,
-// benches, and explicit CLI drills that bypass the GA are the only callers.
+// the hook must never be live while a catalog-driven search runs that does
+// not expect it.
 func RegisterForTesting(p *PassInfo) func() {
 	if _, exists := registry[p.Name]; exists {
 		panic("lir: RegisterForTesting: pass " + p.Name + " already registered")

@@ -7,7 +7,8 @@ package rtrace
 // applications are enabled mechanically through a PrefixTracer — so the
 // oracle stays a whole-compile predicate and needs no pass internals. A
 // greedy shrink then minimizes the enabled set around the pinned application,
-// mirroring tv's reproducer shrinker (tv.ShrinkLines) one level up.
+// as the differential matrix's source shrinker (ShrinkLines, in the module
+// root's pass_differential_test.go) minimizes a reproducer one level down.
 
 import (
 	"fmt"

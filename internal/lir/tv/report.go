@@ -8,13 +8,12 @@ import (
 )
 
 // ReportSchemaVersion is bumped whenever the JSON layout changes shape.
-const ReportSchemaVersion = 1
+const ReportSchemaVersion = 2
 
 // Report is the tvlint output.
 type Report struct {
 	SchemaVersion int            `json:"schema_version"`
 	Presets       []PresetReport `json:"presets"`
-	Fuzz          []DiffFailure  `json:"fuzz"`
 }
 
 // PresetReport is one (app, preset) audit: every per-pass verdict plus the
@@ -84,11 +83,6 @@ func (r *Report) Check() error {
 			if c.got != counts[c.key] {
 				return fmt.Errorf("presets[%d].%s = %d, rows say %d", i, c.key, c.got, counts[c.key])
 			}
-		}
-	}
-	for i, f := range r.Fuzz {
-		if f.Pass == "" || f.Kind == "" {
-			return fmt.Errorf("fuzz[%d]: pass and kind must be non-empty", i)
 		}
 	}
 	return nil

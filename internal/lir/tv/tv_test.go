@@ -339,28 +339,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// Bounded differential drill: the real passes are clean, and a registered
-// tvbreak is found and shrunk.
-func TestDifferentialCleanAndCatches(t *testing.T) {
-	fails := Differential(DiffOptions{Seeds: 2, Passes: []string{"constfold", "gvn", "dce", "simplifycfg"}})
-	for _, f := range fails {
-		t.Errorf("%s: %s (%s)\n%s", f.Pass, f.Kind, f.Detail, f.Source)
-	}
-	cleanup := lir.RegisterForTesting(MiscompilePass())
-	defer cleanup()
-	fails = Differential(DiffOptions{Seeds: 4, Passes: []string{MiscompilePassName}})
-	if len(fails) == 0 {
-		t.Fatal("differential missed tvbreak")
-	}
-	got := fails[0]
-	if got.Kind != "rejected" && got.Kind != "wrong-output" {
-		t.Fatalf("tvbreak found as %q, want rejected or wrong-output", got.Kind)
-	}
-	if got.Source == "" || len(strings.Split(got.Source, "\n")) > 60 {
-		t.Fatalf("reproducer not shrunk: %d lines", len(strings.Split(got.Source, "\n")))
-	}
-}
-
 // Report schema round trip.
 func TestReportValidates(t *testing.T) {
 	chk := NewChecker(Options{Strict: true})
@@ -376,7 +354,6 @@ func TestReportValidates(t *testing.T) {
 	rep := &Report{
 		SchemaVersion: ReportSchemaVersion,
 		Presets:       []PresetReport{PresetFromChecker("tvtest", "O2", chk)},
-		Fuzz:          []DiffFailure{},
 	}
 	data, err := json.Marshal(rep)
 	if err != nil {
@@ -385,7 +362,7 @@ func TestReportValidates(t *testing.T) {
 	if err := schema.Decode(data, new(Report)); err != nil {
 		t.Fatalf("own report does not validate: %v", err)
 	}
-	if err := schema.Decode([]byte(`{"schema_version":1}`), new(Report)); err == nil {
+	if err := schema.Decode([]byte(`{"schema_version":2}`), new(Report)); err == nil {
 		t.Fatal("missing presets accepted")
 	}
 	bad := strings.Replace(string(data), `"verified"`, `"maybe"`, 1)
@@ -420,7 +397,6 @@ func TestReportRejectionParity(t *testing.T) {
 	data, err := json.Marshal(&Report{
 		SchemaVersion: ReportSchemaVersion,
 		Presets:       []PresetReport{pr},
-		Fuzz:          []DiffFailure{{Pass: "licm", Seed: 3, Kind: "wrong-output", Detail: "d", Source: "s"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,17 +411,14 @@ func TestReportRejectionParity(t *testing.T) {
 		return preset(doc)["verdicts"].([]any)[0].(map[string]any)
 	}
 	cases := append(schematest.Corpus(t, data, reflect.TypeOf(Report{})),
-		schematest.Case{Name: "missing presets", Data: []byte(`{"schema_version":1}`)},
+		schematest.Case{Name: "missing presets", Data: []byte(`{"schema_version":2}`)},
 		schematest.Corrupt(t, data, "illegal verdict string", func(doc map[string]any) { verdict(doc)["verdict"] = "maybe" }),
-		schematest.Corrupt(t, data, "wrong schema version", func(doc map[string]any) { doc["schema_version"] = 2 }),
+		schematest.Corrupt(t, data, "wrong schema version", func(doc map[string]any) { doc["schema_version"] = 1 }),
 		schematest.Corrupt(t, data, "tally out of sync", func(doc map[string]any) {
 			p := preset(doc)
 			p["verified"] = p["verified"].(float64) + 1
 		}),
 		schematest.Corrupt(t, data, "empty fn", func(doc map[string]any) { verdict(doc)["fn"] = "" }),
-		schematest.Corrupt(t, data, "empty fuzz kind", func(doc map[string]any) {
-			doc["fuzz"].([]any)[0].(map[string]any)["kind"] = ""
-		}),
 		schematest.Corrupt(t, data, "presets null", func(doc map[string]any) { doc["presets"] = nil }),
 		schematest.Corrupt(t, data, "verdicts null", func(doc map[string]any) { preset(doc)["verdicts"] = nil }),
 		schematest.Corrupt(t, data, "fractional schema_version", func(doc map[string]any) {
@@ -462,16 +435,9 @@ func TestReportRejectionParity(t *testing.T) {
 	// rejected every other case.
 	schematest.Run(t, func(data []byte) error { return schema.Decode(data, new(Report)) }, cases, map[string]string{
 		"presets[0].verdicts[0].reason wrong type": "key unchecked before",
-		"fuzz deleted":              "missing key, optional before",
-		"fuzz[0].seed deleted":      "missing key, optional before",
-		"fuzz[0].seed wrong type":   "key unchecked before",
-		"fuzz[0].detail deleted":    "missing key, optional before",
-		"fuzz[0].detail wrong type": "key unchecked before",
-		"fuzz[0].source deleted":    "missing key, optional before",
-		"fuzz[0].source wrong type": "key unchecked before",
-		"fractional schema_version": "fractional schema_version",
-		"fractional tally":          "fractional count",
-		"unknown key":               "unknown key",
+		"fractional schema_version":                "fractional schema_version",
+		"fractional tally":                         "fractional count",
+		"unknown key":                              "unknown key",
 	})
 }
 

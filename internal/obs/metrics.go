@@ -228,23 +228,21 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	h.mu.Lock()
-	sorted := append([]float64(nil), h.vs...)
-	h.mu.Unlock()
-	if len(sorted) == 0 {
+	defer h.mu.Unlock()
+	return NearestRank(h.vs, q)
+}
+
+// NearestRank returns the exact q-quantile of vs by the nearest-rank rule:
+// the ⌈q·n⌉-th smallest value, clamped to the first and last. It sorts a
+// copy, and returns 0 for an empty vs.
+func NearestRank(vs []float64, q float64) float64 {
+	if len(vs) == 0 {
 		return 0
 	}
+	sorted := append([]float64(nil), vs...)
 	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
 	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }
 
 // Tally is a counter keyed by a string label (outcome classes, discard

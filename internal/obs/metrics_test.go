@@ -163,3 +163,22 @@ func TestSnapshotAndExpositions(t *testing.T) {
 	}
 	nilReg.WriteText(&sb)
 }
+
+// NearestRank is Quantile's rule on a plain slice: unsorted input, q outside
+// [0, 1] clamped, the input left as it was.
+func TestNearestRank(t *testing.T) {
+	vs := []float64{5, 1, 4, 2, 3}
+	for _, c := range []struct{ q, want float64 }{
+		{-1, 1}, {0, 1}, {0.2, 1}, {0.21, 2}, {0.5, 3}, {0.99, 5}, {1, 5}, {2, 5},
+	} {
+		if got := NearestRank(vs, c.q); got != c.want {
+			t.Errorf("NearestRank(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if vs[0] != 5 || vs[4] != 3 {
+		t.Errorf("input reordered: %v", vs)
+	}
+	if NearestRank(nil, 0.5) != 0 {
+		t.Error("empty input must read as zero")
+	}
+}

@@ -40,6 +40,9 @@ type gen struct {
 	// loopDepth bounds work: helper calls are only emitted outside nested
 	// loops so generated programs stay fast to execute.
 	loopDepth int
+	// vars numbers fresh variable names, so a program depends on its seed
+	// alone.
+	vars int
 }
 
 // Generate produces one random program.
@@ -139,11 +142,9 @@ func (g *gen) cond(depth int) string {
 	return c
 }
 
-var varCounter int
-
 func (g *gen) fresh(prefix string) string {
-	varCounter++
-	return fmt.Sprintf("%s%d", prefix, varCounter)
+	g.vars++
+	return fmt.Sprintf("%s%d", prefix, g.vars)
 }
 
 func (g *gen) stmt(depth int) {

@@ -1,5 +1,6 @@
 // Package lint is a stdlib-only determinism linter for the replay-critical
-// packages (internal/ga, internal/core, internal/replay, internal/sa). The
+// packages (internal/ga, internal/core, internal/replay, internal/sa,
+// internal/schema). The
 // §3.6 search and §3.4 verification contracts require candidate evaluation to
 // be a pure function of its inputs; three Go-level habits silently break
 // that, and this linter forbids them:
@@ -26,8 +27,9 @@
 // Index reference packages (internal/lir, internal/machine, ...) first so
 // cross-package fields like machine.Program.Fns resolve.
 //
-// cmd/detlint wraps this package both as a standalone tool and as a
-// `go vet -vettool` analyzer.
+// TestRepoClean runs the linter over those packages under go test ./...;
+// the waiver comment keeps the //detlint: spelling of the command-line tool
+// it once had.
 package lint
 
 import (
