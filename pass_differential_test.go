@@ -436,6 +436,32 @@ func (fam passFamily) cells(s *subject) []cell {
 	return cells
 }
 
+// The fuzzer-pool tests: the single-pass row drills lir.PassNames(), and the
+// random row and FuzzPipelines draw genomes from lir.SafeOptCatalog(), which
+// is built from the registry. A rename that silently drops one of a family's
+// passes from the registry, or marks it unsafe, would drop it from both.
+func TestRangePassesInFuzzerPool(t *testing.T) { testInFuzzerPool(t, rangeFamily) }
+
+func TestAliasPassesInFuzzerPool(t *testing.T) { testInFuzzerPool(t, aliasFamily) }
+
+func testInFuzzerPool(t *testing.T, fam passFamily) {
+	registered, safe := map[string]bool{}, map[string]bool{}
+	for _, n := range lir.PassNames() {
+		registered[n] = true
+	}
+	for _, e := range lir.SafeOptCatalog() {
+		safe[e.Spec.Name] = true
+	}
+	for _, p := range fam.passes {
+		if !registered[p.Name] {
+			t.Errorf("pass %s not in lir.PassNames(); the single-pass row would skip it", p.Name)
+		}
+		if !safe[p.Name] {
+			t.Errorf("pass %s not in lir.SafeOptCatalog(); the random row and FuzzPipelines would skip it", p.Name)
+		}
+	}
+}
+
 // The range and alias family rows keep their own entry points and per-app
 // subtests, so their history stays comparable.
 func TestRangePassDifferential(t *testing.T) { testFamily(t, rangeFamily) }
