@@ -193,10 +193,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	prog := x.Proc.Prog
 	space := x.Proc.Space
 
-	prevDest := -1
-	var prevLatency uint64
-	var readBuf [8]int
-
 	// Fast dispatch: with no sampler attached, the per-op budget check
 	// inlines against a hoisted limit (MaxCycles == 0 becomes an unreachable
 	// ceiling) and fusible adjacent op pairs execute as superinstructions
@@ -209,70 +205,39 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	if limit == 0 {
 		limit = math.MaxUint64
 	}
-	fuse, raw := fn.tables()
+	fuse, stall := fn.tables()
 	if !fast || x.NoFuse {
 		fuse = nil
 	}
 
+	// jumped is set by a taken Br or a Jmp: the instruction it lands on
+	// pays no read-after-write stall, whatever precedes it in Code.
+	jumped := false
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(fn.Code) {
 			return 0, fmt.Errorf("machine: pc %d out of range in %s", pc, prog.Methods[fn.Method].Name)
 		}
 		in := &fn.Code[pc]
+		cost := opCost[in.Op]
+		if !jumped {
+			cost += uint64(stall[pc])
+		}
+		jumped = false
 		if fast {
 			if fuse != nil && fuse[pc] != 0 {
 				// Superinstruction: charge both ops at once (the table holds
-				// the second op's cost plus its static stall against the
-				// first), then evaluate back to back.
-				cost := opCost[in.Op] + uint64(fuse[pc])
-				if prevDest >= 0 && prevLatency > 0 {
-					if prevDest < 63 {
-						if raw[pc]&(1<<uint(prevDest)) != 0 {
-							cost += prevLatency
-						}
-					} else if raw[pc]&rawOverflow != 0 {
-						for _, r := range in.reads(readBuf[:]) {
-							if r == prevDest {
-								cost += prevLatency
-								break
-							}
-						}
-					}
-				}
-				x.Cycles += cost
+				// the second op's cost plus its stall against the first),
+				// then evaluate back to back.
+				x.Cycles += cost + uint64(fuse[pc])
 				if x.Cycles > limit {
 					return 0, ErrTimeout
 				}
-				in2 := &fn.Code[pc+1]
 				evalSimple(in, regs)
-				evalSimple(in2, regs)
-				prevDest = in2.writes()
-				prevLatency = opLatency[in2.Op]
+				evalSimple(&fn.Code[pc+1], regs)
 				pc += 2
 				continue
 			}
-		}
-		cost := opCost[in.Op]
-
-		// Read-after-write stall against the previous instruction, answered
-		// from the precomputed read-set mask (reads() only for the rare
-		// instruction touching registers past the mask width).
-		if prevDest >= 0 && prevLatency > 0 {
-			if prevDest < 63 {
-				if raw[pc]&(1<<uint(prevDest)) != 0 {
-					cost += prevLatency
-				}
-			} else if raw[pc]&rawOverflow != 0 {
-				for _, r := range in.reads(readBuf[:]) {
-					if r == prevDest {
-						cost += prevLatency
-						break
-					}
-				}
-			}
-		}
-		if fast {
 			x.Cycles += cost
 			if x.Cycles > limit {
 				return 0, ErrTimeout
@@ -280,8 +245,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 		} else if err := x.charge(cost); err != nil {
 			return 0, err
 		}
-		prevDest = in.writes()
-		prevLatency = opLatency[in.Op]
 
 		switch in.Op {
 		case Nop:
@@ -472,12 +435,12 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 			if take {
 				pc = int(in.Imm)
-				prevDest = -1
+				jumped = true
 				continue
 			}
 		case Jmp:
 			pc = int(in.Imm)
-			prevDest = -1
+			jumped = true
 			continue
 
 		case Call, CallV:

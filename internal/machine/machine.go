@@ -195,23 +195,20 @@ type Fn struct {
 	// fuse is the lazily built superinstruction table: fuse[pc] != 0 means
 	// Code[pc] and Code[pc+1] are both fusible ALU/move ops and the executor
 	// may dispatch them as one superinstruction, charging fuse[pc] extra
-	// cycles (the second op's cost plus its static read-after-write stall
-	// against the first). Built once per Fn on first execution; a branch
+	// cycles (the second op's cost plus its stall, stall[pc+1]). A branch
 	// into pc+1 simply executes the second op unfused.
 	//
-	// raw is the read-set mask table built alongside it: raw[pc] has bit r
-	// set iff Code[pc] reads register r (r < 63); bit 63 marks an
-	// instruction with a read of register 63 or higher, which the executor
-	// resolves by calling reads() — the read-after-write stall check is per
-	// dispatch, and the mask answers it without re-deriving the read set.
+	// stall is the read-after-write table built alongside it: stall[pc] is
+	// what Code[pc] pays when it is reached by falling through from
+	// Code[pc-1], opLatency of Code[pc-1] if that writes a register Code[pc]
+	// reads, else 0. Registers are fixed at compile time, and a taken branch
+	// or jump (which writes no register) is the only other way to reach pc,
+	// so the stall needs no per-dispatch bookkeeping. Both tables are built
+	// once per Fn on first execution.
 	tabOnce sync.Once
 	fuse    []uint32
-	raw     []uint64
+	stall   []uint8
 }
-
-// rawOverflow flags an instruction whose read set reaches past the mask's
-// 63 exactly-representable registers.
-const rawOverflow = uint64(1) << 63
 
 // fusible reports whether an op may be the first or second half of a
 // superinstruction: plain register-to-register work with no traps, no
@@ -233,53 +230,44 @@ func (f *Fn) fuseTable() []uint32 {
 	return fuse
 }
 
-// tables returns the Fn's superinstruction and read-mask tables, building
-// both on first use. They depend only on the immutable Code slice, so one
-// build serves every concurrent executor.
-func (f *Fn) tables() (fuse []uint32, raw []uint64) {
-	f.tabOnce.Do(func() {
-		var readBuf [8]int
-		masks := make([]uint64, len(f.Code))
-		for pc := range f.Code {
-			var m uint64
-			for _, r := range f.Code[pc].reads(readBuf[:]) {
-				if r < 63 {
-					m |= 1 << uint(r)
-				} else {
-					m |= rawOverflow
-				}
-			}
-			masks[pc] = m
+// rawStall is the read-after-write stall in pays when it directly follows
+// prev: prev's result latency if in reads the register prev writes.
+func rawStall(prev, in *Insn) uint64 {
+	d := prev.writes()
+	if d < 0 || opLatency[prev.Op] == 0 {
+		return 0
+	}
+	var readBuf [8]int
+	for _, r := range in.reads(readBuf[:]) {
+		if r == d {
+			return opLatency[prev.Op]
 		}
-		f.raw = masks
+	}
+	return 0
+}
+
+// tables returns the Fn's superinstruction and stall tables, building both
+// on first use. They depend only on the immutable Code slice, so one build
+// serves every concurrent executor.
+func (f *Fn) tables() (fuse []uint32, stall []uint8) {
+	f.tabOnce.Do(func() {
+		f.stall = make([]uint8, len(f.Code))
+		for pc := 1; pc < len(f.Code); pc++ {
+			f.stall[pc] = uint8(rawStall(&f.Code[pc-1], &f.Code[pc]))
+		}
 		table := make([]uint32, len(f.Code))
 		n := 0
 		for pc := 0; pc+1 < len(f.Code); pc++ {
-			in1, in2 := &f.Code[pc], &f.Code[pc+1]
-			if !fusible(in1.Op) || !fusible(in2.Op) {
-				continue
+			if fusible(f.Code[pc].Op) && fusible(f.Code[pc+1].Op) {
+				table[pc] = uint32(opCost[f.Code[pc+1].Op]) + uint32(f.stall[pc+1])
+				n++
 			}
-			// The pair executes as one dispatch: the second op's base cost
-			// plus its read-after-write stall against the first, resolved
-			// statically — the registers are fixed at compile time, so this
-			// equals exactly what the unfused loop would charge dynamically.
-			cost := opCost[in2.Op]
-			if d := in1.writes(); d >= 0 && opLatency[in1.Op] > 0 {
-				for _, r := range in2.reads(readBuf[:]) {
-					if r == d {
-						cost += opLatency[in1.Op]
-						break
-					}
-				}
-			}
-			table[pc] = uint32(cost)
-			n++
 		}
 		if n > 0 {
 			f.fuse = table
 		}
 	})
-	return f.fuse, f.raw
+	return f.fuse, f.stall
 }
 
 // Size returns the modeled binary size in bytes (the GA's tiebreak metric).

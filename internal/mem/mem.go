@@ -81,6 +81,12 @@ func newPage() *page {
 	return p
 }
 
+// zeroPage backs every page Map creates without write permission. The
+// package holds one reference that it never drops, so every mapping of it is
+// shared (refs > 1) and the first write, after a Protect, copies it like any
+// other shared frame.
+var zeroPage = newPage()
+
 // mapping is one page-table entry: a frame plus per-space protection.
 type mapping struct {
 	frame *page
@@ -179,6 +185,10 @@ type AddressSpace struct {
 	// per-space and only written while the space is unsealed, so sealed
 	// templates stay safe to read from many goroutines.
 	tlb [tlbSize]tlbEntry
+	// tlbMisses counts translations the cache could not answer on this
+	// unsealed space (tests read it; sealed spaces never count, so shared
+	// templates stay read-only).
+	tlbMisses uint64
 
 	// base, when non-nil, is the sealed template this space is a clone of;
 	// pages missing from the overlay resolve against it.
@@ -189,16 +199,43 @@ type AddressSpace struct {
 	sealed bool
 }
 
-// tlbSize is the number of direct-mapped translation-cache entries, indexed
-// by the low bits of the page number. Power of two; 256 entries cover a
-// 1 MiB working set, enough that replay inner loops rarely fall back to the
-// page-table maps.
+// tlbSize is the number of direct-mapped translation-cache entries: one per
+// value of tlbIndex's uint8, so indexing needs no bounds check. The entries
+// hold up to 1 MiB of pages, but only pages in distinct slots can be cached
+// together.
 const tlbSize = 256
 
+// tlbIndex returns the translation-cache slot of the page holding a: the
+// page number plus the page number shifted right by 19, mod 256. The runtime
+// places each segment (boot image, code, GC-aux, statics, heap) at a
+// multiple of 2^36, so by its low bits alone the first page of every
+// segment would share slot 0, and the GC-aux word read at every safepoint,
+// the first heap arrays and the statics would evict each other on nearly
+// every access. With the fold, segment k starts at slot 32k, and the heap's
+// first 192 pages miss the first 32 pages of GC-aux and of the statics. One
+// shift and one add more than the plain index, so TryReadU64 and
+// TryWriteU64 stay inlinable.
+func tlbIndex(a Addr) uint8 {
+	return uint8(a>>PageShift + a>>(PageShift+19))
+}
+
 type tlbEntry struct {
-	pa    Addr
-	m     *mapping
-	owned bool
+	pa Addr
+	m  *mapping
+	// own is m when the mapping lives in this space's own table (so a
+	// store may write through it), nil when it is a template's. One nil
+	// check instead of m plus an owned flag keeps TryWriteU64 within the
+	// inliner's budget.
+	own *mapping
+}
+
+// entry returns a cache entry for pa's translation.
+func entry(pa Addr, m *mapping, owned bool) tlbEntry {
+	e := tlbEntry{pa: pa, m: m}
+	if owned {
+		e.own = m
+	}
+	return e
 }
 
 // tlbFlush drops every cached translation (after Unmap or Reset, where
@@ -210,7 +247,7 @@ func (s *AddressSpace) tlbFlush() {
 // tlbPut records pa's translation, replacing any entry that shadowed it
 // (materializing an overlay page changes which mapping owns pa).
 func (s *AddressSpace) tlbPut(pa Addr, m *mapping, owned bool) {
-	s.tlb[(uint64(pa)>>PageShift)&(tlbSize-1)] = tlbEntry{pa: pa, m: m, owned: owned}
+	s.tlb[tlbIndex(pa)] = entry(pa, m, owned)
 }
 
 // NewAddressSpace returns an empty address space.
@@ -286,13 +323,16 @@ func (s *AddressSpace) IsClone() bool { return s.base != nil }
 // probes entirely; the cache is only filled while the space is unsealed, so
 // lookups against a sealed template never write shared state.
 func (s *AddressSpace) lookup(pa Addr) (m *mapping, owned bool) {
-	e := &s.tlb[(uint64(pa)>>PageShift)&(tlbSize-1)]
+	e := &s.tlb[tlbIndex(pa)]
 	if e.m != nil && e.pa == pa {
-		return e.m, e.owned
+		return e.m, e.own != nil
 	}
 	m, owned = s.lookupSlow(pa)
-	if m != nil && !s.sealed {
-		e.pa, e.m, e.owned = pa, m, owned
+	if !s.sealed {
+		s.tlbMisses++
+		if m != nil {
+			*e = entry(pa, m, owned)
+		}
 	}
 	return m, owned
 }
@@ -327,19 +367,28 @@ func (s *AddressSpace) Counters() Counters { return s.counters }
 func (s *AddressSpace) ResetCounters() { s.counters = Counters{} }
 
 // Map creates a region of n bytes (rounded up to whole pages) at base with
-// the given protection, allocating zeroed frames.
+// the given protection. Its pages read as zero: a writable region gets fresh
+// zeroed frames, and a region mapped without ProtWrite (the boot image, the
+// code segment) shares zeroPage, so mapping it allocates no frames.
 func (s *AddressSpace) Map(base Addr, n uint64, prot Prot, name string) Region {
 	s.mutable("Map")
 	if base.PageOffset() != 0 {
 		panic(fmt.Sprintf("mem: unaligned Map base %#x", uint64(base)))
 	}
 	npages := (n + PageSize - 1) / PageSize
-	for i := uint64(0); i < npages; i++ {
-		pa := base + Addr(i*PageSize)
+	ms := make([]mapping, npages) // one allocation for the region's entries
+	for i := range ms {
+		pa := base + Addr(uint64(i)*PageSize)
 		if m, _ := s.lookup(pa); m != nil {
 			panic(fmt.Sprintf("mem: Map overlaps existing page at %#x", uint64(pa)))
 		}
-		s.pages[pa] = &mapping{frame: newPage(), prot: prot}
+		ms[i] = mapping{frame: zeroPage, prot: prot}
+		if prot&ProtWrite != 0 {
+			ms[i].frame = newPage()
+		} else {
+			zeroPage.refs.Add(1)
+		}
+		s.pages[pa] = &ms[i]
 		s.counters.PagesMapped++
 	}
 	r := Region{Start: base, End: base + Addr(npages*PageSize), Prot: prot, Name: name}
@@ -580,7 +629,7 @@ func (s *AddressSpace) WriteAt(p []byte, a Addr) error {
 // inline into executor dispatch loops (binary.LittleEndian decodes with a
 // single recognized load, unlike the open-coded leU64).
 func (s *AddressSpace) TryReadU64(a Addr) (v uint64, ok bool) {
-	e := &s.tlb[(uint64(a)>>PageShift)&(tlbSize-1)]
+	e := &s.tlb[tlbIndex(a)]
 	off := a & (PageSize - 1)
 	if e.m == nil || e.pa != a-off || e.m.prot&ProtRead == 0 || off > PageSize-8 {
 		return 0, false
@@ -593,13 +642,13 @@ func (s *AddressSpace) TryReadU64(a Addr) (v uint64, ok bool) {
 // Copy-on-Write decision is being skipped); any other case reports ok=false
 // and the caller must take the full WriteU64 path.
 func (s *AddressSpace) TryWriteU64(a Addr, v uint64) (ok bool) {
-	e := &s.tlb[(uint64(a)>>PageShift)&(tlbSize-1)]
+	e := &s.tlb[tlbIndex(a)]
 	off := a & (PageSize - 1)
-	if e.m == nil || e.pa != a-off || !e.owned || e.m.prot&ProtWrite == 0 ||
-		off > PageSize-8 || e.m.frame.refs.Load() != 1 {
+	if e.own == nil || e.pa != a-off || e.own.prot&ProtWrite == 0 ||
+		off > PageSize-8 || e.own.frame.refs.Load() != 1 {
 		return false
 	}
-	binary.LittleEndian.PutUint64(e.m.frame.data[off:], v)
+	binary.LittleEndian.PutUint64(e.own.frame.data[off:], v)
 	return true
 }
 
@@ -612,7 +661,7 @@ func (s *AddressSpace) TryWriteU64(a Addr, v uint64) (ok bool) {
 // flushes), so trusting one cannot bypass the sealed-template write guard.
 func (s *AddressSpace) ReadU64(a Addr) (uint64, error) {
 	pa := a.PageBase()
-	e := &s.tlb[(uint64(pa)>>PageShift)&(tlbSize-1)]
+	e := &s.tlb[tlbIndex(pa)]
 	if e.m != nil && e.pa == pa && e.m.prot&ProtRead != 0 {
 		if off := a.PageOffset(); off+8 <= PageSize {
 			return leU64(e.m.frame.data[off : off+8]), nil
@@ -642,11 +691,11 @@ func (s *AddressSpace) ReadU64(a Addr) (uint64, error) {
 // which duplicates before writing.
 func (s *AddressSpace) WriteU64(a Addr, v uint64) error {
 	pa := a.PageBase()
-	e := &s.tlb[(uint64(pa)>>PageShift)&(tlbSize-1)]
-	if e.m != nil && e.pa == pa && e.owned && e.m.prot&ProtWrite != 0 &&
-		e.m.frame.refs.Load() == 1 {
+	e := &s.tlb[tlbIndex(pa)]
+	if e.own != nil && e.pa == pa && e.own.prot&ProtWrite != 0 &&
+		e.own.frame.refs.Load() == 1 {
 		if off := a.PageOffset(); off+8 <= PageSize {
-			putLeU64(e.m.frame.data[off:off+8], v)
+			putLeU64(e.own.frame.data[off:off+8], v)
 			return nil
 		}
 	}

@@ -97,6 +97,20 @@ func (l *lexer) peekRune() rune {
 	return l.src[l.pos]
 }
 
+// at reports whether the unread source starts with p. Every punctuator is
+// ASCII, so comparing runes to bytes is exact.
+func (l *lexer) at(p string) bool {
+	if len(l.src)-l.pos < len(p) {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		if l.src[l.pos+i] != rune(p[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (l *lexer) advance() rune {
 	r := l.src[l.pos]
 	l.pos++
@@ -209,9 +223,8 @@ func (l *lexer) next() (token, error) {
 		return start, nil
 
 	default:
-		rest := string(l.src[l.pos:])
 		for _, p := range puncts {
-			if strings.HasPrefix(rest, p) {
+			if l.at(p) {
 				for range p {
 					l.advance()
 				}

@@ -1,6 +1,9 @@
 package minic
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func lexOK(t *testing.T, src string) []token {
 	t.Helper()
@@ -36,6 +39,23 @@ func TestLexOperatorsLongestMatch(t *testing.T) {
 	for i, w := range want {
 		if toks[i].text != w {
 			t.Errorf("token %d = %q, want %q", i, toks[i].text, w)
+		}
+	}
+}
+
+// at matches a punctuator rune by rune against the unread source; it must
+// agree with a prefix test on the rest of the source as a string, at the end
+// of the input and next to non-ASCII runes too.
+func TestLexAtMatchesStringPrefix(t *testing.T) {
+	for _, src := range []string{"", "<", "<<", "<=x", "é<", "<é", "||", "&&&", "!=\n", "\xff="} {
+		rs := []rune(src)
+		for pos := 0; pos <= len(rs); pos++ {
+			l := &lexer{src: rs, pos: pos}
+			for _, p := range puncts {
+				if got, want := l.at(p), strings.HasPrefix(string(rs[pos:]), p); got != want {
+					t.Errorf("at(%q) on %q at %d = %v, want %v", p, src, pos, got, want)
+				}
+			}
 		}
 	}
 }
