@@ -14,9 +14,13 @@ import (
 // one Recompute until the next CFG edit (a block, edge, or Blocks-order
 // change); a pass that edits the CFG calls Recompute before it next reads
 // them, and before it returns, so every pass hands the next one a function in
-// reverse postorder. Loop information is not cached at all: Loops computes
-// it on demand from the current dominators. cfg.go's header says which CFG
-// edits leave these analyses valid.
+// reverse postorder. Recompute stamps the CFG it leaves (the block order and
+// every successor and predecessor list, by block ID) and returns at once
+// when the CFG still matches: most calls find nothing changed, and the
+// comparison is exact, so a pass may call it freely. Clone copies the
+// caches and the stamp with the IR. Loop information is not cached at all:
+// Loops computes it on demand from the current dominators. cfg.go's header
+// says which CFG edits leave these analyses valid.
 //
 // One function computes dominators: internal/flow's Dominators, which
 // Dominance.build feeds the CFG's edges by block position and which writes
@@ -25,11 +29,82 @@ import (
 // must not edit what they judge, query it through DominanceOf.
 
 // Recompute reorders Blocks in reverse postorder, drops unreachable blocks
-// (fixing phi inputs), and refreshes dominators.
+// (fixing phi inputs), and refreshes dominators. It returns at once when the
+// CFG is exactly as the previous Recompute left it: its result is a function
+// of the block order and the successor and predecessor lists, so it would
+// change nothing.
 func (f *Function) Recompute() {
 	if len(f.Blocks) == 0 {
 		return
 	}
+	if f.cfgStamped() {
+		if stampHit != nil {
+			stampHit(f)
+		}
+		return
+	}
+	f.recompute()
+	f.stampCFG()
+}
+
+// stampHit, when set, sees every Recompute that the CFG stamp ends early.
+// The package's tests set it to check each skip against a full recompute.
+var stampHit func(f *Function)
+
+// stampCFG records the block order and every successor and predecessor list
+// by block ID: per block its ID, its successor count and IDs, then its
+// predecessor count and IDs. Block IDs are unique within a function, so
+// equal stamps mean an identical CFG.
+func (f *Function) stampCFG() {
+	s := f.stamp[:0]
+	for _, b := range f.Blocks {
+		s = append(s, int32(b.ID), int32(len(b.Succs)))
+		for _, x := range b.Succs {
+			s = append(s, int32(x.ID))
+		}
+		s = append(s, int32(len(b.Preds)))
+		for _, x := range b.Preds {
+			s = append(s, int32(x.ID))
+		}
+	}
+	f.stamp = s
+}
+
+// cfgStamped reports whether the CFG matches the stamp of the last
+// Recompute exactly.
+func (f *Function) cfgStamped() bool {
+	s := f.stamp
+	if len(s) == 0 {
+		return false
+	}
+	for _, b := range f.Blocks {
+		n := 3 + len(b.Succs) + len(b.Preds)
+		if len(s) < n || s[0] != int32(b.ID) || s[1] != int32(len(b.Succs)) {
+			return false
+		}
+		s = s[2:]
+		for _, x := range b.Succs {
+			if s[0] != int32(x.ID) {
+				return false
+			}
+			s = s[1:]
+		}
+		if s[0] != int32(len(b.Preds)) {
+			return false
+		}
+		s = s[1:]
+		for _, x := range b.Preds {
+			if s[0] != int32(x.ID) {
+				return false
+			}
+			s = s[1:]
+		}
+	}
+	return len(s) == 0
+}
+
+// recompute is Recompute's full path: prune, reorder and stamp the analyses.
+func (f *Function) recompute() {
 	d := indexBlocks(f.Blocks)
 	order := d.build()
 	// Remove edges from unreachable predecessors.
@@ -86,7 +161,8 @@ func (f *Function) Recompute() {
 type Dominance struct {
 	blocks []*Block
 	// pos maps Block.ID to the block's position in blocks (-1: none). It is
-	// sized from the largest ID, not nextBlockID, which clones do not carry.
+	// sized from the largest ID, not nextBlockID, which a function assembled
+	// outside this package does not set.
 	pos []int32
 	// dom is the dominator tree over positions.
 	dom flow.Dom

@@ -165,6 +165,39 @@ func BuildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
 	return f, nil
 }
 
+// ssaCache builds each method's SSA at most once and hands out copies: the
+// function BuildSSA returned stays frozen in the cache, and every caller,
+// the compile's root and each inlined call site alike, gets a Clone of it.
+// Errors are cached too, since BuildSSA is a pure function of the program
+// and the method. One cache serves one compile (CompileMethod, or every
+// method of one Compile); it is not safe for concurrent use.
+type ssaCache struct {
+	prog  *dex.Program
+	built map[dex.MethodID]ssaEntry
+}
+
+type ssaEntry struct {
+	f   *Function
+	err error
+}
+
+func newSSACache(prog *dex.Program) *ssaCache {
+	return &ssaCache{prog: prog, built: map[dex.MethodID]ssaEntry{}}
+}
+
+// build returns a fresh copy of method id's SSA form.
+func (c *ssaCache) build(id dex.MethodID) (*Function, error) {
+	e, ok := c.built[id]
+	if !ok {
+		e.f, e.err = BuildSSA(c.prog, id)
+		c.built[id] = e
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	return Clone(e.f), nil
+}
+
 // BuildAllSSA builds SSA once per analyzable method, indexed by method ID.
 // Uncompilable methods and frontend failures yield nil. Each call builds new
 // functions, so one analysis that prunes them (AnalyzeRanges recomputes)

@@ -10,9 +10,11 @@ import (
 
 // BenchmarkCompileMethod compiles the hot-region methods of the
 // compile-heavy apps under one fixed inlining, unrolling, and value-numbering
-// pipeline. It guards the asymptotics of the CFG analyses: every inlined call
-// site, unrolled loop, and merged block used to pay for a full Recompute with
-// loop-depth discovery.
+// pipeline. It guards the asymptotics of the CFG analyses and of inlining:
+// every inlined call site, unrolled loop, and merged block used to pay for a
+// full Recompute with loop-depth discovery, every inlined call site for a
+// BuildSSA of its callee and a sweep over the whole caller, and every
+// Recompute that found the CFG unchanged for a full recompute.
 func BenchmarkCompileMethod(b *testing.B) {
 	cfg := lir.O1()
 	cfg.Passes = append(cfg.Passes,

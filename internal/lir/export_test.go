@@ -1,0 +1,52 @@
+package lir
+
+import (
+	"fmt"
+	"strings"
+)
+
+// AnalysisState renders what a function carries besides the IR that
+// HashFunction covers: the ID counters, Recompute's CFG stamp, and every
+// block's rpo, IDom and dominator-tree numbering, in Blocks order.
+func AnalysisState(f *Function) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "next v%d b%d stamp %v\n", f.nextValueID, f.nextBlockID, f.stamp)
+	for _, b := range f.Blocks {
+		idom := -1
+		if b.IDom != nil {
+			idom = b.IDom.ID
+		}
+		fmt.Fprintf(&sb, "b%d rpo %d idom b%d dom [%d,%d]\n", b.ID, b.rpo, idom, b.domPre, b.domPost)
+	}
+	return sb.String()
+}
+
+// OnStampSkip checks every Recompute that the CFG stamp ends early: it runs
+// the full recompute on a clone and calls report with the first difference
+// in block order, edges, rpo, IDom or dominator numbering (nil when there is
+// none). The returned function removes the check. The hook is global; report
+// must be safe for concurrent use.
+func OnStampSkip(report func(f *Function, err error)) (restore func()) {
+	stampHit = func(f *Function) {
+		c := Clone(f)
+		c.recompute()
+		c.stampCFG()
+		report(f, diffLines(AnalysisState(f), AnalysisState(c)))
+	}
+	return func() { stampHit = nil }
+}
+
+// diffLines reports the first line where the skipped Recompute's state
+// (got) and the full one's (want) differ.
+func diffLines(got, want string) error {
+	if got == want {
+		return nil
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Errorf("line %d: skipped %q, full %q", i, g[i], w[i])
+		}
+	}
+	return fmt.Errorf("skipped state has %d lines, full %d", len(g), len(w))
+}

@@ -277,6 +277,8 @@ type Function struct {
 
 	nextValueID int
 	nextBlockID int
+	// stamp is the CFG as the last Recompute left it (see stampCFG).
+	stamp []int32
 }
 
 // NewValue creates a fresh value.

@@ -6,6 +6,7 @@ package lir
 
 import (
 	"fmt"
+	"slices"
 
 	"replayopt/internal/dex"
 )
@@ -79,6 +80,7 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 		rounds = 1
 	}
 	budget := 60 // call sites per invocation; a compile-time guard
+	var subst substitution
 	for r := 0; r < rounds; r++ {
 		if r > 0 {
 			// Splicing leaves Blocks out of order; this round collects its
@@ -124,23 +126,70 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 					KV("callee", int64(target)), KV("size", int64(len(callee.Code))),
 					KV("threshold", int64(threshold)), KV("round", int64(r)))
 			}
-			err := inlineCall(f, s.b, s.v, target)
+			err := inlineCall(f, ctx, s.b, s.v, target, &subst)
 			if err == nil {
 				budget--
 				inlinedAny = true
 				err = ctx.checkGrowth(f, "inline")
 			}
 			if err != nil {
-				f.Recompute() // the rewrite trace hashes what a failed pass leaves
+				// The rewrite trace hashes what a failed pass leaves.
+				subst.apply(f)
+				f.Recompute()
 				return err
 			}
 		}
+		subst.apply(f)
 		if !inlinedAny {
 			break
 		}
 	}
 	f.Recompute()
 	return nil
+}
+
+// substitution collects the value replacements of one inlining round (each
+// inlined call by its result, each callee parameter by its argument) and
+// applies them all in one sweep over the function, where replacing each as
+// it arises would sweep the whole caller once per call site. A replacement
+// may name a value that is itself replaced, as in g(f(x)) or a callee that
+// returns its parameter; apply follows such chains to their end.
+type substitution struct {
+	// from and to are indexed by Value.ID: from[id] is replaced by to[id].
+	from, to []*Value
+}
+
+func (s *substitution) add(old, new *Value) {
+	if grow := old.ID + 1 - len(s.from); grow > 0 {
+		s.from = append(s.from, make([]*Value, grow)...)
+		s.to = append(s.to, make([]*Value, grow)...)
+	}
+	s.from[old.ID], s.to[old.ID] = old, new
+}
+
+func (s *substitution) resolve(v *Value) *Value {
+	for v != nil && v.ID >= 0 && v.ID < len(s.from) && s.from[v.ID] == v {
+		v = s.to[v.ID]
+	}
+	return v
+}
+
+// apply rewrites every argument of f through the pending replacements and
+// clears them.
+func (s *substitution) apply(f *Function) {
+	if len(s.from) == 0 {
+		return
+	}
+	for _, b := range f.Blocks {
+		for _, vs := range [2][]*Value{b.Phis, b.Insns} {
+			for _, v := range vs {
+				for i, a := range v.Args {
+					v.Args[i] = s.resolve(a)
+				}
+			}
+		}
+	}
+	s.from, s.to = s.from[:0], s.to[:0]
 }
 
 func stillPresent(f *Function, b *Block, v *Value) bool {
@@ -154,9 +203,10 @@ func stillPresent(f *Function, b *Block, v *Value) bool {
 
 // inlineCall splices callee's SSA body in place of the call. It appends the
 // callee's blocks and leaves any it orphans in place: the caller recomputes
-// before it next reads block order or returns.
-func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID) error {
-	calleeF, err := BuildSSA(f.Prog, target)
+// before it next reads block order or returns. The call's result and the
+// callee's parameters are replaced through subst, which the caller applies.
+func inlineCall(f *Function, ctx *PassContext, callBlock *Block, call *Value, target dex.MethodID, subst *substitution) error {
+	calleeF, err := ctx.buildSSA(f.Prog, target)
 	if err != nil {
 		return err
 	}
@@ -185,21 +235,14 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 		return &CrashError{Pass: "inline", Msg: fmt.Sprintf("call v%d is not in b%d", call.ID, callBlock.ID)}
 	}
 
-	// Substitute parameters with call arguments.
+	// Substitute parameters with call arguments, and drop them from the
+	// entry block.
 	entry := calleeF.Blocks[0]
-	var paramVals []*Value
-	for _, v := range entry.Insns {
-		if v.Op == OpParam {
-			paramVals = append(paramVals, v)
-		}
-	}
-	for _, p := range paramVals {
-		calleeF.ReplaceUses(p, call.Args[p.Slot])
-	}
-	// Drop the params from the entry block.
 	kept := entry.Insns[:0]
 	for _, v := range entry.Insns {
-		if v.Op != OpParam {
+		if v.Op == OpParam {
+			subst.add(v, call.Args[v.Slot])
+		} else {
 			kept = append(kept, v)
 		}
 	}
@@ -235,15 +278,15 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 			z := f.NewValue(OpConstInt, call.Type)
 			cont.Insns = append([]*Value{z}, cont.Insns...)
 			z.Block = cont
-			f.ReplaceUses(call, z)
+			subst.add(call, z)
 		case 1:
-			f.ReplaceUses(call, retVals[0])
+			subst.add(call, retVals[0])
 		default:
 			phi := f.NewValue(OpPhi, call.Type)
 			phi.Block = cont
 			phi.Args = retVals
 			cont.Phis = append(cont.Phis, phi)
-			f.ReplaceUses(call, phi)
+			subst.add(call, phi)
 		}
 	}
 	return nil
@@ -352,13 +395,15 @@ func devirtGuard(f *Function, b *Block, call *Value, cls dex.ClassID, resolved d
 	AddEdge(b, fast)
 	AddEdge(b, slow)
 
-	direct := f.NewValue(OpCallStatic, call.Type, call.Args...)
+	// Each call gets its own argument list: a later rewrite of one must not
+	// reach the other.
+	direct := f.NewValue(OpCallStatic, call.Type, slices.Clone(call.Args)...)
 	direct.Sym = int(resolved)
 	fast.AppendRaw(direct)
 	fast.AppendRaw(f.NewValue(OpJump, TVoid))
 	AddEdge(fast, merge)
 
-	virt := f.NewValue(OpCallVirtual, call.Type, call.Args...)
+	virt := f.NewValue(OpCallVirtual, call.Type, slices.Clone(call.Args)...)
 	virt.Sym = call.Sym
 	virt.Imm = call.Imm
 	slow.AppendRaw(virt)

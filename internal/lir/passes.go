@@ -132,6 +132,11 @@ type PassContext struct {
 	traceNotes   bool
 	notes        []RewriteNote
 	notesDropped int
+
+	// ssa hands inline its callees' SSA (see ssaCache); the pipeline shares
+	// its compile's cache, and a context made without one builds its own on
+	// first use.
+	ssa *ssaCache
 }
 
 // Tracing reports whether decision notes are being collected. Passes guard
@@ -166,6 +171,14 @@ func (ctx *PassContext) drainNotes() (notes []RewriteNote, dropped int) {
 	notes, dropped = ctx.notes, ctx.notesDropped
 	ctx.notes, ctx.notesDropped = nil, 0
 	return notes, dropped
+}
+
+// buildSSA returns a fresh copy of method id's SSA form.
+func (ctx *PassContext) buildSSA(prog *dex.Program, id dex.MethodID) (*Function, error) {
+	if ctx.ssa == nil {
+		ctx.ssa = newSSACache(prog)
+	}
+	return ctx.ssa.build(id)
 }
 
 func (ctx *PassContext) cap() int {

@@ -96,7 +96,14 @@ func resolveParams(info *PassInfo, explicit map[string]int) map[string]int {
 // consume them. Compiler crashes (pass panics and explicit CrashErrors) and
 // timeouts are returned as their typed errors; the caller classifies
 // outcomes (Fig. 1).
-func CompileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile, static *sa.Result) (fn *machine.Fn, err error) {
+func CompileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile, static *sa.Result) (*machine.Fn, error) {
+	return compileMethod(prog, id, cfg, prof, static, newSSACache(prog))
+}
+
+// compileMethod is CompileMethod with the SSA cache it shares with the other
+// methods of one Compile: the root function and every inlined callee are
+// copies of a method's one BuildSSA result.
+func compileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile, static *sa.Result, ssa *ssaCache) (fn *machine.Fn, err error) {
 	m := prog.Methods[id]
 	if m.Uncompilable {
 		return nil, &CrashError{Pass: "frontend", Msg: "method " + m.Name + " is not compilable"}
@@ -110,11 +117,11 @@ func CompileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile
 			err = &CrashError{Pass: "pipeline", Msg: fmt.Sprint(r)}
 		}
 	}()
-	f, err := BuildSSA(prog, id)
+	f, err := ssa.build(id)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &PassContext{Profile: prof, Static: static, traceNotes: cfg.Trace != nil}
+	ctx := &PassContext{Profile: prof, Static: static, traceNotes: cfg.Trace != nil, ssa: ssa}
 	scope := cfg.Obs.Scope()
 	for _, spec := range cfg.Passes {
 		info, ok := PassByName(spec.Name)
@@ -187,8 +194,9 @@ func Compile(prog *dex.Program, methods []dex.MethodID, cfg Config, prof *Profil
 	}
 	sp := cfg.Obs.Start("lir.compile", obs.A("methods", len(methods)), obs.A("passes", len(cfg.Passes)))
 	out := machine.NewProgram()
+	ssa := newSSACache(prog)
 	for _, id := range methods {
-		fn, err := CompileMethod(prog, id, cfg, prof, static)
+		fn, err := compileMethod(prog, id, cfg, prof, static, ssa)
 		if err != nil {
 			sp.End(obs.A("error", err.Error()))
 			return nil, fmt.Errorf("compiling %s: %w", prog.Methods[id].Name, err)

@@ -1009,3 +1009,13 @@ func dominatesAllExits(f *lir.Function, d *lir.Dominance, b *lir.Block) bool {
 	}
 	return exits > 0
 }
+
+// resize returns a zeroed slice of length n, reusing s's storage.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -88,7 +88,7 @@ type Checker struct {
 	// are reused pass after pass: a snapshot is dead once AfterPass
 	// returns.
 	snap   *lir.Function
-	cloner cloner
+	cloner lir.Cloner
 	ev     equiv
 }
 
@@ -97,7 +97,7 @@ func NewChecker(opts Options) *Checker { return &Checker{Opts: opts} }
 
 // BeforePass snapshots the function.
 func (c *Checker) BeforePass(f *lir.Function, pass string, info *lir.PassInfo) {
-	c.snap = c.cloner.clone(f)
+	c.snap = c.cloner.Clone(f)
 }
 
 // AfterPass validates the pass result against the snapshot, records the

@@ -70,7 +70,7 @@ func runPass(t *testing.T, f *lir.Function, name string) {
 // Identity: a function is equivalent to its own clone.
 func TestValidateIdentity(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	v, reason := Validate(Clone(f), f, lir.Traits{})
+	v, reason := Validate(lir.Clone(f), f, lir.Traits{})
 	if v != Verified {
 		t.Fatalf("identity: %s (%s)", v, reason)
 	}
@@ -86,7 +86,7 @@ func TestValidateSinglePasses(t *testing.T) {
 	for _, pass := range lir.PassNames() {
 		for _, fname := range []string{"work", "main"} {
 			f := buildFn(t, testSrc, fname)
-			before := Clone(f)
+			before := lir.Clone(f)
 			if err := lir.RunPassForTest(f, pass, nil); err != nil {
 				continue // designed compile-time outcome (e.g. vectorize crash)
 			}
@@ -141,7 +141,7 @@ func TestGoldenPresets(t *testing.T) {
 // The deliberately broken pass is caught statically.
 func TestMiscompileRejected(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	before := Clone(f)
+	before := lir.Clone(f)
 	if !skewFirstStore(f) {
 		t.Fatal("skewFirstStore found nothing to mutate")
 	}
@@ -329,12 +329,12 @@ func TestSeededMutations(t *testing.T) {
 // Clone must be deep: mutating the clone leaves the original intact.
 func TestCloneIsDeep(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	c := Clone(f)
+	c := lir.Clone(f)
 	if err := lir.VerifyIR(c); err != nil {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	skewFirstStore(c)
-	if v, reason := Validate(f, Clone(f), lir.Traits{}); v != Verified {
+	if v, reason := Validate(f, lir.Clone(f), lir.Traits{}); v != Verified {
 		t.Fatalf("original damaged by clone mutation: %s (%s)", v, reason)
 	}
 }
@@ -472,12 +472,12 @@ func TestValidateSharedChainIsLinear(t *testing.T) {
 	if err := lir.VerifyIR(f); err != nil {
 		t.Fatalf("fixture invalid: %v", err)
 	}
-	if v, reason := Validate(f, Clone(f), lir.Traits{}); v != Verified {
+	if v, reason := Validate(f, lir.Clone(f), lir.Traits{}); v != Verified {
 		t.Fatalf("60-level chain: %s (%s), want verified", v, reason)
 	}
 	allocs := func(depth int) float64 {
 		f := fibChain(depth)
-		c := Clone(f)
+		c := lir.Clone(f)
 		return testing.AllocsPerRun(5, func() { Validate(f, c, lir.Traits{}) })
 	}
 	a30, a60 := allocs(30), allocs(60)
@@ -494,11 +494,11 @@ func TestValidateSharedChainIsLinear(t *testing.T) {
 // opaque, and two values sharing one ID make the function unindexable.
 func TestValidateDegenerateInputsAreUnverified(t *testing.T) {
 	deep := fibChain(100) // Fibonacci multiplicities overflow int64 near level 92
-	if v, reason := Validate(deep, Clone(deep), lir.Traits{}); v != Unverified {
+	if v, reason := Validate(deep, lir.Clone(deep), lir.Traits{}); v != Unverified {
 		t.Errorf("overflowing chain: %s (%s), want unverified", v, reason)
 	}
 	f := fibChain(4)
-	c := Clone(f)
+	c := lir.Clone(f)
 	c.Blocks[0].Insns[3].ID = c.Blocks[0].Insns[2].ID
 	if v, reason := Validate(f, c, lir.Traits{}); v != Unverified || !strings.Contains(reason, "share one ID") {
 		t.Errorf("duplicate value ID: %s (%s), want unverified", v, reason)

@@ -99,8 +99,32 @@ func NewExec(proc *rt.Process, code *Program) *Exec {
 	return &Exec{Proc: proc, Code: code, Fallback: interp.NewEnv(proc), currentNative: -1, fns: fns}
 }
 
-func (x *Exec) charge(c uint64) error {
+// charge adds c cycles. It is small enough to inline into runFrame's
+// per-op paths: below slowAt (see chargeFrom) it only adds, and from slowAt
+// on chargeSlow samples and checks the budget exactly, so any slowAt at or
+// below the true threshold gives the same cycles, samples and errors.
+func (x *Exec) charge(c, slowAt uint64) error {
 	x.Cycles += c
+	if x.Cycles >= slowAt {
+		return x.chargeSlow()
+	}
+	return nil
+}
+
+// chargeFrom returns the cycle count from which charge must call
+// chargeSlow: 0 with a sampler attached, since the sampler sees every
+// charge; one past MaxCycles with a budget; and never otherwise.
+func (x *Exec) chargeFrom() uint64 {
+	if x.SamplePeriod > 0 && x.Sampler != nil {
+		return 0
+	}
+	if x.MaxCycles > 0 {
+		return x.MaxCycles + 1 // MaxUint64 wraps to 0: every charge is checked
+	}
+	return math.MaxUint64
+}
+
+func (x *Exec) chargeSlow() error {
 	if x.SamplePeriod > 0 && x.Sampler != nil && x.Cycles >= x.nextSample {
 		x.Sampler.Sample(x.stack, x.currentNative)
 		for x.nextSample <= x.Cycles {
@@ -132,7 +156,7 @@ func (x *Exec) callNoHook(id dex.MethodID, args []uint64) (uint64, error) {
 	if fn == nil {
 		// Interpreter bridge: synchronize cycle clocks across the
 		// transition so mixed-mode time adds up.
-		if err := x.charge(costInterpBridge); err != nil {
+		if err := x.charge(costInterpBridge, x.chargeFrom()); err != nil {
 			return 0, err
 		}
 		x.Fallback.ResetClock()
@@ -143,7 +167,7 @@ func (x *Exec) callNoHook(id dex.MethodID, args []uint64) (uint64, error) {
 		x.Fallback.SamplePeriod = x.SamplePeriod
 		x.Fallback.Sampler = x.Sampler
 		ret, err := x.Fallback.Call(id, args)
-		cerr := x.charge(x.Fallback.Cycles)
+		cerr := x.charge(x.Fallback.Cycles, x.chargeFrom())
 		if err != nil {
 			return 0, err
 		}
@@ -173,7 +197,8 @@ func (x *Exec) run(fn *Fn, args []uint64) (uint64, error) {
 }
 
 func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
-	if err := x.charge(costFrame); err != nil {
+	slowAt := x.chargeFrom()
+	if err := x.charge(costFrame, slowAt); err != nil {
 		return 0, err
 	}
 
@@ -242,7 +267,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			if x.Cycles > limit {
 				return 0, ErrTimeout
 			}
-		} else if err := x.charge(cost); err != nil {
+		} else if err := x.charge(cost, slowAt); err != nil {
 			return 0, err
 		}
 
@@ -378,7 +403,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 
 		case NewArr:
 			n := int64(regs[in.B])
-			if err := x.charge(costAllocBase + costAllocPerWord*uint64(max(n, 0))); err != nil {
+			if err := x.charge(costAllocBase+costAllocPerWord*uint64(max(n, 0)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := x.Proc.NewArray(dex.Kind(in.Sym), n)
@@ -388,7 +413,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			regs[in.A] = uint64(ref)
 		case NewObj:
 			cls := prog.Classes[in.Sym]
-			if err := x.charge(costAllocBase + costAllocPerWord*uint64(len(cls.Fields))); err != nil {
+			if err := x.charge(costAllocBase+costAllocPerWord*uint64(len(cls.Fields)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := x.Proc.NewObject(dex.ClassID(in.Sym))
@@ -417,18 +442,18 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			// Prediction cost.
 			switch in.Hint {
 			case HintNone:
-				if err := x.charge(costBranchAverage); err != nil {
+				if err := x.charge(costBranchAverage, slowAt); err != nil {
 					return 0, err
 				}
 			case HintTaken:
 				if !take {
-					if err := x.charge(costBranchMispredict); err != nil {
+					if err := x.charge(costBranchMispredict, slowAt); err != nil {
 						return 0, err
 					}
 				}
 			case HintNotTaken:
 				if take {
-					if err := x.charge(costBranchMispredict); err != nil {
+					if err := x.charge(costBranchMispredict, slowAt); err != nil {
 						return 0, err
 					}
 				}
@@ -444,11 +469,11 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			continue
 
 		case Call, CallV:
-			if err := x.charge(2); err != nil { // safepoint check at calls
+			if err := x.charge(2, slowAt); err != nil { // safepoint check at calls
 				return 0, err
 			}
 			if x.Proc.Safepoint() {
-				if err := x.charge(CostGCCollection); err != nil {
+				if err := x.charge(CostGCCollection, slowAt); err != nil {
 					return 0, err
 				}
 			}
@@ -468,7 +493,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 			target := dex.MethodID(in.Sym)
 			if in.Op == CallV {
-				if err := x.charge(costVirtualDispatch); err != nil {
+				if err := x.charge(costVirtualDispatch, slowAt); err != nil {
 					return 0, err
 				}
 				cls, err := x.Proc.ObjectClass(mem.Addr(callArgs[0]))
@@ -489,7 +514,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 
 		case CallN:
-			if err := x.charge(costNativeBridge); err != nil {
+			if err := x.charge(costNativeBridge, slowAt); err != nil {
 				return 0, err
 			}
 			callArgs := make([]uint64, len(in.Args))
@@ -505,7 +530,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 				return 0, err
 			}
 			x.currentNative = dex.NativeID(in.Sym)
-			cerr := x.charge(ncost)
+			cerr := x.charge(ncost, slowAt)
 			x.currentNative = -1
 			if cerr != nil {
 				return 0, cerr
@@ -519,14 +544,14 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := x.charge(icost); err != nil {
+			if err := x.charge(icost, slowAt); err != nil {
 				return 0, err
 			}
 			regs[in.A] = v
 
 		case GCChk:
 			if x.Proc.Safepoint() {
-				if err := x.charge(CostGCCollection); err != nil {
+				if err := x.charge(CostGCCollection, slowAt); err != nil {
 					return 0, err
 				}
 			}
