@@ -1,11 +1,10 @@
 package aot
 
 import (
-	"math"
-
 	"replayopt/internal/dex"
 	"replayopt/internal/flow"
 	"replayopt/internal/hgraph"
+	"replayopt/internal/opsem"
 )
 
 // The dex-level optimizations of the baseline compiler. They are all local
@@ -79,9 +78,9 @@ func foldInsn(in *dex.Insn, consts map[int]constVal) {
 			case dex.OpXorInt:
 				setI(bv ^ cv)
 			case dex.OpShlInt:
-				setI(bv << (uint64(cv) & 63))
+				setI(opsem.Shl(bv, cv))
 			case dex.OpShrInt:
-				setI(bv >> (uint64(cv) & 63))
+				setI(opsem.Shr(bv, cv))
 			}
 			return
 		}
@@ -138,8 +137,8 @@ func foldInsn(in *dex.Insn, consts map[int]constVal) {
 			setF(float64(bv))
 		}
 	case dex.OpFloatToInt:
-		if bv, ok := cf(in.B); ok && !math.IsNaN(bv) && bv >= math.MinInt64 && bv <= math.MaxInt64 {
-			setI(int64(bv))
+		if bv, ok := cf(in.B); ok {
+			setI(opsem.F2I(bv))
 		}
 	}
 }

@@ -68,12 +68,6 @@ func (lo *lowerer) temp() int {
 	return r
 }
 
-var condOf = map[dex.Op]machine.Cond{
-	dex.OpIfEq: machine.CondEq, dex.OpIfNe: machine.CondNe,
-	dex.OpIfLt: machine.CondLt, dex.OpIfLe: machine.CondLe,
-	dex.OpIfGt: machine.CondGt, dex.OpIfGe: machine.CondGe,
-}
-
 var aluOf = map[dex.Op]machine.Op{
 	dex.OpAddInt: machine.Add, dex.OpSubInt: machine.Sub, dex.OpMulInt: machine.Mul,
 	dex.OpDivInt: machine.Div, dex.OpRemInt: machine.Rem, dex.OpAndInt: machine.And,
@@ -114,7 +108,7 @@ func (lo *lowerer) lowerBlock(b *hgraph.Block, blockIdx int) {
 			lo.emit(machine.Insn{Op: machine.FCmp, A: in.A, B: in.B, C: in.C})
 
 		case dex.OpIfEq, dex.OpIfNe, dex.OpIfLt, dex.OpIfLe, dex.OpIfGt, dex.OpIfGe:
-			pc := lo.emit(machine.Insn{Op: machine.Br, Cond: condOf[in.Op], B: in.B, C: in.C})
+			pc := lo.emit(machine.Insn{Op: machine.Br, Cond: in.Op.Cond(), B: in.B, C: in.C})
 			lo.fixups = append(lo.fixups, fixup{pc, b.Succs[0]})
 			// Fall-through: jump if the next block is not the layout successor.
 			if blockIdx+1 >= len(g.Blocks) || g.Blocks[blockIdx+1] != b.Succs[1] {

@@ -8,7 +8,11 @@
 // start from it via the HGraph IR (internal/hgraph).
 package dex
 
-import "fmt"
+import (
+	"fmt"
+
+	"replayopt/internal/opsem"
+)
 
 // Kind is a static value kind. Registers are untyped 64-bit slots at
 // runtime; opcodes declare the kind they operate on, as in Dalvik.
@@ -168,6 +172,10 @@ func (o Op) String() string {
 // IsBranch reports whether o is a conditional branch.
 func (o Op) IsBranch() bool { return o >= OpIfEq && o <= OpIfGe }
 
+// Cond is a branch op's condition: if-eq … if-ge map in order onto
+// opsem.Eq … opsem.Ge.
+func (o Op) Cond() opsem.Cond { return opsem.Cond(o - OpIfEq) }
+
 // IsTerminator reports whether o ends a basic block.
 func (o Op) IsTerminator() bool {
 	return o.IsBranch() || o == OpGoto || o == OpReturn || o == OpReturnVoid || o == OpThrow
@@ -262,23 +270,24 @@ type Global struct {
 }
 
 // IntrinsicKind identifies natives replaceable by IR-level implementations
-// (§3.5's JNI-math-to-intrinsic optimization).
-type IntrinsicKind uint8
+// (§3.5's JNI-math-to-intrinsic optimization). internal/opsem defines the
+// kinds and their values.
+type IntrinsicKind = opsem.Intrinsic
 
 // Intrinsic kinds; IntrinsicNone marks an irreplaceable native.
 const (
-	IntrinsicNone IntrinsicKind = iota
-	IntrinsicSqrt
-	IntrinsicSin
-	IntrinsicCos
-	IntrinsicLog
-	IntrinsicExp
-	IntrinsicPow
-	IntrinsicAbsInt
-	IntrinsicAbsFloat
-	IntrinsicMinInt
-	IntrinsicMaxInt
-	IntrinsicFloor
+	IntrinsicNone     = opsem.NoIntrinsic
+	IntrinsicSqrt     = opsem.Sqrt
+	IntrinsicSin      = opsem.Sin
+	IntrinsicCos      = opsem.Cos
+	IntrinsicLog      = opsem.Log
+	IntrinsicExp      = opsem.Exp
+	IntrinsicPow      = opsem.Pow
+	IntrinsicAbsInt   = opsem.AbsInt
+	IntrinsicAbsFloat = opsem.AbsFloat
+	IntrinsicMinInt   = opsem.MinInt
+	IntrinsicMaxInt   = opsem.MaxInt
+	IntrinsicFloor    = opsem.Floor
 )
 
 // Native declares a JNI-analogue function implemented outside the managed

@@ -60,3 +60,19 @@ var opCost = map[dex.Op]uint64{
 	dex.OpInvokeStatic: 0, dex.OpInvokeVirtual: 0, dex.OpInvokeNative: 0, // priced at call sites
 	dex.OpReturn: 1, dex.OpReturnVoid: 1, dex.OpThrow: 10,
 }
+
+// nativeIntrinsicCost prices the body of each math native the backend may
+// replace with an intrinsic (the bridge is charged separately).
+var nativeIntrinsicCost = [...]uint64{
+	dex.IntrinsicSqrt:     20,
+	dex.IntrinsicSin:      40,
+	dex.IntrinsicCos:      40,
+	dex.IntrinsicLog:      40,
+	dex.IntrinsicExp:      40,
+	dex.IntrinsicPow:      60,
+	dex.IntrinsicAbsInt:   4,
+	dex.IntrinsicAbsFloat: 4,
+	dex.IntrinsicMinInt:   4,
+	dex.IntrinsicMaxInt:   4,
+	dex.IntrinsicFloor:    8,
+}

@@ -15,6 +15,7 @@ import (
 
 	"replayopt/internal/dex"
 	"replayopt/internal/mem"
+	"replayopt/internal/opsem"
 	"replayopt/internal/rt"
 )
 
@@ -203,15 +204,17 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 		case dex.OpMulInt:
 			regs[in.A] = uint64(int64(regs[in.B]) * int64(regs[in.C]))
 		case dex.OpDivInt:
-			if regs[in.C] == 0 {
+			q, ok := opsem.Div(int64(regs[in.B]), int64(regs[in.C]))
+			if !ok {
 				return 0, &rt.Trap{Kind: rt.TrapDivZero}
 			}
-			regs[in.A] = uint64(int64(regs[in.B]) / int64(regs[in.C]))
+			regs[in.A] = uint64(q)
 		case dex.OpRemInt:
-			if regs[in.C] == 0 {
+			r, ok := opsem.Rem(int64(regs[in.B]), int64(regs[in.C]))
+			if !ok {
 				return 0, &rt.Trap{Kind: rt.TrapDivZero}
 			}
-			regs[in.A] = uint64(int64(regs[in.B]) % int64(regs[in.C]))
+			regs[in.A] = uint64(r)
 		case dex.OpAndInt:
 			regs[in.A] = regs[in.B] & regs[in.C]
 		case dex.OpOrInt:
@@ -219,9 +222,9 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 		case dex.OpXorInt:
 			regs[in.A] = regs[in.B] ^ regs[in.C]
 		case dex.OpShlInt:
-			regs[in.A] = uint64(int64(regs[in.B]) << (regs[in.C] & 63))
+			regs[in.A] = uint64(opsem.Shl(int64(regs[in.B]), int64(regs[in.C])))
 		case dex.OpShrInt:
-			regs[in.A] = uint64(int64(regs[in.B]) >> (regs[in.C] & 63))
+			regs[in.A] = uint64(opsem.Shr(int64(regs[in.B]), int64(regs[in.C])))
 		case dex.OpNegInt:
 			regs[in.A] = uint64(-int64(regs[in.B]))
 
@@ -239,36 +242,12 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 		case dex.OpIntToFloat:
 			regs[in.A] = rt.F2U(float64(int64(regs[in.B])))
 		case dex.OpFloatToInt:
-			regs[in.A] = uint64(int64(rt.U2F(regs[in.B])))
+			regs[in.A] = uint64(opsem.F2I(rt.U2F(regs[in.B])))
 		case dex.OpCmpFloat:
-			x, y := rt.U2F(regs[in.B]), rt.U2F(regs[in.C])
-			switch {
-			case x > y:
-				regs[in.A] = 1
-			case x == y:
-				regs[in.A] = 0
-			default: // includes NaN
-				regs[in.A] = ^uint64(0) // -1
-			}
+			regs[in.A] = uint64(opsem.FCmp(rt.U2F(regs[in.B]), rt.U2F(regs[in.C])))
 
 		case dex.OpIfEq, dex.OpIfNe, dex.OpIfLt, dex.OpIfLe, dex.OpIfGt, dex.OpIfGe:
-			b, c := int64(regs[in.B]), int64(regs[in.C])
-			var take bool
-			switch in.Op {
-			case dex.OpIfEq:
-				take = b == c
-			case dex.OpIfNe:
-				take = b != c
-			case dex.OpIfLt:
-				take = b < c
-			case dex.OpIfLe:
-				take = b <= c
-			case dex.OpIfGt:
-				take = b > c
-			case dex.OpIfGe:
-				take = b >= c
-			}
-			if take {
+			if in.Op.Cond().Eval(int64(regs[in.B]), int64(regs[in.C])) {
 				if int(in.Imm) <= pc { // backward edge: safepoint
 					if err := e.safepoint(); err != nil {
 						return 0, err

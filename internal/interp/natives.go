@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/rt"
@@ -58,56 +57,21 @@ func BindNatives(prog *dex.Program, ns *NativeState) []NativeImpl {
 	return impls
 }
 
-func unary(f func(float64) float64, cost uint64) NativeImpl {
-	return func(_ *Env, args []uint64) (uint64, uint64, error) {
-		return rt.F2U(f(rt.U2F(args[0]))), cost, nil
-	}
-}
-
 func stdImpl(n *dex.Native, ns *NativeState) NativeImpl {
+	if k := n.Intrinsic; k != dex.IntrinsicNone {
+		return func(_ *Env, args []uint64) (uint64, uint64, error) {
+			var b uint64
+			if len(args) > 1 {
+				b = args[1]
+			}
+			v, ok := k.Eval(args[0], b)
+			if !ok {
+				return 0, 0, fmt.Errorf("interp: unknown intrinsic %d of native %s", k, n.Name)
+			}
+			return v, nativeIntrinsicCost[k], nil
+		}
+	}
 	switch n.Name {
-	case "Math.sqrt":
-		return unary(math.Sqrt, 20)
-	case "Math.sin":
-		return unary(math.Sin, 40)
-	case "Math.cos":
-		return unary(math.Cos, 40)
-	case "Math.log":
-		return unary(math.Log, 40)
-	case "Math.exp":
-		return unary(math.Exp, 40)
-	case "Math.floor":
-		return unary(math.Floor, 8)
-	case "Math.absF":
-		return unary(math.Abs, 4)
-	case "Math.pow":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
-			return rt.F2U(math.Pow(rt.U2F(args[0]), rt.U2F(args[1]))), 60, nil
-		}
-	case "Math.absI":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
-			v := int64(args[0])
-			if v < 0 {
-				v = -v
-			}
-			return uint64(v), 4, nil
-		}
-	case "Math.minI":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
-			a, b := int64(args[0]), int64(args[1])
-			if a < b {
-				return uint64(a), 4, nil
-			}
-			return uint64(b), 4, nil
-		}
-	case "Math.maxI":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
-			a, b := int64(args[0]), int64(args[1])
-			if a > b {
-				return uint64(a), 4, nil
-			}
-			return uint64(b), 4, nil
-		}
 	case "System.clockMillis":
 		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
 			ns.clockMS += 7 // the clock advances between observations

@@ -276,11 +276,6 @@ var lirAlu = map[dex.Op]Op{
 	dex.OpMulFloat: OpFMul, dex.OpDivFloat: OpFDiv,
 }
 
-var lirCond = map[dex.Op]Cond{
-	dex.OpIfEq: CondEq, dex.OpIfNe: CondNe, dex.OpIfLt: CondLt,
-	dex.OpIfLe: CondLe, dex.OpIfGt: CondGt, dex.OpIfGe: CondGe,
-}
-
 func (tr *translator) translateBlock(lb *Block, env map[int]*Value) error {
 	var hb *hgraph.Block
 	if lb.ID < len(tr.hbOf) {
@@ -342,7 +337,7 @@ func (tr *translator) translateBlock(lb *Block, env map[int]*Value) error {
 
 		case dex.OpIfEq, dex.OpIfNe, dex.OpIfLt, dex.OpIfLe, dex.OpIfGt, dex.OpIfGe:
 			br := f.NewValue(OpBranch, TVoid, env[in.B], env[in.C])
-			br.Cond = lirCond[in.Op]
+			br.Cond = in.Op.Cond()
 			emit(br)
 		case dex.OpGoto:
 			emit(f.NewValue(OpJump, TVoid))

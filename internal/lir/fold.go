@@ -1,12 +1,14 @@
 package lir
 
-import "math"
+import "replayopt/internal/opsem"
 
 // Constant evaluation shared by constfold (pass_scalar.go) and the
-// translation validator (internal/lir/tv). The validator must fold with
-// exactly the pass's semantics — wrapping int64 arithmetic, 6-bit shift
-// masking, division traps preserved — or a correct constfold application
-// would look like a provable miscompile.
+// translation validator (internal/lir/tv). The shifts and division come from
+// internal/opsem, the definition the interpreter and the executor run, and
+// constfold and tv call opsem directly for F2I, FCmp and branch conditions.
+// So a folded constant is the value the op computes at run time, and the
+// validator folds with exactly the pass's semantics; otherwise a correct
+// constfold application would look like a provable miscompile.
 
 // FoldInt evaluates an integer operation over constant operands. Unary ops
 // (OpNeg) read a only. Division and remainder by zero do not fold (the
@@ -26,19 +28,13 @@ func FoldInt(op Op, a, b int64) (int64, bool) {
 	case OpXor:
 		return a ^ b, true
 	case OpShl:
-		return a << (uint64(b) & 63), true
+		return opsem.Shl(a, b), true
 	case OpShr:
-		return a >> (uint64(b) & 63), true
+		return opsem.Shr(a, b), true
 	case OpDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
+		return opsem.Div(a, b)
 	case OpRem:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
+		return opsem.Rem(a, b)
 	case OpNeg:
 		return -a, true
 	}
@@ -61,44 +57,4 @@ func FoldFloat(op Op, a, b float64) (float64, bool) {
 		return -a, true
 	}
 	return 0, false
-}
-
-// FoldF2I converts a constant float to int with the conversion's partiality:
-// NaN and out-of-range values do not fold.
-func FoldF2I(a float64) (int64, bool) {
-	if math.IsNaN(a) || a < math.MinInt64 || a > math.MaxInt64 {
-		return 0, false
-	}
-	return int64(a), true
-}
-
-// FoldFCmp is the three-way float compare (-1/0/1; NaN compares as "less").
-func FoldFCmp(a, b float64) int64 {
-	switch {
-	case a > b:
-		return 1
-	case a == b:
-		return 0
-	default:
-		return -1
-	}
-}
-
-// EvalCond evaluates a branch condition over constant integers.
-func EvalCond(c Cond, a, b int64) bool {
-	switch c {
-	case CondEq:
-		return a == b
-	case CondNe:
-		return a != b
-	case CondLt:
-		return a < b
-	case CondLe:
-		return a <= b
-	case CondGt:
-		return a > b
-	case CondGe:
-		return a >= b
-	}
-	return false
 }

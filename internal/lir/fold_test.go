@@ -76,7 +76,7 @@ func TestFoldFloatOperators(t *testing.T) {
 }
 
 func TestFoldComparisonsAndBranches(t *testing.T) {
-	// Constant conditions exercise evalCond + simplifycfg branch folding in
+	// Constant conditions exercise Cond.Eval + simplifycfg branch folding in
 	// both directions and all six relations, on ints and floats.
 	rels := []string{"<", "<=", ">", ">=", "==", "!="}
 	for _, rel := range rels {

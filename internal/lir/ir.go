@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"replayopt/internal/dex"
+	"replayopt/internal/opsem"
 )
 
 // Type is an SSA value type.
@@ -132,25 +133,19 @@ func (o Op) String() string {
 	return fmt.Sprintf("lirop(%d)", uint8(o))
 }
 
-// Cond is a branch/compare condition over integers.
-type Cond uint8
+// Cond is a branch/compare condition over integers; internal/opsem
+// defines its values, String and Invert.
+type Cond = opsem.Cond
 
 // Branch conditions.
 const (
-	CondEq Cond = iota
-	CondNe
-	CondLt
-	CondLe
-	CondGt
-	CondGe
+	CondEq = opsem.Eq
+	CondNe = opsem.Ne
+	CondLt = opsem.Lt
+	CondLe = opsem.Le
+	CondGt = opsem.Gt
+	CondGe = opsem.Ge
 )
-
-func (c Cond) String() string { return [...]string{"eq", "ne", "lt", "le", "gt", "ge"}[c] }
-
-// Invert returns the negated condition.
-func (c Cond) Invert() Cond {
-	return [...]Cond{CondNe, CondEq, CondGe, CondGt, CondLe, CondLt}[c]
-}
 
 // Hint is a static branch prediction hint.
 type Hint uint8

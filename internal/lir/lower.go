@@ -100,11 +100,6 @@ var mALU = map[Op]machine.Op{
 	OpFDiv: machine.FDiv,
 }
 
-var mCond = map[Cond]machine.Cond{
-	CondEq: machine.CondEq, CondNe: machine.CondNe, CondLt: machine.CondLt,
-	CondLe: machine.CondLe, CondGt: machine.CondGt, CondGe: machine.CondGe,
-}
-
 var mHint = map[Hint]machine.Hint{
 	HintNone: machine.HintNone, HintTaken: machine.HintTaken, HintNotTaken: machine.HintNotTaken,
 }
@@ -362,7 +357,7 @@ func (lo *ssaLowerer) lowerValue(b *Block, blockIdx int, v *Value) error {
 		lo.emit(machine.Insn{Op: machine.GCChk})
 
 	case OpBranch:
-		pc := lo.emit(machine.Insn{Op: machine.Br, Cond: mCond[v.Cond], B: arg(0), C: arg(1), Hint: mHint[v.Hint]})
+		pc := lo.emit(machine.Insn{Op: machine.Br, Cond: v.Cond, B: arg(0), C: arg(1), Hint: mHint[v.Hint]})
 		lo.fixups = append(lo.fixups, struct {
 			pc     int
 			target *Block

@@ -4,7 +4,11 @@ package lir
 // reassociation, dead code elimination, global value numbering, CFG
 // simplification.
 
-import "slices"
+import (
+	"slices"
+
+	"replayopt/internal/opsem"
+)
 
 func init() { registerScalarPasses() }
 
@@ -160,10 +164,8 @@ func foldValue(v *Value) bool {
 		}
 	case OpF2I:
 		if a, ok := isConstFloat(v.Args[0]); ok {
-			if r, rok := FoldF2I(a); rok {
-				replaceWithConstInt(v, r)
-				return true
-			}
+			replaceWithConstInt(v, opsem.F2I(a))
+			return true
 		}
 	case OpFCmp:
 		a, aok := isConstFloat(v.Args[0])
@@ -171,7 +173,7 @@ func foldValue(v *Value) bool {
 		if !aok || !bok {
 			return false
 		}
-		replaceWithConstInt(v, FoldFCmp(a, b))
+		replaceWithConstInt(v, opsem.FCmp(a, b))
 		return true
 	}
 	return false
@@ -535,7 +537,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 				c, cok := isConstInt(t.Args[1])
 				if aok && cok {
 					keep := 1
-					if EvalCond(t.Cond, a, c) {
+					if t.Cond.Eval(a, c) {
 						keep = 0
 					}
 					foldBranch(b, keep)

@@ -57,9 +57,20 @@ type RangeFacts struct {
 	// then degrades to top (sound: the passes simply do nothing).
 	converged bool
 	val       []sa.ValRange // by Value.ID
-	refine    map[*Block][]refineEntry
-	lts       map[*Block][]ltFact
-	loopOf    map[*Block]*Loop // innermost loop per block
+	// By Block.ID; a block made after the analysis has no entry.
+	refine [][]refineEntry
+	lts    [][]ltFact
+	loopOf []*Loop // innermost loop per block
+}
+
+// byBlock is s's entry for b, or the zero value for a block made after the
+// analysis.
+func byBlock[T any](s []T, b *Block) T {
+	if b.ID < len(s) {
+		return s[b.ID]
+	}
+	var zero T
+	return zero
 }
 
 // maxRangeRounds caps the fixpoint sweeps; widening at phis makes real
@@ -76,17 +87,17 @@ func AnalyzeRanges(f *Function, static *sa.Result) *RangeFacts {
 		f:      f,
 		static: static,
 		val:    make([]sa.ValRange, f.NumValues()),
-		refine: map[*Block][]refineEntry{},
-		lts:    map[*Block][]ltFact{},
-		loopOf: map[*Block]*Loop{},
+		refine: make([][]refineEntry, f.nextBlockID),
+		lts:    make([][]ltFact, f.nextBlockID),
+		loopOf: make([]*Loop, f.nextBlockID),
 	}
 	for i := range ra.val {
 		ra.val[i] = sa.BottomRange()
 	}
 	for _, l := range f.Loops() {
 		for _, b := range l.Blocks {
-			if cur := ra.loopOf[b]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
-				ra.loopOf[b] = l
+			if cur := ra.loopOf[b.ID]; cur == nil || len(l.Blocks) < len(cur.Blocks) {
+				ra.loopOf[b.ID] = l
 			}
 		}
 	}
@@ -149,7 +160,7 @@ func (ra *RangeFacts) At(b *Block, v *Value) sa.ValRange {
 		return r
 	}
 	for cur := b; cur != nil; cur = cur.IDom {
-		for _, e := range ra.refine[cur] {
+		for _, e := range byBlock(ra.refine, cur) {
 			if e.v == v && ra.safeAt(cur, b, v) {
 				r = r.Meet(e.r)
 			}
@@ -163,7 +174,7 @@ func (ra *RangeFacts) At(b *Block, v *Value) sa.ValRange {
 // any value the fact mentions, or a cycle could re-bind the value without
 // re-establishing the fact.
 func (ra *RangeFacts) safeAt(s, b *Block, vals ...*Value) bool {
-	for l := ra.loopOf[b]; l != nil; l = l.Parent {
+	for l := byBlock(ra.loopOf, b); l != nil; l = l.Parent {
 		if l.Contains(s) {
 			return true // ancestors are supersets
 		}
@@ -294,10 +305,10 @@ func (ra *RangeFacts) buildRefinements() {
 				cond = cond.Invert()
 			}
 			if na, ok := condRefine(cond, ra.valOf(b)); ok {
-				ra.refine[s] = append(ra.refine[s], refineEntry{v: a, r: na})
+				ra.refine[s.ID] = append(ra.refine[s.ID], refineEntry{v: a, r: na})
 			}
 			if nb, ok := condRefine(swapCond(cond), ra.valOf(a)); ok {
-				ra.refine[s] = append(ra.refine[s], refineEntry{v: b, r: nb})
+				ra.refine[s.ID] = append(ra.refine[s.ID], refineEntry{v: b, r: nb})
 			}
 			ra.harvestLt(s, cond, a, b)
 		}
@@ -377,19 +388,19 @@ func (ra *RangeFacts) harvestLt(s *Block, cond Cond, a, b *Value) {
 	switch cond {
 	case CondLt:
 		if arr, slack, ok := lenShape(b); ok {
-			ra.lts[s] = append(ra.lts[s], ltFact{idx: a, arr: arr, slack: slack})
+			ra.lts[s.ID] = append(ra.lts[s.ID], ltFact{idx: a, arr: arr, slack: slack})
 		}
 	case CondLe:
 		if arr, slack, ok := lenShape(b); ok {
-			ra.lts[s] = append(ra.lts[s], ltFact{idx: a, arr: arr, slack: addSat(slack, -1)})
+			ra.lts[s.ID] = append(ra.lts[s.ID], ltFact{idx: a, arr: arr, slack: addSat(slack, -1)})
 		}
 	case CondGt:
 		if arr, slack, ok := lenShape(a); ok {
-			ra.lts[s] = append(ra.lts[s], ltFact{idx: b, arr: arr, slack: slack})
+			ra.lts[s.ID] = append(ra.lts[s.ID], ltFact{idx: b, arr: arr, slack: slack})
 		}
 	case CondGe:
 		if arr, slack, ok := lenShape(a); ok {
-			ra.lts[s] = append(ra.lts[s], ltFact{idx: b, arr: arr, slack: addSat(slack, -1)})
+			ra.lts[s.ID] = append(ra.lts[s.ID], ltFact{idx: b, arr: arr, slack: addSat(slack, -1)})
 		}
 	}
 }
@@ -431,7 +442,7 @@ func (ra *RangeFacts) sameArray(fa, arr *Value, at *Block) bool {
 	if fa.Op != OpStaticLoad || arr.Op != OpStaticLoad || fa.Slot != arr.Slot {
 		return false
 	}
-	l := ra.loopOf[at]
+	l := byBlock(ra.loopOf, at)
 	if l == nil || fa.Block == nil || arr.Block == nil || !l.Contains(fa.Block) || !l.Contains(arr.Block) {
 		return false
 	}
@@ -457,7 +468,7 @@ func (ra *RangeFacts) ProvenInBounds(check *Value) (string, bool) {
 		return fmt.Sprintf("idx ∈ %s, alloc len %d", ri, n), true
 	}
 	for cur := b; cur != nil; cur = cur.IDom {
-		for _, ft := range ra.lts[cur] {
+		for _, ft := range byBlock(ra.lts, cur) {
 			k, ok := offsetFrom(idx, ft.idx)
 			if !ok || k > ft.slack {
 				continue

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"replayopt/internal/lir"
+	"replayopt/internal/opsem"
 )
 
 // Validate proves (or fails to prove) that after is behaviorally equivalent
@@ -802,10 +803,10 @@ func (s *side) compute(v *lir.Value) nodeID {
 		case cb == 0 && (v.Op == lir.OpSub || v.Op == lir.OpShr):
 			return a // x-0, x>>0
 		case v.Op == lir.OpShl:
-			// x << c is x * 2^c in wrapping two's complement (the shift count
-			// is masked to 6 bits, FoldInt's rule), so a strength-reduced
-			// shift hashes identically to the multiply it came from.
-			return s.hashFlatAs(v, lir.OpMul, int64(1)<<(uint64(cb)&63), v.Args[:1])
+			// x << c is x * (1 << c) in wrapping two's complement, with
+			// opsem's shift count, so a strength-reduced shift hashes
+			// identically to the multiply it came from.
+			return s.hashFlatAs(v, lir.OpMul, opsem.Shl(1, cb), v.Args[:1])
 		case cb == 1 && v.Op == lir.OpDiv:
 			return a
 		}
@@ -842,16 +843,14 @@ func (s *side) compute(v *lir.Value) nodeID {
 	case lir.OpF2I:
 		a := s.hash(v.Args[0])
 		if fa, ok := t.floatOf(a); ok {
-			if r, rok := lir.FoldF2I(fa); rok {
-				return t.constInt(r)
-			}
+			return t.constInt(opsem.F2I(fa))
 		}
 		return t.expr(lir.OpF2I, 0, 0, a)
 	case lir.OpFCmp:
 		a, b := s.hash(v.Args[0]), s.hash(v.Args[1])
 		if fa, aok := t.floatOf(a); aok {
 			if fb, bok := t.floatOf(b); bok {
-				return t.constInt(lir.FoldFCmp(fa, fb))
+				return t.constInt(opsem.FCmp(fa, fb))
 			}
 		}
 		return t.expr(lir.OpFCmp, 0, 0, a, b)

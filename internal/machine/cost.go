@@ -1,5 +1,7 @@
 package machine
 
+import "replayopt/internal/dex"
+
 // The cycle cost model. All performance numbers in the reproduction are
 // ratios of these deterministic costs, so the table below is the "hardware".
 // Latency is the extra cost charged when the *next* instruction consumes the
@@ -52,16 +54,16 @@ const (
 // intrinsicCost prices inlined math intrinsics (§3.5: replacing JNI calls
 // with IR implementations avoids the bridge and costs less than the native
 // body because it inlines).
-var intrinsicCost = map[int]uint64{ // keyed by dex.IntrinsicKind
-	1:  15, // sqrt
-	2:  30, // sin
-	3:  30, // cos
-	4:  30, // log
-	5:  30, // exp
-	6:  45, // pow
-	7:  2,  // absI
-	8:  2,  // absF
-	9:  2,  // minI
-	10: 2,  // maxI
-	11: 4,  // floor
+var intrinsicCost = [...]uint64{
+	dex.IntrinsicSqrt:     15,
+	dex.IntrinsicSin:      30,
+	dex.IntrinsicCos:      30,
+	dex.IntrinsicLog:      30,
+	dex.IntrinsicExp:      30,
+	dex.IntrinsicPow:      45,
+	dex.IntrinsicAbsInt:   2,
+	dex.IntrinsicAbsFloat: 2,
+	dex.IntrinsicMinInt:   2,
+	dex.IntrinsicMaxInt:   2,
+	dex.IntrinsicFloor:    4,
 }

@@ -8,6 +8,7 @@ import (
 	"replayopt/internal/dex"
 	"replayopt/internal/interp"
 	"replayopt/internal/mem"
+	"replayopt/internal/opsem"
 	"replayopt/internal/rt"
 )
 
@@ -53,11 +54,6 @@ type Exec struct {
 
 	// Hook, when set, intercepts the first call to Hook.Method.
 	Hook *CaptureHook
-
-	// NoFuse disables superinstruction dispatch (the escape hatch for
-	// cycle-identity tests and debugging); fused and unfused execution
-	// produce identical results and identical success cycle counts.
-	NoFuse bool
 
 	stack         []dex.MethodID
 	currentNative dex.NativeID
@@ -218,22 +214,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	prog := x.Proc.Prog
 	space := x.Proc.Space
 
-	// Fast dispatch: with no sampler attached, the per-op budget check
-	// inlines against a hoisted limit (MaxCycles == 0 becomes an unreachable
-	// ceiling) and fusible adjacent op pairs execute as superinstructions
-	// from the Fn's fuse table. Both transformations preserve the cycle
-	// model exactly on successful runs; only the Cycles value of a run that
-	// times out mid-pair can differ, and failed runs never contribute a
-	// measurement.
-	fast := x.SamplePeriod == 0 || x.Sampler == nil
-	limit := x.MaxCycles
-	if limit == 0 {
-		limit = math.MaxUint64
-	}
-	fuse, stall := fn.tables()
-	if !fast || x.NoFuse {
-		fuse = nil
-	}
+	stall := fn.stallTable()
 
 	// jumped is set by a taken Br or a Jmp: the instruction it lands on
 	// pays no read-after-write stall, whatever precedes it in Code.
@@ -249,25 +230,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			cost += uint64(stall[pc])
 		}
 		jumped = false
-		if fast {
-			if fuse != nil && fuse[pc] != 0 {
-				// Superinstruction: charge both ops at once (the table holds
-				// the second op's cost plus its stall against the first),
-				// then evaluate back to back.
-				x.Cycles += cost + uint64(fuse[pc])
-				if x.Cycles > limit {
-					return 0, ErrTimeout
-				}
-				evalSimple(in, regs)
-				evalSimple(&fn.Code[pc+1], regs)
-				pc += 2
-				continue
-			}
-			x.Cycles += cost
-			if x.Cycles > limit {
-				return 0, ErrTimeout
-			}
-		} else if err := x.charge(cost, slowAt); err != nil {
+		if err := x.charge(cost, slowAt); err != nil {
 			return 0, err
 		}
 
@@ -286,31 +249,21 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			regs[in.A] = uint64(ib(in, regs) - ic(in, regs))
 		case Mul:
 			regs[in.A] = uint64(ib(in, regs) * ic(in, regs))
-		case Div:
-			c := ic(in, regs)
-			if c == 0 {
+		case Div, DivU:
+			// DivU and RemU are the unguarded forms: the compiler proved the
+			// divisor nonzero. A zero there means an unsound range discharge,
+			// so they trap like the guarded ops instead of faulting.
+			q, ok := opsem.Div(ib(in, regs), ic(in, regs))
+			if !ok {
 				return 0, &rt.Trap{Kind: rt.TrapDivZero}
 			}
-			regs[in.A] = uint64(ib(in, regs) / c)
-		case Rem:
-			c := ic(in, regs)
-			if c == 0 {
+			regs[in.A] = uint64(q)
+		case Rem, RemU:
+			r, ok := opsem.Rem(ib(in, regs), ic(in, regs))
+			if !ok {
 				return 0, &rt.Trap{Kind: rt.TrapDivZero}
 			}
-			regs[in.A] = uint64(ib(in, regs) % c)
-		case DivU, RemU:
-			// Unguarded forms: the compiler proved the divisor nonzero. A
-			// zero here means an unsound range discharge; trap defensively
-			// (identical outcome to the guarded op) instead of faulting.
-			c := ic(in, regs)
-			if c == 0 {
-				return 0, &rt.Trap{Kind: rt.TrapDivZero}
-			}
-			if in.Op == DivU {
-				regs[in.A] = uint64(ib(in, regs) / c)
-			} else {
-				regs[in.A] = uint64(ib(in, regs) % c)
-			}
+			regs[in.A] = uint64(r)
 		case And:
 			regs[in.A] = uint64(ib(in, regs) & ic(in, regs))
 		case Or:
@@ -318,9 +271,9 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 		case Xor:
 			regs[in.A] = uint64(ib(in, regs) ^ ic(in, regs))
 		case Shl:
-			regs[in.A] = uint64(ib(in, regs) << (uint64(ic(in, regs)) & 63))
+			regs[in.A] = uint64(opsem.Shl(ib(in, regs), ic(in, regs)))
 		case Shr:
-			regs[in.A] = uint64(ib(in, regs) >> (uint64(ic(in, regs)) & 63))
+			regs[in.A] = uint64(opsem.Shr(ib(in, regs), ic(in, regs)))
 		case Neg:
 			regs[in.A] = uint64(-ib(in, regs))
 
@@ -344,17 +297,9 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 		case I2F:
 			regs[in.A] = rt.F2U(float64(ib(in, regs)))
 		case F2I:
-			regs[in.A] = uint64(int64(flb(in, regs)))
+			regs[in.A] = uint64(opsem.F2I(flb(in, regs)))
 		case FCmp:
-			a, b := flb(in, regs), flc(in, regs)
-			switch {
-			case a > b:
-				regs[in.A] = 1
-			case a == b:
-				regs[in.A] = 0
-			default:
-				regs[in.A] = ^uint64(0)
-			}
+			regs[in.A] = uint64(opsem.FCmp(flb(in, regs), flc(in, regs)))
 
 		case Load:
 			addr := mem.Addr(regs[in.B]) + mem.Addr(in.Disp)
@@ -423,22 +368,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			regs[in.A] = uint64(ref)
 
 		case Br:
-			b, c := ib(in, regs), ic(in, regs)
-			var take bool
-			switch in.Cond {
-			case CondEq:
-				take = b == c
-			case CondNe:
-				take = b != c
-			case CondLt:
-				take = b < c
-			case CondLe:
-				take = b <= c
-			case CondGt:
-				take = b > c
-			case CondGe:
-				take = b >= c
-			}
+			take := in.Cond.Eval(ib(in, regs), ic(in, regs))
 			// Prediction cost.
 			switch in.Hint {
 			case HintNone:
@@ -540,7 +470,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 
 		case Intr:
-			v, icost, err := x.intrinsic(dex.IntrinsicKind(in.Sym), in.Args, regs)
+			v, icost, err := intrinsic(in, regs)
 			if err != nil {
 				return 0, err
 			}
@@ -575,52 +505,21 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	}
 }
 
-func (x *Exec) intrinsic(kind dex.IntrinsicKind, args []int, regs []uint64) (uint64, uint64, error) {
-	cost := intrinsicCost[int(kind)]
-	a0 := func() float64 { return rt.U2F(regs[args[0]]) }
-	i0 := func() int64 { return int64(regs[args[0]]) }
-	switch kind {
-	case dex.IntrinsicSqrt:
-		return rt.F2U(math.Sqrt(a0())), cost, nil
-	case dex.IntrinsicSin:
-		return rt.F2U(math.Sin(a0())), cost, nil
-	case dex.IntrinsicCos:
-		return rt.F2U(math.Cos(a0())), cost, nil
-	case dex.IntrinsicLog:
-		return rt.F2U(math.Log(a0())), cost, nil
-	case dex.IntrinsicExp:
-		return rt.F2U(math.Exp(a0())), cost, nil
-	case dex.IntrinsicPow:
-		return rt.F2U(math.Pow(a0(), rt.U2F(regs[args[1]]))), cost, nil
-	case dex.IntrinsicAbsFloat:
-		return rt.F2U(math.Abs(a0())), cost, nil
-	case dex.IntrinsicFloor:
-		return rt.F2U(math.Floor(a0())), cost, nil
-	case dex.IntrinsicAbsInt:
-		v := i0()
-		if v < 0 {
-			v = -v
-		}
-		return uint64(v), cost, nil
-	case dex.IntrinsicMinInt:
-		a, b := i0(), int64(regs[args[1]])
-		if a < b {
-			return uint64(a), cost, nil
-		}
-		return uint64(b), cost, nil
-	case dex.IntrinsicMaxInt:
-		a, b := i0(), int64(regs[args[1]])
-		if a > b {
-			return uint64(a), cost, nil
-		}
-		return uint64(b), cost, nil
+// intrinsic evaluates an Intr and prices it.
+func intrinsic(in *Insn, regs []uint64) (v, cost uint64, err error) {
+	k := dex.IntrinsicKind(in.Sym)
+	var b uint64
+	if len(in.Args) > 1 {
+		b = regs[in.Args[1]]
 	}
-	return 0, 0, fmt.Errorf("machine: unknown intrinsic %d", kind)
+	v, ok := k.Eval(regs[in.Args[0]], b)
+	if !ok {
+		return 0, 0, fmt.Errorf("machine: unknown intrinsic %d", k)
+	}
+	return v, intrinsicCost[k], nil
 }
 
-// Inlinable operand readers (the B/C/immediate forms shared by the ALU
-// arms); kept as free functions so both the main switch and evalSimple use
-// the same definitions.
+// Inlinable operand readers: the B/C/immediate forms of the ALU arms.
 func ib(in *Insn, regs []uint64) int64 { return int64(regs[in.B]) }
 
 func ic(in *Insn, regs []uint64) int64 {
@@ -637,61 +536,4 @@ func flc(in *Insn, regs []uint64) float64 {
 		return in.F
 	}
 	return rt.U2F(regs[in.C])
-}
-
-// evalSimple executes one fusible op. Each arm mirrors the corresponding
-// main-switch arm exactly; fusible() guarantees no other op reaches here.
-func evalSimple(in *Insn, regs []uint64) {
-	switch in.Op {
-	case Ldi:
-		regs[in.A] = uint64(in.Imm)
-	case Ldf:
-		regs[in.A] = rt.F2U(in.F)
-	case Mov:
-		regs[in.A] = regs[in.B]
-	case Add:
-		regs[in.A] = uint64(ib(in, regs) + ic(in, regs))
-	case Sub:
-		regs[in.A] = uint64(ib(in, regs) - ic(in, regs))
-	case Mul:
-		regs[in.A] = uint64(ib(in, regs) * ic(in, regs))
-	case And:
-		regs[in.A] = uint64(ib(in, regs) & ic(in, regs))
-	case Or:
-		regs[in.A] = uint64(ib(in, regs) | ic(in, regs))
-	case Xor:
-		regs[in.A] = uint64(ib(in, regs) ^ ic(in, regs))
-	case Shl:
-		regs[in.A] = uint64(ib(in, regs) << (uint64(ic(in, regs)) & 63))
-	case Shr:
-		regs[in.A] = uint64(ib(in, regs) >> (uint64(ic(in, regs)) & 63))
-	case Neg:
-		regs[in.A] = uint64(-ib(in, regs))
-	case FAdd:
-		regs[in.A] = rt.F2U(flb(in, regs) + flc(in, regs))
-	case FSub:
-		regs[in.A] = rt.F2U(flb(in, regs) - flc(in, regs))
-	case FMul:
-		regs[in.A] = rt.F2U(flb(in, regs) * flc(in, regs))
-	case FNeg:
-		regs[in.A] = rt.F2U(-flb(in, regs))
-	case Madd:
-		regs[in.A] = uint64(int64(regs[in.B])*int64(regs[in.C]) + int64(regs[in.D]))
-	case FMadd:
-		regs[in.A] = rt.F2U(math.FMA(rt.U2F(regs[in.B]), rt.U2F(regs[in.C]), rt.U2F(regs[in.D])))
-	case I2F:
-		regs[in.A] = rt.F2U(float64(ib(in, regs)))
-	case F2I:
-		regs[in.A] = uint64(int64(flb(in, regs)))
-	case FCmp:
-		a, b := flb(in, regs), flc(in, regs)
-		switch {
-		case a > b:
-			regs[in.A] = 1
-		case a == b:
-			regs[in.A] = 0
-		default:
-			regs[in.A] = ^uint64(0)
-		}
-	}
 }

@@ -5,8 +5,7 @@ package machine
 
 // StallTable returns f's read-after-write stall table.
 func (f *Fn) StallTable() []uint8 {
-	_, stall := f.tables()
-	return stall
+	return f.stallTable()
 }
 
 // Reads returns the registers in reads.

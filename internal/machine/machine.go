@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"replayopt/internal/dex"
+	"replayopt/internal/opsem"
 )
 
 // Op is a machine opcode.
@@ -116,22 +117,18 @@ func (o Op) String() string {
 	return fmt.Sprintf("mop(%d)", uint8(o))
 }
 
-// Cond is a branch condition.
-type Cond uint8
+// Cond is a branch condition; internal/opsem defines its values.
+type Cond = opsem.Cond
 
 // Branch conditions.
 const (
-	CondEq Cond = iota
-	CondNe
-	CondLt
-	CondLe
-	CondGt
-	CondGe
+	CondEq = opsem.Eq
+	CondNe = opsem.Ne
+	CondLt = opsem.Lt
+	CondLe = opsem.Le
+	CondGt = opsem.Gt
+	CondGe = opsem.Ge
 )
-
-var condNames = [...]string{"eq", "ne", "lt", "le", "gt", "ge"}
-
-func (c Cond) String() string { return condNames[c] }
 
 // Hint is a static branch prediction hint (the paper tunes these from the
 // replay type profile).
@@ -192,42 +189,15 @@ type Fn struct {
 	NumSpills int
 	Code      []Insn
 
-	// fuse is the lazily built superinstruction table: fuse[pc] != 0 means
-	// Code[pc] and Code[pc+1] are both fusible ALU/move ops and the executor
-	// may dispatch them as one superinstruction, charging fuse[pc] extra
-	// cycles (the second op's cost plus its stall, stall[pc+1]). A branch
-	// into pc+1 simply executes the second op unfused.
-	//
-	// stall is the read-after-write table built alongside it: stall[pc] is
-	// what Code[pc] pays when it is reached by falling through from
-	// Code[pc-1], opLatency of Code[pc-1] if that writes a register Code[pc]
-	// reads, else 0. Registers are fixed at compile time, and a taken branch
-	// or jump (which writes no register) is the only other way to reach pc,
-	// so the stall needs no per-dispatch bookkeeping. Both tables are built
-	// once per Fn on first execution.
-	tabOnce sync.Once
-	fuse    []uint32
-	stall   []uint8
-}
-
-// fusible reports whether an op may be the first or second half of a
-// superinstruction: plain register-to-register work with no traps, no
-// memory, no control flow, and no side effects. Div/Rem (trap) and
-// FDiv (kept conservative with them) stay out.
-func fusible(op Op) bool {
-	switch op {
-	case Ldi, Ldf, Mov, Add, Sub, Mul, And, Or, Xor, Shl, Shr, Neg,
-		FAdd, FSub, FMul, FNeg, Madd, FMadd, I2F, F2I, FCmp:
-		return true
-	}
-	return false
-}
-
-// fuseTable returns the Fn's superinstruction table (nil when the function
-// has no fusible pairs).
-func (f *Fn) fuseTable() []uint32 {
-	fuse, _ := f.tables()
-	return fuse
+	// stall is the read-after-write table: stall[pc] is what Code[pc]
+	// pays when it is reached by falling through from Code[pc-1],
+	// opLatency of Code[pc-1] if that writes a register Code[pc] reads,
+	// else 0. Registers are fixed at compile time, and a taken branch or
+	// jump (which writes no register) is the only other way to reach pc,
+	// so the stall needs no per-dispatch bookkeeping. It is built once per
+	// Fn on first execution.
+	stallOnce sync.Once
+	stall     []uint8
 }
 
 // rawStall is the read-after-write stall in pays when it directly follows
@@ -246,28 +216,17 @@ func rawStall(prev, in *Insn) uint64 {
 	return 0
 }
 
-// tables returns the Fn's superinstruction and stall tables, building both
-// on first use. They depend only on the immutable Code slice, so one build
-// serves every concurrent executor.
-func (f *Fn) tables() (fuse []uint32, stall []uint8) {
-	f.tabOnce.Do(func() {
+// stallTable returns the Fn's stall table, building it on first use. It
+// depends only on the immutable Code slice, so one build serves every
+// concurrent executor.
+func (f *Fn) stallTable() []uint8 {
+	f.stallOnce.Do(func() {
 		f.stall = make([]uint8, len(f.Code))
 		for pc := 1; pc < len(f.Code); pc++ {
 			f.stall[pc] = uint8(rawStall(&f.Code[pc-1], &f.Code[pc]))
 		}
-		table := make([]uint32, len(f.Code))
-		n := 0
-		for pc := 0; pc+1 < len(f.Code); pc++ {
-			if fusible(f.Code[pc].Op) && fusible(f.Code[pc+1].Op) {
-				table[pc] = uint32(opCost[f.Code[pc+1].Op]) + uint32(f.stall[pc+1])
-				n++
-			}
-		}
-		if n > 0 {
-			f.fuse = table
-		}
 	})
-	return f.fuse, f.stall
+	return f.stall
 }
 
 // Size returns the modeled binary size in bytes (the GA's tiebreak metric).

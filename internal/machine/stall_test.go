@@ -14,15 +14,15 @@ type countingSampler struct{ n int }
 func (s *countingSampler) Sample([]dex.MethodID, dex.NativeID) { s.n++ }
 
 // highRegFn uses only registers 63 and up, beyond the width of a machine
-// word bitmask, and exercises every way the stall table is applied: a fused
-// pair whose second op stalls, plain ops that stall, and a jump target whose
-// textual predecessor writes a register it reads (no stall: it is reached
-// only by the jump).
+// word bitmask, and exercises every way the stall table is applied: ops that
+// stall on their predecessor's result, and a jump target whose textual
+// predecessor writes a register it reads (no stall: it is reached only by
+// the jump).
 func highRegFn() *Fn {
 	return &Fn{NumRegs: 71, Code: []Insn{
 		{Op: Ldi, A: 63, Imm: 6},                               // 0
-		{Op: Nop},                                              // 1: keeps 0 out of a pair
-		{Op: Mul, A: 64, B: 63, C: -1, Disp: 7},                // 2: fuses with 3
+		{Op: Nop},                                              // 1
+		{Op: Mul, A: 64, B: 63, C: -1, Disp: 7},                // 2
 		{Op: Add, A: 65, B: 64, C: 63},                         // 3: reads Mul's r64
 		{Op: Div, A: 66, B: 65, C: -1, Disp: 2},                // 4
 		{Op: Sub, A: 67, B: 66, C: 63},                         // 5: reads Div's r66
@@ -36,7 +36,7 @@ func highRegFn() *Fn {
 }
 
 // TestHighRegisterStalls checks the stall charges of highRegFn against a
-// total worked out by hand, on the fused, plain and sampler dispatch paths.
+// total worked out by hand, with and without a sampler attached.
 func TestHighRegisterStalls(t *testing.T) {
 	const want = costFrame +
 		1 + // 0 ldi
@@ -51,13 +51,11 @@ func TestHighRegisterStalls(t *testing.T) {
 		2 + 2 // 11 ret + mul's latency
 	for _, c := range []struct {
 		name    string
-		nofuse  bool
 		sampler bool
-	}{{"fused", false, false}, {"nofuse", true, false}, {"sampler", false, true}} {
+	}{{"plain", false}, {"sampler", true}} {
 		prog, code := tinyProgram(highRegFn())
 		x := NewExec(rt.NewProcess(prog, rt.Config{}), code)
 		x.MaxCycles = 1_000_000
-		x.NoFuse = c.nofuse
 		var s countingSampler
 		if c.sampler {
 			x.SamplePeriod, x.Sampler = 10, &s

@@ -510,8 +510,91 @@ func TestDifferentialMatrix(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		progenRow(t, 15, func(i int64) int64 { return i*977 + 3 }, func(seed int64) []cell { return randomCells(seed, 4) })
 	})
+	t.Run("edge", func(t *testing.T) {
+		s, ok := generated("edge", edgeSrc)
+		if !ok {
+			t.Fatal("the edge-value program does not compile or has no ground truth")
+		}
+		if s.want != 0 {
+			t.Fatalf("interpreter: %d edge-value checks failed", s.want)
+		}
+		s.run(t, append(presetCells(), singlePassCells()...))
+	})
 	t.Run("tvbreak", testMiscompileDrill)
 }
+
+// edgeSrc pins internal/opsem's edge values through every tier: each check
+// runs once on literals, which the aot and lir folders (and tv) evaluate,
+// and once on the same values passed through i or f, which no compiler can
+// see through (zi and one come from IO.readInput, which returns -1 with no
+// input pending). The program returns the number of failed checks.
+const edgeSrc = `
+global int bad;
+global int zi;
+global float one;
+
+func ck(int got, int want) { if (got != want) { bad = bad + 1; } }
+func i(int x) int { return x + zi; }
+func f(float x) float { return x * one; }
+func cmp(float a, float b) int {
+	if (a > b) { return 1; }
+	if (a == b) { return 0; }
+	return -1;
+}
+
+func main() int {
+	zi = read_input() + 1;
+	one = itof(zi + 1);
+	int mn = -9223372036854775807 - 1;
+	int mx = 9223372036854775807;
+	float nan = 0.0 / 0.0;
+	float inf = 1.0 / 0.0;
+	float t63 = 9223372036854775808.0;
+
+	ck(1 << 64, 1); ck(i(1) << i(64), 1);
+	ck(1 << -1, mn); ck(i(1) << i(-1), mn);
+	ck(-8 >> 130, -2); ck(i(-8) >> i(130), -2);
+	ck(5 << mx, mn); ck(i(5) << i(mx), mn);
+	ck(5 >> mn, 5); ck(i(5) >> i(mn), 5);
+	ck(mn >> 63, -1); ck(i(mn) >> i(63), -1);
+
+	ck(mn / -1, mn); ck(i(mn) / i(-1), mn);
+	ck(mn % -1, 0); ck(i(mn) % i(-1), 0);
+	ck(-7 / 2, -3); ck(i(-7) / i(2), -3);
+	ck(-7 % 2, -1); ck(i(-7) % i(2), -1);
+	ck(mx / mn, 0); ck(i(mx) / i(mn), 0);
+	ck(mx % mn, mx); ck(i(mx) % i(mn), mx);
+
+	ck(ftoi(nan), 0); ck(ftoi(f(nan)), 0);
+	ck(ftoi(inf), mx); ck(ftoi(f(inf)), mx);
+	ck(ftoi(-inf), mn); ck(ftoi(f(-inf)), mn);
+	ck(ftoi(t63), mx); ck(ftoi(f(t63)), mx);
+	ck(ftoi(-t63), mn); ck(ftoi(f(-t63)), mn);
+	ck(ftoi(itof(mx)), mx); ck(ftoi(f(itof(i(mx)))), mx);
+	ck(ftoi(1e300), mx); ck(ftoi(f(1e300)), mx);
+	ck(ftoi(-0.0), 0); ck(ftoi(f(-0.0)), 0);
+	ck(ftoi(-2.99), -2); ck(ftoi(f(-2.99)), -2);
+	ck(ftoi(9223372036854774784.0), 9223372036854774784); ck(ftoi(f(9223372036854774784.0)), 9223372036854774784);
+
+	ck(cmp(nan, 0.0), -1); ck(cmp(f(nan), f(0.0)), -1);
+	ck(cmp(0.0, nan), -1); ck(cmp(f(0.0), f(nan)), -1);
+	ck(cmp(0.0, -0.0), 0); ck(cmp(f(0.0), f(-0.0)), 0);
+	ck(cmp(inf, inf), 0); ck(cmp(f(inf), f(inf)), 0);
+	ck(cmp(-inf, t63), -1); ck(cmp(f(-inf), f(t63)), -1);
+
+	ck(ftoi(sqrt(-1.0)), 0); ck(ftoi(sqrt(f(-1.0))), 0);
+	ck(ftoi(log(0.0)), mn); ck(ftoi(log(f(0.0))), mn);
+	ck(ftoi(exp(1000.0)), mx); ck(ftoi(exp(f(1000.0))), mx);
+	ck(ftoi(pow(2.0, 10.0)), 1024); ck(ftoi(pow(f(2.0), f(10.0))), 1024);
+	ck(ftoi(floor(-0.5)), -1); ck(ftoi(floor(f(-0.5))), -1);
+	ck(ftoi(cos(0.0) + sin(0.0)), 1); ck(ftoi(cos(f(0.0)) + sin(f(0.0))), 1);
+	ck(ftoi(absf(-inf)), mx); ck(ftoi(absf(f(-inf))), mx);
+	ck(absi(mn), mn); ck(absi(i(mn)), mn);
+	ck(mini(mn, mx), mn); ck(mini(i(mn), i(mx)), mn);
+	ck(maxi(mn, mx), mx); ck(maxi(i(mn), i(mx)), mx);
+	return bad;
+}
+`
 
 // progenRow checks the cells of each of n generated programs, the i-th from
 // seedOf(i), in parallel subtests.
