@@ -818,7 +818,6 @@ func BenchmarkTranslationValidation(b *testing.B) {
 		opts.GA.Population = 8
 		opts.GA.Generations = 3
 		opts.GA.HillClimbBudget = 6
-		opts.OnlineRuns = 3
 		opts.Seed = 10
 		opts.TVCheck = true
 		// Shrink the pass pool to tvbreak and two sound passes, so the

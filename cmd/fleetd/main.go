@@ -9,7 +9,7 @@
 // Usage:
 //
 //	fleetd -dir state/ [-addr 127.0.0.1:8347] [-workers 2] [-apps FFT,SOR]
-//	       [-pop 8] [-gens 3] [-hill 6] [-online 3] [-parallel 2]
+//	       [-pop 8] [-gens 3] [-hill 6] [-parallel 2]
 //	       [-trace server-trace.jsonl]
 //
 // The coordinator drains gracefully on SIGINT/SIGTERM: uploads in flight
@@ -42,7 +42,6 @@ func main() {
 	pop := flag.Int("pop", 8, "GA population per job search")
 	gens := flag.Int("gens", 3, "GA generations per job search")
 	hill := flag.Int("hill", 6, "GA hill-climb budget per job search")
-	online := flag.Int("online", 3, "online runs for final speedup measurement")
 	parallel := flag.Int("parallel", 2, "evaluation workers within one search")
 	tracePath := flag.String("trace", "", "write a JSONL span trace of server operations to this file")
 	flag.Parse()
@@ -79,7 +78,7 @@ func main() {
 		Apps:    appList,
 		Scale: fleet.SearchScale{
 			Population: *pop, Generations: *gens, HillClimbBudget: *hill,
-			OnlineRuns: *online, Parallelism: *parallel,
+			Parallelism: *parallel,
 		},
 		Scope: sc,
 	})

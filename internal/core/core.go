@@ -70,7 +70,10 @@ type Options struct {
 	GA ga.Options
 	// Replays per measurement (§4: 10).
 	Replays int
-	// OnlineRuns for final reported speedups (§4: 10, no outlier removal).
+	// OnlineRuns is ignored. §4 averages 10 online runs on a noisy phone,
+	// but a whole-program run here is deterministic, so install measures
+	// each image once (DESIGN.md §5). The field stays for callers that
+	// still assign it.
 	OnlineRuns int
 	// Seed drives every stochastic component.
 	Seed int64
@@ -103,7 +106,7 @@ type Options struct {
 
 // DefaultOptions mirrors §4.
 func DefaultOptions() Options {
-	return Options{GA: ga.DefaultOptions(), Replays: 10, OnlineRuns: 10, Seed: 1}
+	return Options{GA: ga.DefaultOptions(), Replays: 10, Seed: 1}
 }
 
 // Report is the pipeline outcome for one app.
@@ -121,7 +124,8 @@ type Report struct {
 	O3RegionMs      float64
 	GARegionMs      float64
 
-	// Whole-program online cycle counts (mean of OnlineRuns).
+	// Whole-program online cycle counts, one run per image: the count is
+	// deterministic, so one run stands for §4's mean of ten.
 	AndroidOnlineCycles float64
 	O3OnlineCycles      float64
 	GAOnlineCycles      float64
@@ -182,6 +186,9 @@ type Prepared struct {
 	TypeProf  *lir.Profile
 
 	Android *machine.Program
+	// o3 is the -O3 region overlaid on Android, which install measures
+	// online.
+	o3 *machine.Program
 
 	// Baseline region replays.
 	AndroidEval   ga.Evaluation
@@ -195,18 +202,10 @@ type Prepared struct {
 // Evaluate measures one configuration by replay (ga.Evaluator) on a worker
 // set borrowed from the idle pool. It is safe to call concurrently.
 func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation {
-	ws := p.ev.bindWorker()
-	defer p.ev.releaseWorker(ws)
-	return ws.Evaluate(cfg)
+	ws := p.ev.borrow()
+	defer p.ev.release(ws)
+	return p.ev.evaluate(cfg, ws)
 }
-
-// BindWorker implements ga.WorkerBinder: it hands each search worker
-// goroutine a workerSet holding warm template clones.
-func (p *Prepared) BindWorker() ga.Evaluator { return p.ev.bindWorker() }
-
-// ReleaseWorker returns a bound workerSet to the idle pool so later
-// generations (and the hill climb) reuse its warm spaces.
-func (p *Prepared) ReleaseWorker(e ga.Evaluator) { p.ev.releaseWorker(e.(*workerSet)) }
 
 // EvaluateImage measures a complete code image by replay.
 func (p *Prepared) EvaluateImage(code *machine.Program) (ga.Evaluation, uint64) {
@@ -232,8 +231,9 @@ func (p *Prepared) CompileRegion(cfg lir.Config) (*machine.Program, error) {
 // reports stay byte-identical whether or not a trace destination is set. The
 // recorded image hash covers the region compile alone (not the overlaid
 // baseline): that is exactly what a replaying consumer can rebuild from the
-// trace header.
-func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (*rtrace.Lock, error) {
+// trace header. The returned image is that compile overlaid on the baseline,
+// the same image CompileRegion(cfg) builds.
+func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (*rtrace.Lock, *machine.Program, error) {
 	opts := rtrace.RecorderOptions{}
 	if w == nil {
 		w = obs.NewJSONLWriter(io.Discard)
@@ -247,21 +247,21 @@ func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (
 	}
 	rec := rtrace.NewRecorder(w, opts)
 	if err := rec.WriteHeader(p.App.Name, seed, cfg, p.Region.Methods); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.Trace = rec
 	code, err := lir.Compile(p.App.Prog, p.Region.Methods, cfg, p.TypeProf, p.Analysis.Effects)
 	if err != nil {
-		return nil, fmt.Errorf("core: traced recompile: %w", err)
+		return nil, nil, fmt.Errorf("core: traced recompile: %w", err)
 	}
 	img := machine.HashProgram(code)
 	if err := rec.Finish(img); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := rec.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rtrace.BuildLock(p.App.Name, cfg, img, rec.Fired()), nil
+	return rtrace.BuildLock(p.App.Name, cfg, img, rec.Fired()), overlay(p.Android, code), nil
 }
 
 // Prepare runs pipeline steps 1-5: profile, detect, capture, verify, and
@@ -333,11 +333,12 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 
 	// 3) Capture during a later online run.
 	sp = prep.Start("capture")
-	snap, err := o.captureOnline(app, android, region.Root)
+	snaps, err := o.CaptureMulti(app, android, region.Root, 1)
 	if err != nil {
 		sp.End(obs.A("error", err.Error()))
 		return nil, err
 	}
+	snap := snaps[0]
 	p.Snapshot = snap
 	sp.End(
 		obs.A("online_ms", snap.Stats.TotalMs()),
@@ -376,12 +377,12 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 	p.AndroidEval = andEval.Evaluation
 	p.AndroidCycles = andEval.cycles
 
-	o3Code, err := p.CompileRegion(lir.O3())
+	p.o3, err = p.CompileRegion(lir.O3())
 	if err != nil {
 		sp.End(obs.A("error", err.Error()))
 		return nil, fmt.Errorf("core: -O3 compile: %w", err)
 	}
-	o3Eval := p.ev.measureImage(o3Code)
+	o3Eval := p.ev.measureImage(p.o3)
 	if o3Eval.Outcome.Failed() {
 		sp.End(obs.A("error", "-O3 failed verification"))
 		return nil, fmt.Errorf("core: -O3 failed verification: %s", o3Eval.Outcome)
@@ -393,7 +394,14 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 }
 
 // Optimize runs the full pipeline for app.
-func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
+func (o *Optimizer) Optimize(app *App) (*Report, error) {
+	rep, _, err := o.optimize(app)
+	return rep, err
+}
+
+// optimize is Optimize that also returns the Prepared state, whose images
+// OptimizeMulti reuses.
+func (o *Optimizer) optimize(app *App) (rep *Report, p *Prepared, err error) {
 	pipe := o.Opts.Obs.Start("pipeline", obs.A("app", app.Name))
 	defer func() {
 		if err != nil {
@@ -401,9 +409,9 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 		}
 		pipe.End()
 	}()
-	p, err := o.prepare(app, pipe)
+	p, err = o.prepare(app, pipe)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep = &Report{App: app.Name}
 	rep.Region = p.Region
@@ -441,12 +449,12 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 	// winner cuts the policy lock embedded in the report and, when Options
 	// configure a trace destination, the full rewrite trace. The recompile is
 	// deterministic, so the lock — and therefore the Report — does not depend
-	// on whether tracing was on.
+	// on whether tracing was on. Its image is the one install ships.
 	rts := pipe.Start("rtrace", obs.A("traced", o.Opts.RTrace != nil))
-	lock, err := p.TraceRegion(o.Opts.Seed, rep.Best, o.Opts.RTrace)
+	lock, bestCode, err := p.TraceRegion(o.Opts.Seed, rep.Best, o.Opts.RTrace)
 	if err != nil {
 		rts.End(obs.A("error", err.Error()))
-		return nil, fmt.Errorf("core: winner trace: %w", err)
+		return nil, nil, fmt.Errorf("core: winner trace: %w", err)
 	}
 	rep.Lock = lock
 	rts.End(obs.A("fired_passes", len(lock.Fired)))
@@ -456,26 +464,16 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 	// "no negative impact on the user experience"). Then measure whole-
 	// program speedups outside the replay environment.
 	install := pipe.Start("install")
-	bestCode, err := p.CompileRegion(rep.Best)
-	if err != nil {
-		install.End(obs.A("error", err.Error()))
-		return nil, fmt.Errorf("core: best genome stopped compiling: %w", err)
-	}
 	if rep.GARegionMs > rep.AndroidRegionMs {
 		bestCode = p.Android
 		rep.GARegionMs = rep.AndroidRegionMs
 		rep.RegionSpeedupGA = 1.0
 		rep.KeptBaseline = true
 	}
-	o3Code, err := p.CompileRegion(lir.O3())
-	if err != nil {
-		install.End(obs.A("error", err.Error()))
-		return nil, err
-	}
 	rep.installed = bestCode
-	rep.AndroidOnlineCycles = o.onlineCycles(app, p.Android)
-	rep.O3OnlineCycles = o.onlineCycles(app, o3Code)
-	rep.GAOnlineCycles = o.onlineCycles(app, bestCode)
+	rep.AndroidOnlineCycles = onlineCycles(app, p.Android)
+	rep.O3OnlineCycles = onlineCycles(app, p.o3)
+	rep.GAOnlineCycles = onlineCycles(app, bestCode)
 	if rep.GAOnlineCycles > 0 {
 		rep.SpeedupGA = rep.AndroidOnlineCycles / rep.GAOnlineCycles
 	}
@@ -487,68 +485,20 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 		obs.A("speedup_ga", rep.SpeedupGA),
 		obs.A("speedup_o3", rep.SpeedupO3),
 	)
-	return rep, nil
+	return rep, p, nil
 }
 
-// captureOnline runs the app online and snapshots the hot region's state at
-// its first armed entry.
-func (o *Optimizer) captureOnline(app *App, code *machine.Program, root dex.MethodID) (*capture.Snapshot, error) {
-	var snap *capture.Snapshot
-	var capErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		force := attempt == 2 // last resort: capture right after a collection
-		hook := &machine.CaptureHook{Method: root}
-		hook.Wrap = func(args []uint64, call func() (uint64, error)) (uint64, error) {
-			if force && x.Proc.GCImminent() {
-				// An app whose allocation clock permanently hovers below
-				// the automatic threshold would postpone forever; the
-				// scheduler requests an explicit collection and captures
-				// the next entry.
-				x.Proc.ForceGC()
-			}
-			var ret uint64
-			var runErr error
-			snap, capErr = capture.Capture(x.Proc, o.Dev, o.Store, root, args,
-				app.NativeSeed, func() error {
-					ret, runErr = call()
-					return runErr
-				})
-			if capErr == capture.ErrGCPostponed {
-				// Run the region normally and try again at its next entry.
-				hook.Rearm()
-				return call()
-			}
-			return ret, runErr
-		}
-		x.Hook = hook
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return nil, fmt.Errorf("core: online capture run: %w", err)
-		}
-		if snap != nil {
-			return snap, nil
-		}
-		if capErr != nil && capErr != capture.ErrGCPostponed {
-			return nil, capErr
-		}
+// onlineCycles measures the whole program under code with one online run
+// (0 if the run fails). §4 averages ten runs to tame a phone's noise; here
+// every run of an image takes the same cycles (TestOnlineCyclesDeterministic),
+// so one run is that mean.
+func onlineCycles(app *App, code *machine.Program) float64 {
+	_, x := app.NewProcessAndExec(code)
+	x.MaxCycles = 50_000_000_000
+	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+		return 0
 	}
-	return nil, fmt.Errorf("core: capture kept being postponed for %s", app.Name)
-}
-
-// onlineCycles measures the whole program under code (§4: interactive runs
-// with fixed inputs, averaged without outlier removal).
-func (o *Optimizer) onlineCycles(app *App, code *machine.Program) float64 {
-	var xs []float64
-	for i := 0; i < o.Opts.OnlineRuns; i++ {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return 0
-		}
-		xs = append(xs, float64(x.Cycles))
-	}
-	return stats.Mean(xs)
+	return float64(x.Cycles)
 }
 
 // overlay returns base with the region methods replaced by repl's versions.
@@ -584,7 +534,7 @@ type replayEvaluator struct {
 	// the per-discard audit spans under the search span.
 	obsParent *obs.Span
 	// templates caches the restored spaces and idle holds released
-	// workerSets for reuse across evaluation batches.
+	// workerSets for reuse by later evaluations.
 	templates *replay.TemplateCache
 	// images is the image cache: every warm measurement of this search, by
 	// image hash (DESIGN.md §11).
@@ -606,16 +556,13 @@ type imageResult struct {
 	maxCycles uint64
 }
 
-// workerSet is the per-goroutine warm evaluation context: one replay.Worker
-// per canonical ASLR seed, lazily cloned from the shared template cache. It
-// is owned by a single search worker between bind and release.
+// workerSet is one evaluation's warm context: one replay.Worker per
+// canonical ASLR seed, lazily cloned from the shared template cache. Each
+// evaluation borrows a set from the idle pool and returns it when done.
 type workerSet struct {
 	ev *replayEvaluator
 	w  map[int64]*replay.Worker
 }
-
-// Evaluate implements ga.Evaluator on the bound worker.
-func (ws *workerSet) Evaluate(cfg lir.Config) ga.Evaluation { return ws.ev.evaluate(cfg, ws) }
 
 // worker returns the set's warm worker for one canonical ASLR seed.
 func (ws *workerSet) worker(seed int64) (*replay.Worker, error) {
@@ -631,7 +578,7 @@ func (ws *workerSet) worker(seed int64) (*replay.Worker, error) {
 	return w, nil
 }
 
-func (ev *replayEvaluator) bindWorker() *workerSet {
+func (ev *replayEvaluator) borrow() *workerSet {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if n := len(ev.idle); n > 0 {
@@ -642,7 +589,7 @@ func (ev *replayEvaluator) bindWorker() *workerSet {
 	return &workerSet{ev: ev, w: map[int64]*replay.Worker{}}
 }
 
-func (ev *replayEvaluator) releaseWorker(ws *workerSet) {
+func (ev *replayEvaluator) release(ws *workerSet) {
 	ev.mu.Lock()
 	ev.idle = append(ev.idle, ws)
 	ev.mu.Unlock()
@@ -761,8 +708,8 @@ type imageEval struct {
 // measureImage measures a whole code image on a worker set borrowed from the
 // idle pool.
 func (ev *replayEvaluator) measureImage(code *machine.Program) imageEval {
-	ws := ev.bindWorker()
-	defer ev.releaseWorker(ws)
+	ws := ev.borrow()
+	defer ev.release(ws)
 	return ev.evaluateImage(code, ws, "")
 }
 

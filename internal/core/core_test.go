@@ -59,7 +59,6 @@ func smallOptions() Options {
 	opts.GA.Population = 8
 	opts.GA.Generations = 3
 	opts.GA.HillClimbBudget = 6
-	opts.OnlineRuns = 3
 	return opts
 }
 

@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 
-	"replayopt/internal/aot"
 	"replayopt/internal/capture"
 	"replayopt/internal/dex"
 	"replayopt/internal/machine"
@@ -21,46 +20,59 @@ import (
 )
 
 // CaptureMulti captures up to n snapshots of the hot region at root, one per
-// region entry, within a single online run of code. Entries postponed by an
-// imminent GC are skipped (never forced — this is the low-priority online
-// path), so fewer than n snapshots may come back; at least one is
-// guaranteed or an error is returned.
+// region entry, within one online run of code; the pipeline's own capture
+// is CaptureMulti with n = 1. An entry during which a GC is imminent is
+// postponed (§3.2): the region runs normally and the next entry is tried.
+// If the whole run postpones every entry — an app whose allocation clock
+// hovers below the collection threshold — a second run forces a collection
+// before each postponed entry, as the scheduler would request one, and
+// captures from there. At least one snapshot comes back, or an error.
 func (o *Optimizer) CaptureMulti(app *App, code *machine.Program, root dex.MethodID, n int) ([]*capture.Snapshot, error) {
-	if n < 1 {
-		n = 1
-	}
-	var snaps []*capture.Snapshot
-	_, x := app.NewProcessAndExec(code)
-	x.MaxCycles = 50_000_000_000
-	hook := &machine.CaptureHook{Method: root}
-	hook.Wrap = func(args []uint64, call func() (uint64, error)) (uint64, error) {
-		var ret uint64
-		var runErr error
-		snap, err := capture.Capture(x.Proc, o.Dev, o.Store, root, args,
-			app.NativeSeed, func() error {
-				ret, runErr = call()
-				return runErr
-			})
-		if err == capture.ErrGCPostponed {
-			hook.Rearm()
-			return call()
-		}
-		if err == nil && snap != nil {
-			snaps = append(snaps, snap)
-			if len(snaps) < n {
-				hook.Rearm()
+	n = max(n, 1)
+	for _, force := range []bool{false, true} {
+		var snaps []*capture.Snapshot
+		var capErr error
+		_, x := app.NewProcessAndExec(code)
+		x.MaxCycles = 50_000_000_000
+		hook := &machine.CaptureHook{Method: root}
+		hook.Wrap = func(args []uint64, call func() (uint64, error)) (uint64, error) {
+			if force && x.Proc.GCImminent() {
+				x.Proc.ForceGC()
 			}
+			var ret uint64
+			var runErr error
+			snap, err := capture.Capture(x.Proc, o.Dev, o.Store, root, args,
+				app.NativeSeed, func() error {
+					ret, runErr = call()
+					return runErr
+				})
+			switch {
+			case err == capture.ErrGCPostponed:
+				// Nothing was touched: run the region and try its next entry.
+				hook.Rearm()
+				return call()
+			case err != nil:
+				capErr = err
+			default:
+				snaps = append(snaps, snap)
+				if len(snaps) < n {
+					hook.Rearm()
+				}
+			}
+			return ret, runErr
 		}
-		return ret, runErr
+		x.Hook = hook
+		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+			return nil, fmt.Errorf("core: online capture run: %w", err)
+		}
+		if len(snaps) > 0 {
+			return snaps, nil
+		}
+		if capErr != nil {
+			return nil, capErr
+		}
 	}
-	x.Hook = hook
-	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-		return nil, fmt.Errorf("core: multi-capture run: %w", err)
-	}
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("core: no capture succeeded for %s", app.Name)
-	}
-	return snaps, nil
+	return nil, fmt.Errorf("core: no capture succeeded for %s", app.Name)
 }
 
 // CrossValidation records how a candidate binary fared on snapshots it was
@@ -141,22 +153,18 @@ func (o *Optimizer) CrossValidate(app *App, android, candidate *machine.Program,
 // the same "no negative impact" contract as Optimize, extended across
 // inputs.
 func (o *Optimizer) OptimizeMulti(app *App, extraCaptures int) (*Report, *CrossValidation, error) {
-	rep, err := o.Optimize(app)
+	rep, p, err := o.optimize(app)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rep.KeptBaseline {
 		return rep, &CrossValidation{}, nil
 	}
-	android, err := aot.Compile(app.Prog)
+	snaps, err := o.CaptureMulti(app, p.Android, rep.Region.Root, extraCaptures)
 	if err != nil {
 		return nil, nil, err
 	}
-	snaps, err := o.CaptureMulti(app, android, rep.Region.Root, extraCaptures)
-	if err != nil {
-		return nil, nil, err
-	}
-	cv, err := o.CrossValidate(app, android, rep.installed, snaps)
+	cv, err := o.CrossValidate(app, p.Android, rep.installed, snaps)
 	if err != nil {
 		return nil, nil, err
 	}

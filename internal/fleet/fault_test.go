@@ -122,7 +122,6 @@ func TestInstallLockedAppliesFleetArtifact(t *testing.T) {
 	}
 	opts := core.DefaultOptions()
 	opts.Seed = ClassSeed(testApp, "classA")
-	opts.OnlineRuns = testScale().OnlineRuns
 	ir, err := core.New(opts).InstallLocked(devApp, art.Lock)
 	if err != nil {
 		t.Fatalf("InstallLocked on fleet artifact: %v", err)

@@ -30,7 +30,7 @@ func statusServer(code func() int) *httptest.Server {
 // testScale keeps coordinator searches cheap enough for CI while still
 // running the full Fig. 6 pipeline per job.
 func testScale() SearchScale {
-	return SearchScale{Population: 6, Generations: 2, HillClimbBudget: 4, OnlineRuns: 2, Parallelism: 2}
+	return SearchScale{Population: 6, Generations: 2, HillClimbBudget: 4, Parallelism: 2}
 }
 
 const testApp = "FFT"

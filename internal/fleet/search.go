@@ -22,7 +22,6 @@ type SearchScale struct {
 	Population      int
 	Generations     int
 	HillClimbBudget int
-	OnlineRuns      int
 	Parallelism     int
 }
 
@@ -31,7 +30,7 @@ type SearchScale struct {
 // per-job wall clock matters more than squeezing the last percent out of
 // each winner. Operators raise it via fleetd flags for production sweeps.
 func DefaultScale() SearchScale {
-	return SearchScale{Population: 8, Generations: 3, HillClimbBudget: 6, OnlineRuns: 3, Parallelism: 2}
+	return SearchScale{Population: 8, Generations: 3, HillClimbBudget: 6, Parallelism: 2}
 }
 
 // SearchOutcome is what a finished (or interrupted) job search produced.
@@ -63,7 +62,6 @@ func RunSearch(job Job, app *core.App, journalDir string, scale SearchScale,
 	opts.GA.Generations = scale.Generations
 	opts.GA.HillClimbBudget = scale.HillClimbBudget
 	opts.GA.Parallelism = scale.Parallelism
-	opts.OnlineRuns = scale.OnlineRuns
 	opts.GA.Journal = fj
 	opts.GA.Interrupt = interrupt
 	opts.Obs = sc

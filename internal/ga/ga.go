@@ -149,25 +149,6 @@ type Evaluator interface {
 	Evaluate(cfg lir.Config) Evaluation
 }
 
-// WorkerBinder is an optional Evaluator extension for evaluators that hold
-// per-worker warm state (e.g. a cloned replay address space reset between
-// genomes). When the evaluator implements it, Search binds one Evaluator per
-// worker goroutine for the lifetime of each evaluation batch and releases it
-// afterwards, so bound state is never shared across goroutines.
-//
-// Determinism contract: a bound Evaluator must satisfy the same purity
-// contract as the parent — Evaluate(cfg) must return the same Evaluation no
-// matter which worker evaluates it, how many workers exist, or how often the
-// worker was reused.
-type WorkerBinder interface {
-	Evaluator
-	// BindWorker returns an Evaluator owned by a single goroutine until
-	// released. It must be safe to call concurrently.
-	BindWorker() Evaluator
-	// ReleaseWorker returns a bound Evaluator to the pool for reuse.
-	ReleaseWorker(Evaluator)
-}
-
 // The §4 search hyperparameters that never vary between runs.
 const (
 	minGenomeLen     = 2    // crossover minimum
@@ -220,8 +201,8 @@ type Options struct {
 	Journal Journal
 	// Interrupt, when set, is polled at every evaluation-batch boundary on
 	// the search goroutine; returning true abandons the search by unwinding
-	// with an interruptPanic (SearchInterruptible converts it to
-	// ErrInterrupted, other callers use RecoverInterrupt). Evaluations that
+	// with an interruptPanic, which callers turn into ErrInterrupted with
+	// RecoverInterrupt. Evaluations that
 	// already finished have reached the Journal, so interruption never loses
 	// work — it only defers it to the resuming run.
 	Interrupt func() bool

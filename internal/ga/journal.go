@@ -9,10 +9,7 @@
 
 package ga
 
-import (
-	"errors"
-	"math/rand"
-)
+import "errors"
 
 // Journal persists finished evaluations across process lifetimes. When
 // Options.Journal is set, every fresh measurement is offered to Lookup first
@@ -35,7 +32,7 @@ type Journal interface {
 	Record(fp uint64, ev Evaluation)
 }
 
-// ErrInterrupted is returned by SearchInterruptible when Options.Interrupt
+// ErrInterrupted is what RecoverInterrupt returns when Options.Interrupt
 // reported true. The search state is abandoned, but every finished
 // evaluation has already reached the Journal (when one is attached), so a
 // later run with the same seed and the same journal resumes exactly where
@@ -62,16 +59,4 @@ func RecoverInterrupt(r any) error {
 		return ErrInterrupted
 	}
 	panic(r)
-}
-
-// SearchInterruptible is Search with cooperative cancellation: when
-// Options.Interrupt returns true at a batch boundary the search stops and
-// ErrInterrupted is returned instead of a result.
-func SearchInterruptible(rng *rand.Rand, eval Evaluator, opts Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, RecoverInterrupt(r)
-		}
-	}()
-	return Search(rng, eval, opts), nil
 }

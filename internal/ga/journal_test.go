@@ -84,7 +84,7 @@ func TestJournalResumeByteIdenticalTrace(t *testing.T) {
 			batches++
 			return batches > 2
 		}
-		res, err := SearchInterruptible(rand.New(rand.NewSource(11)), &synthEval{}, opts)
+		res, err := interruptibleSearch(rand.New(rand.NewSource(11)), &synthEval{}, opts)
 		if err != ErrInterrupted {
 			t.Fatalf("par=%d: interrupted search returned err=%v, want ErrInterrupted", par, err)
 		}
@@ -106,7 +106,7 @@ func TestJournalResumeByteIdenticalTrace(t *testing.T) {
 		opts2 := journalOpts(par)
 		opts2.Journal = resumed
 		eval := &synthEval{}
-		res2, err := SearchInterruptible(rand.New(rand.NewSource(11)), eval, opts2)
+		res2, err := interruptibleSearch(rand.New(rand.NewSource(11)), eval, opts2)
 		if err != nil {
 			t.Fatalf("par=%d: resumed search failed: %v", par, err)
 		}
@@ -150,6 +150,17 @@ func TestJournalFullReplayRunsNoEvaluations(t *testing.T) {
 	}
 }
 
+// interruptibleSearch runs Search and turns the interrupt unwind into
+// ErrInterrupted with RecoverInterrupt, as fleet does around core.Optimize.
+func interruptibleSearch(rng *rand.Rand, eval Evaluator, opts Options) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, RecoverInterrupt(r)
+		}
+	}()
+	return Search(rng, eval, opts), nil
+}
+
 // TestInterruptBeforeFirstBatch interrupts immediately: nothing is journaled
 // and the search unwinds cleanly.
 func TestInterruptBeforeFirstBatch(t *testing.T) {
@@ -157,7 +168,7 @@ func TestInterruptBeforeFirstBatch(t *testing.T) {
 	j := newMemJournal(nil)
 	opts.Journal = j
 	opts.Interrupt = func() bool { return true }
-	res, err := SearchInterruptible(rand.New(rand.NewSource(3)), &synthEval{}, opts)
+	res, err := interruptibleSearch(rand.New(rand.NewSource(3)), &synthEval{}, opts)
 	if err != ErrInterrupted || res != nil {
 		t.Fatalf("got res=%v err=%v, want nil + ErrInterrupted", res, err)
 	}

@@ -107,7 +107,7 @@ func (s *searcher) measureBatch(genomes []*Genome) []Evaluation {
 		lat = make([]float64, len(jobs))
 	}
 	busy := s.obs.Scope().Gauge("ga.workers_busy")
-	evalJob := func(j int, ev Evaluator) {
+	evalJob := func(j int) {
 		// A journaled configuration skips compile and replay entirely: the
 		// recorded Evaluation is what this run would have measured (the
 		// evaluator purity contract), so serving it preserves the trace.
@@ -118,38 +118,21 @@ func (s *searcher) measureBatch(genomes []*Genome) []Evaluation {
 			}
 		}
 		if !obsOn {
-			evs[j] = ev.Evaluate(jobs[j].cfg)
+			evs[j] = s.eval.Evaluate(jobs[j].cfg)
 			return
 		}
 		busy.Add(1)
 		//detlint:allow time-now — observability-only latency sample, not candidate state
 		t0 := time.Now()
-		evs[j] = ev.Evaluate(jobs[j].cfg)
+		evs[j] = s.eval.Evaluate(jobs[j].cfg)
 		lat[j] = float64(time.Since(t0).Microseconds()) / 1000.0
 		busy.Add(-1)
 	}
-	// Warm evaluators bind per-worker state (a cloned replay space) once per
-	// batch; each worker goroutine owns its binding for the whole batch, and
-	// released bindings are reused by later batches.
-	binder, _ := s.eval.(WorkerBinder)
-	bind := func() Evaluator {
-		if binder != nil {
-			return binder.BindWorker()
-		}
-		return s.eval
-	}
-	release := func(ev Evaluator) {
-		if binder != nil {
-			binder.ReleaseWorker(ev)
-		}
-	}
 	workers := min(s.workers, len(jobs))
 	if workers <= 1 {
-		ev := bind()
 		for j := range jobs {
-			evalJob(j, ev)
+			evalJob(j)
 		}
-		release(ev)
 	} else {
 		var wg sync.WaitGroup
 		ch := make(chan int)
@@ -157,10 +140,8 @@ func (s *searcher) measureBatch(genomes []*Genome) []Evaluation {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ev := bind()
-				defer release(ev)
 				for j := range ch {
-					evalJob(j, ev)
+					evalJob(j)
 				}
 			}()
 		}

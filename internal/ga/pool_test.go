@@ -100,79 +100,6 @@ func TestCacheEvaluatesEachConfigOnce(t *testing.T) {
 	}
 }
 
-// bindingEval implements WorkerBinder over synthEval: each bound worker is a
-// distinct value, and the test verifies binds and releases pair up while the
-// search stays deterministic.
-type bindingEval struct {
-	inner    synthEval
-	mu       sync.Mutex
-	bound    int
-	released int
-	maxLive  int
-}
-
-type boundWorker struct{ parent *bindingEval }
-
-func (e *bindingEval) Evaluate(cfg lir.Config) Evaluation { return e.inner.Evaluate(cfg) }
-
-func (e *bindingEval) BindWorker() Evaluator {
-	e.mu.Lock()
-	e.bound++
-	if live := e.bound - e.released; live > e.maxLive {
-		e.maxLive = live
-	}
-	e.mu.Unlock()
-	return &boundWorker{parent: e}
-}
-
-func (e *bindingEval) ReleaseWorker(ev Evaluator) {
-	if _, ok := ev.(*boundWorker); !ok {
-		panic("released evaluator was not bound here")
-	}
-	e.mu.Lock()
-	e.released++
-	e.mu.Unlock()
-}
-
-func (w *boundWorker) Evaluate(cfg lir.Config) Evaluation { return w.parent.Evaluate(cfg) }
-
-// A WorkerBinder evaluator must produce the same trace as the plain
-// evaluator at every worker count, with every bind matched by a release.
-func TestWorkerBinderDeterministicAndBalanced(t *testing.T) {
-	ref := searchAt(1, 11)
-	for _, par := range []int{1, 4, 8} {
-		ev := &bindingEval{}
-		opts := DefaultOptions()
-		opts.Population = 20
-		opts.Generations = 6
-		opts.HillClimbBudget = 15
-		opts.BaselineAndroidMs = 95
-		opts.BaselineO3Ms = 90
-		opts.Parallelism = par
-		got := Search(rand.New(rand.NewSource(11)), ev, opts)
-		if got.Best.String() != ref.Best.String() || got.Halt != ref.Halt {
-			t.Errorf("parallelism %d: bound search diverged from plain search", par)
-		}
-		if len(got.Trace) != len(ref.Trace) {
-			t.Fatalf("parallelism %d: trace length %d != %d", par, len(got.Trace), len(ref.Trace))
-		}
-		for i := range ref.Trace {
-			if got.Trace[i].Eval.MeanMs != ref.Trace[i].Eval.MeanMs {
-				t.Fatalf("parallelism %d: trace[%d] differs", par, i)
-			}
-		}
-		if ev.bound == 0 {
-			t.Errorf("parallelism %d: BindWorker never called", par)
-		}
-		if ev.bound != ev.released {
-			t.Errorf("parallelism %d: %d binds but %d releases", par, ev.bound, ev.released)
-		}
-		if ev.maxLive > max(par, 1) {
-			t.Errorf("parallelism %d: %d workers live at once", par, ev.maxLive)
-		}
-	}
-}
-
 // Options.workers resolves 0 to a positive core count and passes explicit
 // settings through.
 func TestWorkersResolution(t *testing.T) {

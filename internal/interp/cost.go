@@ -25,8 +25,10 @@ const (
 	costNativeBridge = 70
 )
 
-// opCost is the intrinsic cost of each bytecode, excluding dispatch.
-var opCost = map[dex.Op]uint64{
+// opCost is the intrinsic cost of each bytecode, excluding dispatch. It
+// spans every dex.Op value, so an opcode outside the instruction set costs
+// nothing and reaches Call's "unimplemented opcode" error.
+var opCost = [256]uint64{
 	dex.OpNop:        1,
 	dex.OpConstInt:   1,
 	dex.OpConstFloat: 1,

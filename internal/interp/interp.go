@@ -108,8 +108,32 @@ func (e *Env) ResetClock() {
 	e.nextSample = e.SamplePeriod
 }
 
-func (e *Env) charge(c uint64) error {
+// charge adds c cycles. It is small enough to inline into Call's per-op
+// path: below slowAt (see chargeFrom) it only adds, and from slowAt on
+// chargeSlow samples and checks the budget exactly, so any slowAt at or
+// below the true threshold gives the same cycles, samples and errors.
+func (e *Env) charge(c, slowAt uint64) error {
 	e.Cycles += c
+	if e.Cycles >= slowAt {
+		return e.chargeSlow()
+	}
+	return nil
+}
+
+// chargeFrom returns the cycle count from which charge must call
+// chargeSlow: 0 with a sampler attached, since the sampler sees every
+// charge; one past MaxCycles with a budget; and never otherwise.
+func (e *Env) chargeFrom() uint64 {
+	if e.SamplePeriod > 0 && e.Sampler != nil {
+		return 0
+	}
+	if e.MaxCycles > 0 {
+		return e.MaxCycles + 1 // MaxUint64 wraps to 0: every charge is checked
+	}
+	return math.MaxUint64
+}
+
+func (e *Env) chargeSlow() error {
 	if e.SamplePeriod > 0 && e.Sampler != nil && e.Cycles >= e.nextSample {
 		e.Sampler.Sample(e.stack, e.currentNative)
 		for e.nextSample <= e.Cycles {
@@ -122,12 +146,12 @@ func (e *Env) charge(c uint64) error {
 	return nil
 }
 
-func (e *Env) safepoint() error {
-	if err := e.charge(costSafepoint); err != nil {
+func (e *Env) safepoint(slowAt uint64) error {
+	if err := e.charge(costSafepoint, slowAt); err != nil {
 		return err
 	}
 	if e.Proc.Safepoint() {
-		return e.charge(CostGCCollection)
+		return e.charge(CostGCCollection, slowAt)
 	}
 	return nil
 }
@@ -142,7 +166,8 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 	if len(args) != m.NumArgs {
 		return 0, fmt.Errorf("interp: call to %s with %d args, want %d", m.Name, len(args), m.NumArgs)
 	}
-	if err := e.charge(costFrame); err != nil {
+	slowAt := e.chargeFrom()
+	if err := e.charge(costFrame, slowAt); err != nil {
 		return 0, err
 	}
 	e.stack = append(e.stack, id)
@@ -160,31 +185,14 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 	}
 	allocRec, _ := e.Recorder.(AllocRecorder)
 
-	// Dispatch fast path: with no sampler attached (every replay evaluation),
-	// the per-op charge inlines against a hoisted budget instead of going
-	// through charge()'s sampler bookkeeping. MaxCycles == 0 becomes an
-	// unreachable ceiling so the loop keeps a single comparison per op.
-	sampling := e.SamplePeriod > 0 && e.Sampler != nil
-	limit := e.MaxCycles
-	if limit == 0 {
-		limit = math.MaxUint64
-	}
-
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(m.Code) {
 			return 0, fmt.Errorf("interp: pc %d out of range in %s", pc, m.Name)
 		}
 		in := &m.Code[pc]
-		if sampling {
-			if err := e.charge(dispatchCost + opCost[in.Op]); err != nil {
-				return 0, err
-			}
-		} else {
-			e.Cycles += dispatchCost + opCost[in.Op]
-			if e.Cycles > limit {
-				return 0, ErrTimeout
-			}
+		if err := e.charge(dispatchCost+opCost[in.Op], slowAt); err != nil {
+			return 0, err
 		}
 
 		switch in.Op {
@@ -249,7 +257,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 		case dex.OpIfEq, dex.OpIfNe, dex.OpIfLt, dex.OpIfLe, dex.OpIfGt, dex.OpIfGe:
 			if in.Op.Cond().Eval(int64(regs[in.B]), int64(regs[in.C])) {
 				if int(in.Imm) <= pc { // backward edge: safepoint
-					if err := e.safepoint(); err != nil {
+					if err := e.safepoint(slowAt); err != nil {
 						return 0, err
 					}
 				}
@@ -259,7 +267,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 
 		case dex.OpGoto:
 			if int(in.Imm) <= pc {
-				if err := e.safepoint(); err != nil {
+				if err := e.safepoint(slowAt); err != nil {
 					return 0, err
 				}
 			}
@@ -274,7 +282,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 				kind = dex.KindRef
 			}
 			n := int64(regs[in.B])
-			if err := e.charge(costAllocBase + costAllocPerWord*uint64(max(n, 0))); err != nil {
+			if err := e.charge(costAllocBase+costAllocPerWord*uint64(max(n, 0)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := e.Proc.NewArray(kind, n)
@@ -311,7 +319,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 
 		case dex.OpNewInstance:
 			cls := prog.Classes[in.Sym]
-			if err := e.charge(costAllocBase + costAllocPerWord*uint64(len(cls.Fields))); err != nil {
+			if err := e.charge(costAllocBase+costAllocPerWord*uint64(len(cls.Fields)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := e.Proc.NewObject(dex.ClassID(in.Sym))
@@ -353,7 +361,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			recordStore(a)
 
 		case dex.OpInvokeStatic, dex.OpInvokeVirtual:
-			if err := e.safepoint(); err != nil {
+			if err := e.safepoint(slowAt); err != nil {
 				return 0, err
 			}
 			callArgs := make([]uint64, len(in.Args))
@@ -362,7 +370,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			}
 			target := dex.MethodID(in.Sym)
 			if in.Op == dex.OpInvokeVirtual {
-				if err := e.charge(costVirtualDispatch); err != nil {
+				if err := e.charge(costVirtualDispatch, slowAt); err != nil {
 					return 0, err
 				}
 				cls, err := e.Proc.ObjectClass(mem.Addr(callArgs[0]))
@@ -383,7 +391,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			}
 
 		case dex.OpInvokeNative:
-			if err := e.charge(costNativeBridge); err != nil {
+			if err := e.charge(costNativeBridge, slowAt); err != nil {
 				return 0, err
 			}
 			callArgs := make([]uint64, len(in.Args))
@@ -399,7 +407,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 				return 0, err
 			}
 			e.currentNative = dex.NativeID(in.Sym)
-			cerr := e.charge(cost)
+			cerr := e.charge(cost, slowAt)
 			e.currentNative = -1
 			if cerr != nil {
 				return 0, cerr

@@ -1,7 +1,6 @@
 // Package stats implements the statistical machinery of §4: median absolute
-// deviation outlier removal, Welch's two-sided t-test for comparing
-// transformation timings, and bootstrapped confidence intervals for the
-// online-vs-offline evaluation study (Fig. 3).
+// deviation outlier removal and Welch's two-sided t-test for comparing
+// transformation timings.
 package stats
 
 import (
@@ -202,33 +201,4 @@ func betacf(a, b, x float64) float64 {
 func SignificantlyFaster(a, b []float64, alpha float64) bool {
 	r := WelchTTest(a, b)
 	return Mean(a) < Mean(b) && r.P < alpha
-}
-
-// RNG is the interface the bootstrap needs (satisfied by math/rand.Rand).
-type RNG interface {
-	Intn(n int) int
-}
-
-// BootstrapCI returns the lo/hi percentile bootstrap confidence interval of
-// the mean at the given confidence (e.g. 0.95), using iters resamples.
-func BootstrapCI(xs []float64, confidence float64, iters int, rng RNG) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	means := make([]float64, iters)
-	for i := 0; i < iters; i++ {
-		s := 0.0
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[i] = s / float64(len(xs))
-	}
-	sort.Float64s(means)
-	tail := (1 - confidence) / 2
-	loIdx := int(tail * float64(iters))
-	hiIdx := int((1 - tail) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return means[loIdx], means[hiIdx]
 }
