@@ -1,15 +1,8 @@
 package replayopt
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§5), plus the DESIGN.md §6 ablations. Each benchmark runs the
-// corresponding experiment and prints the regenerated table, so
-//
-//	go test -bench=. -benchtime=1x .
-//
-// reproduces the whole evaluation. Benchmarks default to the quick scale
-// (same pipeline, smaller GA population and sample counts; shapes hold);
-// set REPLAYOPT_FULL=1 for the paper's exact §4 budgets, or run
-// cmd/experiments -scale full.
+// The benchmark harness for the subsystems: each benchmark measures one
+// layer and writes its committed BENCH_*.json artifact. The paper's tables
+// and figures come from cmd/experiments alone.
 
 import (
 	"compress/gzip"
@@ -46,16 +39,6 @@ import (
 	"replayopt/internal/verify"
 )
 
-func benchScale(b *testing.B) exp.Scale {
-	b.Helper()
-	if os.Getenv("REPLAYOPT_FULL") == "1" {
-		return exp.Full()
-	}
-	return exp.Quick()
-}
-
-const benchSeed = 1
-
 // writeArtifact writes doc to path as indented JSON, once the bytes have
 // passed the strict decode and Check that cmd/benchlint applies to them.
 func writeArtifact(b *testing.B, path string, doc schema.Checker) {
@@ -67,194 +50,6 @@ func writeArtifact(b *testing.B, path string, doc schema.Checker) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// benchTable runs an experiment that only produces a table b.N times and
-// prints the table once.
-func benchTable(b *testing.B, run func() (*exp.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.Table1(), nil })
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		res, t, err := exp.Figure1(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-		b.ReportMetric(res.CorrectFraction()*100, "%correct")
-		b.ReportMetric(res.RuntimeFailFraction()*100, "%runtime-fail")
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		res, t, err := exp.Figure2(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-		slower := 0
-		for _, s := range res.Speedups {
-			if s < 1 {
-				slower++
-			}
-		}
-		b.ReportMetric(float64(slower)/float64(len(res.Speedups))*100, "%slower-than-Android")
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		res, t, err := exp.Figure3(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-		b.ReportMetric(float64(res.OnlineStableEvals), "online-evals-to-10%")
-		b.ReportMetric(float64(res.OfflineDecideEvals), "offline-evals-to-decide")
-	}
-}
-
-// figure7 runs the full pipeline over all 21 apps and caches the result for
-// Figure 9's derivation within the same benchmark run.
-func BenchmarkFigure7(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		res, t, err := exp.Figure7(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-		b.ReportMetric(res.AvgGA, "avg-GA-speedup")
-		b.ReportMetric(res.AvgO3, "avg-O3-speedup")
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	scale := benchScale(b)
-	// Figure 9 is derived from Figure 7's search traces; a smaller app
-	// subset keeps the standalone benchmark affordable.
-	scale.Apps = []string{"FFT", "BubbleSort", "MaterialLife", "DroidFish"}
-	for i := 0; i < b.N; i++ {
-		res, _, err := exp.Figure7(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, t9 := exp.Figure9(res)
-		if i == 0 {
-			fmt.Println(t9.String())
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) {
-		_, t, err := exp.Figure8(benchScale(b), benchSeed)
-		return t, err
-	})
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		rows, t, err := exp.Figure10(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-		var sum float64
-		for _, r := range rows {
-			sum += r.Stats.TotalMs()
-		}
-		b.ReportMetric(sum/float64(len(rows)), "avg-capture-ms")
-	}
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	scale := benchScale(b)
-	for i := 0; i < b.N; i++ {
-		rows, t, err := exp.Figure11(scale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(t.String())
-		}
-		var sum float64
-		for _, r := range rows {
-			sum += r.ProgramMB
-		}
-		b.ReportMetric(sum/float64(len(rows)), "avg-program-MB")
-	}
-}
-
-func BenchmarkAblationCoW(b *testing.B) {
-	scale := benchScale(b)
-	scale.Apps = []string{"FFT", "BubbleSort", "MaterialLife"}
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationCoW(scale, benchSeed) })
-}
-
-func BenchmarkAblationFullSnapshot(b *testing.B) {
-	scale := benchScale(b)
-	scale.Apps = []string{"FFT", "Poker Odds (Vitosha)", "4inaRow"}
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationFullSnapshot(scale, benchSeed) })
-}
-
-func BenchmarkAblationRandomSearch(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationRandomSearch(benchScale(b), benchSeed, "FFT") })
-}
-
-func BenchmarkAblationNoVerify(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationNoVerify(benchScale(b), benchSeed, "FFT") })
-}
-
-func BenchmarkAblationGCCheckElim(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationGCCheckElim(benchSeed) })
-}
-
-func BenchmarkAblationDevirt(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationDevirt(benchSeed, "DroidFish") })
-}
-
-func BenchmarkAblationCrossValidate(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) {
-		return exp.AblationCrossValidate(benchScale(b), benchSeed, "MaterialLife")
-	})
-}
-
-func BenchmarkAblationTTestFitness(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.AblationTTestFitness(benchSeed) })
-}
-
-func BenchmarkScheduleTable(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.ScheduleTable(nil, benchScale(b), benchSeed, "FFT") })
 }
 
 // BenchmarkEffectAnalysis measures what the interprocedural effect analysis
@@ -443,17 +238,17 @@ func benchCycles(b *testing.B, app *core.App, cfg lir.Config, eff *sa.Result) ui
 // must make byte-identical decisions before and after detach removes them.
 func benchTraceParity(b *testing.B, exclude []string, detach func(*sa.Result)) bool {
 	b.Helper()
-	p, _, err := exp.PrepareApp("Fibonacci.recv", benchSeed)
+	p, _, err := exp.PrepareApp("Fibonacci.recv", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := benchScale(b).GA
+	opts := exp.Quick().GA
 	opts.BaselineAndroidMs = p.AndroidEval.MeanMs
 	opts.BaselineO3Ms = p.O3Eval.MeanMs
 	opts.ExcludePasses = exclude
-	with := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
+	with := ga.Search(rand.New(rand.NewSource(1)), p, opts).DecisionTrace()
 	detach(p.Analysis.Effects)
-	return with == ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
+	return with == ga.Search(rand.New(rand.NewSource(1)), p, opts).DecisionTrace()
 }
 
 // BenchmarkRangeAnalysis measures the interprocedural value-range analysis
@@ -883,7 +678,7 @@ func BenchmarkTranslationValidation(b *testing.B) {
 const searchParallelApp = "Fibonacci.recv"
 
 func BenchmarkSearchParallel(b *testing.B) {
-	scale := benchScale(b)
+	scale := exp.Quick()
 	spec, _ := apps.ByName(searchParallelApp)
 	app, err := apps.Build(spec)
 	if err != nil {
@@ -909,12 +704,12 @@ func BenchmarkSearchParallel(b *testing.B) {
 			// Each cell prepares its own pipeline, so every search starts
 			// with an empty image cache and replays what the serial one
 			// does. The replay scope rides the store from Prepare on, so it
-			// records the template builds the baselines trigger as well as
+			// records the two template builds prepare makes as well as
 			// every clone and reset of the sweep; the last (all-cores) run
 			// also carries the span scope so the artifact keeps its
 			// per-generation latency rows.
 			copts := core.DefaultOptions()
-			copts.Seed = benchSeed
+			copts.Seed = 1
 			opt := core.New(copts)
 			opt.Store.Obs = sc
 			p, err := opt.Prepare(app)
@@ -930,7 +725,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 				o.Obs = sc.Start("search")
 			}
 			start := time.Now()
-			r := ga.Search(rand.New(rand.NewSource(benchSeed)), p, o)
+			r := ga.Search(rand.New(rand.NewSource(1)), p, o)
 			ms := time.Since(start).Seconds() * 1000
 			if instrumented {
 				o.Obs.End()
@@ -1075,7 +870,7 @@ func BenchmarkSnapshotStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	trialPath := dir + "/trial.cas"
-	rng := rand.New(rand.NewSource(benchSeed))
+	rng := rand.New(rand.NewSource(1))
 	recovered := 0
 	for i := 0; i < trials; i++ {
 		data := append([]byte(nil), pristine...)
@@ -1201,7 +996,7 @@ func main() int { setup(); return hot(100); }`)
 		return nil, err
 	}
 	store := capture.NewStore()
-	dev := device.New(benchSeed)
+	dev := device.New(1)
 	for i := 0; i < n; i++ {
 		arg := uint64(5000 + 100*i)
 		if _, err := capture.Capture(proc, dev, store, hotID, []uint64{arg}, 0, func() error {

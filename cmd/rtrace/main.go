@@ -163,7 +163,7 @@ func runLockCheck(args []string, jsonOut bool) {
 		if err != nil {
 			die(err)
 		}
-		drifts = rtrace.CheckLockDynamic(l, app.Prog, p.Region.Methods, p.TypeProf, p.Analysis.Effects)
+		drifts, _ = rtrace.CheckLockDynamic(l, app.Prog, p.Region.Methods, p.TypeProf, p.Analysis.Effects)
 	}
 	if jsonOut {
 		emit(map[string]any{"file": fs.Arg(0), "drifts": drifts, "clean": len(drifts) == 0})

@@ -42,10 +42,9 @@ import (
 	"os"
 	"strings"
 
-	"replayopt/internal/aot"
 	"replayopt/internal/apps"
+	"replayopt/internal/core"
 	"replayopt/internal/dex"
-	"replayopt/internal/profile"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
@@ -210,24 +209,15 @@ func hotRegion(spec apps.Spec) (*sa.Result, []dex.MethodID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	android, err := aot.Compile(app.Prog)
+	p, ok, err := core.ProfileOnline(app)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: baseline compile: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	prof := profile.NewProfile()
-	_, x := app.NewProcessAndExec(android)
-	x.SamplePeriod = profile.SamplePeriodCycles
-	x.Sampler = prof
-	x.MaxCycles = 50_000_000_000
-	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-		return nil, nil, fmt.Errorf("%s: profiling run: %w", spec.Name, err)
-	}
-	analysis := profile.Analyze(app.Prog)
 	var hot []dex.MethodID
-	if region, ok := profile.HotRegion(app.Prog, analysis, prof); ok {
-		hot = region.Methods
+	if ok {
+		hot = p.Region.Methods
 	}
-	return analysis.Effects, hot, nil
+	return p.Analysis.Effects, hot, nil
 }
 
 func buildRange(spec apps.Spec) (*vra.Report, error) {

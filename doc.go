@@ -12,8 +12,8 @@
 // search over the optimization space.
 //
 // Start with DESIGN.md for the system inventory, README.md for usage, and
-// EXPERIMENTS.md for the paper-vs-measured record. The root bench_test.go
+// EXPERIMENTS.md for the paper-vs-measured record. cmd/experiments
 // regenerates every table and figure:
 //
-//	go test -bench=. -benchtime=1x .
+//	go run ./cmd/experiments -scale quick
 package replayopt

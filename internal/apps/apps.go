@@ -84,20 +84,6 @@ func Build(s Spec) (*core.App, error) {
 	}, nil
 }
 
-// BuildAll compiles every app.
-func BuildAll() ([]*core.App, error) {
-	specs := All()
-	out := make([]*core.App, 0, len(specs))
-	for _, s := range specs {
-		app, err := Build(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, app)
-	}
-	return out, nil
-}
-
 // sweepSnippet is the shared page-touch idiom: reading one element per page
 // (512 float slots) makes the capture include the whole state while keeping
 // replays cheap.

@@ -63,9 +63,6 @@ type Key [sha256.Size]byte
 // KeyOf returns the content address of data.
 func KeyOf(data []byte) Key { return sha256.Sum256(data) }
 
-// Hex returns the full lowercase hex form of the key.
-func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
-
 // Short returns an abbreviated hex form for human-facing output.
 func (k Key) Short() string { return hex.EncodeToString(k[:6]) }
 

@@ -36,7 +36,6 @@ import (
 	"replayopt/internal/profile"
 	"replayopt/internal/replay"
 	"replayopt/internal/rt"
-	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
 	"replayopt/internal/stats"
@@ -173,7 +172,8 @@ func New(opts Options) *Optimizer {
 
 // Prepared bundles the pipeline state after profiling, capture, and
 // verification (steps 1-4): everything needed to evaluate optimization
-// decisions by replay. The experiment harness uses it directly.
+// decisions by replay. It is the one evaluation context of a prepared app;
+// the experiment harness uses it directly.
 type Prepared struct {
 	App      *App
 	Region   profile.Region
@@ -196,20 +196,35 @@ type Prepared struct {
 	O3Eval        ga.Evaluation
 	O3Cycles      uint64
 
-	ev *replayEvaluator
+	o *Optimizer
+	// templates are the capture restored once under each canonical ASLR
+	// seed (newTemplates); every worker set clones both.
+	templates [2]*replay.Template
+	// maxCycles is the runtime-timeout budget, 12x the Android baseline's
+	// replay cycles; 0 while the baseline itself is measured.
+	maxCycles uint64
+	// obsParent, when set (serially, before evaluations fan out), parents
+	// the per-discard audit spans under the search span.
+	obsParent *obs.Span
+	// images is the image cache: every warm measurement of this search, by
+	// image hash (DESIGN.md §11).
+	images map[uint64]imageResult
+	mu     sync.Mutex // guards idle and images
+	// idle holds released worker sets for reuse by later evaluations.
+	idle []*workerSet
 }
 
 // Evaluate measures one configuration by replay (ga.Evaluator) on a worker
 // set borrowed from the idle pool. It is safe to call concurrently.
 func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation {
-	ws := p.ev.borrow()
-	defer p.ev.release(ws)
-	return p.ev.evaluate(cfg, ws)
+	ws := p.borrow()
+	defer p.release(ws)
+	return p.evaluate(cfg, ws)
 }
 
 // EvaluateImage measures a complete code image by replay.
 func (p *Prepared) EvaluateImage(code *machine.Program) (ga.Evaluation, uint64) {
-	ie := p.ev.measureImage(code)
+	ie := p.measureImage(code)
 	return ie.Evaluation, ie.cycles
 }
 
@@ -240,7 +255,7 @@ func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (
 	} else {
 		opts.DiffLines = rtrace.DefaultDiffLines
 	}
-	if p.ev.tvcheck {
+	if p.o.Opts.TVCheck {
 		chk := tv.NewChecker(tv.Options{Reject: true, Strict: true})
 		cfg.Check = chk
 		opts.Checker = chk
@@ -270,6 +285,43 @@ func (o *Optimizer) Prepare(app *App) (*Prepared, error) {
 	return o.prepare(app, nil)
 }
 
+// ProfileOnline runs pipeline steps 1 and 2 without observation: it compiles
+// app under the baseline compiler, profiles one sampled online run, analyzes
+// the program, and detects the hot region. The returned Prepared holds App,
+// Android, Profile, Analysis and, when ok, Region; ok is false when the app
+// has no replayable hot region. prepare continues from it, and cmd/salint
+// reads its analysis and region.
+func ProfileOnline(app *App) (p *Prepared, ok bool, err error) {
+	p = &Prepared{App: app}
+	if p.Android, err = aot.Compile(app.Prog); err != nil {
+		return nil, false, fmt.Errorf("core: baseline compile: %w", err)
+	}
+	p.Profile = profile.NewProfile()
+	_, x := app.NewProcessAndExec(p.Android)
+	x.SamplePeriod = profile.SamplePeriodCycles
+	x.Sampler = p.Profile
+	x.MaxCycles = 50_000_000_000
+	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+		return nil, false, fmt.Errorf("core: online profiling run: %w", err)
+	}
+	p.Analysis = profile.Analyze(app.Prog)
+	p.Region, ok = profile.HotRegion(app.Prog, p.Analysis, p.Profile)
+	return p, ok, nil
+}
+
+// newTemplates restores snap once under each canonical ASLR seed: seed 1
+// lays out every replay's first run (§3.3), seed 2 the second-layout
+// cross-check (§3.5). A restore fails only on snapshot or store I/O and
+// integrity errors, which fail every seed alike.
+func newTemplates(store *capture.Store, snap *capture.Snapshot) (ts [2]*replay.Template, err error) {
+	for i := range ts {
+		if ts[i], err = replay.NewTemplate(store, snap, int64(i+1)); err != nil {
+			return ts, fmt.Errorf("core: restoring the capture under ASLR seed %d: %w", i+1, err)
+		}
+	}
+	return ts, nil
+}
+
 // prepare is Prepare with an optional parent span: called under Optimize's
 // pipeline span the stage spans nest below it, standalone they root their
 // own trace.
@@ -281,41 +333,25 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		}
 		prep.End()
 	}()
-	p = &Prepared{App: app}
-
-	android, err := aot.Compile(app.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline compile: %w", err)
-	}
-	p.Android = android
-
 	// 1) Online profiling run, 2) hot region + breakdown.
 	sp := prep.Start("profile")
-	prof := profile.NewProfile()
-	_, x := app.NewProcessAndExec(android)
-	x.SamplePeriod = profile.SamplePeriodCycles
-	x.Sampler = prof
-	x.MaxCycles = 50_000_000_000
-	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+	p, ok, err := ProfileOnline(app)
+	if err != nil {
 		sp.End(obs.A("error", err.Error()))
-		return nil, fmt.Errorf("core: online profiling run: %w", err)
+		return nil, err
 	}
-	p.Profile = prof
-
-	p.Analysis = profile.Analyze(app.Prog)
+	if !ok {
+		sp.End(obs.A("error", "no replayable hot region"))
+		return nil, fmt.Errorf("core: %s has no replayable hot region", app.Name)
+	}
+	region := p.Region
+	p.Breakdown = profile.Classify(app.Prog, p.Analysis, p.Profile, region)
 	eff := p.Analysis.Effects
 	// Interprocedural value-range and points-to summaries for the lir range
 	// and memory passes. Both are pure functions of the program, so
 	// attaching them never perturbs config fingerprints or search traces.
 	vra.Attach(eff)
 	pts.Attach(eff)
-	region, ok := profile.HotRegion(app.Prog, p.Analysis, prof)
-	if !ok {
-		sp.End(obs.A("error", "no replayable hot region"))
-		return nil, fmt.Errorf("core: %s has no replayable hot region", app.Name)
-	}
-	p.Region = region
-	p.Breakdown = profile.Classify(app.Prog, p.Analysis, prof, region)
 	rparams, rrets := vra.Narrowed(eff.Ranges)
 	sites, nonEsc, bounded := pts.Stats(eff.Alias)
 	sp.End(
@@ -333,7 +369,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 
 	// 3) Capture during a later online run.
 	sp = prep.Start("capture")
-	snaps, err := o.CaptureMulti(app, android, region.Root, 1)
+	snaps, err := o.CaptureMulti(app, p.Android, region.Root, 1)
 	if err != nil {
 		sp.End(obs.A("error", err.Error()))
 		return nil, err
@@ -362,18 +398,18 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 
 	// 5) Baselines at region level.
 	sp = prep.Start("baselines")
-	p.ev = &replayEvaluator{
-		o: o, app: app, snap: snap, vmap: vmap, prof: typeProf,
-		static: p.Analysis.Effects, region: region, android: android,
-		tvcheck: o.Opts.TVCheck, templates: replay.NewTemplateCache(),
-		images: map[uint64]imageResult{},
+	p.o = o
+	p.images = map[uint64]imageResult{}
+	if p.templates, err = newTemplates(o.Store, snap); err != nil {
+		sp.End(obs.A("error", err.Error()))
+		return nil, err
 	}
-	andEval := p.ev.measureImage(android)
+	andEval := p.measureImage(p.Android)
 	if andEval.Outcome.Failed() {
 		sp.End(obs.A("error", "baseline failed its own replay"))
 		return nil, fmt.Errorf("core: baseline failed its own replay: %s", andEval.Outcome)
 	}
-	p.ev.maxCycles = andEval.cycles * 12 // runtime-timeout budget
+	p.maxCycles = andEval.cycles * 12
 	p.AndroidEval = andEval.Evaluation
 	p.AndroidCycles = andEval.cycles
 
@@ -382,7 +418,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		sp.End(obs.A("error", err.Error()))
 		return nil, fmt.Errorf("core: -O3 compile: %w", err)
 	}
-	o3Eval := p.ev.measureImage(p.o3)
+	o3Eval := p.measureImage(p.o3)
 	if o3Eval.Outcome.Failed() {
 		sp.End(obs.A("error", "-O3 failed verification"))
 		return nil, fmt.Errorf("core: -O3 failed verification: %s", o3Eval.Outcome)
@@ -427,10 +463,10 @@ func (o *Optimizer) optimize(app *App) (rep *Report, p *Prepared, err error) {
 	gaOpts.BaselineAndroidMs = rep.AndroidRegionMs
 	gaOpts.BaselineO3Ms = rep.O3RegionMs
 	gaOpts.Obs = search
-	p.ev.obsParent = search
+	p.obsParent = search
 	rng := rand.New(rand.NewSource(o.Opts.Seed*7919 + int64(len(app.Name))))
 	rep.Search = ga.Search(rng, p, gaOpts)
-	p.ev.obsParent = nil
+	p.obsParent = nil
 	rep.SearchStats = rep.Search.Stats
 	rep.Best = rep.Search.Best.Decode()
 	rep.GARegionMs = rep.Search.BestEval.MeanMs
@@ -515,34 +551,6 @@ func overlay(base, repl *machine.Program) *machine.Program {
 	return out
 }
 
-// replayEvaluator measures genomes by replaying the captured region (Fig. 6
-// main loop).
-type replayEvaluator struct {
-	o         *Optimizer
-	app       *App
-	snap      *capture.Snapshot
-	vmap      *verify.Map
-	prof      *lir.Profile
-	static    *sa.Result
-	region    profile.Region
-	android   *machine.Program
-	maxCycles uint64
-	// tvcheck attaches a fresh translation-validation checker to every
-	// candidate compile (Options.TVCheck).
-	tvcheck bool
-	// obsParent, when set (serially, before evaluations fan out), parents
-	// the per-discard audit spans under the search span.
-	obsParent *obs.Span
-	// templates caches the restored spaces and idle holds released
-	// workerSets for reuse by later evaluations.
-	templates *replay.TemplateCache
-	// images is the image cache: every warm measurement of this search, by
-	// image hash (DESIGN.md §11).
-	images map[uint64]imageResult
-	mu     sync.Mutex // guards idle and images
-	idle   []*workerSet
-}
-
 // imageResult is one finished image measurement. A discarded image also
 // keeps its cause label and error, so every caller re-emits the same audit.
 // A cache hit must also match the image size and the cycle budget the entry
@@ -556,43 +564,27 @@ type imageResult struct {
 	maxCycles uint64
 }
 
-// workerSet is one evaluation's warm context: one replay.Worker per
-// canonical ASLR seed, lazily cloned from the shared template cache. Each
-// evaluation borrows a set from the idle pool and returns it when done.
-type workerSet struct {
-	ev *replayEvaluator
-	w  map[int64]*replay.Worker
-}
+// workerSet is one evaluation's warm context: a clone of each template, in
+// seed order. Each evaluation borrows a set from the idle pool and returns it
+// when done.
+type workerSet [2]*replay.Worker
 
-// worker returns the set's warm worker for one canonical ASLR seed.
-func (ws *workerSet) worker(seed int64) (*replay.Worker, error) {
-	if w, ok := ws.w[seed]; ok {
-		return w, nil
-	}
-	t, err := ws.ev.templates.Get(ws.ev.o.Store, ws.ev.snap, seed)
-	if err != nil {
-		return nil, err
-	}
-	w := t.NewWorker()
-	ws.w[seed] = w
-	return w, nil
-}
-
-func (ev *replayEvaluator) borrow() *workerSet {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if n := len(ev.idle); n > 0 {
-		ws := ev.idle[n-1]
-		ev.idle = ev.idle[:n-1]
+func (p *Prepared) borrow() *workerSet {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		ws := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
 		return ws
 	}
-	return &workerSet{ev: ev, w: map[int64]*replay.Worker{}}
+	p.mu.Unlock()
+	return &workerSet{p.templates[0].NewWorker(), p.templates[1].NewWorker()}
 }
 
-func (ev *replayEvaluator) release(ws *workerSet) {
-	ev.mu.Lock()
-	ev.idle = append(ev.idle, ws)
-	ev.mu.Unlock()
+func (p *Prepared) release(ws *workerSet) {
+	p.mu.Lock()
+	p.idle = append(p.idle, ws)
+	p.mu.Unlock()
 }
 
 // discard audits one discarded candidate: the coarse Fig. 1 outcome class
@@ -603,8 +595,8 @@ func (ev *replayEvaluator) release(ws *workerSet) {
 // is the bounded pass-pipeline label of the discarded candidate (empty for
 // whole-image measurements, which have no pass pipeline of their own), so a
 // discard is attributable to its decision sequence without a full trace.
-func (ev *replayEvaluator) discard(outcome ga.Outcome, cause string, err error, passes string) {
-	sc := ev.o.Opts.Obs
+func (p *Prepared) discard(outcome ga.Outcome, cause string, err error, passes string) {
+	sc := p.o.Opts.Obs
 	if sc == nil {
 		return
 	}
@@ -622,7 +614,7 @@ func (ev *replayEvaluator) discard(outcome ga.Outcome, cause string, err error, 
 	if passes != "" {
 		attrs = append(attrs, obs.A("passes", passes))
 	}
-	sp := sc.StartUnder(ev.obsParent, "eval.discard")
+	sp := sc.StartUnder(p.obsParent, "eval.discard")
 	sp.End(attrs...)
 }
 
@@ -707,37 +699,37 @@ type imageEval struct {
 
 // measureImage measures a whole code image on a worker set borrowed from the
 // idle pool.
-func (ev *replayEvaluator) measureImage(code *machine.Program) imageEval {
-	ws := ev.borrow()
-	defer ev.release(ws)
-	return ev.evaluateImage(code, ws, "")
+func (p *Prepared) measureImage(code *machine.Program) imageEval {
+	ws := p.borrow()
+	defer p.release(ws)
+	return p.evaluateImage(code, ws, "")
 }
 
 // evaluate compiles the region under cfg, replays the capture, verifies,
 // and times it. A nil ws restores each replay from scratch: the reference
 // the warm path is tested against.
-func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation {
-	if ev.tvcheck {
+func (p *Prepared) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation {
+	if p.o.Opts.TVCheck {
 		// A fresh checker per evaluation: Evaluate runs concurrently and a
 		// Checker serves one compile. cfg is a value copy and Fingerprint
 		// ignores harness settings, so the memo cache is unaffected.
 		cfg.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
 	}
 	var passes string
-	if ev.o.Opts.Obs != nil {
+	if p.o.Opts.Obs != nil {
 		passes = passesLabel(cfg.Passes)
 		// Nest the candidate's per-pass compile spans and latency histograms
 		// under the search span; like every obs hook this never feeds back
 		// into the measurement.
-		cfg.Obs = ev.obsParent
+		cfg.Obs = p.obsParent
 	}
-	code, err := lir.Compile(ev.app.Prog, ev.region.Methods, cfg, ev.prof, ev.static)
+	code, err := lir.Compile(p.App.Prog, p.Region.Methods, cfg, p.TypeProf, p.Analysis.Effects)
 	if err != nil {
 		outcome, cause := classifyError(err, ga.OutcomeCompilerError)
-		ev.discard(outcome, cause, err, passes)
+		p.discard(outcome, cause, err, passes)
 		return ga.Evaluation{Outcome: outcome}
 	}
-	return ev.evaluateImage(overlay(ev.android, code), ws, passes).Evaluation
+	return p.evaluateImage(overlay(p.Android, code), ws, passes).Evaluation
 }
 
 // evaluateImage replays a full code image: two real replays under different
@@ -756,39 +748,38 @@ func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation
 //
 // The two replays run on ws's template clones, built under canonical ASLR
 // seeds. With a nil ws (the test reference) the cache is bypassed, and each
-// replay restores from scratch under an image-hash-derived seed, as it does
-// when a template cannot be built. Replay cycle counts are
-// layout-independent (the replay package's determinism test), and every
+// replay restores from scratch under an image-hash-derived seed. Replay cycle
+// counts are layout-independent (the replay package's determinism test), and every
 // Evaluation field derives from cycles and the image hash only, so warm,
 // cached and cold measurements are identical byte for byte
 // (TestPipelineWarmMatchesColdAcrossParallelism checks each one).
-func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, passes string) imageEval {
+func (p *Prepared) evaluateImage(code *machine.Program, ws *workerSet, passes string) imageEval {
 	imgHash, size := hashImage(code), code.Size()
 	if ws == nil {
-		return ev.settle(ev.replayImage(code, imgHash, size, nil), passes)
+		return p.settle(p.replayImage(code, imgHash, size, nil), passes)
 	}
-	sc := ev.o.Opts.Obs
-	ev.mu.Lock()
-	c, ok := ev.images[imgHash]
-	ev.mu.Unlock()
-	if ok && c.size == size && c.maxCycles == ev.maxCycles {
+	sc := p.o.Opts.Obs
+	p.mu.Lock()
+	c, ok := p.images[imgHash]
+	p.mu.Unlock()
+	if ok && c.size == size && c.maxCycles == p.maxCycles {
 		sc.Counter("replay.image_hits").Add(1)
-		return ev.settle(c, passes)
+		return p.settle(c, passes)
 	}
 	sc.Counter("replay.image_misses").Add(1)
-	r := ev.replayImage(code, imgHash, size, ws)
-	r.size, r.maxCycles = size, ev.maxCycles
-	ev.mu.Lock()
-	ev.images[imgHash] = r
-	ev.mu.Unlock()
-	return ev.settle(r, passes)
+	r := p.replayImage(code, imgHash, size, ws)
+	r.size, r.maxCycles = size, p.maxCycles
+	p.mu.Lock()
+	p.images[imgHash] = r
+	p.mu.Unlock()
+	return p.settle(r, passes)
 }
 
 // settle hands a measurement to one caller: it audits a discarded image
 // under the caller's passes label and returns a copy owning its TimesMs.
-func (ev *replayEvaluator) settle(r imageResult, passes string) imageEval {
+func (p *Prepared) settle(r imageResult, passes string) imageEval {
 	if r.cause != "" {
-		ev.discard(r.Outcome, r.cause, r.err, passes)
+		p.discard(r.Outcome, r.cause, r.err, passes)
 	}
 	ie := r.imageEval
 	ie.TimesMs = slices.Clone(ie.TimesMs)
@@ -796,26 +787,21 @@ func (ev *replayEvaluator) settle(r imageResult, passes string) imageEval {
 }
 
 // replayImage measures code for evaluateImage.
-func (ev *replayEvaluator) replayImage(code *machine.Program, imgHash uint64, size int, ws *workerSet) imageResult {
+func (p *Prepared) replayImage(code *machine.Program, imgHash uint64, size int, ws *workerSet) imageResult {
 	run := func(seed int64) (*replay.Result, error) {
 		req := replay.Request{
-			Snapshot:  ev.snap,
-			Prog:      ev.app.Prog,
+			Snapshot:  p.Snapshot,
+			Prog:      p.App.Prog,
 			Tier:      replay.TierCompiled,
 			Code:      code,
-			MaxCycles: ev.maxCycles,
+			MaxCycles: p.maxCycles,
 		}
 		if ws != nil {
-			w, err := ws.worker(seed)
-			if err == nil {
-				req.Worker = w
-				return replay.Run(ev.o.Dev, ev.o.Store, req)
-			}
-			// Template build failed: fall back to the cold path (the same
-			// failure would surface deterministically there too).
+			req.Worker = ws[seed-1]
+		} else {
+			req.ASLRSeed = int64(imgHash>>1)*131 + seed
 		}
-		req.ASLRSeed = int64(imgHash>>1)*131 + seed
-		return replay.Run(ev.o.Dev, ev.o.Store, req)
+		return replay.Run(p.o.Dev, p.o.Store, req)
 	}
 	discarded := func(outcome ga.Outcome, cause string, err error) imageResult {
 		return imageResult{imageEval: imageEval{Evaluation: ga.Evaluation{Outcome: outcome}}, cause: cause, err: err}
@@ -825,13 +811,13 @@ func (ev *replayEvaluator) replayImage(code *machine.Program, imgHash uint64, si
 		outcome, cause := classifyError(err, ga.OutcomeRuntimeCrash)
 		return discarded(outcome, cause, err)
 	}
-	if err := ev.vmap.Check(res); err != nil {
+	if err := p.VMap.Check(res); err != nil {
 		return discarded(ga.OutcomeWrongOutput, "verify-mismatch", err)
 	}
 	// Replays under a second ASLR layout must agree cycle-for-cycle;
 	// clearly losing binaries skip the cross-check (they are never
 	// installed, and re-running a near-timeout binary doubles its cost).
-	if ev.maxCycles == 0 || res.Cycles*4 <= ev.maxCycles {
+	if p.maxCycles == 0 || res.Cycles*4 <= p.maxCycles {
 		res2, err := run(2)
 		if err != nil || res2.Cycles != res.Cycles {
 			// Nondeterministic candidate: treat as wrong output.
@@ -842,12 +828,12 @@ func (ev *replayEvaluator) replayImage(code *machine.Program, imgHash uint64, si
 			return discarded(ga.OutcomeWrongOutput, "nondeterministic", err)
 		}
 	}
-	n := ev.o.Opts.Replays
+	n := p.o.Opts.Replays
 	if n <= 0 {
 		n = 10
 	}
 	times := make([]float64, n)
-	nrng := rand.New(rand.NewSource(ev.o.Opts.Seed ^ int64(imgHash)))
+	nrng := rand.New(rand.NewSource(p.o.Opts.Seed ^ int64(imgHash)))
 	for i := range times {
 		times[i] = device.ReplayMillisSeeded(res.Cycles, nrng)
 	}

@@ -276,7 +276,7 @@ func checkColdMatchesWarm(t *testing.T, opts Options, rep *Report, hits int64) {
 			continue
 		}
 		seen[cfg.Fingerprint()] = true
-		if cold := p.ev.evaluate(cfg, nil); !reflect.DeepEqual(cold, r.Eval) {
+		if cold := p.evaluate(cfg, nil); !reflect.DeepEqual(cold, r.Eval) {
 			t.Errorf("trace[%d] %s: cold %+v, warm %+v", r.Index, r.Genome, cold, r.Eval)
 		}
 	}
@@ -296,7 +296,7 @@ func checkColdMatchesWarm(t *testing.T, opts Options, rep *Report, hits int64) {
 		{"android", p.Android, p.AndroidEval, p.AndroidCycles},
 		{"-O3", o3, p.O3Eval, p.O3Cycles},
 	} {
-		cold := p.ev.evaluateImage(b.code, nil, "")
+		cold := p.evaluateImage(b.code, nil, "")
 		if !reflect.DeepEqual(cold.Evaluation, b.warm) || cold.cycles != b.cycles {
 			t.Errorf("%s baseline: cold %+v (%d cycles), warm %+v (%d cycles)",
 				b.name, cold.Evaluation, cold.cycles, b.warm, b.cycles)

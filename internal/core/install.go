@@ -66,22 +66,19 @@ func (o *Optimizer) InstallLocked(app *App, l *rtrace.Lock) (*InstallReport, err
 		return rep, fmt.Errorf("%w: %d drift(s), first: [%s] %s",
 			ErrLockDrift, len(drifts), drifts[0].Kind, drifts[0].Detail)
 	}
-	cfg, err := l.Config()
-	if err != nil {
-		return rep, err
-	}
 	p, err := o.Prepare(app)
 	if err != nil {
 		return rep, err
 	}
 	rep.AndroidMeanMs = p.AndroidEval.MeanMs
 	rep.O3MeanMs = p.O3Eval.MeanMs
-	rep.DynamicDrift = rtrace.CheckLockDynamic(l, app.Prog, p.Region.Methods, p.TypeProf, p.Analysis.Effects)
-	code, err := p.CompileRegion(cfg)
-	if err != nil {
-		return rep, fmt.Errorf("%w: stopped compiling: %v", ErrLockDrift, err)
+	drifts, code := rtrace.CheckLockDynamic(l, app.Prog, p.Region.Methods, p.TypeProf, p.Analysis.Effects)
+	rep.DynamicDrift = drifts
+	if code == nil {
+		// CheckLock passed above, so the one drift is the compile error.
+		return rep, fmt.Errorf("%w: stopped compiling: %s", ErrLockDrift, drifts[0].Detail)
 	}
-	ev, _ := p.EvaluateImage(code)
+	ev, _ := p.EvaluateImage(overlay(p.Android, code))
 	rep.Eval = ev
 	if ev.Outcome.Failed() {
 		return rep, fmt.Errorf("%w: outcome %s", ErrLockFailedReplay, ev.Outcome)

@@ -14,7 +14,8 @@ import (
 )
 
 // runPipelineObs mirrors runPipelineAt with an observability scope attached
-// and returns the report plus the collected spans and registry.
+// and returns the report plus the collected spans and registry. It also
+// checks that the run built exactly two replay templates.
 func runPipelineObs(t *testing.T, seed int64, parallelism int) (*Report, *obs.Collect, *obs.Registry) {
 	t.Helper()
 	prog, err := minic.CompileSource("miniapp", appSrc)
@@ -31,6 +32,11 @@ func runPipelineObs(t *testing.T, seed int64, parallelism int) (*Report, *obs.Co
 	rep, err := opt.Optimize(&App{Name: "miniapp", Prog: prog})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
+	}
+	// prepare restores the capture once per canonical ASLR seed, and every
+	// worker set of the search clones those two templates.
+	if got := sc.Counter("replay.template_builds").Value(); got != 2 {
+		t.Errorf("parallelism %d: %d template builds, want 2", parallelism, got)
 	}
 	return rep, col, sc.Registry()
 }

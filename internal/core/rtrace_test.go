@@ -104,7 +104,7 @@ func TestWinnerTraceReplaysAndLockHolds(t *testing.T) {
 		t.Fatalf("winner trace did not replay to its image fingerprint: %+v", res.Divergence)
 	}
 
-	if drifts := rtrace.CheckLockDynamic(rep.Lock, prog, p.Region.Methods, p.TypeProf, p.Analysis.Effects); len(drifts) != 0 {
+	if drifts, _ := rtrace.CheckLockDynamic(rep.Lock, prog, p.Region.Methods, p.TypeProf, p.Analysis.Effects); len(drifts) != 0 {
 		t.Errorf("fresh lock drifts against its own compiler: %+v", drifts)
 	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"replayopt/internal/capture"
+	"replayopt/internal/capture/castore"
 	"replayopt/internal/mem"
 	"replayopt/internal/obs"
 )
@@ -94,4 +97,56 @@ func TestPersistAndLoadStore(t *testing.T) {
 	if sc.Counter("capture.store_loads").Value() != 1 {
 		t.Error("store_loads counter not bumped")
 	}
+}
+
+// TestTemplateBuildFailsOnDamagedStore damages a page chunk of a lazily
+// loaded snapshot before its first replay: building the two templates must
+// fail with the page-materialization error wrapped, so prepare stops there
+// instead of the search measuring the failure as a candidate outcome.
+func TestTemplateBuildFailsOnDamagedStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.cas")
+	if err := syntheticStore().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := capture.Load(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second load of the same file reads the same damaged chunk and
+	// yields the error the template build must wrap.
+	ref, err := capture.Load(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := castore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, length, ok := f.ChunkSpan(f.Snapshots()[0].Pages[0].Key)
+	if !ok {
+		t.Fatal("page chunk not indexed")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off+length/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Snapshots[0].EnsurePages()
+	if want == nil {
+		t.Fatal("the damaged chunk materialized")
+	}
+
+	_, err = newTemplates(loaded, loaded.Snapshots[0])
+	if err == nil {
+		t.Fatal("templates built from a damaged store")
+	}
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		if e.Error() == want.Error() {
+			return
+		}
+	}
+	t.Errorf("template build error %q does not wrap the materialization error %q", err, want)
 }

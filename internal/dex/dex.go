@@ -311,42 +311,20 @@ type Program struct {
 	Entry   MethodID // "main"
 
 	methodIdx map[string]MethodID
-	nativeIdx map[string]NativeID
-	classIdx  map[string]ClassID
 }
 
-// BuildIndex (re)builds the name lookup tables. Frontends call it once after
-// construction.
+// BuildIndex (re)builds the method-name lookup table. Frontends call it once
+// after construction.
 func (p *Program) BuildIndex() {
 	p.methodIdx = make(map[string]MethodID, len(p.Methods))
 	for i, m := range p.Methods {
 		p.methodIdx[m.Name] = MethodID(i)
-	}
-	p.nativeIdx = make(map[string]NativeID, len(p.Natives))
-	for i, n := range p.Natives {
-		p.nativeIdx[n.Name] = NativeID(i)
-	}
-	p.classIdx = make(map[string]ClassID, len(p.Classes))
-	for i, c := range p.Classes {
-		p.classIdx[c.Name] = ClassID(i)
 	}
 }
 
 // MethodByName returns the method named name.
 func (p *Program) MethodByName(name string) (MethodID, bool) {
 	id, ok := p.methodIdx[name]
-	return id, ok
-}
-
-// NativeByName returns the native named name.
-func (p *Program) NativeByName(name string) (NativeID, bool) {
-	id, ok := p.nativeIdx[name]
-	return id, ok
-}
-
-// ClassByName returns the class named name.
-func (p *Program) ClassByName(name string) (ClassID, bool) {
-	id, ok := p.classIdx[name]
 	return id, ok
 }
 

@@ -213,19 +213,3 @@ func (p *Program) Callees(m *Method) []MethodID {
 	}
 	return out
 }
-
-// NativeCalls returns the natives m invokes directly.
-func (p *Program) NativeCalls(m *Method) []NativeID {
-	seen := make(map[NativeID]bool)
-	var out []NativeID
-	for _, in := range m.Code {
-		if in.Op == OpInvokeNative {
-			id := NativeID(in.Sym)
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}

@@ -1,6 +1,6 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§5). Each experiment returns typed rows and renders an aligned text
-// table; the root benchmark harness and cmd/experiments drive them.
+// table; cmd/experiments drives them.
 //
 // Scale note: experiments accept a Scale so CI-sized runs finish quickly;
 // Full() mirrors the paper's §4 parameters exactly.

@@ -149,9 +149,6 @@ func (s *Server) Drain() {
 // Jobs exposes the job store (status handlers, tests).
 func (s *Server) Jobs() *JobStore { return s.jobs }
 
-// Shards exposes the sharded capture store.
-func (s *Server) Shards() *ShardedStore { return s.shards }
-
 // QueueDepth is the number of jobs waiting for a worker.
 func (s *Server) QueueDepth() int { return len(s.queue) }
 

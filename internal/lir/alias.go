@@ -559,15 +559,6 @@ func (fx *AliasFacts) Escapes(site *Value) bool {
 	return fx.esc[site.ID]
 }
 
-// Leaked reports whether the site was handed to a callee (its field contents
-// are then callee-visible even if the reference itself cannot be retained).
-func (fx *AliasFacts) Leaked(site *Value) bool {
-	if fx.Escapes(site) {
-		return true
-	}
-	return fx.leaked[site.ID]
-}
-
 // invisible reports whether every object base may denote is provably
 // unreachable by callers and callees-of-callers: a non-escaped local site.
 // Accesses through such bases are excluded from the mod/ref summary — the

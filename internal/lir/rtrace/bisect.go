@@ -38,9 +38,6 @@ func (p *PrefixTracer) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.
 func (p *PrefixTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
 }
 
-// Applications reports how many pass applications the traced compile reached.
-func (p *PrefixTracer) Applications() int { return p.seq }
-
 // CompileMasked compiles prog with only the admitted pass applications
 // enabled — the building block for bisection oracles. It returns the compile
 // result together with the number of applications seen.

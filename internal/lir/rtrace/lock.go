@@ -220,21 +220,23 @@ func (ft *firedTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.P
 
 // CheckLockDynamic recompiles under the locked configuration and reports
 // decisions that no longer hold: passes that used to fire but are now no-ops
-// for this program, and an image fingerprint that drifted. Static drift that
-// prevents rebuilding the config is returned as-is without compiling.
-func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *lir.Profile, static *sa.Result) []Drift {
+// for this program, and an image fingerprint that drifted. It also returns
+// the recompiled image, which a lock-validated install ships. Static drift
+// that prevents rebuilding the config is returned as-is without compiling;
+// then, and on a compile-error drift, the image is nil.
+func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *lir.Profile, static *sa.Result) ([]Drift, *machine.Program) {
 	if out := CheckLock(l); len(out) > 0 {
-		return out
+		return out, nil
 	}
 	cfg, err := l.Config()
 	if err != nil {
-		return []Drift{{Kind: "fingerprint-drift", Detail: err.Error()}}
+		return []Drift{{Kind: "fingerprint-drift", Detail: err.Error()}}, nil
 	}
 	ft := &firedTracer{fired: map[string]int{}}
 	cfg.Trace = ft
 	code, err := lir.Compile(prog, methods, cfg, prof, static)
 	if err != nil {
-		return []Drift{{Kind: "compile-error", Detail: err.Error()}}
+		return []Drift{{Kind: "compile-error", Detail: err.Error()}}, nil
 	}
 	var out []Drift
 	names := make([]string, 0, len(l.Fired))
@@ -255,5 +257,5 @@ func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *
 				Detail: fmt.Sprintf("locked image %s, recompile produced %s", l.ImageHash, got)})
 		}
 	}
-	return out
+	return out, code
 }

@@ -281,8 +281,12 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 	if drifts := CheckLock(lock); len(drifts) != 0 {
 		t.Fatalf("fresh lock drifts against its own compiler: %+v", drifts)
 	}
-	if drifts := CheckLockDynamic(lock, prog, methods, nil, nil); len(drifts) != 0 {
+	drifts, recompiled := CheckLockDynamic(lock, prog, methods, nil, nil)
+	if len(drifts) != 0 {
 		t.Fatalf("fresh lock drifts dynamically: %+v", drifts)
+	}
+	if recompiled == nil || machine.HashProgram(recompiled) != img {
+		t.Fatal("the dynamic check did not return the locked image")
 	}
 
 	path := filepath.Join(t.TempDir(), "fixture.lock.json")
@@ -347,7 +351,8 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 		nofire := *lock
 		nofire.Fired = map[string]int{quiet: 3}
 		found := false
-		for _, d := range CheckLockDynamic(&nofire, prog, methods, nil, nil) {
+		drifts, _ := CheckLockDynamic(&nofire, prog, methods, nil, nil)
+		for _, d := range drifts {
 			if d.Kind == "no-longer-fires" && d.Pass == quiet {
 				found = true
 			}
@@ -359,7 +364,8 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 	imgdrift := *lock
 	imgdrift.ImageHash = HashString(img ^ 1)
 	found := false
-	for _, d := range CheckLockDynamic(&imgdrift, prog, methods, nil, nil) {
+	drifts, _ = CheckLockDynamic(&imgdrift, prog, methods, nil, nil)
+	for _, d := range drifts {
 		if d.Kind == "image-drift" {
 			found = true
 		}

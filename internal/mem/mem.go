@@ -271,9 +271,6 @@ func (s *AddressSpace) Seal() {
 	s.tlbFlush()
 }
 
-// Sealed reports whether the space has been sealed as a template.
-func (s *AddressSpace) Sealed() bool { return s.sealed }
-
 // mutable panics if the space is sealed; every mutating entry point calls it.
 func (s *AddressSpace) mutable(op string) {
 	if s.sealed {
@@ -482,24 +479,6 @@ func (s *AddressSpace) PageCount() int {
 		}
 	}
 	return n
-}
-
-// MappedPages returns the page-aligned addresses of every mapped page,
-// sorted.
-func (s *AddressSpace) MappedPages() []Addr {
-	out := make([]Addr, 0, len(s.pages))
-	for pa := range s.pages {
-		out = append(out, pa)
-	}
-	if s.base != nil {
-		for pa := range s.base.pages {
-			if _, ok := s.pages[pa]; !ok {
-				out = append(out, pa)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Protect sets the protection of the page containing a. On a clone, a

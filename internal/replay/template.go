@@ -6,7 +6,6 @@
 package replay
 
 import (
-	"sync"
 	"time"
 
 	"replayopt/internal/capture"
@@ -27,13 +26,17 @@ type Template struct {
 
 // NewTemplate runs the cold restore once and seals the result. The cost is
 // recorded under the same replay.restore_ms histogram as cold runs, so the
-// clone-vs-restore comparison reads directly off obs.
+// clone-vs-restore comparison reads directly off obs, and each build counts
+// under replay.template_builds.
 func NewTemplate(store *capture.Store, snap *capture.Snapshot, aslrSeed int64) (*Template, error) {
 	space, collisions, err := restore(store, snap, aslrSeed)
 	if err != nil {
 		return nil, err
 	}
 	space.Seal()
+	if sc := store.Obs; sc != nil {
+		sc.Counter("replay.template_builds").Add(1)
+	}
 	return &Template{
 		Seed:       aslrSeed,
 		Collisions: collisions,
@@ -69,9 +72,6 @@ type Worker struct {
 	runs  int64
 }
 
-// Template returns the template this worker clones.
-func (w *Worker) Template() *Template { return w.tmpl }
-
 // Runs reports how many replays have reused this worker.
 func (w *Worker) Runs() int64 { return w.runs }
 
@@ -94,46 +94,4 @@ func (w *Worker) begin(sc *obs.Scope) *mem.AddressSpace {
 	w.dirty = true
 	w.runs++
 	return w.space
-}
-
-// TemplateCache builds each (snapshot, ASLR-seed) template at most once and
-// shares it across all workers of a search.
-type TemplateCache struct {
-	mu sync.Mutex
-	m  map[templateKey]*Template
-}
-
-type templateKey struct {
-	snap *capture.Snapshot
-	seed int64
-}
-
-// NewTemplateCache returns an empty cache.
-func NewTemplateCache() *TemplateCache {
-	return &TemplateCache{m: make(map[templateKey]*Template)}
-}
-
-// Get returns the cached template for (snap, aslrSeed), building it on first
-// use. Builds happen under the cache lock: they are rare (a handful per
-// search) and serializing them keeps concurrent first users from restoring
-// the same snapshot twice.
-func (c *TemplateCache) Get(store *capture.Store, snap *capture.Snapshot, aslrSeed int64) (*Template, error) {
-	key := templateKey{snap: snap, seed: aslrSeed}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.m[key]; ok {
-		if sc := store.Obs; sc != nil {
-			sc.Counter("replay.template_hits").Add(1)
-		}
-		return t, nil
-	}
-	t, err := NewTemplate(store, snap, aslrSeed)
-	if err != nil {
-		return nil, err
-	}
-	c.m[key] = t
-	if sc := store.Obs; sc != nil {
-		sc.Counter("replay.template_builds").Add(1)
-	}
-	return t, nil
 }

@@ -93,29 +93,6 @@ func TestWorkerRejectsForeignSnapshot(t *testing.T) {
 	}
 }
 
-func TestTemplateCacheBuildsOnce(t *testing.T) {
-	fx := setupFixture(t)
-	cache := NewTemplateCache()
-	a, err := cache.Get(fx.store, fx.snap, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cache.Get(fx.store, fx.snap, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("same (snapshot, seed) built two templates")
-	}
-	c, err := cache.Get(fx.store, fx.snap, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Error("different seeds share a template")
-	}
-}
-
 // TestConcurrentTemplateClonesAgree is the -race exercise from the issue:
 // many workers cloned from one template replay concurrently and must all
 // reproduce the same result without touching each other or the template.

@@ -72,9 +72,6 @@ type LocSet struct {
 // TopLocs is the unconstrained set.
 func TopLocs() LocSet { return LocSet{Top: true} }
 
-// Empty reports the bottom element (touches nothing).
-func (s LocSet) Empty() bool { return !s.Top && len(s.Locs) == 0 }
-
 // Contains reports membership (everything is in Top).
 func (s LocSet) Contains(l MemLoc) bool {
 	if s.Top {
@@ -116,28 +113,6 @@ func (s *LocSet) AddSet(o LocSet) bool {
 		}
 	}
 	return changed
-}
-
-// Intersects reports whether the two sets can name a common location.
-func (s LocSet) Intersects(o LocSet) bool {
-	if s.Top {
-		return !o.Empty()
-	}
-	if o.Top {
-		return !s.Empty()
-	}
-	i, j := 0, 0
-	for i < len(s.Locs) && j < len(o.Locs) {
-		switch {
-		case s.Locs[i] == o.Locs[j]:
-			return true
-		case locLess(s.Locs[i], o.Locs[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }
 
 // Equal reports set equality.

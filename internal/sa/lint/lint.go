@@ -246,23 +246,6 @@ func (l *Linter) LintDir(dir string) ([]Finding, error) {
 	return l.lintFiles(files)
 }
 
-// LintFiles parses and checks the given files (the vettool path, where go vet
-// hands us an explicit file list).
-func (l *Linter) LintFiles(paths ...string) ([]Finding, error) {
-	var files []*ast.File
-	for _, p := range paths {
-		if strings.HasSuffix(p, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return l.lintFiles(files)
-}
-
 func (l *Linter) lintFiles(files []*ast.File) ([]Finding, error) {
 	// Two passes: the lint targets' own declarations join the index first so
 	// intra-package fields resolve regardless of file order.
