@@ -256,9 +256,7 @@ func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (
 		opts.DiffLines = rtrace.DefaultDiffLines
 	}
 	if p.o.Opts.TVCheck {
-		chk := tv.NewChecker(tv.Options{Reject: true, Strict: true})
-		cfg.Check = chk
-		opts.Checker = chk
+		cfg.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
 	}
 	rec := rtrace.NewRecorder(w, opts)
 	if err := rec.WriteHeader(p.App.Name, seed, cfg, p.Region.Methods); err != nil {

@@ -82,33 +82,47 @@ func identityConfigs() []identityConfig {
 // the function hash after the pass, its rewrite notes, and its error. Notes
 // enter as a sorted multiset: the digests were recorded while bce still
 // emitted its notes in map iteration order, when only the set was stable.
-type identityTracer struct{ h hash.Hash }
+// It hashes f itself and fails t when the pipeline's record disagrees: the
+// record's chained Before and After hashes and its Fired bit must equal what
+// fresh hashes say at each hook.
+type identityTracer struct {
+	t testing.TB
+	h hash.Hash
+}
 
-func (t identityTracer) BeforePass(*lir.Function, lir.PassSpec, *lir.PassInfo, map[string]int) bool {
+func (it identityTracer) BeforePass(f *lir.Function, app *lir.PassApplication) bool {
+	if got := lir.HashFunction(f); app.Before != got {
+		it.t.Errorf("%s before %s: record says %016x, the function hashes %016x", f.Name, app.Spec.Name, app.Before, got)
+	}
 	return true
 }
 
-func (t identityTracer) AfterPass(f *lir.Function, spec lir.PassSpec, _ *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
-	fmt.Fprintf(t.h, "pass %s ran=%t hash=%016x dropped=%d\n", spec.Name, ran, lir.HashFunction(f), dropped)
-	lines := make([]string, len(notes))
-	for i, n := range notes {
+func (it identityTracer) AfterPass(f *lir.Function, app *lir.PassApplication) {
+	hash := lir.HashFunction(f)
+	if app.After != hash || app.Fired != (app.Ran && hash != app.Before) {
+		it.t.Errorf("%s after %s: record says after=%016x fired=%t, the function hashes %016x (before %016x)",
+			f.Name, app.Spec.Name, app.After, app.Fired, hash, app.Before)
+	}
+	fmt.Fprintf(it.h, "pass %s ran=%t hash=%016x dropped=%d\n", app.Spec.Name, app.Ran, hash, app.Dropped)
+	lines := make([]string, len(app.Notes))
+	for i, n := range app.Notes {
 		lines[i] = fmt.Sprintf("note %s %s %v\n", n.Rule, n.Anchor, n.Detail)
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Fprint(t.h, l)
+		fmt.Fprint(it.h, l)
 	}
-	if err != nil {
-		fmt.Fprintf(t.h, "pass error %s\n", err)
+	if app.Err != nil {
+		fmt.Fprintf(it.h, "pass error %s\n", app.Err)
 	}
 }
 
 // identityDigest compiles every compilable method of prog under cfg and
 // returns the SHA-256 over each method's per-pass trace, error text, and
 // machine-code hash.
-func identityDigest(prog *dex.Program, cfg lir.Config, static *sa.Result) string {
+func identityDigest(t testing.TB, prog *dex.Program, cfg lir.Config, static *sa.Result) string {
 	h := sha256.New()
-	cfg.Trace = identityTracer{h}
+	cfg.Trace = identityTracer{t, h}
 	for i, m := range prog.Methods {
 		if m.Uncompilable {
 			continue
@@ -155,7 +169,7 @@ func TestCompileIdentity(t *testing.T) {
 			vra.Attach(static)
 			pts.Attach(static)
 			for _, c := range configs {
-				lines[i] = append(lines[i], spec.Name+"\t"+c.label+"\t"+identityDigest(app.Prog, c.cfg, static))
+				lines[i] = append(lines[i], spec.Name+"\t"+c.label+"\t"+identityDigest(t, app.Prog, c.cfg, static))
 			}
 		}(i, spec)
 	}
@@ -240,7 +254,7 @@ func TestUnswitchIdentity(t *testing.T) {
 		}
 		static := profile.Analyze(prog).Effects
 		for _, c := range configs {
-			got = append(got, fmt.Sprintf("p%d\t%s\t%s", i, c.label, identityDigest(prog, c.cfg, static)))
+			got = append(got, fmt.Sprintf("p%d\t%s\t%s", i, c.label, identityDigest(t, prog, c.cfg, static)))
 		}
 	}
 	checkIdentity(t, unswitchIdentityFile, got)

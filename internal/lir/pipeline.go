@@ -17,32 +17,51 @@ type PassSpec struct {
 	Params map[string]int
 }
 
-// PipelineCheck observes the pipeline between passes. BeforePass sees the
-// function immediately before a pass runs; AfterPass sees the result and may
-// veto it by returning an error, which aborts the compile with that error.
-// internal/lir/tv implements this with a translation validator. The interface
-// lives here (not in tv) so lir does not import its own checker.
-type PipelineCheck interface {
-	BeforePass(f *Function, pass string, info *PassInfo)
-	AfterPass(f *Function, pass string, info *PassInfo) error
+// PassApplication is the pipeline's one record of a pass application,
+// shared by every observer: Check writes its verdict into it, and Trace and
+// the obs tallies read it instead of hashing the function again.
+type PassApplication struct {
+	Spec   PassSpec
+	Info   *PassInfo
+	Params map[string]int // resolved: defaults and clamping applied
+	Ran    bool           // false when Trace vetoed it: no Run, no Check
+	// Before and After are HashFunction digests taken once per application,
+	// after Check, and chained (After is the next application's Before);
+	// Fired is Ran && After != Before. Only an observed compile (Trace or
+	// an obs scope) hashes; otherwise the three stay zero.
+	Before, After uint64
+	Fired         bool
+	Notes         []RewriteNote // collected only with a Trace
+	Dropped       int           // notes past the cap
+	Err           error         // the error about to abort the compile
+	// Verdict and VerdictReason are Check's conclusion, empty when no Check
+	// judged the application.
+	Verdict, VerdictReason string
 }
 
-// RewriteTracer observes every pass application with its resolved
-// parameters — the rewrite-trace seam (internal/lir/rtrace implements it; the
-// interface lives here for the same reason PipelineCheck does). BeforePass
-// may also *veto* an application by returning false: the rtrace bisector
-// replays a trace prefix mechanically by enabling exactly the applications
-// under test. A vetoed pass is skipped entirely (no Run, no PipelineCheck),
-// and AfterPass is still delivered with ran=false so sequence numbers stay
-// aligned with the recorded trace.
+// PipelineCheck observes the pipeline between passes. BeforePass sees the
+// function immediately before a pass runs; AfterPass sees the result, records
+// its verdict in app, and may veto the result by returning an error, which
+// aborts the compile with that error. internal/lir/tv implements this with a
+// translation validator. The interface lives here (not in tv) so lir does not
+// import its own checker.
+type PipelineCheck interface {
+	BeforePass(f *Function, app *PassApplication)
+	AfterPass(f *Function, app *PassApplication) error
+}
+
+// RewriteTracer observes every pass application through its record — the
+// rewrite-trace seam (internal/lir/rtrace implements it; the interface lives
+// here for the same reason PipelineCheck does). BeforePass may also *veto*
+// the application by returning false: the rtrace bisector replays a trace
+// prefix mechanically by enabling exactly the applications under test. A
+// vetoed pass is skipped entirely (no Run, no PipelineCheck), and AfterPass
+// is still delivered, with Ran false, so sequence numbers stay aligned with
+// the recorded trace. AfterPass sees the completed record, the verdict and
+// the aborting error included.
 type RewriteTracer interface {
-	// BeforePass sees the function before the pass would run; returning
-	// false skips the application.
-	BeforePass(f *Function, spec PassSpec, info *PassInfo, resolved map[string]int) bool
-	// AfterPass sees the function after the pass (and any PipelineCheck
-	// verdict), the decision notes the pass emitted (with the overflow
-	// count), and the error that is about to abort the compile, if any.
-	AfterPass(f *Function, spec PassSpec, info *PassInfo, ran bool, notes []RewriteNote, dropped int, err error)
+	BeforePass(f *Function, app *PassApplication) bool
+	AfterPass(f *Function, app *PassApplication)
 }
 
 // Config is one point in the toolchain's optimization space: the opt-style
@@ -123,54 +142,57 @@ func compileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile
 	}
 	ctx := &PassContext{Profile: prof, Static: static, traceNotes: cfg.Trace != nil, ssa: ssa}
 	scope := cfg.Obs.Scope()
+	observed := cfg.Trace != nil || scope != nil
+	var hash uint64
+	if observed {
+		hash = HashFunction(f)
+	}
 	for _, spec := range cfg.Passes {
 		info, ok := PassByName(spec.Name)
 		if !ok {
 			return nil, &CrashError{Pass: spec.Name, Msg: "unknown pass"}
 		}
-		resolved := resolveParams(info, spec.Params)
-		run := true
+		app := PassApplication{Spec: spec, Info: info, Params: resolveParams(info, spec.Params), Ran: true, Before: hash, After: hash}
 		if cfg.Trace != nil {
-			run = cfg.Trace.BeforePass(f, spec, info, resolved)
+			app.Ran = cfg.Trace.BeforePass(f, &app)
 		}
-		var perr error
-		if run {
+		if app.Ran {
 			if cfg.Check != nil {
-				cfg.Check.BeforePass(f, spec.Name, info)
-			}
-			var before uint64
-			if scope != nil {
-				before = HashFunction(f)
+				cfg.Check.BeforePass(f, &app)
 			}
 			start := time.Now()
-			perr = info.Run(f, ctx, resolved)
+			app.Err = info.Run(f, ctx, app.Params)
+			tally := scope != nil && app.Err == nil
 			if scope != nil {
 				scope.Histogram("lir.pass_ms." + spec.Name).Observe(float64(time.Since(start).Microseconds()) / 1000)
-				if perr == nil {
-					if HashFunction(f) != before {
-						scope.Tally("lir.pass_fired").Inc(spec.Name)
-					} else {
-						scope.Tally("lir.pass_noop").Inc(spec.Name)
-					}
+			}
+			if app.Err == nil {
+				app.Err = ctx.checkGrowth(f, spec.Name)
+			}
+			if app.Err == nil && cfg.Check != nil {
+				app.Err = cfg.Check.AfterPass(f, &app)
+			}
+			if observed {
+				hash = HashFunction(f)
+				app.After, app.Fired = hash, hash != app.Before
+			}
+			if tally {
+				if app.Fired {
+					scope.Tally("lir.pass_fired").Inc(spec.Name)
+				} else {
+					scope.Tally("lir.pass_noop").Inc(spec.Name)
 				}
-			}
-			if perr == nil {
-				perr = ctx.checkGrowth(f, spec.Name)
-			}
-			if perr == nil && cfg.Check != nil {
-				perr = cfg.Check.AfterPass(f, spec.Name, info)
 			}
 		}
 		// The tracer sees every application — including the one that is
 		// about to abort the compile (a tv rejection lands in the trace as
-		// the entry that ends it) — and runs after Check so it can read the
-		// verdict the checker just recorded.
+		// the entry that ends it) — after Check has written its verdict.
 		if cfg.Trace != nil {
-			notes, dropped := ctx.drainNotes()
-			cfg.Trace.AfterPass(f, spec, info, run, notes, dropped, perr)
+			app.Notes, app.Dropped = ctx.drainNotes()
+			cfg.Trace.AfterPass(f, &app)
 		}
-		if perr != nil {
-			return nil, perr
+		if app.Err != nil {
+			return nil, app.Err
 		}
 	}
 	mfn, err := Lower(f, cfg.Lower)

@@ -18,12 +18,14 @@ package rtrace
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/machine"
+	"replayopt/internal/obs"
 	"replayopt/internal/sa"
 	"replayopt/internal/schema"
 )
@@ -201,23 +203,6 @@ func CheckLock(l *Lock) []Drift {
 	return out
 }
 
-// firedTracer counts which passes changed the IR, without recording.
-type firedTracer struct {
-	before uint64
-	fired  map[string]int
-}
-
-func (ft *firedTracer) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
-	ft.before = lir.HashFunction(f)
-	return true
-}
-
-func (ft *firedTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
-	if ran && lir.HashFunction(f) != ft.before {
-		ft.fired[spec.Name]++
-	}
-}
-
 // CheckLockDynamic recompiles under the locked configuration and reports
 // decisions that no longer hold: passes that used to fire but are now no-ops
 // for this program, and an image fingerprint that drifted. It also returns
@@ -232,8 +217,10 @@ func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *
 	if err != nil {
 		return []Drift{{Kind: "fingerprint-drift", Detail: err.Error()}}, nil
 	}
-	ft := &firedTracer{fired: map[string]int{}}
-	cfg.Trace = ft
+	// The fired counts come from the same code that cut the lock: a
+	// Recorder, here writing nowhere.
+	rec := NewRecorder(obs.NewJSONLWriter(io.Discard), RecorderOptions{})
+	cfg.Trace = rec
 	code, err := lir.Compile(prog, methods, cfg, prof, static)
 	if err != nil {
 		return []Drift{{Kind: "compile-error", Detail: err.Error()}}, nil
@@ -245,7 +232,7 @@ func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if l.Fired[name] > 0 && ft.fired[name] == 0 {
+		if l.Fired[name] > 0 && rec.fired[name] == 0 {
 			out = append(out, Drift{Kind: "no-longer-fires", Pass: name,
 				Detail: fmt.Sprintf("pass %s fired %d times at lock time, 0 now", name, l.Fired[name])})
 		}

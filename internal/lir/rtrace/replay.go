@@ -171,36 +171,36 @@ type replayTracer struct {
 	div     *Divergence
 }
 
-func (rt *replayTracer) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
+func (rt *replayTracer) BeforePass(f *lir.Function, app *lir.PassApplication) bool {
+	pass := app.Spec.Name
 	if rt.div != nil {
 		return true
 	}
 	if rt.seq >= len(rt.entries) {
-		rt.div = &Divergence{Seq: rt.seq, Pass: spec.Name, Stage: "length",
+		rt.div = &Divergence{Seq: rt.seq, Pass: pass, Stage: "length",
 			Want: fmt.Sprintf("%d entries", len(rt.entries)), Got: "more applications"}
 		return true
 	}
 	e := rt.entries[rt.seq]
-	if e.Pass != spec.Name {
-		rt.div = &Divergence{Seq: rt.seq, Pass: spec.Name, Stage: "pass-name", Want: e.Pass, Got: spec.Name}
+	if e.Pass != pass {
+		rt.div = &Divergence{Seq: rt.seq, Pass: pass, Stage: "pass-name", Want: e.Pass, Got: pass}
 		return true
 	}
-	if got := HashString(lir.HashFunction(f)); got != e.Before {
-		rt.div = &Divergence{Seq: rt.seq, Pass: spec.Name, Stage: "before", Want: e.Before, Got: got}
+	if got := HashString(app.Before); got != e.Before {
+		rt.div = &Divergence{Seq: rt.seq, Pass: pass, Stage: "before", Want: e.Before, Got: got}
 		return true
 	}
 	return !e.Skipped
 }
 
-func (rt *replayTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
+func (rt *replayTracer) AfterPass(f *lir.Function, app *lir.PassApplication) {
 	seq := rt.seq
 	rt.seq++
 	if rt.div != nil || seq >= len(rt.entries) {
 		return
 	}
-	e := rt.entries[seq]
-	if got := HashString(lir.HashFunction(f)); got != e.After {
-		rt.div = &Divergence{Seq: seq, Pass: spec.Name, Stage: "after", Want: e.After, Got: got}
+	if got, want := HashString(app.After), rt.entries[seq].After; got != want {
+		rt.div = &Divergence{Seq: seq, Pass: app.Spec.Name, Stage: "after", Want: want, Got: got}
 	}
 }
 

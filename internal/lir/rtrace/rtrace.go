@@ -34,7 +34,6 @@ import (
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
-	"replayopt/internal/lir/tv"
 	"replayopt/internal/obs"
 )
 
@@ -180,7 +179,7 @@ func checkVersion(kind, want string, version int) error {
 }
 
 func checkHash(field, s string) error {
-	if _, err := ParseHash(s); err != nil {
+	if _, err := parseHash(s); err != nil {
 		return fmt.Errorf("%s: %w", field, err)
 	}
 	return nil
@@ -189,8 +188,8 @@ func checkHash(field, s string) error {
 // HashString formats a digest the way every rtrace record stores it.
 func HashString(h uint64) string { return fmt.Sprintf("%016x", h) }
 
-// ParseHash inverts HashString.
-func ParseHash(s string) (uint64, error) {
+// parseHash inverts HashString.
+func parseHash(s string) (uint64, error) {
 	if len(s) != 16 {
 		return 0, fmt.Errorf("rtrace: hash %q is not 16 hex digits", s)
 	}
@@ -199,18 +198,17 @@ func ParseHash(s string) (uint64, error) {
 
 // RecorderOptions configure a Recorder.
 type RecorderOptions struct {
-	// Checker, when set, must be the same tv.Checker attached to the compile
-	// as Config.Check; the recorder reads each application's verdict from it.
-	Checker *tv.Checker
 	// DiffLines bounds the per-entry pretty-printed diff; 0 disables diffs
 	// entirely (no pretty-printing cost).
 	DiffLines int
 }
 
 // Recorder implements lir.RewriteTracer by writing one Entry per pass
-// application to a JSONL writer. One Recorder observes one compile (it is
-// stateful and serial, like tv.Checker); attach it as Config.Trace, then call
-// Finish with the image hash.
+// application to a JSONL writer. Each Entry is the pipeline's record of the
+// application (lir.PassApplication) as the trace persists it: hashes, the
+// fired bit and the tv verdict all come from that record. One Recorder
+// observes one compile (it is stateful and serial, like tv.Checker); attach
+// it as Config.Trace, then call Finish with the image hash.
 type Recorder struct {
 	w    *obs.JSONLWriter
 	opts RecorderOptions
@@ -219,10 +217,7 @@ type Recorder struct {
 	methods map[int]bool
 	fired   map[string]int
 
-	beforeHash uint64
 	beforeText string
-	resolved   map[string]int
-	verdicts   int
 }
 
 // NewRecorder returns a recorder writing to w.
@@ -258,50 +253,39 @@ func tracedPasses(specs []lir.PassSpec) []TracedPass {
 }
 
 // BeforePass implements lir.RewriteTracer; a Recorder never vetoes.
-func (r *Recorder) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
-	r.beforeHash = lir.HashFunction(f)
-	r.resolved = resolved
+func (r *Recorder) BeforePass(f *lir.Function, app *lir.PassApplication) bool {
 	if r.opts.DiffLines > 0 {
 		r.beforeText = f.String()
-	}
-	if r.opts.Checker != nil {
-		r.verdicts = len(r.opts.Checker.Verdicts)
 	}
 	return true
 }
 
 // AfterPass implements lir.RewriteTracer.
-func (r *Recorder) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
-	after := lir.HashFunction(f)
+func (r *Recorder) AfterPass(f *lir.Function, app *lir.PassApplication) {
 	e := Entry{
 		Kind:         KindRewrite,
 		Seq:          r.seq,
 		Method:       int(f.Method),
 		Fn:           f.Name,
-		Pass:         spec.Name,
-		Params:       r.resolved,
-		Before:       HashString(r.beforeHash),
-		After:        HashString(after),
-		Fired:        ran && after != r.beforeHash,
-		Skipped:      !ran,
-		Notes:        notes,
-		NotesDropped: dropped,
+		Pass:         app.Spec.Name,
+		Params:       app.Params,
+		Before:       HashString(app.Before),
+		After:        HashString(app.After),
+		Fired:        app.Fired,
+		Skipped:      !app.Ran,
+		Notes:        app.Notes,
+		NotesDropped: app.Dropped,
+		TV:           app.Verdict,
+		TVReason:     app.VerdictReason,
 	}
 	if e.Fired {
-		r.fired[spec.Name]++
+		r.fired[e.Pass]++
 		if r.opts.DiffLines > 0 {
 			e.Diff, e.DiffTruncated = boundedDiff(r.beforeText, f.String(), r.opts.DiffLines)
 		}
 	}
-	if chk := r.opts.Checker; chk != nil && ran && len(chk.Verdicts) > r.verdicts {
-		pv := chk.Verdicts[len(chk.Verdicts)-1]
-		if pv.Pass == spec.Name && pv.Fn == f.Name {
-			e.TV = pv.Verdict.String()
-			e.TVReason = pv.Reason
-		}
-	}
-	if err != nil {
-		e.Error = err.Error()
+	if app.Err != nil {
+		e.Error = app.Err.Error()
 	}
 	r.seq++
 	r.methods[int(f.Method)] = true
@@ -320,9 +304,6 @@ func (r *Recorder) Finish(imageHash uint64) error {
 		Methods:   len(r.methods),
 	})
 }
-
-// Entries reports how many rewrite entries were recorded so far.
-func (r *Recorder) Entries() int { return r.seq }
 
 // Fired returns a copy of the per-pass fired counts (lock building).
 func (r *Recorder) Fired() map[string]int {

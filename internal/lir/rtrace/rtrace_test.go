@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"replayopt/internal/machine"
 	"replayopt/internal/minic"
 	"replayopt/internal/obs"
+	"replayopt/internal/progen"
 )
 
 // A fixture with loops, arrays, calls, and an always-executed global int
@@ -543,5 +546,116 @@ func TestRecordingIsObservationOnly(t *testing.T) {
 	_, img := record(t, prog, methods, lir.O3())
 	if got := machine.HashProgram(plain); got != img {
 		t.Fatalf("recording changed the image: %016x plain, %016x traced", got, img)
+	}
+}
+
+// chainTracer fails t when the pipeline's record of a pass application
+// disagrees with fresh hashes of the function: Before at BeforePass, and
+// After and Fired at AfterPass.
+type chainTracer struct {
+	t    testing.TB
+	apps int
+}
+
+func (c *chainTracer) BeforePass(f *lir.Function, app *lir.PassApplication) bool {
+	if got := lir.HashFunction(f); app.Before != got {
+		c.t.Errorf("%s before %s: record says %016x, the function hashes %016x", f.Name, app.Spec.Name, app.Before, got)
+	}
+	return true
+}
+
+func (c *chainTracer) AfterPass(f *lir.Function, app *lir.PassApplication) {
+	c.apps++
+	got := lir.HashFunction(f)
+	if app.After != got || app.Fired != (app.Ran && got != app.Before) {
+		c.t.Errorf("%s after %s: record says after=%016x fired=%t, the function hashes %016x (before %016x)",
+			f.Name, app.Spec.Name, app.After, app.Fired, got, app.Before)
+	}
+}
+
+// TestRecordChainsHashes: the pipeline hashes each function once per pass
+// application, after the checker has seen the result, and hands that hash
+// on as the next application's Before. That is sound only if strict tv's
+// AfterPass never changes the hash; this test checks it for every preset
+// over the fixture and three progen programs.
+func TestRecordChainsHashes(t *testing.T) {
+	srcs := []string{fixtureSrc}
+	for _, seed := range []int64{11, 19, 22} {
+		srcs = append(srcs, progen.Generate(rand.New(rand.NewSource(seed)), progen.Default()))
+	}
+	for i, src := range srcs {
+		prog, err := minic.CompileSource(fmt.Sprintf("p%d", i), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, preset := range []string{"O1", "O2", "O3"} {
+			cfg, _ := lir.Preset(preset)
+			cfg.Check = tv.NewChecker(tv.Options{Strict: true})
+			ct := &chainTracer{t: t}
+			cfg.Trace = ct
+			if _, err := lir.Compile(prog, nil, cfg, nil, nil); err != nil {
+				t.Fatalf("p%d %s: %v", i, preset, err)
+			}
+			if ct.apps == 0 {
+				t.Errorf("p%d %s: no pass application observed", i, preset)
+			}
+		}
+	}
+}
+
+// TestObserversAgree compiles the fixture under O3 with strict tv, a
+// Recorder and an obs scope attached at once. The three must tell one story:
+// the ran entries carry the checker's verdicts in order, and the Recorder's
+// fired counts (what a lock pins) are the lir.pass_fired tally.
+func TestObserversAgree(t *testing.T) {
+	prog, methods := fixture(t)
+	cfg := lir.O3()
+	chk := tv.NewChecker(tv.Options{Reject: true, Strict: true})
+	cfg.Check = chk
+	var buf bytes.Buffer
+	rec := NewRecorder(obs.NewJSONLWriter(&buf), RecorderOptions{})
+	if err := rec.WriteHeader("fixture", 1, cfg, methods); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Trace = rec
+	scope := obs.New()
+	sp := scope.Start("compile")
+	cfg.Obs = sp
+	code, err := lir.Compile(prog, methods, cfg, nil, nil)
+	sp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Finish(machine.HashProgram(code)); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []Entry
+	for _, e := range tr.Entries {
+		if !e.Skipped {
+			ran = append(ran, e)
+		}
+	}
+	if len(ran) == 0 || len(ran) != len(chk.Verdicts) {
+		t.Fatalf("%d ran entries, checker recorded %d verdicts", len(ran), len(chk.Verdicts))
+	}
+	for i, e := range ran {
+		pv := chk.Verdicts[i]
+		if e.Pass != pv.Pass || e.Fn != pv.Fn || e.TV != pv.Verdict.String() || e.TVReason != pv.Reason {
+			t.Errorf("seq %d: entry %s on %s has tv=%q reason=%q, checker says %s on %s: %q %q",
+				e.Seq, e.Pass, e.Fn, e.TV, e.TVReason, pv.Pass, pv.Fn, pv.Verdict, pv.Reason)
+		}
+	}
+	fired, tally := rec.Fired(), scope.Tally("lir.pass_fired").Counts()
+	if len(fired) == 0 || len(fired) != len(tally) {
+		t.Fatalf("recorder fired %v, lir.pass_fired tally %v", fired, tally)
+	}
+	for name, n := range fired {
+		if tally[name] != int64(n) {
+			t.Errorf("%s: recorder counts %d firings, lir.pass_fired %d", name, n, tally[name])
+		}
 	}
 }

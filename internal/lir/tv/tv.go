@@ -96,13 +96,15 @@ type Checker struct {
 func NewChecker(opts Options) *Checker { return &Checker{Opts: opts} }
 
 // BeforePass snapshots the function.
-func (c *Checker) BeforePass(f *lir.Function, pass string, info *lir.PassInfo) {
+func (c *Checker) BeforePass(f *lir.Function, app *lir.PassApplication) {
 	c.snap = c.cloner.Clone(f)
 }
 
 // AfterPass validates the pass result against the snapshot, records the
-// verdict, and (with Opts.Reject) vetoes provable miscompiles.
-func (c *Checker) AfterPass(f *lir.Function, pass string, info *lir.PassInfo) error {
+// verdict in Verdicts and in app, and (with Opts.Reject) vetoes provable
+// miscompiles.
+func (c *Checker) AfterPass(f *lir.Function, app *lir.PassApplication) error {
+	pass := app.Spec.Name
 	verdict, reason := Verified, ""
 	if c.Opts.Strict {
 		if err := lir.VerifyIR(f); err != nil {
@@ -110,13 +112,10 @@ func (c *Checker) AfterPass(f *lir.Function, pass string, info *lir.PassInfo) er
 		}
 	}
 	if verdict != Rejected && c.snap != nil {
-		var traits lir.Traits
-		if info != nil {
-			traits = info.Traits
-		}
-		verdict, reason = c.ev.validate(c.snap, f, traits)
+		verdict, reason = c.ev.validate(c.snap, f, app.Info.Traits)
 	}
 	c.Verdicts = append(c.Verdicts, PassVerdict{Fn: f.Name, Pass: pass, Verdict: verdict, Reason: reason})
+	app.Verdict, app.VerdictReason = verdict.String(), reason
 	c.snap = nil
 	if c.Opts.Reject && verdict == Rejected {
 		return &RejectError{Pass: pass, Fn: f.Name, Reason: reason}
