@@ -672,9 +672,9 @@ func classifyError(err error, fallback ga.Outcome) (ga.Outcome, string) {
 		return ga.OutcomeCompilerError, "compile-crash"
 	case errors.As(err, &mcerr):
 		return ga.OutcomeCompilerError, "lower-error"
-	case errors.Is(err, machine.ErrTimeout), errors.Is(err, interp.ErrTimeout):
+	case errors.Is(err, interp.ErrTimeout):
 		return ga.OutcomeRuntimeTimeout, "runtime-timeout"
-	case errors.Is(err, machine.ErrStackOverflow), errors.Is(err, interp.ErrStackOverflow):
+	case errors.Is(err, interp.ErrStackOverflow):
 		return ga.OutcomeRuntimeCrash, "runtime-stack-overflow"
 	case errors.As(err, &trap), errors.As(err, &access), errors.As(err, &thrown):
 		return ga.OutcomeRuntimeCrash, "runtime-crash"

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"replayopt/internal/ga"
+	"replayopt/internal/interp"
 	"replayopt/internal/lir"
 	"replayopt/internal/lir/tv"
 	"replayopt/internal/machine"
@@ -458,13 +459,13 @@ func TestClassifyErrors(t *testing.T) {
 	if got, _ := classifyError(&lir.CrashError{}, ga.OutcomeCompilerError); got != ga.OutcomeCompilerError {
 		t.Errorf("compiler crash -> %v", got)
 	}
-	if got, _ := classifyError(machine.ErrTimeout, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeTimeout {
+	if got, _ := classifyError(interp.ErrTimeout, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeTimeout {
 		t.Errorf("runtime timeout -> %v", got)
 	}
 	if got, _ := classifyError(&rt.Trap{Kind: rt.TrapBounds}, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeCrash {
 		t.Errorf("bounds trap -> %v", got)
 	}
-	if got, _ := classifyError(machine.ErrStackOverflow, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeCrash {
+	if got, _ := classifyError(interp.ErrStackOverflow, ga.OutcomeRuntimeCrash); got != ga.OutcomeRuntimeCrash {
 		t.Errorf("stack overflow -> %v", got)
 	}
 }

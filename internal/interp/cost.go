@@ -9,9 +9,6 @@ import "replayopt/internal/dex"
 const (
 	dispatchCost = 6 // fetch/decode overhead per bytecode
 
-	// CostGCCollection is charged when a safepoint triggers a simulated
-	// collection.
-	CostGCCollection = 120_000
 	// costSafepoint is the per-check cost at backward branches and calls.
 	costSafepoint = 2
 	// costAllocBase/PerWord price heap allocation.

@@ -9,21 +9,13 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/mem"
 	"replayopt/internal/opsem"
 	"replayopt/internal/rt"
 )
-
-// ErrTimeout is returned when execution exceeds the cycle budget.
-var ErrTimeout = errors.New("interp: cycle budget exhausted")
-
-// ErrStackOverflow is returned when the call stack exceeds its depth limit.
-var ErrStackOverflow = errors.New("interp: call stack overflow")
 
 // ThrownError represents a managed exception reaching the region boundary.
 type ThrownError struct {
@@ -34,9 +26,6 @@ type ThrownError struct {
 func (e *ThrownError) Error() string {
 	return fmt.Sprintf("interp: uncaught exception %#x in %s", e.Value, e.Method)
 }
-
-// maxDepth bounds managed recursion.
-const maxDepth = 512
 
 // Sampler receives sampling-profiler callbacks (internal/profile implements
 // the paper's 1 ms sample-based profiler on top of this).
@@ -79,100 +68,42 @@ type Env struct {
 	Proc    *rt.Process
 	Natives []NativeImpl // indexed by dex.NativeID
 
-	// MaxCycles aborts runaway execution with ErrTimeout; 0 means no limit.
-	MaxCycles uint64
-	// Cycles accumulates the deterministic cost-model time.
-	Cycles uint64
-
-	// SamplePeriod > 0 enables the sampling profiler.
-	SamplePeriod uint64
-	Sampler      Sampler
-	nextSample   uint64
+	// Clock is the activation's cycle clock. A machine.Exec charges its
+	// fallback Env's, so it times compiled code too.
+	Clock
 
 	// Recorder, when set, observes stores and virtual dispatches.
 	Recorder Recorder
-
-	stack         []dex.MethodID
-	currentNative dex.NativeID
 }
 
 // NewEnv returns an Env for proc with the standard native bindings.
 func NewEnv(proc *rt.Process) *Env {
-	return &Env{Proc: proc, Natives: BindNatives(proc.Prog, NewNativeState(0)), currentNative: -1}
-}
-
-// ResetClock zeroes the cycle counter and re-arms the sampler (used by the
-// machine executor's interpreter bridge).
-func (e *Env) ResetClock() {
-	e.Cycles = 0
-	e.nextSample = e.SamplePeriod
-}
-
-// charge adds c cycles. It is small enough to inline into Call's per-op
-// path: below slowAt (see chargeFrom) it only adds, and from slowAt on
-// chargeSlow samples and checks the budget exactly, so any slowAt at or
-// below the true threshold gives the same cycles, samples and errors.
-func (e *Env) charge(c, slowAt uint64) error {
-	e.Cycles += c
-	if e.Cycles >= slowAt {
-		return e.chargeSlow()
-	}
-	return nil
-}
-
-// chargeFrom returns the cycle count from which charge must call
-// chargeSlow: 0 with a sampler attached, since the sampler sees every
-// charge; one past MaxCycles with a budget; and never otherwise.
-func (e *Env) chargeFrom() uint64 {
-	if e.SamplePeriod > 0 && e.Sampler != nil {
-		return 0
-	}
-	if e.MaxCycles > 0 {
-		return e.MaxCycles + 1 // MaxUint64 wraps to 0: every charge is checked
-	}
-	return math.MaxUint64
-}
-
-func (e *Env) chargeSlow() error {
-	if e.SamplePeriod > 0 && e.Sampler != nil && e.Cycles >= e.nextSample {
-		e.Sampler.Sample(e.stack, e.currentNative)
-		for e.nextSample <= e.Cycles {
-			e.nextSample += e.SamplePeriod
-		}
-	}
-	if e.MaxCycles > 0 && e.Cycles > e.MaxCycles {
-		return ErrTimeout
-	}
-	return nil
-}
-
-func (e *Env) safepoint(slowAt uint64) error {
-	if err := e.charge(costSafepoint, slowAt); err != nil {
-		return err
-	}
-	if e.Proc.Safepoint() {
-		return e.charge(CostGCCollection, slowAt)
-	}
-	return nil
+	return &Env{Proc: proc, Natives: BindNatives(proc.Prog, NewNativeState(0))}
 }
 
 // Call interprets method id with the given argument registers and returns
 // the raw 64-bit result (0 for void).
 func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
-	if len(e.stack) >= maxDepth {
-		return 0, ErrStackOverflow
-	}
 	m := e.Proc.Prog.Methods[id]
 	if len(args) != m.NumArgs {
 		return 0, fmt.Errorf("interp: call to %s with %d args, want %d", m.Name, len(args), m.NumArgs)
 	}
-	slowAt := e.chargeFrom()
-	if err := e.charge(costFrame, slowAt); err != nil {
+	slowAt := e.SlowAt()
+	if err := e.Charge(costFrame, slowAt); err != nil {
 		return 0, err
 	}
-	e.stack = append(e.stack, id)
-	defer func() { e.stack = e.stack[:len(e.stack)-1] }()
+	if err := e.Push(id); err != nil {
+		return 0, err
+	}
+	// Pop without defer: run has too many returns for the compiler to
+	// open-code a deferred call, so a defer here would cost a defer record
+	// per call. Nothing recovers a panic out of the interpreter.
+	v, err := e.run(id, m, args, slowAt)
+	e.Pop()
+	return v, err
+}
 
+func (e *Env) run(id dex.MethodID, m *dex.Method, args []uint64, slowAt uint64) (uint64, error) {
 	regs := make([]uint64, m.NumRegs)
 	copy(regs, args)
 	prog := e.Proc.Prog
@@ -191,7 +122,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			return 0, fmt.Errorf("interp: pc %d out of range in %s", pc, m.Name)
 		}
 		in := &m.Code[pc]
-		if err := e.charge(dispatchCost+opCost[in.Op], slowAt); err != nil {
+		if err := e.Charge(dispatchCost+opCost[in.Op], slowAt); err != nil {
 			return 0, err
 		}
 
@@ -257,7 +188,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 		case dex.OpIfEq, dex.OpIfNe, dex.OpIfLt, dex.OpIfLe, dex.OpIfGt, dex.OpIfGe:
 			if in.Op.Cond().Eval(int64(regs[in.B]), int64(regs[in.C])) {
 				if int(in.Imm) <= pc { // backward edge: safepoint
-					if err := e.safepoint(slowAt); err != nil {
+					if err := e.Safepoint(e.Proc, costSafepoint, slowAt); err != nil {
 						return 0, err
 					}
 				}
@@ -267,7 +198,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 
 		case dex.OpGoto:
 			if int(in.Imm) <= pc {
-				if err := e.safepoint(slowAt); err != nil {
+				if err := e.Safepoint(e.Proc, costSafepoint, slowAt); err != nil {
 					return 0, err
 				}
 			}
@@ -282,7 +213,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 				kind = dex.KindRef
 			}
 			n := int64(regs[in.B])
-			if err := e.charge(costAllocBase+costAllocPerWord*uint64(max(n, 0)), slowAt); err != nil {
+			if err := e.Charge(costAllocBase+costAllocPerWord*uint64(max(n, 0)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := e.Proc.NewArray(kind, n)
@@ -319,7 +250,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 
 		case dex.OpNewInstance:
 			cls := prog.Classes[in.Sym]
-			if err := e.charge(costAllocBase+costAllocPerWord*uint64(len(cls.Fields)), slowAt); err != nil {
+			if err := e.Charge(costAllocBase+costAllocPerWord*uint64(len(cls.Fields)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := e.Proc.NewObject(dex.ClassID(in.Sym))
@@ -361,7 +292,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			recordStore(a)
 
 		case dex.OpInvokeStatic, dex.OpInvokeVirtual:
-			if err := e.safepoint(slowAt); err != nil {
+			if err := e.Safepoint(e.Proc, costSafepoint, slowAt); err != nil {
 				return 0, err
 			}
 			callArgs := make([]uint64, len(in.Args))
@@ -370,7 +301,7 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			}
 			target := dex.MethodID(in.Sym)
 			if in.Op == dex.OpInvokeVirtual {
-				if err := e.charge(costVirtualDispatch, slowAt); err != nil {
+				if err := e.Charge(costVirtualDispatch, slowAt); err != nil {
 					return 0, err
 				}
 				cls, err := e.Proc.ObjectClass(mem.Addr(callArgs[0]))
@@ -391,26 +322,13 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 			}
 
 		case dex.OpInvokeNative:
-			if err := e.charge(costNativeBridge, slowAt); err != nil {
-				return 0, err
-			}
 			callArgs := make([]uint64, len(in.Args))
 			for i, r := range in.Args {
 				callArgs[i] = regs[r]
 			}
-			impl := e.Natives[in.Sym]
-			if impl == nil {
-				return 0, fmt.Errorf("interp: native %s not bound", prog.Natives[in.Sym].Name)
-			}
-			ret, cost, err := impl(e, callArgs)
+			ret, err := e.CallNative(e.Natives, in.Sym, callArgs, costNativeBridge, slowAt)
 			if err != nil {
 				return 0, err
-			}
-			e.currentNative = dex.NativeID(in.Sym)
-			cerr := e.charge(cost, slowAt)
-			e.currentNative = -1
-			if cerr != nil {
-				return 0, cerr
 			}
 			if prog.Natives[in.Sym].Ret != dex.KindVoid {
 				regs[in.A] = ret

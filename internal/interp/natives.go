@@ -9,7 +9,7 @@ import (
 
 // NativeImpl executes one native call. It returns the raw result and the
 // cycle cost of the native body (the bridge cost is charged separately).
-type NativeImpl func(e *Env, args []uint64) (ret uint64, cost uint64, err error)
+type NativeImpl func(args []uint64) (ret uint64, cost uint64, err error)
 
 // NativeState holds the mutable world outside the managed heap: the PRNG,
 // the clock, and I/O counters. It is shared between interpreter and machine
@@ -47,8 +47,8 @@ func (ns *NativeState) nextRand() uint64 {
 	return x * 2685821657736338717
 }
 
-// BindNatives maps prog's native table to implementations over ns. Unknown
-// natives are left nil and fail at call time.
+// BindNatives maps prog's native table to implementations over ns. An
+// unknown native is bound to an implementation that fails when called.
 func BindNatives(prog *dex.Program, ns *NativeState) []NativeImpl {
 	impls := make([]NativeImpl, len(prog.Natives))
 	for i, n := range prog.Natives {
@@ -59,7 +59,7 @@ func BindNatives(prog *dex.Program, ns *NativeState) []NativeImpl {
 
 func stdImpl(n *dex.Native, ns *NativeState) NativeImpl {
 	if k := n.Intrinsic; k != dex.IntrinsicNone {
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
+		return func(args []uint64) (uint64, uint64, error) {
 			var b uint64
 			if len(args) > 1 {
 				b = args[1]
@@ -73,12 +73,12 @@ func stdImpl(n *dex.Native, ns *NativeState) NativeImpl {
 	}
 	switch n.Name {
 	case "System.clockMillis":
-		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+		return func([]uint64) (uint64, uint64, error) {
 			ns.clockMS += 7 // the clock advances between observations
 			return uint64(ns.clockMS), 30, nil
 		}
 	case "Random.nextInt":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
+		return func(args []uint64) (uint64, uint64, error) {
 			bound := int64(args[0])
 			if bound <= 0 {
 				return 0, 30, &rt.Trap{Kind: rt.TrapNegSize}
@@ -86,31 +86,31 @@ func stdImpl(n *dex.Native, ns *NativeState) NativeImpl {
 			return uint64(int64(ns.nextRand()%uint64(bound)) % bound), 30, nil
 		}
 	case "Random.nextFloat":
-		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+		return func([]uint64) (uint64, uint64, error) {
 			return rt.F2U(float64(ns.nextRand()>>11) / float64(1<<53)), 30, nil
 		}
 	case "IO.printInt":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
+		return func(args []uint64) (uint64, uint64, error) {
 			ns.PrintedInts = append(ns.PrintedInts, int64(args[0]))
 			return 0, 400, nil
 		}
 	case "IO.printFloat":
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
+		return func(args []uint64) (uint64, uint64, error) {
 			ns.PrintedFloats = append(ns.PrintedFloats, rt.U2F(args[0]))
 			return 0, 400, nil
 		}
 	case "IO.drawFrame":
-		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+		return func([]uint64) (uint64, uint64, error) {
 			ns.FramesDrawn++
 			return 0, 2500, nil
 		}
 	case "IO.playSound":
-		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+		return func([]uint64) (uint64, uint64, error) {
 			ns.SoundsPlayed++
 			return 0, 800, nil
 		}
 	case "IO.readInput":
-		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+		return func([]uint64) (uint64, uint64, error) {
 			if ns.inPos < len(ns.Inputs) {
 				v := ns.Inputs[ns.inPos]
 				ns.inPos++
@@ -119,7 +119,7 @@ func stdImpl(n *dex.Native, ns *NativeState) NativeImpl {
 			return uint64(^uint64(0)), 600, nil // -1: no input
 		}
 	case "Net.send":
-		return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+		return func([]uint64) (uint64, uint64, error) {
 			ns.PacketsSent++
 			return 0, 3000, nil
 		}
@@ -127,14 +127,14 @@ func stdImpl(n *dex.Native, ns *NativeState) NativeImpl {
 		// Deterministic splitmix-style bit mixer standing in for an opaque
 		// JNI helper: replay-safe in behavior, but the compiler cannot see
 		// through it, so §3.1 still blocklists it (EffJNI in internal/sa).
-		return func(_ *Env, args []uint64) (uint64, uint64, error) {
+		return func(args []uint64) (uint64, uint64, error) {
 			z := args[0] + 0x9e3779b97f4a7c15
 			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			return z ^ (z >> 31), 90, nil
 		}
 	}
-	return func(_ *Env, _ []uint64) (uint64, uint64, error) {
+	return func([]uint64) (uint64, uint64, error) {
 		return 0, 0, fmt.Errorf("interp: no implementation for native %s", n.Name)
 	}
 }

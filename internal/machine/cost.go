@@ -39,9 +39,7 @@ const (
 	costNativeBridge    = 70 // managed->native transition
 	costAllocBase       = 40
 	costAllocPerWord    = 1
-	// CostGCCollection mirrors the interpreter's collection cost so GC
-	// pressure behaves identically across tiers.
-	CostGCCollection = 120_000
+	costSafepoint       = 2 // safepoint check at calls
 	// costBranchMispredict is charged when a hinted branch goes the other
 	// way; unhinted branches pay costBranchAverage.
 	costBranchMispredict = 6

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -11,14 +10,6 @@ import (
 	"replayopt/internal/opsem"
 	"replayopt/internal/rt"
 )
-
-// ErrTimeout is returned when compiled execution exceeds the cycle budget.
-var ErrTimeout = errors.New("machine: cycle budget exhausted")
-
-// ErrStackOverflow is returned on runaway managed recursion.
-var ErrStackOverflow = errors.New("machine: call stack overflow")
-
-const maxDepth = 512
 
 // CaptureHook intercepts the entry of one method (the hot region): the
 // runtime's injected capture check (§3.2 step 1). Wrap is called once with
@@ -35,28 +26,20 @@ type CaptureHook struct {
 func (h *CaptureHook) Rearm() { h.fired = false }
 
 // Exec runs compiled code against a process. Methods missing from Code fall
-// back to the interpreter (sharing the same process and native state), which
-// is how cold and uncompilable code executes in a mixed-mode runtime.
+// back to the interpreter (sharing the same process, native state and
+// clock), which is how cold and uncompilable code executes in a mixed-mode
+// runtime.
 type Exec struct {
 	Proc *rt.Process
 	Code *Program
 	// Fallback interprets uncompiled callees; it must share Proc.
 	Fallback *interp.Env
-
-	Cycles    uint64
-	MaxCycles uint64
-
-	// SamplePeriod > 0 enables the sampling profiler (same interface as the
-	// interpreter's, so profiles cover compiled execution).
-	SamplePeriod uint64
-	Sampler      interp.Sampler
-	nextSample   uint64
+	// Clock is Fallback's clock, which compiled code charges too: cycles,
+	// budget, sampler and call stack span both tiers.
+	*interp.Clock
 
 	// Hook, when set, intercepts the first call to Hook.Method.
 	Hook *CaptureHook
-
-	stack         []dex.MethodID
-	currentNative dex.NativeID
 
 	// argStack is a stack-discipline arena for marshalling managed call
 	// arguments: a callee copies its args into fresh registers on entry, so
@@ -78,8 +61,6 @@ type Exec struct {
 	// IDs index Prog.Methods, so a slice answers the per-call "is this
 	// method compiled?" question without a map probe.
 	fns []*Fn
-
-	depth int
 }
 
 // NewExec wires an executor with an interpreter fallback over the same
@@ -92,45 +73,8 @@ func NewExec(proc *rt.Process, code *Program) *Exec {
 			fns[id] = fn
 		}
 	}
-	return &Exec{Proc: proc, Code: code, Fallback: interp.NewEnv(proc), currentNative: -1, fns: fns}
-}
-
-// charge adds c cycles. It is small enough to inline into runFrame's
-// per-op paths: below slowAt (see chargeFrom) it only adds, and from slowAt
-// on chargeSlow samples and checks the budget exactly, so any slowAt at or
-// below the true threshold gives the same cycles, samples and errors.
-func (x *Exec) charge(c, slowAt uint64) error {
-	x.Cycles += c
-	if x.Cycles >= slowAt {
-		return x.chargeSlow()
-	}
-	return nil
-}
-
-// chargeFrom returns the cycle count from which charge must call
-// chargeSlow: 0 with a sampler attached, since the sampler sees every
-// charge; one past MaxCycles with a budget; and never otherwise.
-func (x *Exec) chargeFrom() uint64 {
-	if x.SamplePeriod > 0 && x.Sampler != nil {
-		return 0
-	}
-	if x.MaxCycles > 0 {
-		return x.MaxCycles + 1 // MaxUint64 wraps to 0: every charge is checked
-	}
-	return math.MaxUint64
-}
-
-func (x *Exec) chargeSlow() error {
-	if x.SamplePeriod > 0 && x.Sampler != nil && x.Cycles >= x.nextSample {
-		x.Sampler.Sample(x.stack, x.currentNative)
-		for x.nextSample <= x.Cycles {
-			x.nextSample += x.SamplePeriod
-		}
-	}
-	if x.MaxCycles > 0 && x.Cycles > x.MaxCycles {
-		return ErrTimeout
-	}
-	return nil
+	fb := interp.NewEnv(proc)
+	return &Exec{Proc: proc, Code: code, Fallback: fb, Clock: &fb.Clock, fns: fns}
 }
 
 // Call executes method id with args, using compiled code when available.
@@ -150,27 +94,11 @@ func (x *Exec) callNoHook(id dex.MethodID, args []uint64) (uint64, error) {
 		fn = x.Code.Fns[id]
 	}
 	if fn == nil {
-		// Interpreter bridge: synchronize cycle clocks across the
-		// transition so mixed-mode time adds up.
-		if err := x.charge(costInterpBridge, x.chargeFrom()); err != nil {
+		// Interpreter bridge: the callee runs on the same clock.
+		if err := x.Charge(costInterpBridge, x.SlowAt()); err != nil {
 			return 0, err
 		}
-		x.Fallback.ResetClock()
-		x.Fallback.MaxCycles = 0
-		if x.MaxCycles > 0 {
-			x.Fallback.MaxCycles = x.MaxCycles - x.Cycles
-		}
-		x.Fallback.SamplePeriod = x.SamplePeriod
-		x.Fallback.Sampler = x.Sampler
-		ret, err := x.Fallback.Call(id, args)
-		cerr := x.charge(x.Fallback.Cycles, x.chargeFrom())
-		if err != nil {
-			return 0, err
-		}
-		if cerr != nil {
-			return 0, cerr
-		}
-		return ret, nil
+		return x.Fallback.Call(id, args)
 	}
 	return x.run(fn, args)
 }
@@ -179,22 +107,22 @@ func (x *Exec) run(fn *Fn, args []uint64) (uint64, error) {
 	// Push/pop without defer: nothing in the machine recovers runtime
 	// panics (they are fatal), so the explicit pop around runFrame is
 	// equivalent and keeps defer machinery out of the per-call path.
-	if x.depth >= maxDepth {
-		return 0, ErrStackOverflow
+	if err := x.Push(fn.Method); err != nil {
+		return 0, err
 	}
-	x.depth++
-	x.stack = append(x.stack, fn.Method)
 	frameBase := len(x.frameStack)
 	v, err := x.runFrame(fn, args)
 	x.frameStack = x.frameStack[:frameBase]
-	x.depth--
-	x.stack = x.stack[:len(x.stack)-1]
+	x.Pop()
 	return v, err
 }
 
 func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
-	slowAt := x.chargeFrom()
-	if err := x.charge(costFrame, slowAt); err != nil {
+	// The clock pointer is loaded once per frame, so a charge costs no
+	// more than a field of x would.
+	clk := x.Clock
+	slowAt := clk.SlowAt()
+	if err := clk.Charge(costFrame, slowAt); err != nil {
 		return 0, err
 	}
 
@@ -230,7 +158,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			cost += uint64(stall[pc])
 		}
 		jumped = false
-		if err := x.charge(cost, slowAt); err != nil {
+		if err := clk.Charge(cost, slowAt); err != nil {
 			return 0, err
 		}
 
@@ -348,7 +276,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 
 		case NewArr:
 			n := int64(regs[in.B])
-			if err := x.charge(costAllocBase+costAllocPerWord*uint64(max(n, 0)), slowAt); err != nil {
+			if err := clk.Charge(costAllocBase+costAllocPerWord*uint64(max(n, 0)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := x.Proc.NewArray(dex.Kind(in.Sym), n)
@@ -358,7 +286,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			regs[in.A] = uint64(ref)
 		case NewObj:
 			cls := prog.Classes[in.Sym]
-			if err := x.charge(costAllocBase+costAllocPerWord*uint64(len(cls.Fields)), slowAt); err != nil {
+			if err := clk.Charge(costAllocBase+costAllocPerWord*uint64(len(cls.Fields)), slowAt); err != nil {
 				return 0, err
 			}
 			ref, err := x.Proc.NewObject(dex.ClassID(in.Sym))
@@ -372,18 +300,18 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			// Prediction cost.
 			switch in.Hint {
 			case HintNone:
-				if err := x.charge(costBranchAverage, slowAt); err != nil {
+				if err := clk.Charge(costBranchAverage, slowAt); err != nil {
 					return 0, err
 				}
 			case HintTaken:
 				if !take {
-					if err := x.charge(costBranchMispredict, slowAt); err != nil {
+					if err := clk.Charge(costBranchMispredict, slowAt); err != nil {
 						return 0, err
 					}
 				}
 			case HintNotTaken:
 				if take {
-					if err := x.charge(costBranchMispredict, slowAt); err != nil {
+					if err := clk.Charge(costBranchMispredict, slowAt); err != nil {
 						return 0, err
 					}
 				}
@@ -399,13 +327,8 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			continue
 
 		case Call, CallV:
-			if err := x.charge(2, slowAt); err != nil { // safepoint check at calls
+			if err := clk.Safepoint(x.Proc, costSafepoint, slowAt); err != nil {
 				return 0, err
-			}
-			if x.Proc.Safepoint() {
-				if err := x.charge(CostGCCollection, slowAt); err != nil {
-					return 0, err
-				}
 			}
 			var callArgs []uint64
 			argOff := -1
@@ -423,7 +346,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 			target := dex.MethodID(in.Sym)
 			if in.Op == CallV {
-				if err := x.charge(costVirtualDispatch, slowAt); err != nil {
+				if err := clk.Charge(costVirtualDispatch, slowAt); err != nil {
 					return 0, err
 				}
 				cls, err := x.Proc.ObjectClass(mem.Addr(callArgs[0]))
@@ -444,26 +367,13 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 
 		case CallN:
-			if err := x.charge(costNativeBridge, slowAt); err != nil {
-				return 0, err
-			}
 			callArgs := make([]uint64, len(in.Args))
 			for i, r := range in.Args {
 				callArgs[i] = regs[r]
 			}
-			impl := x.Fallback.Natives[in.Sym]
-			if impl == nil {
-				return 0, fmt.Errorf("machine: native %s not bound", prog.Natives[in.Sym].Name)
-			}
-			ret, ncost, err := impl(x.Fallback, callArgs)
+			ret, err := clk.CallNative(x.Fallback.Natives, in.Sym, callArgs, costNativeBridge, slowAt)
 			if err != nil {
 				return 0, err
-			}
-			x.currentNative = dex.NativeID(in.Sym)
-			cerr := x.charge(ncost, slowAt)
-			x.currentNative = -1
-			if cerr != nil {
-				return 0, cerr
 			}
 			if in.A >= 0 {
 				regs[in.A] = ret
@@ -474,16 +384,14 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := x.charge(icost, slowAt); err != nil {
+			if err := clk.Charge(icost, slowAt); err != nil {
 				return 0, err
 			}
 			regs[in.A] = v
 
-		case GCChk:
-			if x.Proc.Safepoint() {
-				if err := x.charge(CostGCCollection, slowAt); err != nil {
-					return 0, err
-				}
+		case GCChk: // the check's cost is the op's
+			if err := clk.Safepoint(x.Proc, 0, slowAt); err != nil {
+				return 0, err
 			}
 
 		case Ret:
