@@ -74,6 +74,15 @@ type Env struct {
 
 	// Recorder, when set, observes stores and virtual dispatches.
 	Recorder Recorder
+
+	// frames and args are stack-discipline arenas, as in machine.Exec: each
+	// call carves its register file from the top of frames, and each invoke
+	// or native call marshals its arguments onto the top of args, which the
+	// callee copies into its registers (or the native reads) before anything
+	// else is pushed. Call truncates both back to where they stood when it
+	// returns. A frame's registers stay valid when a nested call grows the
+	// arena: they keep pointing into the old backing array.
+	frames, args []uint64
 }
 
 // NewEnv returns an Env for proc with the standard native bindings.
@@ -98,13 +107,27 @@ func (e *Env) Call(id dex.MethodID, args []uint64) (uint64, error) {
 	// Pop without defer: run has too many returns for the compiler to
 	// open-code a deferred call, so a defer here would cost a defer record
 	// per call. Nothing recovers a panic out of the interpreter.
+	frameBase, argBase := len(e.frames), len(e.args)
 	v, err := e.run(id, m, args, slowAt)
+	e.frames, e.args = e.frames[:frameBase], e.args[:argBase]
 	e.Pop()
 	return v, err
 }
 
+// pushArgs marshals the registers named by rs onto the args arena and
+// returns them with the offset to truncate back to.
+func (e *Env) pushArgs(regs []uint64, rs []int) ([]uint64, int) {
+	off := len(e.args)
+	for _, r := range rs {
+		e.args = append(e.args, regs[r])
+	}
+	return e.args[off:], off
+}
+
 func (e *Env) run(id dex.MethodID, m *dex.Method, args []uint64, slowAt uint64) (uint64, error) {
-	regs := make([]uint64, m.NumRegs)
+	base := len(e.frames)
+	e.frames = append(e.frames, make([]uint64, m.NumRegs)...)
+	regs := e.frames[base : base+m.NumRegs : base+m.NumRegs]
 	copy(regs, args)
 	prog := e.Proc.Prog
 	space := e.Proc.Space
@@ -295,10 +318,7 @@ func (e *Env) run(id dex.MethodID, m *dex.Method, args []uint64, slowAt uint64) 
 			if err := e.Safepoint(e.Proc, costSafepoint, slowAt); err != nil {
 				return 0, err
 			}
-			callArgs := make([]uint64, len(in.Args))
-			for i, r := range in.Args {
-				callArgs[i] = regs[r]
-			}
+			callArgs, off := e.pushArgs(regs, in.Args)
 			target := dex.MethodID(in.Sym)
 			if in.Op == dex.OpInvokeVirtual {
 				if err := e.Charge(costVirtualDispatch, slowAt); err != nil {
@@ -314,6 +334,7 @@ func (e *Env) run(id dex.MethodID, m *dex.Method, args []uint64, slowAt uint64) 
 				target = prog.Resolve(target, cls)
 			}
 			ret, err := e.Call(target, callArgs)
+			e.args = e.args[:off]
 			if err != nil {
 				return 0, err
 			}
@@ -322,11 +343,9 @@ func (e *Env) run(id dex.MethodID, m *dex.Method, args []uint64, slowAt uint64) 
 			}
 
 		case dex.OpInvokeNative:
-			callArgs := make([]uint64, len(in.Args))
-			for i, r := range in.Args {
-				callArgs[i] = regs[r]
-			}
+			callArgs, off := e.pushArgs(regs, in.Args)
 			ret, err := e.CallNative(e.Natives, in.Sym, callArgs, costNativeBridge, slowAt)
+			e.args = e.args[:off]
 			if err != nil {
 				return 0, err
 			}

@@ -529,3 +529,63 @@ func main() int {
 		t.Error("different seeds produced the same stream")
 	}
 }
+
+// arenaSrc nests calls three ways: recursion whose caller still reads its
+// own registers after each callee returns, sibling calls with several
+// arguments, and native calls with arguments inside the recursion.
+const arenaSrc = `
+func mix(int a, int b, int c, int d) int { return a * 1000 + b * 100 + c * 10 + d; }
+func fib(int n) int {
+	if (n < 2) { return n; }
+	int keep = n * 7;
+	int a = fib(n - 1);
+	int b = fib(n - 2);
+	int m = absi(0 - n);
+	return a + b + keep - n * 7 + m - n;
+}
+func main() int {
+	int s = 0;
+	for (int i = 0; i < 4; i = i + 1) { s = s + mix(i, i + 1, i + 2, fib(i + 10)); }
+	return s + fib(15);
+}`
+
+// The register and argument arenas follow the call stack: results match a
+// direct computation, Run leaves both arenas empty, also when it fails deep
+// in the recursion, and a warm Run allocates nothing per call.
+func TestArenasFollowCallDiscipline(t *testing.T) {
+	fib := func(n int) int {
+		a, b := 0, 1
+		for ; n > 0; n-- {
+			a, b = b, a+b
+		}
+		return a
+	}
+	want := fib(15)
+	for i := 0; i < 4; i++ {
+		want += i*1000 + (i+1)*100 + (i+2)*10 + fib(i+10)
+	}
+	prog, err := minic.CompileSource("t", arenaSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEnv(rt.NewProcess(prog, rt.Config{}))
+	for run := 0; run < 2; run++ {
+		v, err := e.Run()
+		if err != nil || int64(v) != int64(want) {
+			t.Fatalf("run %d: %d, %v; want %d", run, int64(v), err, want)
+		}
+		if len(e.frames) != 0 || len(e.args) != 0 {
+			t.Fatalf("run %d left %d registers and %d arguments on the arenas", run, len(e.frames), len(e.args))
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { e.Run() }); allocs > 20 {
+		t.Errorf("a warm Run allocates %.0f times over thousands of calls", allocs)
+	}
+	e.MaxCycles = e.Cycles + 5_000
+	if _, err := e.Run(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want a timeout", err)
+	}
+	if len(e.frames) != 0 || len(e.args) != 0 {
+		t.Errorf("a failed Run left %d registers and %d arguments on the arenas", len(e.frames), len(e.args))
+	}
+}

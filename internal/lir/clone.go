@@ -1,5 +1,7 @@
 package lir
 
+import "math"
+
 // Clone deep-copies a function: fresh Blocks and Values with the same IDs,
 // ops, types, and wiring, sharing only the immutable Prog. The copy carries
 // the ID counters and the analysis caches (IDom, rpo, the dominator-tree
@@ -133,6 +135,58 @@ func (c *Cloner) Clone(f *Function) *Function {
 		}
 	}
 	return out
+}
+
+// SameIR reports whether a and b are the same IR as HashFunction sees it:
+// the same block order and IDs, and per block the same phis and
+// instructions (every field HashFunction reads, arguments by ID) and the
+// same successor and predecessor IDs. Like the hash it ignores the analysis
+// caches, the ID counters, and which pointer an ID names, so Clone(f) is the
+// same IR as f. It allocates nothing.
+func SameIR(a, b *Function) bool {
+	if len(a.Blocks) != len(b.Blocks) {
+		return false
+	}
+	for i, x := range a.Blocks {
+		y := b.Blocks[i]
+		if x.ID != y.ID || !sameValues(x.Phis, y.Phis) || !sameValues(x.Insns, y.Insns) ||
+			!sameEdges(x.Succs, y.Succs) || !sameEdges(x.Preds, y.Preds) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameValues(xs, ys []*Value) bool {
+	if len(xs) != len(ys) {
+		return false
+	}
+	for i, x := range xs {
+		y := ys[i]
+		if x.ID != y.ID || x.Op != y.Op || x.Type != y.Type || x.Imm != y.Imm ||
+			math.Float64bits(x.F) != math.Float64bits(y.F) || x.Sym != y.Sym || x.Slot != y.Slot ||
+			x.Cond != y.Cond || x.Hint != y.Hint || x.NoTrap != y.NoTrap || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for j, a := range x.Args {
+			if idOf(a) != idOf(y.Args[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameEdges(xs, ys []*Block) bool {
+	if len(xs) != len(ys) {
+		return false
+	}
+	for i, x := range xs {
+		if blockID(x) != blockID(ys[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // idOf tolerates the nil argument of malformed IR.

@@ -1,6 +1,7 @@
 package lir_test
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/machine"
+	"replayopt/internal/minic"
 	"replayopt/internal/profile"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
@@ -149,5 +151,145 @@ func TestCompileMatchesCompileMethod(t *testing.T) {
 				t.Errorf("%s: Compile's image differs from CompileMethod's", spec.Name)
 			}
 		}
+	}
+}
+
+// sameIRSrc has a loop (phis), a branch, a float and a call.
+const sameIRSrc = `
+func scale(int x) int { return x * 3; }
+func work(int n) int {
+	int s = 0;
+	float f = 0.5;
+	for (int i = 0; i < n; i = i + 1) {
+		if (s > 7) { s = s - scale(i); } else { s = s + i; }
+		f = f * 1.5;
+	}
+	return s + ftoi(f);
+}
+func main() int { return work(9); }
+`
+
+// TestSameIR changes one thing SameIR compares at a time, on a copy of a
+// built function, and expects false, with HashFunction disagreeing too;
+// copies and edits that are undone again are the same IR.
+func TestSameIR(t *testing.T) {
+	prog, err := minic.CompileSource("sameir", sameIRSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base *lir.Function
+	for i, m := range prog.Methods {
+		if m.Name == "work" {
+			if base, err = lir.BuildSSA(prog, dex.MethodID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if base == nil {
+		t.Fatal("no method work")
+	}
+	// The parts of a copy each case edits: a value with two arguments, a
+	// value defined elsewhere, a block with phis and a branch block.
+	type parts struct {
+		f        *lir.Function
+		v, other *lir.Value
+		phis, br *lir.Block
+	}
+	find := func(f *lir.Function) parts {
+		p := parts{f: f}
+		for _, b := range f.Blocks {
+			if len(b.Phis) > 0 && p.phis == nil {
+				p.phis = b
+			}
+			if len(b.Succs) == 2 && p.br == nil {
+				p.br = b
+			}
+			for _, v := range b.Insns {
+				if len(v.Args) == 2 && p.v == nil {
+					p.v = v
+				}
+			}
+		}
+		for _, b := range f.Blocks {
+			for _, v := range b.Insns {
+				if p.other == nil && p.v != nil && v.Type != lir.TVoid && v.ID != p.v.Args[0].ID && v.ID != p.v.Args[1].ID {
+					p.other = v
+				}
+			}
+		}
+		if p.v == nil || p.other == nil || p.phis == nil || p.br == nil {
+			t.Fatalf("fixture lacks a part: %+v", p)
+		}
+		return p
+	}
+	find(base)
+	differ := map[string]func(p parts){
+		"block ID":           func(p parts) { p.br.ID += 1000 },
+		"block order":        func(p parts) { p.f.Blocks[1], p.f.Blocks[2] = p.f.Blocks[2], p.f.Blocks[1] },
+		"phi list":           func(p parts) { p.phis.Phis = p.phis.Phis[:len(p.phis.Phis)-1] },
+		"instruction list":   func(p parts) { p.br.Insns = p.br.Insns[1:] },
+		"value ID":           func(p parts) { p.v.ID += 1000 },
+		"op":                 func(p parts) { p.v.Op = lir.OpXor },
+		"type":               func(p parts) { p.v.Type = lir.TRef },
+		"immediate":          func(p parts) { p.v.Imm++ },
+		"float":              func(p parts) { p.v.F = 2.5 },
+		"float sign of zero": func(p parts) { p.v.F = math.Copysign(0, -1) },
+		"symbol":             func(p parts) { p.v.Sym++ },
+		"slot":               func(p parts) { p.v.Slot++ },
+		"condition":          func(p parts) { p.v.Cond++ },
+		"hint":               func(p parts) { p.v.Hint++ },
+		"no-trap mark":       func(p parts) { p.v.NoTrap = !p.v.NoTrap },
+		"argument":           func(p parts) { p.v.Args[0] = p.other },
+		"argument count":     func(p parts) { p.v.Args = p.v.Args[:1] },
+		"successor":          func(p parts) { p.br.Succs[0] = p.f.Blocks[0] },
+		"successor order":    func(p parts) { p.br.Succs[0], p.br.Succs[1] = p.br.Succs[1], p.br.Succs[0] },
+		"predecessor":        func(p parts) { p.phis.Preds[0] = p.br },
+		"predecessor count":  func(p parts) { p.phis.Preds = p.phis.Preds[:1] },
+		"phi argument": func(p parts) {
+			phi := p.phis.Phis[0]
+			if phi.Args[0].ID == p.other.ID {
+				phi.Args[0] = p.v
+			} else {
+				phi.Args[0] = p.other
+			}
+		},
+		"terminator replaced": func(p parts) { p.br.Insns[len(p.br.Insns)-1] = p.other },
+	}
+	same := map[string]func(p parts){
+		"copy": func(p parts) {},
+		"restored immediate": func(p parts) {
+			p.v.Imm += 7
+			p.v.Imm -= 7
+		},
+		"restored instruction list": func(p parts) {
+			body := p.br.Insns
+			p.br.Insns = append(append([]*lir.Value{}, body[1:]...), body[0])
+			p.br.Insns = body
+		},
+		"argument copy with the same ID": func(p parts) {
+			a := *p.v.Args[0]
+			p.v.Args[0] = &a
+		},
+		"analysis caches": func(p parts) { p.br.IDom = nil },
+	}
+	for name, edit := range differ {
+		c := lir.Clone(base)
+		edit(find(c))
+		if lir.SameIR(base, c) || lir.SameIR(c, base) {
+			t.Errorf("%s changed: SameIR still true", name)
+		}
+		if lir.HashFunction(c) == lir.HashFunction(base) {
+			t.Errorf("%s changed: HashFunction unchanged, so SameIR compares more than the hash reads", name)
+		}
+	}
+	for name, edit := range same {
+		c := lir.Clone(base)
+		edit(find(c))
+		if !lir.SameIR(base, c) || !lir.SameIR(c, base) {
+			t.Errorf("%s: SameIR false", name)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { lir.SameIR(base, base) }); allocs != 0 {
+		t.Errorf("SameIR allocates %.0f times per call", allocs)
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 	"replayopt/internal/apps"
 	"replayopt/internal/dex"
-	"replayopt/internal/ga"
 	"replayopt/internal/lir"
+	"replayopt/internal/lir/lirtest"
 	"replayopt/internal/machine"
 	"replayopt/internal/minic"
 	"replayopt/internal/profile"
@@ -40,40 +40,11 @@ type identityConfig struct {
 	cfg   lir.Config
 }
 
-// identityConfigs lists the matrix: the three presets; every registered
-// pass appended to O1 at its defaults, with every parameter at its maximum,
-// and (for passes with several parameters) with each parameter alone at its
-// maximum; and sixteen seeded random genomes drawn the way the GA's first
-// generation draws them.
+// identityConfigs lists the matrix, lirtest.Matrix.
 func identityConfigs() []identityConfig {
-	out := []identityConfig{{"O1", lir.O1()}, {"O2", lir.O2()}, {"O3", lir.O3()}}
-	withPass := func(label string, spec lir.PassSpec) {
-		cfg := lir.O1()
-		cfg.Passes = append(cfg.Passes, spec)
-		out = append(out, identityConfig{label, cfg})
-	}
-	for _, name := range lir.PassNames() {
-		info, _ := lir.PassByName(name)
-		withPass("O1+"+name, lir.PassSpec{Name: name})
-		if len(info.Params) == 0 {
-			continue
-		}
-		all := map[string]int{}
-		for _, ps := range info.Params {
-			all[ps.Name] = ps.Max
-		}
-		withPass("O1+"+name+"(max)", lir.PassSpec{Name: name, Params: all})
-		if len(info.Params) == 1 {
-			continue
-		}
-		for _, ps := range info.Params {
-			withPass(fmt.Sprintf("O1+%s(%s=%d)", name, ps.Name, ps.Max),
-				lir.PassSpec{Name: name, Params: map[string]int{ps.Name: ps.Max}})
-		}
-	}
-	for seed := int64(1); seed <= 16; seed++ {
-		g := ga.RandomGenome(rand.New(rand.NewSource(seed)), ga.DefaultOptions())
-		out = append(out, identityConfig{fmt.Sprintf("genome%d", seed), g.Decode()})
+	var out []identityConfig
+	for _, c := range lirtest.Matrix() {
+		out = append(out, identityConfig{c.Label, c.Config})
 	}
 	return out
 }

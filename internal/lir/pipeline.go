@@ -42,9 +42,13 @@ type PassApplication struct {
 // PipelineCheck observes the pipeline between passes. BeforePass sees the
 // function immediately before a pass runs; AfterPass sees the result, records
 // its verdict in app, and may veto the result by returning an error, which
-// aborts the compile with that error. internal/lir/tv implements this with a
-// translation validator. The interface lives here (not in tv) so lir does not
-// import its own checker.
+// aborts the compile with that error. The pipeline does not edit the function
+// between AfterPass and the next BeforePass, and a vetoed application (see
+// RewriteTracer) calls neither, so what AfterPass saw is what the next
+// BeforePass of the same function sees; the checker relies on it to keep
+// one snapshot across applications that leave the function unchanged.
+// internal/lir/tv implements this with a translation validator. The
+// interface lives here (not in tv) so lir does not import its own checker.
 type PipelineCheck interface {
 	BeforePass(f *Function, app *PassApplication)
 	AfterPass(f *Function, app *PassApplication) error

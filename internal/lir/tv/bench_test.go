@@ -17,7 +17,7 @@ import (
 
 // regionOf profiles one online run of the app and returns its hot region's
 // methods (§3.1), the methods the search compiles for every candidate.
-func regionOf(b *testing.B, name string) (*dex.Program, []dex.MethodID) {
+func regionOf(b testing.TB, name string) (*dex.Program, []dex.MethodID) {
 	b.Helper()
 	spec, ok := apps.ByName(name)
 	if !ok {
@@ -45,9 +45,12 @@ func regionOf(b *testing.B, name string) (*dex.Program, []dex.MethodID) {
 	return app.Prog, region.Methods
 }
 
-// BenchmarkChecker compiles the region methods of the two tv-audit apps at
-// O3 under the checker the search attaches with core.Options.TVCheck: every
-// pass application is strict-verified and validated against its input.
+// BenchmarkChecker compiles the region methods of the two tv-audit apps
+// under the checker the search attaches with core.Options.TVCheck: every
+// pass application is strict-verified and validated against its input. O3
+// runs the preset once; O3x2 runs its pass list twice, so most of the second
+// half's applications leave the function unchanged, as most of a search's
+// do.
 func BenchmarkChecker(b *testing.B) {
 	type subject struct {
 		prog    *dex.Program
@@ -58,16 +61,25 @@ func BenchmarkChecker(b *testing.B) {
 		prog, methods := regionOf(b, name)
 		subjects = append(subjects, subject{prog, methods})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range subjects {
-			cfg, _ := lir.Preset("O3")
-			cfg.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
-			if _, err := lir.Compile(s.prog, s.methods, cfg, nil, nil); err != nil {
-				b.Fatal(err)
+	o3 := lir.O3()
+	twice := lir.O3()
+	twice.Passes = append(twice.Passes, o3.Passes...)
+	for _, bc := range []struct {
+		name string
+		cfg  lir.Config
+	}{{"O3", o3}, {"O3x2", twice}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range subjects {
+					cfg := bc.cfg
+					cfg.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
+					if _, err := lir.Compile(s.prog, s.methods, cfg, nil, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

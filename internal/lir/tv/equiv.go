@@ -218,6 +218,11 @@ type equiv struct {
 	listB, listA []*lir.Value
 	argsB, argsA []phiArg
 	trapB, trapA []trapKey
+
+	// selfVerifies' scratch.
+	reached []bool
+	reach   []*lir.Block
+	bounds  []uint64
 }
 
 // unverified wraps a reason, flagging the anomaly of a pass that reshaped
@@ -353,6 +358,87 @@ func (e *equiv) validate(before, after *lir.Function, traits lir.Traits) (Verdic
 	}
 	return Unverified, fmt.Sprintf("%d paired value(s) could not be proven equal (first: pair %d %s)",
 		len(diffs), diffs[0].pair, diffs[0].what)
+}
+
+// selfVerifies proves, for f that passed lir.VerifyIR, that validating f
+// against IR equal to it (lir.SameIR) is (Verified, ""): both sides then hash
+// alike, node for node, so every comparison holds, unless a node only one
+// side can make enters one. Those are the opaque nodes of a cycle, of a phi
+// without a token and of an observable outside every block pair, and the
+// fresh node of a chain whose multiplicities overflow. Two conditions rule
+// them out, and selfVerifies answers false when either fails:
+//
+//   - Every block is reachable from the entry. Then every block is paired,
+//     and VerifyIR's dominance discipline covers every block, so no cycle
+//     runs through non-phi values. Only live values are hashed, and every
+//     live phi has a token or a collapsed hash.
+//   - No chain can overflow: chainBound bounds the sum of the multiplicities
+//     of every chain hashFlatAs may build.
+func (e *equiv) selfVerifies(f *lir.Function) bool {
+	maxB, maxV := -1, -1
+	for _, b := range f.Blocks {
+		maxB = max(maxB, b.ID)
+		for _, vs := range [2][]*lir.Value{b.Phis, b.Insns} {
+			for _, v := range vs {
+				if v.ID < 0 {
+					return false
+				}
+				maxV = max(maxV, v.ID)
+			}
+		}
+	}
+	e.reached = resize(e.reached, maxB+1)
+	e.reach = append(e.reach[:0], f.Blocks[0])
+	e.reached[f.Blocks[0].ID] = true
+	for n := 0; n < len(e.reach); n++ {
+		for _, s := range e.reach[n].Succs {
+			if !e.reached[s.ID] {
+				e.reached[s.ID] = true
+				e.reach = append(e.reach, s)
+			}
+		}
+	}
+	if len(e.reach) != len(f.Blocks) {
+		return false
+	}
+	e.bounds = resize(e.bounds, maxV+1)
+	for _, b := range f.Blocks {
+		for _, v := range b.Insns {
+			if chainBound(v, e.bounds) > math.MaxInt64 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// chainBound bounds the sum of the multiplicities of the chain hashFlatAs
+// builds for v, memoized in bounds by value ID (0: not yet computed): the
+// sum over the operands it flattens of each one's bound, counting every
+// flattenable operand as merged and every other as one leaf. The bound
+// saturates at 1<<63, past math.MaxInt64.
+func chainBound(v *lir.Value, bounds []uint64) uint64 {
+	const limit = 1 << 63
+	args := v.Args
+	switch {
+	case v.Op == lir.OpShl:
+		args = args[:1]
+	case !flattenable(v.Op):
+		return 1
+	}
+	if n := bounds[v.ID]; n != 0 {
+		return n
+	}
+	var n uint64
+	for _, a := range args {
+		if m := chainBound(a, bounds); m >= limit-n {
+			n = limit
+		} else {
+			n += m
+		}
+	}
+	bounds[v.ID] = n
+	return n
 }
 
 // pair builds the lockstep CFG bisimulation.

@@ -80,23 +80,51 @@ type Options struct {
 // Checker implements lir.PipelineCheck: it snapshots the function before each
 // pass and validates the result against the snapshot. One Checker serves one
 // sequential compile; it is not safe for concurrent use.
+//
+// Most pass applications leave the function unchanged, and the checker does
+// not pay for them again. It keeps its snapshot while the function still
+// equals it (lir.SameIR): BeforePass clones only for a new function or after
+// an application that changed it. The strict check runs once per snapshot (a
+// changing application has already run it on the result), so a violation
+// keeps its reason and its application. An unchanged application's verdict
+// is the snapshot's verdict against itself, which selfVerifies proves to be
+// Verified where it can; elsewhere the application is validated in full.
 type Checker struct {
 	Opts     Options
 	Verdicts []PassVerdict
 
 	// The snapshot's storage, the validator's tables, and their scratch
-	// are reused pass after pass: a snapshot is dead once AfterPass
-	// returns.
+	// are reused snapshot after snapshot.
 	snap   *lir.Function
 	cloner lir.Cloner
 	ev     equiv
+
+	// What the checker knows of the function as the last AfterPass left it:
+	// last is that function, unchanged says it still equals snap, verified
+	// that it passed lir.VerifyIR, and selfVerified that selfVerifies then
+	// proved it. BeforePass clears last, so an application whose AfterPass
+	// never ran (the compile aborted) leaves nothing behind.
+	last                              *lir.Function
+	unchanged, verified, selfVerified bool
+
+	// full sends every application down the changed path: clone, verify
+	// and validate in full. Tests set it to check the shortcuts against it.
+	full bool
 }
 
 // NewChecker returns a checker with the given options.
 func NewChecker(opts Options) *Checker { return &Checker{Opts: opts} }
 
-// BeforePass snapshots the function.
+// BeforePass snapshots the function, unless the snapshot still equals it.
 func (c *Checker) BeforePass(f *lir.Function, app *lir.PassApplication) {
+	last := c.last
+	c.last = nil
+	if last == f && c.unchanged {
+		return
+	}
+	if last != f {
+		c.verified, c.selfVerified = false, false
+	}
 	c.snap = c.cloner.Clone(f)
 }
 
@@ -105,18 +133,25 @@ func (c *Checker) BeforePass(f *lir.Function, app *lir.PassApplication) {
 // miscompiles.
 func (c *Checker) AfterPass(f *lir.Function, app *lir.PassApplication) error {
 	pass := app.Spec.Name
+	c.last = f
+	c.unchanged = !c.full && c.snap != nil && lir.SameIR(c.snap, f)
+	if !c.unchanged {
+		c.verified, c.selfVerified = false, false
+	}
 	verdict, reason := Verified, ""
-	if c.Opts.Strict {
-		if err := lir.VerifyIR(f); err != nil {
+	if c.Opts.Strict && !c.verified {
+		err := lir.VerifyIR(f)
+		if err != nil {
 			verdict, reason = Rejected, strictPrefix+err.Error()
 		}
+		c.verified = err == nil
+		c.selfVerified = c.verified && c.ev.selfVerifies(f)
 	}
-	if verdict != Rejected && c.snap != nil {
+	if verdict != Rejected && c.snap != nil && !(c.unchanged && c.selfVerified) {
 		verdict, reason = c.ev.validate(c.snap, f, app.Info.Traits)
 	}
 	c.Verdicts = append(c.Verdicts, PassVerdict{Fn: f.Name, Pass: pass, Verdict: verdict, Reason: reason})
 	app.Verdict, app.VerdictReason = verdict.String(), reason
-	c.snap = nil
 	if c.Opts.Reject && verdict == Rejected {
 		return &RejectError{Pass: pass, Fn: f.Name, Reason: reason}
 	}

@@ -504,3 +504,125 @@ func TestValidateDegenerateInputsAreUnverified(t *testing.T) {
 		t.Errorf("duplicate value ID: %s (%s), want unverified", v, reason)
 	}
 }
+
+// cloneCounter wraps a checker, counting its snapshots (a clone is a new
+// snapshot pointer) and, per function, which applications changed it.
+type cloneCounter struct {
+	chk     *Checker
+	clones  int
+	snap    *lir.Function
+	before  uint64
+	fns     []*lir.Function
+	changed [][]bool // per function, per application
+}
+
+func (cc *cloneCounter) BeforePass(f *lir.Function, app *lir.PassApplication) {
+	cc.chk.BeforePass(f, app)
+	if cc.chk.snap != cc.snap {
+		cc.clones, cc.snap = cc.clones+1, cc.chk.snap
+	}
+	if n := len(cc.fns); n == 0 || cc.fns[n-1] != f {
+		cc.fns, cc.changed = append(cc.fns, f), append(cc.changed, nil)
+	}
+	cc.before = lir.HashFunction(f)
+}
+
+func (cc *cloneCounter) AfterPass(f *lir.Function, app *lir.PassApplication) error {
+	n := len(cc.changed) - 1
+	cc.changed[n] = append(cc.changed[n], lir.HashFunction(f) != cc.before)
+	return cc.chk.AfterPass(f, app)
+}
+
+// The checker keeps its snapshot across an unchanged application and takes
+// a new one after a changing application, so tvbreak, which follows both,
+// is still rejected against the IR it was given, with the reason a checker
+// that snapshots every application gives; and the checker clones once per
+// function plus once per changing application that another follows.
+func TestSnapshotReuse(t *testing.T) {
+	cleanup := lir.RegisterForTesting(MiscompilePass())
+	defer cleanup()
+	prog, err := minic.CompileSource("tvtest", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := lir.O0()
+	for _, p := range []string{"dce", "dce", "instcombine", MiscompilePassName} {
+		cfg.Passes = append(cfg.Passes, lir.PassSpec{Name: p})
+	}
+	opts := Options{Strict: true, Reject: true}
+	cc := &cloneCounter{chk: NewChecker(opts)}
+	cfg.Check = cc
+	_, err = lir.Compile(prog, nil, cfg, nil, nil)
+	cfg.Check = &Checker{Opts: opts, full: true}
+	_, wantErr := lir.Compile(prog, nil, cfg, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "tv: pass tvbreak rejected") || err.Error() != wantErr.Error() {
+		t.Fatalf("error %v, full validation %v", err, wantErr)
+	}
+	if got, want := cc.chk.Verdicts, cfg.Check.(*Checker).Verdicts; !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts %+v, full validation %+v", got, want)
+	}
+	last := cc.changed[len(cc.changed)-1]
+	if len(last) != 4 || last[1] || !last[2] || !last[3] {
+		t.Fatalf("fixture: the rejected function's applications changed it %v, want an unchanged dce, then instcombine and tvbreak changing it", last)
+	}
+	want := 0
+	for _, apps := range cc.changed {
+		want++
+		for _, changed := range apps[:len(apps)-1] {
+			if changed {
+				want++
+			}
+		}
+	}
+	if cc.clones != want {
+		t.Errorf("%d clones over %d functions and %v changing applications, want %d", cc.clones, len(cc.fns), cc.changed, want)
+	}
+}
+
+// A function need not validate as Verified against itself: a chain whose
+// multiplicities overflow is Unverified even against its own copy. The
+// checker must then give every unchanged application that verdict, per
+// Traits, as validating each in full does; a chain that fits is Verified.
+func TestSelfVerdictIsComputed(t *testing.T) {
+	for _, tc := range []struct {
+		depth   int
+		proved  bool
+		verdict Verdict
+	}{{60, true, Verified}, {100, false, Unverified}} {
+		f := fibChain(tc.depth)
+		var verdicts [2][]PassVerdict
+		for i, full := range []bool{false, true} {
+			c := &Checker{Opts: Options{Strict: true}, full: full}
+			for _, name := range []string{"dce", "simplifycfg", "dce", "licm", "simplifycfg"} {
+				info, _ := lir.PassByName(name)
+				app := &lir.PassApplication{Spec: lir.PassSpec{Name: name}, Info: info}
+				c.BeforePass(f, app)
+				if err := c.AfterPass(f, app); err != nil {
+					t.Fatal(err)
+				}
+			}
+			verdicts[i] = c.Verdicts
+		}
+		if !reflect.DeepEqual(verdicts[0], verdicts[1]) {
+			t.Errorf("depth %d: verdicts %+v, full validation %+v", tc.depth, verdicts[0], verdicts[1])
+		}
+		for _, pv := range verdicts[0] {
+			if pv.Verdict != tc.verdict {
+				t.Errorf("depth %d: %s is %s (%s), want %s", tc.depth, pv.Pass, pv.Verdict, pv.Reason, tc.verdict)
+			}
+		}
+		var e equiv
+		if got := e.selfVerifies(f); got != tc.proved {
+			t.Errorf("depth %d: selfVerifies %t, want %t", tc.depth, got, tc.proved)
+		}
+	}
+	// A block no edge reaches leaves the proof to validation.
+	f := fibChain(4)
+	dead := f.NewBlock()
+	dead.AppendRaw(f.NewValue(lir.OpReturn, lir.TVoid, f.Blocks[0].Insns[0]))
+	f.Blocks = append(f.Blocks, dead)
+	var e equiv
+	if e.selfVerifies(f) {
+		t.Error("selfVerifies proved a function with an unreachable block")
+	}
+}

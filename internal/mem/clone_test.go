@@ -109,6 +109,74 @@ func TestCloneResetRestoresTemplateState(t *testing.T) {
 	}
 }
 
+// Reset keeps the frames only the clone mapped, and the next run's
+// Copy-on-Write copies reuse them; a frame that a template, a Frame or the
+// zero page still holds is never reused.
+func TestResetReusesOnlyUnsharedFrames(t *testing.T) {
+	tmpl := buildTemplate(t)
+	shared := NewFrame([]byte{0x5A})
+	c := tmpl.Clone()
+	c.MapFrames(Region{Start: 0xd0000, End: 0xd0000 + PageSize, Prot: ProtRW, Name: "frames"}, []*Frame{shared})
+	c.Map(0xe0000, PageSize, ProtRead, "zero")
+	if err := c.Protect(0x50000, ProtRW); err != nil { // shares the template's frame
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.WriteU64(Addr(0x10000+i*PageSize), 0xBEEF); err != nil {
+			t.Fatal(err)
+		}
+	}
+	private := map[*page]bool{}
+	for _, m := range c.pages {
+		if m.frame.refs.Load() == 1 {
+			private[m.frame] = true
+		}
+	}
+	if len(private) != 4 {
+		t.Fatalf("%d private frames before Reset, want the 4 copies", len(private))
+	}
+	c.Reset()
+	if len(c.free) != len(private) {
+		t.Fatalf("Reset freed %d frames, want %d", len(c.free), len(private))
+	}
+	for _, m := range c.free {
+		if !private[m.frame] {
+			t.Fatal("Reset freed a frame another space still maps")
+		}
+	}
+	// The next run: a first write to a template page, and a write to a
+	// materialized page that shares the template's frame.
+	if err := c.WriteU64(0x10000+8, 0xF00D); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Protect(0x50000, ProtRW); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteU64(0x50000, 0xCAFE); err != nil {
+		t.Fatal(err)
+	}
+	for _, pa := range []Addr{0x10000, 0x50000} {
+		if !private[c.pages[pa].frame] || c.pages[pa].frame.refs.Load() != 1 {
+			t.Errorf("the copy of %#x is not a reused private frame", uint64(pa))
+		}
+	}
+	if len(c.free) != 2 {
+		t.Errorf("%d frames left free, want 2", len(c.free))
+	}
+	for _, w := range []struct {
+		s    *AddressSpace
+		a    Addr
+		want uint64
+	}{{c, 0x10000, 0xA0}, {c, 0x10000 + 8, 0xF00D}, {c, 0x50000, 0xCAFE}, {tmpl, 0x10000, 0xA0}, {tmpl, 0x10000 + 8, 0}, {tmpl, 0x50000, 0}} {
+		if v, err := w.s.ReadU64(w.a); err != nil || v != w.want {
+			t.Errorf("%#x reads %#x (%v), want %#x", uint64(w.a), v, err, w.want)
+		}
+	}
+	if shared.p.data[0] != 0x5A || shared.p.refs.Load() != 1 || zeroPage.data != [PageSize]byte{} {
+		t.Error("a shared frame was written or released")
+	}
+}
+
 // frameRefs sums the template's frame reference counts.
 func frameRefs(s *AddressSpace) int64 {
 	var n int64

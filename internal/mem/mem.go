@@ -197,6 +197,13 @@ type AddressSpace struct {
 	// concurrently by clones on many goroutines, which is safe exactly
 	// because nothing may write them.
 	sealed bool
+
+	// free holds the overlay mappings Reset dropped whose frame no space
+	// maps any more (its count fell to zero): copyFrame reuses the frame,
+	// and writableFrame the mapping too, for the next run's Copy-on-Write
+	// copies instead of allocating. A frame that is still shared never
+	// gets here.
+	free []*mapping
 }
 
 // tlbSize is the number of direct-mapped translation-cache entries: one per
@@ -303,7 +310,9 @@ func (s *AddressSpace) Reset() {
 		panic("mem: Reset of a non-clone")
 	}
 	for _, m := range s.pages {
-		m.frame.refs.Add(-1)
+		if m.frame.refs.Add(-1) == 0 {
+			s.free = append(s.free, m)
+		}
 	}
 	clear(s.pages)
 	s.tlbFlush()
@@ -551,22 +560,35 @@ func (s *AddressSpace) writableFrame(a Addr, m *mapping, owned bool) *page {
 	if !owned {
 		// First write to a template page: copy it into the overlay. The
 		// template mapping and its frame are never touched.
-		dup := newPage()
-		dup.data = m.frame.data
-		om := &mapping{frame: dup, prot: m.prot}
+		om := s.copyFrame(m.frame)
+		om.prot = m.prot
 		s.pages[a.PageBase()] = om
 		s.tlbPut(a.PageBase(), om, true)
 		s.counters.CoWCopies++
-		return dup
+		return om.frame
 	}
 	if m.frame.refs.Load() > 1 {
-		dup := newPage()
-		dup.data = m.frame.data
+		dup := s.copyFrame(m.frame).frame
 		m.frame.refs.Add(-1)
 		m.frame = dup
 		s.counters.CoWCopies++
 	}
 	return m.frame
+}
+
+// copyFrame returns a mapping of a private frame holding a copy of src's
+// data: one Reset freed, or a new one.
+func (s *AddressSpace) copyFrame(src *page) *mapping {
+	if n := len(s.free); n > 0 {
+		m := s.free[n-1]
+		s.free = s.free[:n-1]
+		m.frame.refs.Store(1)
+		m.frame.data = src.data
+		return m
+	}
+	p := newPage()
+	p.data = src.data
+	return &mapping{frame: p}
 }
 
 // ReadAt copies len(p) bytes starting at a into p, honoring protections. The
