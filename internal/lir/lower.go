@@ -18,7 +18,18 @@ func Lower(f *Function, opts LowerOpts) (*machine.Fn, error) {
 	prunePhis(f) // single-pred phis cannot be lowered; passes may create them
 	f.splitCriticalEdges()
 	f.Recompute()
-	lo := &ssaLowerer{f: f, opts: opts, vreg: map[*Value]int{}, starts: map[*Block]int{}}
+	// Most values lower to one instruction, and a block adds at most a jump.
+	ncode, maxBlock := len(f.Blocks), 0
+	for _, b := range f.Blocks {
+		ncode += len(b.Phis) + len(b.Insns)
+		maxBlock = max(maxBlock, b.ID)
+	}
+	lo := &ssaLowerer{
+		f: f, opts: opts,
+		code:   make([]machine.Insn, 0, ncode),
+		vreg:   make([]int, f.nextValueID),
+		starts: make([]int, maxBlock+1),
+	}
 	m := f.Prog.Methods[f.Method]
 	lo.nextReg = m.NumArgs
 	fn, err := lo.lower()
@@ -46,13 +57,15 @@ func (f *Function) splitCriticalEdges() {
 	}
 }
 
+// ssaLowerer's tables are indexed by Value.ID and Block.ID, which VerifyIR
+// holds unique within a function and below the function's ID counters.
 type ssaLowerer struct {
 	f       *Function
 	opts    LowerOpts
 	code    []machine.Insn
-	vreg    map[*Value]int
+	vreg    []int // by Value.ID: the value's register plus one, 0 while unassigned
 	nextReg int
-	starts  map[*Block]int
+	starts  []int // by Block.ID: the block's first pc
 	fixups  []struct {
 		pc     int
 		target *Block
@@ -60,16 +73,15 @@ type ssaLowerer struct {
 }
 
 func (lo *ssaLowerer) reg(v *Value) int {
-	if r, ok := lo.vreg[v]; ok {
-		return r
+	if r := lo.vreg[v.ID]; r > 0 {
+		return r - 1
 	}
-	if v.Op == OpParam {
-		lo.vreg[v] = int(v.Slot)
-		return int(v.Slot)
+	r := int(v.Slot)
+	if v.Op != OpParam {
+		r = lo.nextReg
+		lo.nextReg++
 	}
-	r := lo.nextReg
-	lo.nextReg++
-	lo.vreg[v] = r
+	lo.vreg[v.ID] = r + 1
 	return r
 }
 
@@ -114,7 +126,7 @@ func (lo *ssaLowerer) lower() (*machine.Fn, error) {
 	}
 	lo.coalescePhis()
 	for bi, b := range f.Blocks {
-		lo.starts[b] = len(lo.code)
+		lo.starts[b.ID] = len(lo.code)
 		for _, v := range b.Insns {
 			term := v.IsTerminator()
 			if term {
@@ -134,7 +146,7 @@ func (lo *ssaLowerer) lower() (*machine.Fn, error) {
 		}
 	}
 	for _, fx := range lo.fixups {
-		lo.code[fx.pc].Imm = int64(lo.starts[fx.target])
+		lo.code[fx.pc].Imm = int64(lo.starts[fx.target.ID])
 	}
 	return &machine.Fn{Method: f.Method, NumRegs: lo.nextReg, Code: lo.code}, nil
 }
@@ -175,7 +187,7 @@ func (lo *ssaLowerer) coalescePhis() {
 				if a.Op == OpPhi || a.Op == OpParam || uses[a.ID] != 1 {
 					continue
 				}
-				if _, assigned := lo.vreg[a]; assigned {
+				if lo.vreg[a.ID] > 0 { // already assigned
 					continue
 				}
 				pred := b.Preds[i]
@@ -205,7 +217,7 @@ func (lo *ssaLowerer) coalescePhis() {
 				if hazard {
 					continue
 				}
-				lo.vreg[a] = preg
+				lo.vreg[a.ID] = preg + 1
 			}
 		}
 	}

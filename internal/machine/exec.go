@@ -367,11 +367,14 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 			}
 
 		case CallN:
-			callArgs := make([]uint64, len(in.Args))
-			for i, r := range in.Args {
-				callArgs[i] = regs[r]
+			// Natives never keep their arguments, so they marshal onto the
+			// arena whether or not a capture hook is installed.
+			argOff := len(x.argStack)
+			for _, r := range in.Args {
+				x.argStack = append(x.argStack, regs[r])
 			}
-			ret, err := clk.CallNative(x.Fallback.Natives, in.Sym, callArgs, costNativeBridge, slowAt)
+			ret, err := clk.CallNative(x.Fallback.Natives, in.Sym, x.argStack[argOff:], costNativeBridge, slowAt)
+			x.argStack = x.argStack[:argOff]
 			if err != nil {
 				return 0, err
 			}

@@ -228,3 +228,37 @@ func TestSizeMetric(t *testing.T) {
 		t.Error("size metric not monotone in code length")
 	}
 }
+
+// TestNativeCallsDoNotAllocate runs a compiled loop that calls a native on
+// every iteration: the arguments marshal onto the executor's arena, so a
+// thousand calls allocate no more than one.
+func TestNativeCallsDoNotAllocate(t *testing.T) {
+	absI := -1
+	for i, n := range dex.StdNatives() {
+		if n.Name == "Math.absI" {
+			absI = i
+		}
+	}
+	fn := &Fn{NumRegs: 4, Code: []Insn{
+		{Op: Ldi, A: 1, Imm: 0}, // i
+		{Op: Ldi, A: 2, Imm: 0}, // acc
+		{Op: CallN, A: 3, Sym: absI, Args: []int{1}},
+		{Op: Add, A: 2, B: 2, C: 3},
+		{Op: Add, A: 1, B: 1, C: -1, Disp: 1},
+		{Op: Br, Cond: CondLt, B: 1, C: 0, Imm: 2},
+		{Op: Ret, A: 2},
+	}}
+	prog, code := tinyProgram(fn)
+	x := NewExec(rt.NewProcess(prog, rt.Config{}), code)
+	allocs := func(n uint64) float64 {
+		args := []uint64{n}
+		return testing.AllocsPerRun(10, func() {
+			if v, err := x.Call(0, args); err != nil || v != n*(n-1)/2 {
+				t.Fatalf("got %d, %v; want %d", v, err, n*(n-1)/2)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(1000); many > one {
+		t.Errorf("1000 native calls allocate %.0f times, one call %.0f", many, one)
+	}
+}

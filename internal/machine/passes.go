@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"replayopt/internal/flow"
@@ -105,30 +108,85 @@ func useCounts(code []Insn, nreg int) []int32 {
 	return uses
 }
 
-// liveness computes per-block live-in and live-out register sets over linear
-// code with flow's backward solver. The sets are dense bitsets, not
-// map[int]bool sets: registers are small dense indices, and the per-genome
-// compile is on the GA's critical path.
-func liveness(code []Insn, starts, blockOf []int, nreg int) (liveIn, liveOut []flow.Set) {
+// liveSets is per-block liveness over linear code. Only a block-crossing
+// register, one that some block reads before writing it, can be live at a
+// block boundary: a register live into a block is read on some path before
+// any write, and the block holding that read reads it before writing it. So
+// the sets range over the block-crossing registers alone, densely
+// renumbered, and any other register is live at no boundary. That keeps the
+// solver's work proportional to the registers that cross blocks, not to all
+// registers times all blocks.
+type liveSets struct {
+	idx     []int32    // by register: its index in the sets, or -1
+	regs    []int      // by index: the register
+	in, out []flow.Set // by block
+}
+
+// liveOut reports whether r is live on exit from block b.
+func (l *liveSets) liveOut(b, r int) bool {
+	i := l.idx[r]
+	return i >= 0 && l.out[b].Has(int(i))
+}
+
+// liveness computes per-block liveness over linear code with flow's backward
+// solver, over registers 0..nreg-1.
+func liveness(code []Insn, starts, blockOf []int, nreg int) *liveSets {
 	nblocks := len(starts)
-	succ := flow.NewAdj(nblocks, 2*nblocks)
-	use, def := flow.NewSets(nblocks, nreg), flow.NewSets(nblocks, nreg)
+	blockEnd := func(bi int) int {
+		if bi+1 < nblocks {
+			return starts[bi+1]
+		}
+		return len(code)
+	}
+	// written[r] == bi+1 once block bi has written r. The first walk marks
+	// (idx[r] = 1) every register some block reads before writing it.
+	idx := make([]int32, nreg)
+	written := make([]int32, nreg)
+	ncross := 0
 	var buf [8]int
 	for bi, s := range starts {
-		end := len(code)
-		if bi+1 < nblocks {
-			end = starts[bi+1]
-		}
-		u, d := use[bi], def[bi]
+		end := blockEnd(bi)
+		stamp := int32(bi + 1)
 		for pc := s; pc < end; pc++ {
 			in := &code[pc]
 			for _, r := range in.reads(buf[:]) {
-				if !d.Has(r) {
-					u.Add(r)
+				if written[r] != stamp && idx[r] == 0 {
+					idx[r] = 1
+					ncross++
 				}
 			}
 			if w := in.writes(); w >= 0 {
-				d.Add(w)
+				written[w] = stamp
+			}
+		}
+	}
+	l := &liveSets{idx: idx, regs: make([]int, 0, ncross)}
+	for r, crosses := range idx {
+		if crosses != 0 {
+			idx[r] = int32(len(l.regs))
+			l.regs = append(l.regs, r)
+		} else {
+			idx[r] = -1
+		}
+	}
+	clear(written)
+	succ := flow.NewAdj(nblocks, 2*nblocks)
+	use, def := flow.NewSets(nblocks, len(l.regs)), flow.NewSets(nblocks, len(l.regs))
+	for bi, s := range starts {
+		end := blockEnd(bi)
+		stamp := int32(bi + 1)
+		for pc := s; pc < end; pc++ {
+			in := &code[pc]
+			for _, r := range in.reads(buf[:]) {
+				if written[r] != stamp {
+					use[bi].Add(int(idx[r]))
+				}
+			}
+			if w := in.writes(); w >= 0 {
+				written[w] = stamp
+				if i := idx[w]; i >= 0 {
+					def[bi].Add(int(i))
+				}
 			}
 		}
 		switch last := &code[end-1]; {
@@ -144,8 +202,16 @@ func liveness(code []Insn, starts, blockOf []int, nreg int) (liveIn, liveOut []f
 		}
 		succ.End()
 	}
-	return flow.Backward(succ, use, def)
+	l.in, l.out = flow.Backward(succ, use, def)
+	if livenessHit != nil {
+		livenessHit(code, starts, blockOf, nreg, l)
+	}
+	return l
 }
+
+// livenessHit, when set, sees every liveness computation and its answer.
+// Tests set it (OnLiveness) to check the answer against a dense reference.
+var livenessHit func(code []Insn, starts, blockOf []int, nreg int, l *liveSets)
 
 // blockIndex returns, per pc, the index of the block containing it.
 func blockIndex(code []Insn, starts []int) []int {
@@ -170,7 +236,7 @@ func foldMoves(fn *Fn) {
 	code := fn.Code
 	starts := blockStarts(code)
 	blockIdx := blockIndex(code, starts)
-	_, liveOut := liveness(code, starts, blockIdx, maxReg(code))
+	live := liveness(code, starts, blockIdx, maxReg(code))
 	startSet := make([]bool, len(code)+1)
 	for _, s := range starts {
 		startSet[s] = true
@@ -194,7 +260,7 @@ func foldMoves(fn *Fn) {
 				return true // redefined before any read
 			}
 		}
-		return !liveOut[bi].Has(x)
+		return !live.liveOut(bi, x)
 	}
 	remap := make([]int, len(code)+1)
 	out := code[:0]
@@ -534,9 +600,10 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 	// Per-block liveness.
 	starts := blockStarts(code)
 	blockOf := blockIndex(code, starts)
-	liveIn, _ := liveness(code, starts, blockOf, nreg)
+	live := liveness(code, starts, blockOf, nreg)
 	// Extend intervals over backward branches for live-in registers of the
-	// branch target.
+	// branch target. Only block-crossing registers can be live-in, and each
+	// is read somewhere, so each has an interval.
 	for changed := true; changed; {
 		changed = false
 		for pc := range code {
@@ -545,20 +612,20 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 				continue
 			}
 			target := blockOf[in.Imm]
-			for r := 0; r < nreg; r++ {
-				if !liveIn[target].Has(r) || !ivSet[r] {
-					continue
-				}
-				// The register is live around the loop [target start, pc].
-				lo, hi := starts[target], pc
-				if ivStart[r] <= hi && ivEnd[r] >= lo {
-					if ivEnd[r] < hi {
-						ivEnd[r] = hi
-						changed = true
-					}
-					if ivStart[r] > lo {
-						ivStart[r] = lo
-						changed = true
+			// The register is live around the loop [target start, pc].
+			lo, hi := starts[target], pc
+			for wi, w := range live.in[target] {
+				for ; w != 0; w &= w - 1 {
+					r := live.regs[wi*64+bits.TrailingZeros64(w)]
+					if ivStart[r] <= hi && ivEnd[r] >= lo {
+						if ivEnd[r] < hi {
+							ivEnd[r] = hi
+							changed = true
+						}
+						if ivStart[r] > lo {
+							ivStart[r] = lo
+							changed = true
+						}
 					}
 				}
 			}
@@ -576,33 +643,34 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 	for a := 0; a < numArgs; a++ {
 		phys[a] = a
 	}
-	var vregs []int
+	vregs := make([]int, 0, nreg-numArgs)
 	for r := numArgs; r < nreg; r++ {
 		if ivSet[r] {
 			vregs = append(vregs, r)
 		}
 	}
-	sort.Slice(vregs, func(i, j int) bool {
-		if ivStart[vregs[i]] != ivStart[vregs[j]] {
-			return ivStart[vregs[i]] < ivStart[vregs[j]]
+	slices.SortFunc(vregs, func(a, b int) int {
+		if c := cmp.Compare(ivStart[a], ivStart[b]); c != 0 {
+			return c
 		}
-		return vregs[i] < vregs[j]
+		return cmp.Compare(a, b)
 	})
-	var pool []int
+	// The free pool is a bitset; an interval takes its lowest member.
+	pool := make(flow.Set, (numRegs+63)/64)
 	for p := numArgs; p < numRegs-scratch; p++ {
-		pool = append(pool, p)
+		pool.Add(p)
 	}
 	type active struct {
 		vreg, phys, end int
 	}
-	var act []active
+	act := make([]active, 0, numRegs)
 	expire := func(pos int) {
 		out := act[:0]
 		for _, a := range act {
 			if a.end >= pos {
 				out = append(out, a)
 			} else {
-				pool = append(pool, a.phys)
+				pool.Add(a.phys)
 			}
 		}
 		act = out
@@ -610,10 +678,8 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 	for _, r := range vregs {
 		start, end := ivStart[r], ivEnd[r]
 		expire(start)
-		if len(pool) > 0 {
-			sort.Ints(pool)
-			p := pool[0]
-			pool = pool[1:]
+		if p := lowest(pool); p >= 0 {
+			pool.Remove(p)
 			phys[r] = p
 			act = append(act, active{r, p, end})
 			continue
@@ -639,12 +705,31 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 	}
 
 	// Rewrite code: spilled vregs load into scratches before use and store
-	// after definition.
+	// after definition. Without spills every instruction becomes exactly one,
+	// so the code and the call arguments are rewritten in place and branch
+	// targets stay put.
 	scratchBase := numRegs - scratch
-	var out []Insn
-	remap := make([]int, len(code)+1)
+	out := code[:0]
+	var remap []int
+	if nspills > 0 {
+		extra := 0
+		for pc := range code {
+			for _, r := range code[pc].reads(buf[:]) {
+				if phys[r] < 0 {
+					extra++
+				}
+			}
+			if d := code[pc].writes(); d >= 0 && phys[d] < 0 {
+				extra++
+			}
+		}
+		out = make([]Insn, 0, len(code)+extra)
+		remap = make([]int, len(code)+1)
+	}
 	for pc := range code {
-		remap[pc] = len(out)
+		if remap != nil {
+			remap[pc] = len(out)
+		}
 		in := code[pc]
 		nextScratch := 0
 		takeScratch := func() int {
@@ -708,7 +793,10 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 				return &CompileError{Msg: fmt.Sprintf(
 					"ran out of registers: call needs %d spilled arguments, %d scratches", spilled, avail)}
 			}
-			newArgs := make([]int, len(in.Args))
+			newArgs := in.Args
+			if nspills > 0 {
+				newArgs = make([]int, len(in.Args))
+			}
 			for i, r := range in.Args {
 				if p := phys[r]; p >= 0 {
 					newArgs[i] = p
@@ -743,8 +831,10 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 			out = append(out, in)
 		}
 	}
-	remap[len(code)] = len(out)
-	retarget(out, remap)
+	if remap != nil {
+		remap[len(code)] = len(out)
+		retarget(out, remap)
+	}
 	fn.Code = out
 	fn.NumRegs = numRegs
 	fn.NumSpills = nspills
@@ -752,3 +842,13 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 }
 
 func setDest(in *Insn, p int) { in.A = p }
+
+// lowest returns the least member of s, or -1 if s is empty.
+func lowest(s flow.Set) int {
+	for i, w := range s {
+		if w != 0 {
+			return i*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
+	"replayopt/internal/flow"
 	"replayopt/internal/rt"
 )
 
@@ -102,7 +104,7 @@ func TestBlockLiveOutLoopCarried(t *testing.T) {
 		{Op: Ret, A: 1},                            // 4
 	}
 	starts := blockStarts(code)
-	_, liveOut := liveness(code, starts, blockIndex(code, starts), maxReg(code))
+	live := liveness(code, starts, blockIndex(code, starts), maxReg(code))
 	// The block containing pc2-3 must have r1 live-out (read next iter).
 	var bodyIdx = -1
 	for i, s := range starts {
@@ -113,7 +115,7 @@ func TestBlockLiveOutLoopCarried(t *testing.T) {
 	if bodyIdx < 0 {
 		t.Fatalf("blocks: %v", starts)
 	}
-	if !liveOut[bodyIdx].Has(1) {
+	if !live.liveOut(bodyIdx, 1) {
 		t.Error("loop-carried register not live-out of the body")
 	}
 }
@@ -151,4 +153,132 @@ func TestRegallocLoopCorrectnessUnderPressure(t *testing.T) {
 	if int64(v) != 20*(1+2+3+4+5+6+7+8) {
 		t.Errorf("got %d, want %d", int64(v), 20*36)
 	}
+}
+
+// denseLiveness is the reference for liveness: the same equations solved
+// over every register 0..nreg-1 in every block.
+func denseLiveness(code []Insn, starts, blockOf []int, nreg int) (liveIn, liveOut []flow.Set) {
+	nblocks := len(starts)
+	succ := flow.NewAdj(nblocks, 2*nblocks)
+	use, def := flow.NewSets(nblocks, nreg), flow.NewSets(nblocks, nreg)
+	var buf [8]int
+	for bi, s := range starts {
+		end := len(code)
+		if bi+1 < nblocks {
+			end = starts[bi+1]
+		}
+		u, d := use[bi], def[bi]
+		for pc := s; pc < end; pc++ {
+			in := &code[pc]
+			for _, r := range in.reads(buf[:]) {
+				if !d.Has(r) {
+					u.Add(r)
+				}
+			}
+			if w := in.writes(); w >= 0 {
+				d.Add(w)
+			}
+		}
+		switch last := &code[end-1]; {
+		case last.Op == Br:
+			succ.Add(int32(blockOf[last.Imm]))
+			if end < len(code) {
+				succ.Add(int32(bi + 1))
+			}
+		case last.Op == Jmp:
+			succ.Add(int32(blockOf[last.Imm]))
+		case !last.isTerminator() && end < len(code):
+			succ.Add(int32(bi + 1))
+		}
+		succ.End()
+	}
+	return flow.Backward(succ, use, def)
+}
+
+// liveIn reports whether r is live on entry to block b.
+func (l *liveSets) liveIn(b, r int) bool {
+	i := l.idx[r]
+	return i >= 0 && l.in[b].Has(int(i))
+}
+
+// checkLiveness compares l, liveness's answer for code, with
+// denseLiveness's for every register of every block.
+func checkLiveness(code []Insn, starts, blockOf []int, nreg int, l *liveSets) error {
+	in, out := denseLiveness(code, starts, blockOf, nreg)
+	for b := range starts {
+		for r := 0; r < nreg; r++ {
+			if got, want := l.liveIn(b, r), in[b].Has(r); got != want {
+				return fmt.Errorf("block %d (pc %d) r%d: live-in %t, dense %t", b, starts[b], r, got, want)
+			}
+			if got, want := l.liveOut(b, r), out[b].Has(r); got != want {
+				return fmt.Errorf("block %d (pc %d) r%d: live-out %t, dense %t", b, starts[b], r, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// fuzzCode decodes bytes into linear code over at most 12 registers: three
+// bytes per instruction, the first picking the op. Branch and jump targets
+// are taken modulo the code length, so back-edges, self-loops and jumps into
+// the middle of a block all occur; the code may also run off its end.
+func fuzzCode(data []byte) []Insn {
+	var code []Insn
+	for i := 0; i+2 < len(data); i += 3 {
+		op, x, y := data[i], int(data[i+1]), int(data[i+2])
+		a, b, c := x%12, (x/12)%12, y%12
+		var in Insn
+		switch op % 9 {
+		case 0:
+			in = Insn{Op: Ldi, A: a, Imm: int64(y)}
+		case 1:
+			in = Insn{Op: Mov, A: a, B: b}
+		case 2:
+			in = Insn{Op: Add, A: a, B: b, C: c}
+		case 3:
+			in = Insn{Op: Add, A: a, B: b, C: -1, Disp: 1}
+		case 4:
+			in = Insn{Op: Store, A: a, B: b, C: -1}
+		case 5:
+			in = Insn{Op: Br, Cond: CondLt, B: a, C: b, Imm: int64(y)}
+		case 6:
+			in = Insn{Op: Jmp, Imm: int64(y)}
+		case 7:
+			dst := -1
+			if y&1 != 0 {
+				dst = c
+			}
+			in = Insn{Op: CallN, A: dst, Args: []int{a, b, c}[:x%4]}
+		case 8:
+			in = Insn{Op: Ret, A: a}
+		}
+		code = append(code, in)
+	}
+	for pc := range code {
+		if in := &code[pc]; in.Op == Br || in.Op == Jmp {
+			in.Imm %= int64(len(code))
+		}
+	}
+	return code
+}
+
+// FuzzLiveness checks liveness against denseLiveness on random linear code
+// with branches, jumps, calls and back-edges.
+func FuzzLiveness(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 2, 10, 3, 1, 0, 5, 1, 2, 8, 1, 0})     // a loop
+	f.Add([]byte{2, 37, 4, 6, 0, 5, 7, 13, 3, 1, 26, 0, 8, 2, 0})   // a jump back to the entry, then dead code
+	f.Add([]byte{5, 3, 0, 7, 255, 9, 2, 14, 1, 6, 0, 1, 4, 40, 0})  // a self-loop, then a loop around a call
+	f.Add([]byte{1, 13, 0, 3, 26, 0, 5, 1, 2, 2, 39, 7, 0, 3, 100}) // runs off its end
+	f.Fuzz(func(t *testing.T, data []byte) {
+		code := fuzzCode(data)
+		if len(code) == 0 {
+			return
+		}
+		starts := blockStarts(code)
+		blockOf := blockIndex(code, starts)
+		nreg := maxReg(code)
+		if err := checkLiveness(code, starts, blockOf, nreg, liveness(code, starts, blockOf, nreg)); err != nil {
+			t.Fatalf("%v\n%v", err, code)
+		}
+	})
 }
