@@ -10,6 +10,7 @@ package ga
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -80,6 +81,15 @@ func (g *Genome) Decode() lir.Config {
 		}
 	}
 	return lir.Config{Passes: passes, Lower: lir.ApplyLlc(llc)}
+}
+
+// withGenes copies the genome's gene list and shares its parameter maps.
+// The search never writes a map a gene already holds (tweak copies before it
+// writes), so the copy can be edited gene by gene without reaching g.
+func (g *Genome) withGenes() *Genome {
+	out := &Genome{Genes: make([]Gene, len(g.Genes))}
+	copy(out.Genes, g.Genes)
+	return out
 }
 
 // Clone deep-copies the genome.
@@ -643,10 +653,10 @@ func (s *searcher) tournament(sorted []scored) *Genome {
 // minimum (§3.6).
 func (s *searcher) crossover(a, b *Genome) *Genome {
 	if len(a.Genes) == 0 {
-		return b.Clone()
+		return b.withGenes()
 	}
 	if len(b.Genes) == 0 {
-		return a.Clone()
+		return a.withGenes()
 	}
 	for try := 0; try < 8; try++ {
 		ca := s.rng.Intn(len(a.Genes) + 1)
@@ -656,14 +666,14 @@ func (s *searcher) crossover(a, b *Genome) *Genome {
 			continue
 		}
 		child := &Genome{}
-		child.Genes = append(child.Genes, a.Clone().Genes[:ca]...)
-		child.Genes = append(child.Genes, b.Clone().Genes[cb:]...)
+		child.Genes = append(child.Genes, a.Genes[:ca]...)
+		child.Genes = append(child.Genes, b.Genes[cb:]...)
 		if len(child.Genes) > maxGenomeLen*2 {
 			child.Genes = child.Genes[:maxGenomeLen*2]
 		}
 		return child
 	}
-	return a.Clone()
+	return a.withGenes()
 }
 
 // mutate applies the per-gene operators: drop a gene, tweak a parameter, or
@@ -695,6 +705,8 @@ func (s *searcher) mutate(g *Genome) {
 	g.Genes = out
 }
 
+// tweak returns gn with one parameter redrawn. It writes a copy of gn's
+// parameter map, never the map itself, which other genomes may share.
 func (s *searcher) tweak(gn Gene) Gene {
 	if gn.Kind == GeneLlc {
 		for _, o := range s.llcPool {
@@ -710,10 +722,12 @@ func (s *searcher) tweak(gn Gene) Gene {
 		return gn
 	}
 	ps := info.Params[s.rng.Intn(len(info.Params))]
-	if gn.Pass.Params == nil {
-		gn.Pass.Params = map[string]int{}
+	params := maps.Clone(gn.Pass.Params)
+	if params == nil {
+		params = map[string]int{}
 	}
-	gn.Pass.Params[ps.Name] = ps.Min + s.rng.Intn(ps.Max-ps.Min+1)
+	params[ps.Name] = ps.Min + s.rng.Intn(ps.Max-ps.Min+1)
+	gn.Pass.Params = params
 	return gn
 }
 
@@ -727,7 +741,7 @@ func (s *searcher) hillClimb(best scored) scored {
 		for i := 0; i < len(best.genome.Genes) && budget > 0; i++ {
 			// Neighbor 1: drop gene i.
 			if len(best.genome.Genes) > minGenomeLen {
-				n := best.genome.Clone()
+				n := best.genome.withGenes()
 				n.Genes = append(n.Genes[:i], n.Genes[i+1:]...)
 				ev := s.measure(n)
 				budget--
@@ -741,7 +755,7 @@ func (s *searcher) hillClimb(best scored) scored {
 				break
 			}
 			// Neighbor 2: tweak gene i's parameters.
-			n := best.genome.Clone()
+			n := best.genome.withGenes()
 			n.Genes[i] = s.tweak(n.Genes[i])
 			ev := s.measure(n)
 			budget--

@@ -227,6 +227,63 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// fpEval is synthEval that also records, in call order, the fingerprint of
+// every configuration it measures. It is for single-worker searches only.
+type fpEval struct {
+	synthEval
+	fps []uint64
+}
+
+func (e *fpEval) Evaluate(cfg lir.Config) Evaluation {
+	e.fps = append(e.fps, cfg.Fingerprint())
+	return e.synthEval.Evaluate(cfg)
+}
+
+// Trace records share their genes' parameter maps with the genomes the
+// search goes on breeding, so no operator may write a map a gene already
+// holds: every trace genome must decode at the end of the search to the
+// configuration that was measured when it was recorded, and tweak must
+// leave its input gene's map alone.
+func TestTraceGenomesStayAsRecorded(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ev := &fpEval{}
+		opts := DefaultOptions()
+		opts.Population, opts.Generations, opts.HillClimbBudget = 16, 6, 40
+		opts.Parallelism = 1
+		res := Search(rand.New(rand.NewSource(seed)), ev, opts)
+		if len(res.Trace) != len(ev.fps) {
+			t.Fatalf("seed %d: %d trace records, %d evaluations", seed, len(res.Trace), len(ev.fps))
+		}
+		for i, rec := range res.Trace {
+			if got := rec.Genome.Decode().Fingerprint(); got != ev.fps[i] {
+				t.Fatalf("seed %d: trace record %d now decodes to %016x (%s), measured as %016x",
+					seed, i, got, rec.Genome, ev.fps[i])
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	s := &searcher{rng: rng, opts: DefaultOptions(), pool: lir.OptCatalog(), llcPool: realLlcOptions()}
+	for _, name := range lir.PassNames() {
+		info, _ := lir.PassByName(name)
+		if len(info.Params) == 0 {
+			continue
+		}
+		params := map[string]int{}
+		for _, ps := range info.Params {
+			params[ps.Name] = ps.Default
+		}
+		want := fmt.Sprint(params)
+		gn := Gene{Kind: GenePass, Pass: lir.PassSpec{Name: name, Params: params}}
+		for i := 0; i < 20; i++ {
+			s.tweak(gn)
+		}
+		if got := fmt.Sprint(params); got != want {
+			t.Errorf("tweak wrote %s's parameter map: %s, was %s", name, got, want)
+		}
+	}
+}
+
 func TestPresetSeedingGuaranteesFloor(t *testing.T) {
 	// With preset seeding the best genome can never be worse than O3 on the
 	// synthetic landscape, even with a tiny budget.

@@ -164,7 +164,7 @@ func (s *searcher) measureBatch(genomes []*Genome) []Evaluation {
 			s.opts.Journal.Record(fps[jb.idx], evs[j])
 		}
 		s.trace = append(s.trace, EvalRecord{
-			Index: len(s.trace), Generation: s.gen, Genome: genomes[jb.idx].Clone(), Eval: evs[j],
+			Index: len(s.trace), Generation: s.gen, Genome: genomes[jb.idx].withGenes(), Eval: evs[j],
 		})
 	}
 	var sc *obs.Scope

@@ -216,12 +216,17 @@ func BuildAllSSA(prog *dex.Program) []*Function {
 }
 
 // prunePhis removes trivial phis (all inputs identical or self-references).
-func prunePhis(f *Function) {
+// It reads each phi's inputs through one substitution and applies it once,
+// so a chain of N trivial phis costs O(N) argument rewrites. It returns the
+// substitution's work count.
+func prunePhis(f *Function) int {
+	var s substitution
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
 			kept := b.Phis[:0]
 			for _, phi := range b.Phis {
+				s.resolveArgs(phi)
 				var uniq *Value
 				trivial := true
 				for _, a := range phi.Args {
@@ -236,7 +241,7 @@ func prunePhis(f *Function) {
 					}
 				}
 				if trivial && uniq != nil {
-					f.ReplaceUses(phi, uniq)
+					s.add(phi, uniq)
 					changed = true
 					continue
 				}
@@ -245,6 +250,8 @@ func prunePhis(f *Function) {
 			b.Phis = kept
 		}
 	}
+	s.apply(f)
+	return s.work
 }
 
 func typeOfKind(k dex.Kind) Type {

@@ -50,3 +50,56 @@ func diffLines(got, want string) error {
 	}
 	return fmt.Errorf("skipped state has %d lines, full %d", len(g), len(w))
 }
+
+// ReplaceUses substitutes old with new in every argument list of f: the
+// eager, whole-function replacement that substitution defers.
+func (f *Function) ReplaceUses(old, new *Value) {
+	for _, b := range f.Blocks {
+		for _, vs := range [2][]*Value{b.Phis, b.Insns} {
+			for _, v := range vs {
+				for i, a := range v.Args {
+					if a == old {
+						v.Args[i] = new
+					}
+				}
+			}
+		}
+	}
+}
+
+// PrunePhis is prunePhis; it returns the substitution's work count.
+func PrunePhis(f *Function) int { return prunePhis(f) }
+
+// PrunePhisEager is the reference for prunePhis: the same scan, replacing
+// each trivial phi's uses at once with ReplaceUses, which sweeps the whole
+// function per removed phi.
+func PrunePhisEager(f *Function) {
+	for changed := true; changed; {
+		changed = false
+		for _, b := range f.Blocks {
+			kept := b.Phis[:0]
+			for _, phi := range b.Phis {
+				var uniq *Value
+				trivial := true
+				for _, a := range phi.Args {
+					if a == phi {
+						continue
+					}
+					if uniq == nil {
+						uniq = a
+					} else if uniq != a {
+						trivial = false
+						break
+					}
+				}
+				if trivial && uniq != nil {
+					f.ReplaceUses(phi, uniq)
+					changed = true
+					continue
+				}
+				kept = append(kept, phi)
+			}
+			b.Phis = kept
+		}
+	}
+}

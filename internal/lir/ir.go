@@ -357,26 +357,6 @@ func (f *Function) String() string {
 	return sb.String()
 }
 
-// ReplaceUses substitutes old with new in every argument list of f.
-func (f *Function) ReplaceUses(old, new *Value) {
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			for i, a := range v.Args {
-				if a == old {
-					v.Args[i] = new
-				}
-			}
-		}
-		for _, v := range b.Insns {
-			for i, a := range v.Args {
-				if a == old {
-					v.Args[i] = new
-				}
-			}
-		}
-	}
-}
-
 // UseCounts computes how many times each value is used as an argument,
 // indexed by Value.ID (dense per function).
 func (f *Function) UseCounts() []int32 {

@@ -77,30 +77,18 @@ func runStackAlloc(f *Function, ctx *PassContext) {
 		}
 	}
 	// A replaced load can itself be another plan's replacement (one demoted
-	// site's load stored into another site); chase the chain so no removed
-	// value is ever re-installed as an argument.
-	replacedBy := map[*Value]*Value{}
-	resolve := func(v *Value) *Value {
-		for {
-			r, ok := replacedBy[v]
-			if !ok {
-				return v
-			}
-			v = r
-		}
-	}
+	// site's load stored into another site); the substitution follows the
+	// chain, so no removed value is ever re-installed as an argument.
+	var subst substitution
+	dead := map[*Value]bool{}
 	for _, p := range plans {
 		if ctx != nil && ctx.Tracing() {
 			ctx.Note("stackalloc.demote", NoteAnchor(p.site.Block, p.site),
 				KV("uses", int64(len(p.dead)+len(p.loads))), KV("len", p.arrLen))
 		}
-		dead := map[*Value]bool{}
 		for _, ld := range p.loadOrder {
-			repl := p.loads[ld]
-			if repl != nil {
-				repl = resolve(repl)
-				f.ReplaceUses(ld, repl)
-				replacedBy[ld] = repl
+			if repl := p.loads[ld]; repl != nil {
+				subst.add(ld, repl)
 				dead[ld] = true
 				continue
 			}
@@ -114,8 +102,9 @@ func runStackAlloc(f *Function, ctx *PassContext) {
 		for _, d := range p.dead {
 			dead[d] = true
 		}
-		removeValues(f, dead)
 	}
+	subst.apply(f)
+	removeValues(f, dead)
 }
 
 // planDemotion validates one allocation site against the single-block scalar

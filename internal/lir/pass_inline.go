@@ -148,50 +148,6 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 	return nil
 }
 
-// substitution collects the value replacements of one inlining round (each
-// inlined call by its result, each callee parameter by its argument) and
-// applies them all in one sweep over the function, where replacing each as
-// it arises would sweep the whole caller once per call site. A replacement
-// may name a value that is itself replaced, as in g(f(x)) or a callee that
-// returns its parameter; apply follows such chains to their end.
-type substitution struct {
-	// from and to are indexed by Value.ID: from[id] is replaced by to[id].
-	from, to []*Value
-}
-
-func (s *substitution) add(old, new *Value) {
-	if grow := old.ID + 1 - len(s.from); grow > 0 {
-		s.from = append(s.from, make([]*Value, grow)...)
-		s.to = append(s.to, make([]*Value, grow)...)
-	}
-	s.from[old.ID], s.to[old.ID] = old, new
-}
-
-func (s *substitution) resolve(v *Value) *Value {
-	for v != nil && v.ID >= 0 && v.ID < len(s.from) && s.from[v.ID] == v {
-		v = s.to[v.ID]
-	}
-	return v
-}
-
-// apply rewrites every argument of f through the pending replacements and
-// clears them.
-func (s *substitution) apply(f *Function) {
-	if len(s.from) == 0 {
-		return
-	}
-	for _, b := range f.Blocks {
-		for _, vs := range [2][]*Value{b.Phis, b.Insns} {
-			for _, v := range vs {
-				for i, a := range v.Args {
-					v.Args[i] = s.resolve(a)
-				}
-			}
-		}
-	}
-	s.from, s.to = s.from[:0], s.to[:0]
-}
-
 func stillPresent(f *Function, b *Block, v *Value) bool {
 	for _, x := range b.Insns {
 		if x == v {
@@ -308,6 +264,7 @@ func runDevirt(f *Function, ctx *PassContext, params map[string]int) error {
 		v *Value
 	}
 	var sites []site
+	var subst substitution
 	for _, b := range f.Blocks {
 		for _, v := range b.Insns {
 			if v.Op == OpCallVirtual {
@@ -359,8 +316,9 @@ func runDevirt(f *Function, ctx *PassContext, params map[string]int) error {
 			s.v.Sym = int(resolved)
 			continue
 		}
-		devirtGuard(f, s.b, s.v, cls, resolved)
+		devirtGuard(f, s.b, s.v, cls, resolved, &subst)
 	}
+	subst.apply(f)
 	f.Recompute()
 	return nil
 }
@@ -371,7 +329,10 @@ func runDevirt(f *Function, ctx *PassContext, params map[string]int) error {
 //	branch(c == cls) [likely] -> fast: r1 = call resolved(...)
 //	                          -> slow: r2 = callvirt m(...)
 //	merge: r = phi(r1, r2)
-func devirtGuard(f *Function, b *Block, call *Value, cls dex.ClassID, resolved dex.MethodID) {
+//
+// The call's result is replaced by the phi through subst, which the caller
+// applies.
+func devirtGuard(f *Function, b *Block, call *Value, cls dex.ClassID, resolved dex.MethodID, subst *substitution) {
 	// Split b at the call; the call itself is replaced by the diamond.
 	merge := splitBlock(f, b, call)
 	if merge == nil {
@@ -416,6 +377,6 @@ func devirtGuard(f *Function, b *Block, call *Value, cls dex.ClassID, resolved d
 		phi.Block = merge
 		phi.Args = []*Value{direct, virt}
 		merge.Phis = append(merge.Phis, phi)
-		f.ReplaceUses(call, phi)
+		subst.add(call, phi)
 	}
 }

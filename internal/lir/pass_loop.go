@@ -297,9 +297,11 @@ func unrollOne(f *Function, cl *countedLoop, factor int, noRemainder bool) *Bloc
 		for _, phi := range cl.exit.Phis {
 			phi.Args = append(phi.Args, phi.Args[exitIdx])
 		}
+		var subst substitution
 		for _, p := range cl.head.Phis {
-			f.ReplaceUses(p, newPhi[p])
+			subst.add(p, newPhi[p])
 		}
+		subst.apply(f)
 		// Detach the original loop; it becomes unreachable.
 		removePred(cl.head, cl.ph)
 	} else {

@@ -175,10 +175,12 @@ func keysMayAlias(fx *AliasFacts, a, b locKey) bool {
 // available location (every call, when summaries are missing).
 func runStoreForward(f *Function, ctx *PassContext) {
 	fx := AnalyzeAlias(f, passStatic(ctx))
+	var subst substitution
 	for _, b := range f.Blocks {
 		avail := map[locKey]*Value{}
 		dead := map[*Value]bool{}
 		for _, v := range b.Insns {
+			subst.resolveArgs(v)
 			if isCall(v) {
 				mod := fx.ModifiedBy(v)
 				if mod.Top {
@@ -208,15 +210,16 @@ func runStoreForward(f *Function, ctx *PassContext) {
 					if ctx != nil && ctx.Tracing() {
 						ctx.Note("storeforward.forward", NoteAnchor(b, v), KV("from", int64(prev.ID)))
 					}
-					f.ReplaceUses(v, prev)
+					subst.add(v, prev)
 					dead[v] = true
 				} else {
 					avail[k] = v // later identical loads reuse this one
 				}
 			}
 		}
-		removeValues(f, dead)
+		removeFromBlock(b, dead)
 	}
+	subst.apply(f)
 }
 
 // runDSE removes a store when a later store in the same block definitely
@@ -280,7 +283,7 @@ func runDSE(f *Function, ctx *PassContext, params map[string]int) error {
 				ctx.Note("dse.remove", NoteAnchor(b, insns[i]), KV("alias-blind", b2i(aliasBlind)))
 			}
 		}
-		removeValues(f, dead)
+		removeFromBlock(b, dead)
 	}
 	return nil
 }
@@ -371,7 +374,7 @@ func runLICM(f *Function, ctx *PassContext, params map[string]int) error {
 					for _, v := range moved {
 						dead[v] = true
 					}
-					removeValues(f, dead)
+					removeFromBlock(b, dead)
 					for _, v := range moved {
 						ph.Append(v)
 					}

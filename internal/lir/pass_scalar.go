@@ -192,8 +192,10 @@ func isPowerOfTwo(x int64) (shift int64, ok bool) {
 
 func runInstCombine(f *Function, ctx *PassContext, params map[string]int) error {
 	divToShr := params["div-to-shr"] == 1
+	var subst substitution
 	for _, b := range f.Blocks {
 		for _, v := range b.Insns {
+			subst.resolveArgs(v)
 			switch v.Op {
 			case OpAdd, OpMul, OpAnd, OpOr, OpXor:
 				// Canonicalize: constant to the right (enables literal fusing).
@@ -206,11 +208,11 @@ func runInstCombine(f *Function, ctx *PassContext, params map[string]int) error 
 			switch v.Op {
 			case OpAdd:
 				if c, ok := isConstInt(v.Args[1]); ok && c == 0 {
-					f.ReplaceUses(v, v.Args[0])
+					subst.add(v, v.Args[0])
 				}
 			case OpSub:
 				if c, ok := isConstInt(v.Args[1]); ok && c == 0 {
-					f.ReplaceUses(v, v.Args[0])
+					subst.add(v, v.Args[0])
 				} else if v.Args[0] == v.Args[1] {
 					replaceWithConstInt(v, 0)
 				}
@@ -218,7 +220,7 @@ func runInstCombine(f *Function, ctx *PassContext, params map[string]int) error 
 				if c, ok := isConstInt(v.Args[1]); ok {
 					switch {
 					case c == 1:
-						f.ReplaceUses(v, v.Args[0])
+						subst.add(v, v.Args[0])
 					case c == 0:
 						replaceWithConstInt(v, 0)
 					default:
@@ -235,7 +237,7 @@ func runInstCombine(f *Function, ctx *PassContext, params map[string]int) error 
 			case OpDiv:
 				if c, ok := isConstInt(v.Args[1]); ok {
 					if c == 1 {
-						f.ReplaceUses(v, v.Args[0])
+						subst.add(v, v.Args[0])
 					} else if sh, pow2 := isPowerOfTwo(c); pow2 && divToShr {
 						// UNSAFE: wrong for negative dividends.
 						if ctx.Tracing() {
@@ -255,23 +257,24 @@ func runInstCombine(f *Function, ctx *PassContext, params map[string]int) error 
 				}
 			case OpAnd, OpOr:
 				if v.Args[0] == v.Args[1] {
-					f.ReplaceUses(v, v.Args[0])
+					subst.add(v, v.Args[0])
 				}
 			case OpNeg:
 				if v.Args[0].Op == OpNeg {
-					f.ReplaceUses(v, v.Args[0].Args[0])
+					subst.add(v, v.Args[0].Args[0])
 				}
 			case OpFNeg:
 				if v.Args[0].Op == OpFNeg {
-					f.ReplaceUses(v, v.Args[0].Args[0])
+					subst.add(v, v.Args[0].Args[0])
 				}
 			case OpShl, OpShr:
 				if c, ok := isConstInt(v.Args[1]); ok && c == 0 {
-					f.ReplaceUses(v, v.Args[0])
+					subst.add(v, v.Args[0])
 				}
 			}
 		}
 	}
+	subst.apply(f)
 	return nil
 }
 
@@ -443,19 +446,12 @@ func runGVN(f *Function, ctx *PassContext, _ map[string]int) error {
 	// keys it added when the walk leaves it. A key found in scope is never
 	// re-inserted, so leaving a block restores its parent's table exactly.
 	table := map[gvnKey]*Value{}
-	// fwd[id] is the value that replaces a removed duplicate. The walk
-	// visits a definition before every use it dominates, so forwarding each
-	// value's arguments as it is reached sees exactly the replacements an
-	// eager ReplaceUses would have made by then; one sweep at the end
+	// subst replaces each removed duplicate by its first occurrence. The
+	// walk visits a definition before every use it dominates, so resolving
+	// each value's arguments as it is reached sees exactly the replacements
+	// eager replacement would have made by then; applying it at the end
 	// rewrites the remaining uses (phis and non-eligible values).
-	fwd := make([]*Value, f.NumValues())
-	forward := func(v *Value) {
-		for i, a := range v.Args {
-			if r := fwd[a.ID]; r != nil {
-				v.Args[i] = r
-			}
-		}
-	}
+	var subst substitution
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
 		var added []gvnKey
@@ -464,11 +460,11 @@ func runGVN(f *Function, ctx *PassContext, _ map[string]int) error {
 			if !gvnEligible(v) {
 				continue
 			}
-			forward(v)
+			subst.resolveArgs(v)
 			k := keyOf(v)
 			if prev, ok := table[k]; ok {
 				if v.Type != TVoid {
-					fwd[v.ID] = prev
+					subst.add(v, prev)
 				}
 				replaced++
 				if dead == nil {
@@ -493,16 +489,7 @@ func runGVN(f *Function, ctx *PassContext, _ map[string]int) error {
 	if len(f.Blocks) > 0 {
 		dfs(f.Blocks[0])
 	}
-	if replaced > 0 {
-		for _, b := range f.Blocks {
-			for _, v := range b.Phis {
-				forward(v)
-			}
-			for _, v := range b.Insns {
-				forward(v)
-			}
-		}
-	}
+	subst.apply(f)
 	if replaced > 0 && ctx.Tracing() {
 		ctx.Note("gvn.summary", "", KV("replaced", replaced))
 	}
@@ -515,6 +502,7 @@ func runGVN(f *Function, ctx *PassContext, _ map[string]int) error {
 // blocks. It reports how many branches were folded and blocks merged.
 func runSimplifyCFG(f *Function) (folded, merged int64) {
 	stale := false
+	var subst substitution // merged blocks' phis, replaced by their inputs
 	for changed := true; changed; {
 		changed = false
 		foldedNow := false
@@ -524,6 +512,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 				continue
 			}
 			if t.Op == OpBranch {
+				subst.resolveArgs(t)
 				// Identical successors: degrade to a jump, dropping one of
 				// the two duplicate predecessor entries.
 				if b.Succs[0] == b.Succs[1] {
@@ -552,7 +541,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 				if len(s.Preds) == 1 && s != b && s != f.Blocks[0] {
 					// Phis in s are trivial; inline them.
 					for _, phi := range s.Phis {
-						f.ReplaceUses(phi, phi.Args[0])
+						subst.add(phi, phi.Args[0])
 					}
 					s.Phis = nil
 					b.Insns = append(b.Insns[:len(b.Insns)-1], s.Insns...)
@@ -577,6 +566,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 			stale = false
 		}
 	}
+	subst.apply(f)
 	if stale {
 		f.Recompute() // drop the blocks the last merges emptied
 	}
@@ -627,7 +617,7 @@ func runSink(f *Function) {
 			}
 			// Move v to the head of target (after phis, before the first
 			// use; prepending keeps def-before-use).
-			removeValues(f, map[*Value]bool{v: true})
+			removeFromBlock(b, map[*Value]bool{v: true})
 			v.Block = target
 			target.Insns = append([]*Value{v}, target.Insns...)
 		}

@@ -270,32 +270,6 @@ func PassNames() []string {
 	return names
 }
 
-// removeValues deletes the given values from their blocks' instruction (or
-// phi) lists.
-func removeValues(f *Function, dead map[*Value]bool) {
-	if len(dead) == 0 {
-		return
-	}
-	for _, b := range f.Blocks {
-		if len(b.Phis) > 0 {
-			kept := b.Phis[:0]
-			for _, v := range b.Phis {
-				if !dead[v] {
-					kept = append(kept, v)
-				}
-			}
-			b.Phis = kept
-		}
-		kept := b.Insns[:0]
-		for _, v := range b.Insns {
-			if !dead[v] {
-				kept = append(kept, v)
-			}
-		}
-		b.Insns = kept
-	}
-}
-
 // replaceWithConstInt mutates v into an integer constant in place.
 func replaceWithConstInt(v *Value, imm int64) {
 	v.Op = OpConstInt

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"replayopt/internal/flow"
 )
@@ -427,16 +426,45 @@ func tryFuse(mul, add Insn, uses []int32, doInt, doFloat bool) (bool, Insn) {
 func schedule(fn *Fn) {
 	code := fn.Code
 	starts := blockStarts(code)
+	nreg := maxReg(code)
+	sc := scheduler{
+		lastDef:  make([]int, nreg),
+		defStamp: make([]int, nreg),
+		lastUses: make([][]int, nreg),
+		useStamp: make([]int, nreg),
+	}
 	for i, s := range starts {
 		end := len(code)
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
-		scheduleBlock(code[s:end])
+		sc.block(code[s:end])
 	}
 }
 
-func scheduleBlock(block []Insn) {
+// scheduler holds the list scheduler's tables, reused across the blocks of
+// one function. A per-register entry belongs to the current block only when
+// its stamp equals the block's, so those tables are never cleared.
+type scheduler struct {
+	stamp              int
+	lastDef, defStamp  []int   // each register's last writer, if stamped
+	lastUses           [][]int // its readers since then, if stamped
+	useStamp           []int
+	succs              [][]int // per instruction: the later ones that depend on it
+	indeg, seen, ready []int   // seen[i] == j+1: i already precedes j; ready is sorted
+	sched              []Insn
+}
+
+func (sc *scheduler) uses(r int) []int {
+	if sc.useStamp[r] != sc.stamp {
+		sc.useStamp[r] = sc.stamp
+		sc.lastUses[r] = sc.lastUses[r][:0]
+	}
+	return sc.lastUses[r]
+}
+
+// block list-schedules one basic block in place, keeping its terminator last.
+func (sc *scheduler) block(block []Insn) {
 	n := len(block)
 	if n < 3 {
 		return
@@ -446,29 +474,40 @@ func scheduleBlock(block []Insn) {
 	if block[n-1].isTerminator() {
 		limit = n - 1
 	}
-	// Dependence edges.
-	deps := make([][]int, limit) // deps[j] = instructions that must precede j
+	sc.stamp++
+	if cap(sc.succs) < limit {
+		sc.succs = make([][]int, limit)
+		sc.indeg = make([]int, limit)
+		sc.seen = make([]int, limit)
+	}
+	succs, indeg, seen := sc.succs[:limit], sc.indeg[:limit], sc.seen[:limit]
+	for i := range succs {
+		succs[i] = succs[i][:0]
+		indeg[i], seen[i] = 0, 0
+	}
+	// Dependence edges, each pair once: i must precede j.
 	lastSide := -1
-	lastDef := map[int]int{}
-	lastUses := map[int][]int{}
 	var buf [8]int
 	for j := 0; j < limit; j++ {
 		in := &block[j]
 		add := func(i int) {
-			if i >= 0 {
-				deps[j] = append(deps[j], i)
+			if i >= 0 && seen[i] != j+1 {
+				seen[i] = j + 1
+				succs[i] = append(succs[i], j)
+				indeg[j]++
 			}
 		}
 		for _, r := range in.reads(buf[:]) {
-			if d, ok := lastDef[r]; ok {
-				add(d) // RAW
+			if sc.defStamp[r] == sc.stamp {
+				add(sc.lastDef[r]) // RAW
 			}
 		}
-		if d := in.writes(); d >= 0 {
-			if prev, ok := lastDef[d]; ok {
-				add(prev) // WAW
+		d := in.writes()
+		if d >= 0 {
+			if sc.defStamp[d] == sc.stamp {
+				add(sc.lastDef[d]) // WAW
 			}
-			for _, u := range lastUses[d] {
+			for _, u := range sc.uses(d) {
 				add(u) // WAR
 			}
 		}
@@ -477,39 +516,26 @@ func scheduleBlock(block []Insn) {
 			lastSide = j
 		}
 		for _, r := range in.reads(buf[:]) {
-			lastUses[r] = append(lastUses[r], j)
+			sc.lastUses[r] = append(sc.uses(r), j)
 		}
-		if d := in.writes(); d >= 0 {
-			lastDef[d] = j
-			lastUses[d] = nil
+		if d >= 0 {
+			sc.lastDef[d], sc.defStamp[d] = j, sc.stamp
+			sc.lastUses[d] = sc.uses(d)[:0]
 		}
 	}
 	// Greedy list scheduling: prefer an instruction that does not read the
-	// previously emitted instruction's destination.
-	indeg := make([]int, limit)
-	succs := make([][]int, limit)
-	for j, ds := range deps {
-		seen := map[int]bool{}
-		for _, i := range ds {
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-			succs[i] = append(succs[i], j)
-			indeg[j]++
-		}
-	}
-	var ready []int
+	// previously emitted instruction's destination; among those, the
+	// earliest in the original order.
+	ready := sc.ready[:0]
 	for j := 0; j < limit; j++ {
 		if indeg[j] == 0 {
 			ready = append(ready, j)
 		}
 	}
-	sched := make([]Insn, 0, n)
+	sched := sc.sched[:0]
 	prevDest := -1
 	var prevLat uint64
 	for len(ready) > 0 {
-		sort.Ints(ready) // stable: prefer original order
 		pick := -1
 		if prevLat > 0 {
 			for k, j := range ready {
@@ -530,17 +556,19 @@ func scheduleBlock(block []Insn) {
 			pick = 0
 		}
 		j := ready[pick]
-		ready = append(ready[:pick], ready[pick+1:]...)
+		ready = slices.Delete(ready, pick, pick+1)
 		sched = append(sched, block[j])
 		prevDest = block[j].writes()
 		prevLat = opLatency[block[j].Op]
 		for _, s := range succs[j] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = append(ready, s)
+				at, _ := slices.BinarySearch(ready, s)
+				ready = slices.Insert(ready, at, s)
 			}
 		}
 	}
+	sc.ready, sc.sched = ready, sched
 	if len(sched) != limit {
 		return // cycle (should not happen); keep original order
 	}
@@ -809,7 +837,7 @@ func regalloc(fn *Fn, numArgs, numRegs int) error {
 				}
 			}
 			in.Args = newArgs
-		case Ret:
+		case Ret, Throw:
 			in.A = mapRead(in.A)
 		case SpillSt:
 			in.B = mapRead(in.B)
