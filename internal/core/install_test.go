@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"replayopt/internal/lir/rtrace"
+	"replayopt/internal/lir"
 	"replayopt/internal/minic"
 )
 
@@ -51,8 +51,8 @@ func TestInstallLockedRefusesStaticDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := *rep.Lock
-	bad.Passes = append(append([]rtrace.TracedPass{}, bad.Passes...),
-		rtrace.TracedPass{Name: "no-such-pass"})
+	bad.Passes = append(append([]lir.PassSpec{}, bad.Passes...),
+		lir.PassSpec{Name: "no-such-pass"})
 
 	ir, err := New(smallOptions()).InstallLocked(&App{Name: "miniapp", Prog: prog}, &bad)
 	if !errors.Is(err, ErrLockDrift) {

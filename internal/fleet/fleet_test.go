@@ -172,7 +172,6 @@ func TestJobStoreStateMachineAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer js2.Close()
 	got, ok := js2.Get(j.ID)
 	if !ok || got.State != JobPending {
 		t.Fatalf("running job recovered as %+v, want pending", got)
@@ -206,14 +205,23 @@ func TestJobStoreTornRecordRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn log failed to open: %v", err)
 	}
-	defer js2.Close()
 	got, ok := js2.Get(j.ID)
 	if !ok || got.State != JobDone {
 		t.Fatalf("torn record corrupted state: %+v, want done", got)
 	}
-	// The recovered store must still accept appends.
+	// The recovered store must still accept appends, and the first one
+	// must survive the next open instead of landing on the torn fragment.
 	if _, err := js2.Transition(j.ID, JobPending, nil); err != nil {
 		t.Fatal(err)
+	}
+	js2.Close()
+	js3, err := OpenJobStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js3.Close()
+	if got, _ := js3.Get(j.ID); got.State != JobPending {
+		t.Fatalf("post-recovery transition lost: state %q, want pending", got.State)
 	}
 }
 
@@ -237,7 +245,6 @@ func TestFileJournalTornTailDropsOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fj2.Close()
 	if fj2.Prior() != 4 {
 		t.Fatalf("torn journal loaded %d records, want 4", fj2.Prior())
 	}
@@ -247,10 +254,24 @@ func TestFileJournalTornTailDropsOneRecord(t *testing.T) {
 	if ev, ok := fj2.Lookup(3); !ok || ev.MeanMs != evalForTest(3).MeanMs {
 		t.Fatalf("intact record lost: %+v ok=%v", ev, ok)
 	}
-	// The re-run records the torn evaluation again.
+	// The re-run records the torn evaluation again, and both records made
+	// after recovery survive the next open.
 	fj2.Record(5, evalForTest(5))
-	if fj2.Len() != 5 {
+	fj2.Record(6, evalForTest(6))
+	if fj2.Len() != 6 {
 		t.Fatalf("Len = %d", fj2.Len())
+	}
+	fj2.Close()
+	fj3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fj3.Close()
+	if fj3.Prior() != 6 {
+		t.Fatalf("reopened journal loaded %d records, want 6", fj3.Prior())
+	}
+	if ev, ok := fj3.Lookup(5); !ok || ev.MeanMs != evalForTest(5).MeanMs {
+		t.Fatalf("re-recorded evaluation lost: %+v ok=%v", ev, ok)
 	}
 }
 

@@ -6,10 +6,10 @@
 //	   │   drain/crash    │ └──error──▶ failed ──retry──▶ pending
 //	   └──────────────────┘
 //
-// Persistence is an append-only JSONL log: every transition appends the
-// whole job record and syncs. Recovery replays the log — last record per
-// job wins — and tolerates a torn final line (a coordinator killed
-// mid-append) by dropping it, exactly the castore torn-tail discipline.
+// Persistence is an append-only JSONL log (jsonl.go): every transition
+// appends the whole job record and syncs. Recovery replays the log — last
+// record per job wins — and drops a torn final line (a coordinator killed
+// mid-append) from the file.
 // Jobs recovered in state "running" are demoted to pending: the search
 // they were running checkpoints its evaluations in the journal, so the
 // re-run resumes instead of repeating work.
@@ -17,11 +17,8 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 )
@@ -50,46 +47,30 @@ type Job struct {
 // JobStore persists jobs to an append-only JSONL file.
 type JobStore struct {
 	mu   sync.Mutex
-	path string
-	f    *os.File
+	log  *jsonlLog
 	jobs map[string]*Job
 }
 
 // OpenJobStore loads (or creates) the job log at path, replaying every
 // intact record and demoting interrupted "running" jobs to pending.
 func OpenJobStore(path string) (*JobStore, error) {
-	js := &JobStore{path: path, jobs: map[string]*Job{}}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("fleet: job log: %w", err)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	js := &JobStore{jobs: map[string]*Job{}}
+	log, err := openJSONL(path, func(line []byte) {
 		var j Job
 		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
-			// Torn or foreign record: a crash mid-append costs exactly this
-			// line. Every earlier record is intact (appends are ordered), so
-			// dropping it recovers the newest consistent state.
-			continue
+			return // a corrupt or foreign record
 		}
-		cp := j
-		js.jobs[j.ID] = &cp
+		js.jobs[j.ID] = &j
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: job log: %w", err)
 	}
 	for _, j := range js.jobs {
 		if j.State == JobRunning {
 			j.State = JobPending
 		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: job log: %w", err)
-	}
-	js.f = f
+	js.log = log
 	return js, nil
 }
 
@@ -97,7 +78,7 @@ func OpenJobStore(path string) (*JobStore, error) {
 func (js *JobStore) Close() error {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return js.f.Close()
+	return js.log.Close()
 }
 
 // Get returns a copy of the job, if known.
@@ -161,17 +142,11 @@ func (js *JobStore) Transition(id, state string, mut func(*Job)) (Job, error) {
 	return *j, nil
 }
 
-// append writes one record and syncs; called with the lock held. The sync
-// is what makes a transition crash-safe: once Transition returns, a kill at
-// any instant loses at most a later, unacknowledged transition.
+// append persists one record; called with the lock held. Once Transition
+// returns, the transition survives a kill.
 func (js *JobStore) append(j *Job) error {
-	rec, err := json.Marshal(j)
-	if err != nil {
-		return err
-	}
-	rec = append(rec, '\n')
-	if _, err := js.f.Write(rec); err != nil {
+	if err := js.log.append(j); err != nil {
 		return fmt.Errorf("fleet: job log append: %w", err)
 	}
-	return js.f.Sync()
+	return nil
 }

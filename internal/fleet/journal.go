@@ -9,11 +9,8 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 
 	"replayopt/internal/ga"
@@ -36,42 +33,30 @@ type journalRec struct {
 // corrupt.
 type FileJournal struct {
 	mu    sync.RWMutex
-	f     *os.File
+	log   *jsonlLog
 	evs   map[uint64]ga.Evaluation
 	prior int
 }
 
-// OpenJournal loads the journal at path (creating it when absent),
-// tolerating a torn final line the way every append-only log in this
-// repo does: the torn record is dropped, costing one evaluation re-run.
+// OpenJournal loads the journal at path (creating it when absent). A torn
+// final line (jsonl.go) is dropped, costing one evaluation re-run.
 func OpenJournal(path string) (*FileJournal, error) {
 	fj := &FileJournal{evs: map[uint64]ga.Evaluation{}}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("fleet: journal: %w", err)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	log, err := openJSONL(path, func(line []byte) {
 		var r journalRec
 		if err := json.Unmarshal(line, &r); err != nil {
-			continue // torn tail
+			return
 		}
 		fj.evs[r.FP] = ga.Evaluation{
 			Outcome: ga.Outcome(r.Outcome), TimesMs: r.TimesMs, MeanMs: r.MeanMs,
 			SizeBytes: r.SizeBytes, BinaryHash: r.BinaryHash,
 		}
-	}
-	fj.prior = len(fj.evs)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: journal: %w", err)
 	}
-	fj.f = f
+	fj.log = log
+	fj.prior = len(fj.evs)
 	return fj, nil
 }
 
@@ -106,19 +91,11 @@ func (fj *FileJournal) Record(fp uint64, ev ga.Evaluation) {
 		return
 	}
 	fj.evs[fp] = ev
-	rec, err := json.Marshal(journalRec{
+	fj.log.append(journalRec{
 		FP: fp, Outcome: uint8(ev.Outcome), TimesMs: ev.TimesMs, MeanMs: ev.MeanMs,
 		SizeBytes: ev.SizeBytes, BinaryHash: ev.BinaryHash,
 	})
-	if err != nil {
-		return
-	}
-	rec = append(rec, '\n')
-	if _, err := fj.f.Write(rec); err != nil {
-		return
-	}
-	fj.f.Sync()
 }
 
 // Close closes the journal file.
-func (fj *FileJournal) Close() error { return fj.f.Close() }
+func (fj *FileJournal) Close() error { return fj.log.Close() }

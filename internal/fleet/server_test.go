@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"replayopt/internal/lir"
 	"replayopt/internal/lir/rtrace"
 	"replayopt/internal/obs"
 )
@@ -168,7 +169,7 @@ func TestArtifactLockDriftRefusedOnFetch(t *testing.T) {
 
 	// Simulate compiler drift by injecting an unknown pass into the cached
 	// lock (equivalent to the registry dropping one).
-	art.Lock.Passes = append(art.Lock.Passes, rtrace.TracedPass{Name: "no-such-pass"})
+	art.Lock.Passes = append(art.Lock.Passes, lir.PassSpec{Name: "no-such-pass"})
 	if err := s.cache.Put(art); err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,9 @@ func (r *Result) DecisionTrace() string {
 }
 
 // GenomeFromConfig encodes a compiler configuration as a genome (used to
-// seed searches with the -O presets).
+// seed searches with the -O presets). It encodes the four llc flags the
+// presets can set, in an order of its own: seeded genomes appear in decision
+// traces, so it is not a loop over lir's llc table.
 func GenomeFromConfig(cfg lir.Config) *Genome {
 	g := &Genome{}
 	for _, p := range cfg.Passes {
@@ -291,7 +293,7 @@ func GenomeFromConfig(cfg lir.Config) *Genome {
 // RandomGenome draws one genome from the same distribution the GA's first
 // generation uses (Figs. 1 and 2 sample the space this way).
 func RandomGenome(rng *rand.Rand, opts Options) *Genome {
-	s := &searcher{rng: rng, opts: opts, pool: optPool(opts), llcPool: realLlcOptions()}
+	s := &searcher{rng: rng, opts: opts, pool: optPool(opts)}
 	g := s.randomGenome()
 	dedupeAdjacent(g)
 	return g
@@ -307,7 +309,6 @@ func Search(rng *rand.Rand, eval Evaluator, opts Options) *Result {
 		eval:    eval,
 		opts:    opts,
 		pool:    optPool(opts),
-		llcPool: realLlcOptions(),
 		seen:    map[uint64]int{},
 		cache:   map[uint64]Evaluation{},
 		workers: opts.workers(),
@@ -321,7 +322,6 @@ type searcher struct {
 	eval    Evaluator
 	opts    Options
 	pool    []lir.CatalogEntry
-	llcPool []lir.LlcOption
 	trace   []EvalRecord
 	seen    map[uint64]int        // binary hash -> occurrences
 	cache   map[uint64]Evaluation // config fingerprint -> memoized evaluation
@@ -345,6 +345,9 @@ type scored struct {
 	eval   Evaluation
 }
 
+// llcPool is the llc space genes draw from, in the catalog's order.
+var llcPool = lir.LlcCatalog()
+
 // optPool is the opt catalog minus Options.ExcludePasses, in catalog order.
 func optPool(opts Options) []lir.CatalogEntry {
 	pool := lir.OptCatalog()
@@ -359,20 +362,6 @@ func optPool(opts Options) []lir.CatalogEntry {
 	for _, e := range pool {
 		if !drop[e.Spec.Name] {
 			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// realLlcOptions filters the llc catalog to the options that actually steer
-// code generation; the synthetic long tail would only pad genomes.
-func realLlcOptions() []lir.LlcOption {
-	var out []lir.LlcOption
-	for _, o := range lir.LlcCatalog() {
-		switch o.Name {
-		case "fuse-literals", "fuse-madd-int", "fuse-madd-float",
-			"fused-addressing", "list-schedule", "num-regs", "block-align":
-			out = append(out, o)
 		}
 	}
 	return out
@@ -557,7 +546,7 @@ func (s *searcher) randomGenome() *Genome {
 
 func (s *searcher) randomGene() Gene {
 	if s.rng.Float64() < 0.2 {
-		o := s.llcPool[s.rng.Intn(len(s.llcPool))]
+		o := llcPool[s.rng.Intn(len(llcPool))]
 		v := o.Min + s.rng.Intn(o.Max-o.Min+1)
 		return Gene{Kind: GeneLlc, LlcName: o.Name, LlcValue: v}
 	}
@@ -709,11 +698,8 @@ func (s *searcher) mutate(g *Genome) {
 // parameter map, never the map itself, which other genomes may share.
 func (s *searcher) tweak(gn Gene) Gene {
 	if gn.Kind == GeneLlc {
-		for _, o := range s.llcPool {
-			if o.Name == gn.LlcName {
-				gn.LlcValue = o.Min + s.rng.Intn(o.Max-o.Min+1)
-				return gn
-			}
+		if o, ok := lir.LlcByName(gn.LlcName); ok {
+			gn.LlcValue = o.Min + s.rng.Intn(o.Max-o.Min+1)
 		}
 		return gn
 	}

@@ -263,7 +263,7 @@ func TestTraceGenomesStayAsRecorded(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	s := &searcher{rng: rng, opts: DefaultOptions(), pool: lir.OptCatalog(), llcPool: realLlcOptions()}
+	s := &searcher{rng: rng, opts: DefaultOptions(), pool: lir.OptCatalog()}
 	for _, name := range lir.PassNames() {
 		info, _ := lir.PassByName(name)
 		if len(info.Params) == 0 {
@@ -400,7 +400,8 @@ func TestRandomGenomeAlwaysDecodesValid(t *testing.T) {
 
 // Property: GenomeFromConfig∘Decode preserves the pass pipeline exactly and
 // the four preset-encoded llc flags (the preset seeding path depends on
-// this; the llc long tail is deliberately not round-tripped).
+// this; fuse-madd-float, num-regs and block-align are deliberately not
+// encoded).
 func TestGenomeConfigRoundTripProperty(t *testing.T) {
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -436,7 +437,7 @@ func TestMutationPreservesValidity(t *testing.T) {
 	opts := DefaultOptions()
 	if err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := &searcher{rng: rng, opts: opts, pool: lir.OptCatalog(), llcPool: realLlcOptions()}
+		s := &searcher{rng: rng, opts: opts, pool: lir.OptCatalog()}
 		g := RandomGenome(rng, opts)
 		for i := 0; i < 20; i++ {
 			s.mutate(g)

@@ -1,13 +1,13 @@
 package lir
 
-import "sort"
+import "slices"
 
-// The catalog enumerates the optimization space the GA searches, with the
-// cardinality the paper reports for its toolchain (§4): 197 opt pass
-// configurations with 710 parameters and flags, plus 90 CPU-specific and 569
-// general llc options. We implement 20 real pass families; the catalog
-// exposes them under many parameterizations, which is also how LLVM's
-// surface (passes × flags) relates to its core transforms. See DESIGN.md §5.
+// The catalog enumerates the optimization space the GA searches: the 197 opt
+// pass configurations the paper reports for its toolchain (§4), plus the llc
+// knobs that change generated code. We implement 20 real pass families; the
+// catalog exposes them under many parameterizations, which is also how
+// LLVM's surface (passes × flags) relates to its core transforms. See
+// DESIGN.md §5.
 
 // CatalogEntry is one selectable opt pass configuration.
 type CatalogEntry struct {
@@ -16,23 +16,17 @@ type CatalogEntry struct {
 	Unsafe bool
 }
 
-// LlcOption is one selectable llc flag with its value range.
+// LlcOption is one llc knob: its value range and the lowering option it
+// sets, through flag (a 0/1 knob) or num (an integer knob).
 type LlcOption struct {
-	ID          int
-	Name        string
-	CPUSpecific bool
-	Min, Max    int
-	Default     int
-	Unsafe      bool
+	Name              string
+	Min, Max, Default int
+	flag              func(*LowerOpts) *bool
+	num               func(*LowerOpts) *int
 }
 
-// Paper-reported space sizes (§4).
-const (
-	NumOptPassConfigs  = 197
-	NumOptParamsFlags  = 710
-	NumLlcCPUOptions   = 90
-	NumLlcGeneralFlags = 569
-)
+// NumOptPassConfigs is the paper's opt pass configuration count (§4).
+const NumOptPassConfigs = 197
 
 // OptCatalog returns exactly NumOptPassConfigs pass configurations,
 // deterministically generated from the registry: every registered pass at
@@ -112,99 +106,77 @@ func OptCatalog() []CatalogEntry {
 	return out
 }
 
-// LlcCatalog returns the llc option space: NumLlcCPUOptions CPU-specific and
-// NumLlcGeneralFlags general options. The first few map to real machine-pass
-// knobs; the rest model the long tail of target flags that exist but rarely
-// change generated code (LLVM's llc exposes hundreds of such flags), so they
-// are recorded in genomes and counted toward size but are behavior-neutral.
-func LlcCatalog() []LlcOption {
-	var out []LlcOption
-	add := func(name string, cpu bool, min, max, def int, unsafe bool) {
-		out = append(out, LlcOption{ID: len(out), Name: name, CPUSpecific: cpu,
-			Min: min, Max: max, Default: def, Unsafe: unsafe})
-	}
-	// Real knobs (CPU-specific).
-	add("fuse-literals", true, 0, 1, 0, false)
-	add("fuse-madd-int", true, 0, 1, 0, false)
-	add("fuse-madd-float", true, 0, 1, 0, true) // single-rounding FMA: fp-contract
-	add("fused-addressing", true, 0, 1, 0, false)
-	add("list-schedule", true, 0, 1, 0, false)
-	add("num-regs", true, 8, 26, 26, false) // below 8 the allocator errors out
-	add("block-align", true, 0, 1, 0, false)
-	// The long tail.
-	for i := len(out); i < NumLlcCPUOptions; i++ {
-		add(synthName("mcpu-tune", i), true, 0, 3, 0, false)
-	}
-	for i := 0; i < NumLlcGeneralFlags; i++ {
-		add(synthName("codegen-opt", i), false, 0, 1, 0, false)
-	}
-	return out
+// llcOptions is the llc space: the seven knobs lowering reads, each with its
+// value range and the LowerOpts field it sets. The GA draws a knob by its
+// index here, so the order and ranges are part of every recorded search.
+// Config.Fingerprint and ga.GenomeFromConfig write these fields in their own
+// orders, which locks, fleet journals and decision traces persist: a new
+// knob is one row here plus one line in Fingerprint.
+var llcOptions = []LlcOption{
+	{Name: "fuse-literals", Max: 1, flag: func(lo *LowerOpts) *bool { return &lo.Machine.FuseLiterals }},
+	{Name: "fuse-madd-int", Max: 1, flag: func(lo *LowerOpts) *bool { return &lo.Machine.FuseMaddInt }},
+	// Single-rounding FMA: fp-contract, so usually rejected by verification.
+	{Name: "fuse-madd-float", Max: 1, flag: func(lo *LowerOpts) *bool { return &lo.Machine.FuseMaddFloat }},
+	{Name: "fused-addressing", Max: 1, flag: func(lo *LowerOpts) *bool { return &lo.FusedAddressing }},
+	{Name: "list-schedule", Max: 1, flag: func(lo *LowerOpts) *bool { return &lo.Machine.Schedule }},
+	// Below 8 registers the allocator errors out.
+	{Name: "num-regs", Min: 8, Max: 26, Default: 26, num: func(lo *LowerOpts) *int { return &lo.Machine.NumRegs }},
+	{Name: "block-align", Max: 1, flag: func(lo *LowerOpts) *bool { return &lo.Machine.BlockAlign }},
 }
 
-func synthName(prefix string, i int) string {
-	return prefix + "-" + string(rune('a'+i%26)) + string(rune('0'+(i/26)%10)) + string(rune('a'+(i/260)%26))
+// LlcCatalog returns the llc option space, in draw order.
+func LlcCatalog() []LlcOption { return slices.Clone(llcOptions) }
+
+// LlcByName looks up one llc option.
+func LlcByName(name string) (LlcOption, bool) {
+	for _, o := range llcOptions {
+		if o.Name == name {
+			return o, true
+		}
+	}
+	return LlcOption{}, false
 }
 
-// ApplyLlc folds a set of llc option values into lowering options.
+// ApplyLlc folds a set of llc option values into lowering options; an
+// option absent from values takes its default, and unknown names are
+// ignored.
 func ApplyLlc(values map[string]int) LowerOpts {
-	lo := LowerOpts{}
-	lo.Machine.NumRegs = 26
-	for name, v := range values {
-		switch name {
-		case "fuse-literals":
-			lo.Machine.FuseLiterals = v == 1
-		case "fuse-madd-int":
-			lo.Machine.FuseMaddInt = v == 1
-		case "fuse-madd-float":
-			lo.Machine.FuseMaddFloat = v == 1
-		case "fused-addressing":
-			lo.FusedAddressing = v == 1
-		case "list-schedule":
-			lo.Machine.Schedule = v == 1
-		case "num-regs":
-			lo.Machine.NumRegs = v
-		case "block-align":
-			lo.Machine.BlockAlign = v == 1
+	var lo LowerOpts
+	for _, o := range llcOptions {
+		v, ok := values[o.Name]
+		if !ok {
+			v = o.Default
+		}
+		if o.flag != nil {
+			*o.flag(&lo) = v == 1 // a flag is on only at 1
+		} else {
+			*o.num(&lo) = v
 		}
 	}
 	return lo
 }
 
-// LlcFromLower inverts ApplyLlc into the canonical minimal option map: flags
-// appear only when set, num-regs only when it deviates from the default 26.
-// Round-trip holds in both directions — ApplyLlc(LlcFromLower(lo)) == lo for
-// any lo this catalog can produce — which is what lets a rewrite-trace header
-// or policy lock persist a winning lowering as portable option values.
+// LlcFromLower inverts ApplyLlc into the canonical minimal option map: an
+// option appears only when it deviates from its default. Round-trip holds in
+// both directions — ApplyLlc(LlcFromLower(lo)) == lo for any lo, and
+// LlcFromLower(ApplyLlc(m)) == m for canonical m — which is what lets a
+// rewrite-trace header or policy lock persist a winning lowering as portable
+// option values.
 func LlcFromLower(lo LowerOpts) map[string]int {
 	out := map[string]int{}
-	if lo.Machine.FuseLiterals {
-		out["fuse-literals"] = 1
-	}
-	if lo.Machine.FuseMaddInt {
-		out["fuse-madd-int"] = 1
-	}
-	if lo.Machine.FuseMaddFloat {
-		out["fuse-madd-float"] = 1
-	}
-	if lo.FusedAddressing {
-		out["fused-addressing"] = 1
-	}
-	if lo.Machine.Schedule {
-		out["list-schedule"] = 1
-	}
-	if lo.Machine.NumRegs != 26 {
-		out["num-regs"] = lo.Machine.NumRegs
-	}
-	if lo.Machine.BlockAlign {
-		out["block-align"] = 1
+	for _, o := range llcOptions {
+		v := 0
+		if o.flag == nil {
+			v = *o.num(&lo)
+		} else if *o.flag(&lo) {
+			v = 1
+		}
+		if v != o.Default {
+			out[o.Name] = v
+		}
 	}
 	return out
 }
-
-// CountOptParamsFlags reports the advertised opt parameter/flag count; the
-// registry's real parameters are counted once per catalog configuration that
-// can set them, padded to the paper's figure.
-func CountOptParamsFlags() int { return NumOptParamsFlags }
 
 // SafeOptCatalog filters the catalog to entries whose defaults cannot
 // miscompile (used by tests and the "safe search" ablation).
@@ -216,22 +188,4 @@ func SafeOptCatalog() []CatalogEntry {
 		}
 	}
 	return out
-}
-
-// RegistryStats summarizes the real implementation behind the catalog.
-func RegistryStats() (passes int, params int, unsafePasses int) {
-	names := PassNames()
-	passes = len(names)
-	for _, n := range names {
-		info := registry[n]
-		params += len(info.Params)
-		for _, p := range info.Params {
-			if p.Unsafe {
-				unsafePasses++
-				break
-			}
-		}
-	}
-	sort.Strings(names)
-	return passes, params, unsafePasses
 }

@@ -1,24 +1,16 @@
 package lir
 
-import "testing"
+import (
+	"maps"
+	"testing"
+
+	"replayopt/internal/machine"
+)
 
 func TestCatalogCardinalityMatchesPaper(t *testing.T) {
 	opt := OptCatalog()
 	if len(opt) != NumOptPassConfigs {
 		t.Errorf("opt catalog has %d entries, want %d", len(opt), NumOptPassConfigs)
-	}
-	llc := LlcCatalog()
-	cpu, gen := 0, 0
-	for _, o := range llc {
-		if o.CPUSpecific {
-			cpu++
-		} else {
-			gen++
-		}
-	}
-	if cpu != NumLlcCPUOptions || gen != NumLlcGeneralFlags {
-		t.Errorf("llc catalog: %d cpu + %d general, want %d + %d",
-			cpu, gen, NumLlcCPUOptions, NumLlcGeneralFlags)
 	}
 }
 
@@ -53,28 +45,55 @@ func TestCatalogHasUnsafeShare(t *testing.T) {
 	}
 }
 
+// TestApplyLlcRoundTrip checks both directions of the llc mapping for every
+// option at its Min, Max and Default, alone and with every other option at
+// the same end of its range.
 func TestApplyLlcRoundTrip(t *testing.T) {
+	if got := ApplyLlc(nil); got != (LowerOpts{Machine: machine.DefaultLowerOpts()}) {
+		t.Fatalf("ApplyLlc(nil) = %+v, want the default lowering", got)
+	}
+	check := func(m map[string]int) {
+		t.Helper()
+		lo := ApplyLlc(m)
+		if got := LlcFromLower(lo); !maps.Equal(got, m) {
+			t.Errorf("LlcFromLower(ApplyLlc(%v)) = %v", m, got)
+		}
+		if back := ApplyLlc(LlcFromLower(lo)); back != lo {
+			t.Errorf("ApplyLlc(LlcFromLower(%+v)) = %+v", lo, back)
+		}
+	}
+	mins, maxs := map[string]int{}, map[string]int{}
+	for _, o := range LlcCatalog() {
+		for _, v := range []int{o.Min, o.Max, o.Default} {
+			m := map[string]int{}
+			if v != o.Default {
+				m[o.Name] = v
+			}
+			check(m)
+		}
+		if o.Min != o.Default {
+			mins[o.Name] = o.Min
+		}
+		if o.Max != o.Default {
+			maxs[o.Name] = o.Max
+		}
+	}
+	check(mins)
+	check(maxs)
+	// Names steer the fields lowering reads.
 	lo := ApplyLlc(map[string]int{
 		"fuse-literals": 1, "fused-addressing": 1, "list-schedule": 1, "num-regs": 12,
 	})
-	if !lo.Machine.FuseLiterals || !lo.FusedAddressing || !lo.Machine.Schedule || lo.Machine.NumRegs != 12 {
-		t.Errorf("ApplyLlc dropped settings: %+v", lo)
+	if !lo.Machine.FuseLiterals || !lo.FusedAddressing || !lo.Machine.Schedule || lo.Machine.NumRegs != 12 ||
+		lo.Machine.FuseMaddInt || lo.Machine.FuseMaddFloat || lo.Machine.BlockAlign {
+		t.Errorf("ApplyLlc set the wrong fields: %+v", lo)
 	}
-	if lo.Machine.FuseMaddFloat {
-		t.Error("unset unsafe option enabled")
-	}
-}
-
-func TestRegistryStats(t *testing.T) {
-	passes, params, unsafe := RegistryStats()
-	if passes < 18 {
-		t.Errorf("only %d real passes registered", passes)
-	}
-	if params < 10 {
-		t.Errorf("only %d real parameters", params)
-	}
-	if unsafe < 5 {
-		t.Errorf("only %d passes with unsafe variants", unsafe)
+	// Every knob moved at once survives the trip.
+	lo = LowerOpts{FusedAddressing: true, Machine: machine.LowerOpts{
+		FuseLiterals: true, FuseMaddInt: true, FuseMaddFloat: true,
+		Schedule: true, NumRegs: 12, BlockAlign: true}}
+	if back := ApplyLlc(LlcFromLower(lo)); back != lo {
+		t.Errorf("ApplyLlc(LlcFromLower(%+v)) = %+v", lo, back)
 	}
 }
 
@@ -96,12 +115,6 @@ func TestSafeOptCatalogExcludesUnsafeDefaults(t *testing.T) {
 		if e.Spec.Name == "dse" && e.Spec.Params["alias-blind"] == 1 {
 			t.Error("alias-blind DSE in safe catalog")
 		}
-	}
-}
-
-func TestCountOptParamsFlagsMatchesPaper(t *testing.T) {
-	if got := CountOptParamsFlags(); got != NumOptParamsFlags {
-		t.Errorf("CountOptParamsFlags = %d, want %d", got, NumOptParamsFlags)
 	}
 }
 

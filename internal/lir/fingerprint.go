@@ -5,13 +5,17 @@ import (
 	"sort"
 )
 
-// Fingerprint returns a stable 64-bit identity for the configuration: two
-// configs that drive the toolchain identically (same pass sequence with the
-// same resolved parameters, same lowering options) fingerprint equal, and
-// any divergence — order, a parameter value, a flag — fingerprints
-// different. The GA's evaluation memo cache is keyed by it, so identical
-// candidates (elites, crossover duplicates, revisited hill-climb neighbors)
-// skip the compile and every replay.
+// Fingerprint returns a stable 64-bit identity for the configuration. It
+// hashes the pass sequence with each pass's *explicit* parameters, as
+// written, and the lowering options: {unroll} and {unroll factor=4} differ
+// even though factor=4 is the default, and so do two entries that differ
+// only in the catalog's position-padding key. Two configs fingerprint equal
+// when they spell the same passes, parameters and lowering; any divergence
+// — order, a parameter, a flag — fingerprints different. The GA's
+// evaluation memo cache is keyed by it, so identical candidates (elites,
+// crossover duplicates, revisited hill-climb neighbors) skip the compile and
+// every replay; policy locks, rewrite-trace headers and fleet journals
+// persist it, so these bytes must not change.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

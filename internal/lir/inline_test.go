@@ -87,7 +87,7 @@ func TestInlineSubstitutionChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &PassContext{MaxValues: f.NumValues() + 12}
+	ctx := &PassContext{maxValues: f.NumValues() + 12}
 	if _, ok := inline(f, ctx, 6).(*TimeoutError); !ok {
 		t.Fatalf("inline under a tight value cap: want a TimeoutError")
 	}

@@ -123,9 +123,10 @@ type PassContext struct {
 	// from allocation-free loops. Nil degrades both passes to their
 	// profile-only/conservative behavior.
 	Static *sa.Result
-	// MaxValues caps IR growth; exceeding it is a compiler timeout
-	// (runaway unrolling/inlining). 0 means the default of 60000.
-	MaxValues int
+	// maxValues caps IR growth; exceeding it is a compiler timeout
+	// (runaway unrolling/inlining). 0 means defaultMaxValues; only tests
+	// set it.
+	maxValues int
 
 	// traceNotes enables Note collection; the pipeline sets it when a
 	// RewriteTracer is attached and drains notes after every pass.
@@ -181,11 +182,14 @@ func (ctx *PassContext) buildSSA(prog *dex.Program, id dex.MethodID) (*Function,
 	return ctx.ssa.build(id)
 }
 
+// defaultMaxValues is the IR growth cap of every compile.
+const defaultMaxValues = 60000
+
 func (ctx *PassContext) cap() int {
-	if ctx.MaxValues > 0 {
-		return ctx.MaxValues
+	if ctx.maxValues > 0 {
+		return ctx.maxValues
 	}
-	return 60000
+	return defaultMaxValues
 }
 
 func (ctx *PassContext) checkGrowth(f *Function, pass string) error {

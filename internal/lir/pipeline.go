@@ -11,10 +11,12 @@ import (
 )
 
 // PassSpec selects one pass application with explicit parameters (defaults
-// fill unspecified ones).
+// fill unspecified ones). Rewrite-trace headers and policy locks persist it
+// through its json tags with its explicit parameters verbatim, catalog
+// padding keys included, so the rebuilt Config fingerprints identically.
 type PassSpec struct {
-	Name   string
-	Params map[string]int
+	Name   string         `json:"name"`
+	Params map[string]int `json:"params,omitempty"`
 }
 
 // PassApplication is the pipeline's one record of a pass application,

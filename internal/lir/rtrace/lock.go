@@ -37,7 +37,7 @@ type Lock struct {
 	App               string         `json:"app,omitempty"`
 	ConfigFingerprint string         `json:"config_fingerprint"`
 	ImageHash         string         `json:"image_hash,omitempty"`
-	Passes            []TracedPass   `json:"passes"`
+	Passes            []lir.PassSpec `json:"passes"`
 	Llc               map[string]int `json:"llc,omitempty"`
 	// Fired is the per-pass fired count observed when the lock was cut; a
 	// pass listed here was load-bearing, not a no-op.
@@ -67,7 +67,7 @@ func BuildLock(app string, cfg lir.Config, imageHash uint64, fired map[string]in
 		SchemaVersion:     SchemaVersion,
 		App:               app,
 		ConfigFingerprint: HashString(cfg.Fingerprint()),
-		Passes:            tracedPasses(cfg.Passes),
+		Passes:            append([]lir.PassSpec{}, cfg.Passes...), // [] not null when empty
 		Llc:               lir.LlcFromLower(cfg.Lower),
 	}
 	if imageHash != 0 {
@@ -81,10 +81,7 @@ func BuildLock(app string, cfg lir.Config, imageHash uint64, fired map[string]in
 
 // Config rebuilds the locked configuration and verifies its fingerprint.
 func (l *Lock) Config() (lir.Config, error) {
-	cfg := lir.Config{Lower: lir.ApplyLlc(l.Llc)}
-	for _, p := range l.Passes {
-		cfg.Passes = append(cfg.Passes, lir.PassSpec{Name: p.Name, Params: p.Params})
-	}
+	cfg := lir.Config{Passes: l.Passes, Lower: lir.ApplyLlc(l.Llc)}
 	got := HashString(cfg.Fingerprint())
 	if got != l.ConfigFingerprint {
 		return lir.Config{}, fmt.Errorf("rtrace: rebuilt lock fingerprint %s != recorded %s", got, l.ConfigFingerprint)
@@ -175,10 +172,6 @@ func CheckLock(l *Lock) []Drift {
 			}
 		}
 	}
-	opts := map[string]lir.LlcOption{}
-	for _, o := range lir.LlcCatalog() {
-		opts[o.Name] = o
-	}
 	names := make([]string, 0, len(l.Llc))
 	for name := range l.Llc {
 		names = append(names, name)
@@ -186,7 +179,7 @@ func CheckLock(l *Lock) []Drift {
 	sort.Strings(names)
 	for _, name := range names {
 		v := l.Llc[name]
-		o, ok := opts[name]
+		o, ok := lir.LlcByName(name)
 		if !ok {
 			out = append(out, Drift{Kind: "llc-drift", Param: name,
 				Detail: fmt.Sprintf("locked llc option %q is not in the catalog", name)})

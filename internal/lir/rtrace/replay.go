@@ -126,13 +126,12 @@ func (t *Trace) Methods() []dex.MethodID {
 // rebuilt fingerprint matches the recorded one — a changed pass registry or a
 // lossy header round-trip fails here, before any compile runs.
 func (t *Trace) Config() (lir.Config, error) {
-	cfg := lir.Config{Lower: lir.ApplyLlc(t.Header.Llc)}
 	for _, p := range t.Header.Passes {
 		if _, ok := lir.PassByName(p.Name); !ok {
 			return lir.Config{}, fmt.Errorf("rtrace: trace names unknown pass %q", p.Name)
 		}
-		cfg.Passes = append(cfg.Passes, lir.PassSpec{Name: p.Name, Params: p.Params})
 	}
+	cfg := lir.Config{Passes: t.Header.Passes, Lower: lir.ApplyLlc(t.Header.Llc)}
 	got := HashString(cfg.Fingerprint())
 	if got != t.Header.ConfigFingerprint {
 		return lir.Config{}, fmt.Errorf("rtrace: rebuilt config fingerprint %s != recorded %s",

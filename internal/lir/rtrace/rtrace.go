@@ -55,14 +55,6 @@ const (
 // entry.
 const DefaultDiffLines = 16
 
-// TracedPass is one pipeline slot as persisted in headers and locks: the
-// pass name with its *explicit* parameters, verbatim — including catalog
-// padding keys — so the rebuilt Config fingerprints identically.
-type TracedPass struct {
-	Name   string         `json:"name"`
-	Params map[string]int `json:"params,omitempty"`
-}
-
 // Header is the first record of a trace: everything needed to rebuild the
 // compile input. Methods is the exact compile order; Seed lets a consumer
 // re-Prepare the deterministic profile/static inputs.
@@ -72,7 +64,7 @@ type Header struct {
 	App               string         `json:"app,omitempty"`
 	Seed              int64          `json:"seed,omitempty"`
 	ConfigFingerprint string         `json:"config_fingerprint"`
-	Passes            []TracedPass   `json:"passes"`
+	Passes            []lir.PassSpec `json:"passes"`
 	Llc               map[string]int `json:"llc,omitempty"`
 	Methods           []int          `json:"methods"`
 }
@@ -234,7 +226,7 @@ func (r *Recorder) WriteHeader(app string, seed int64, cfg lir.Config, methods [
 		App:               app,
 		Seed:              seed,
 		ConfigFingerprint: HashString(cfg.Fingerprint()),
-		Passes:            tracedPasses(cfg.Passes),
+		Passes:            append([]lir.PassSpec{}, cfg.Passes...), // [] not null when empty
 		Llc:               lir.LlcFromLower(cfg.Lower),
 		Methods:           make([]int, len(methods)),
 	}
@@ -242,14 +234,6 @@ func (r *Recorder) WriteHeader(app string, seed int64, cfg lir.Config, methods [
 		h.Methods[i] = int(id)
 	}
 	return r.w.Write(h)
-}
-
-func tracedPasses(specs []lir.PassSpec) []TracedPass {
-	out := make([]TracedPass, len(specs))
-	for i, s := range specs {
-		out[i] = TracedPass{Name: s.Name, Params: s.Params}
-	}
-	return out
 }
 
 // BeforePass implements lir.RewriteTracer; a Recorder never vetoes.

@@ -318,20 +318,20 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 		return false
 	}
 	renamed := *lock
-	renamed.Passes = append([]TracedPass(nil), lock.Passes...)
+	renamed.Passes = append([]lir.PassSpec(nil), lock.Passes...)
 	renamed.Passes[0].Name = "no-such-pass"
 	if !drifted(&renamed, "missing-pass") {
 		t.Error("renamed pass not reported as missing-pass")
 	}
 	clamped := *lock
-	clamped.Passes = append([]TracedPass(nil), lock.Passes...)
-	clamped.Passes[0] = TracedPass{Name: "inline", Params: map[string]int{"threshold": 1 << 20}}
+	clamped.Passes = append([]lir.PassSpec(nil), lock.Passes...)
+	clamped.Passes[0] = lir.PassSpec{Name: "inline", Params: map[string]int{"threshold": 1 << 20}}
 	if !drifted(&clamped, "param-clamped") {
 		t.Error("out-of-range locked param not reported as param-clamped")
 	}
 	gone := *lock
-	gone.Passes = append([]TracedPass(nil), lock.Passes...)
-	gone.Passes[0] = TracedPass{Name: "inline", Params: map[string]int{"no-such-param": 1}}
+	gone.Passes = append([]lir.PassSpec(nil), lock.Passes...)
+	gone.Passes[0] = lir.PassSpec{Name: "inline", Params: map[string]int{"no-such-param": 1}}
 	if !drifted(&gone, "missing-param") {
 		t.Error("vanished locked param not reported as missing-param")
 	}
@@ -381,6 +381,27 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 // TestValidateRejectsCorruption: ReadTrace, the trace's one reader, refuses
 // damage a JSON parser alone would accept, and every record that is not part
 // of a rewrite trace.
+// TestEmptyPipelinePersistsAsList pins the persisted bytes of a config with
+// no passes (O0): headers and locks write "passes" as an empty list, never
+// null.
+func TestEmptyPipelinePersistsAsList(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(obs.NewJSONLWriter(&buf), RecorderOptions{})
+	if err := rec.WriteHeader("fixture", 1, lir.O0(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"passes":[]`) {
+		t.Errorf("O0 header: %s", buf.String())
+	}
+	data, err := encodeLock(BuildLock("fixture", lir.O0(), 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"passes": []`) {
+		t.Errorf("O0 lock: %s", data)
+	}
+}
+
 func TestValidateRejectsCorruption(t *testing.T) {
 	prog, methods := fixture(t)
 	raw, _ := record(t, prog, methods, lir.O2())
