@@ -12,10 +12,11 @@ import (
 // The contract: Recompute leaves Blocks in reverse postorder and sets every
 // block's rpo, IDom, and dominator-tree numbering. All three stay valid from
 // one Recompute until the next CFG edit (a block, edge, or Blocks-order
-// change); a pass that edits the CFG calls Recompute before it next reads
-// them, and before it returns, so every pass hands the next one a function in
-// reverse postorder. Recompute stamps the CFG it leaves (the block order and
-// every successor and predecessor list, by block ID) and returns at once
+// change). The pipeline recomputes after every pass application, failed ones
+// included, so every pass starts from, and every observer sees, a function in
+// reverse postorder; a pass that edits the CFG calls Recompute only before it
+// next reads them itself. Recompute stamps the CFG it leaves (the block order
+// and every successor and predecessor list, by block ID) and returns at once
 // when the CFG still matches: most calls find nothing changed, and the
 // comparison is exact, so a pass may call it freely. Clone copies the
 // caches and the stamp with the IR. Loop information is not cached at all:
@@ -267,6 +268,8 @@ type Loop struct {
 	Blocks []*Block
 	Depth  int
 	Parent *Loop
+	// Innermost reports that no other loop nests inside this one.
+	Innermost bool
 	// in is the block set as bits over that call's reverse-postorder
 	// positions; pos, shared by all loops of the call, maps Block.ID to its
 	// position plus one. A block created since (its ID past pos, or 0 in it)
@@ -313,7 +316,7 @@ func (f *Function) Loops() []*Loop {
 			}
 			l := byHead[head]
 			if l == nil {
-				l = &Loop{Head: head, in: make([]uint64, words), pos: pos}
+				l = &Loop{Head: head, Innermost: true, in: make([]uint64, words), pos: pos}
 				l.in[head.rpo>>6] |= 1 << (uint(head.rpo) & 63)
 				byHead[head] = l
 				loops = append(loops, l)
@@ -355,6 +358,9 @@ func (f *Function) Loops() []*Loop {
 			d++
 		}
 		l.Depth = d
+		if l.Parent != nil {
+			l.Parent.Innermost = false
+		}
 	}
 	return loops
 }

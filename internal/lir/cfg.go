@@ -14,8 +14,8 @@ import "slices"
 // caller may go on reading the Loops and dominators it had before one (licm
 // does, across loops); a block created after a Loops call lies outside every
 // loop it returned. Every other edit leaves rpo, IDom and loops stale: the
-// caller recomputes (analysis.go) before it next reads them, and before it
-// returns.
+// caller recomputes (analysis.go) before it next reads them; the pipeline
+// recomputes after the pass returns.
 
 // removePred deletes the last occurrence of p from b.Preds, with the phi
 // arguments at its index. It does nothing when p is not a predecessor.

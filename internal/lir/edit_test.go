@@ -242,3 +242,75 @@ func TestNoWholeFunctionEditsInLoops(t *testing.T) {
 		t.Fatal("found no removeValues call to check; is the test running in internal/lir?")
 	}
 }
+
+// TestNoRecomputeOnPassExit fails on a Recompute call in pass_*.go that ends
+// a function or is followed directly by a return, alone or as the last
+// statement of an if branch: the pipeline recomputes after every pass
+// application, failed ones included (pipeline.go), so such a call repeats
+// it. A pass recomputes only before it re-reads the analyses after its own
+// CFG edit.
+func TestNoRecomputeOnPassExit(t *testing.T) {
+	files, err := filepath.Glob("pass_*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var endsInRecompute func(s ast.Stmt) bool
+	endsInRecompute = func(s ast.Stmt) bool {
+		switch s := s.(type) {
+		case *ast.ExprStmt:
+			call, ok := s.X.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			return ok && sel.Sel.Name == "Recompute"
+		case *ast.BlockStmt:
+			return len(s.List) > 0 && endsInRecompute(s.List[len(s.List)-1])
+		case *ast.IfStmt:
+			return endsInRecompute(s.Body) || s.Else != nil && endsInRecompute(s.Else)
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		ast.Inspect(file, func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					list = n.Body.List
+				}
+			case *ast.FuncLit:
+				list = n.Body.List
+			}
+			if k := len(list); k > 0 && endsInRecompute(list[k-1]) {
+				t.Errorf("%s: Recompute as a function's last statement", fset.Position(list[k-1].Pos()))
+			}
+			var stmts []ast.Stmt
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				stmts = n.List
+			case *ast.CaseClause:
+				stmts = n.Body
+			}
+			for i := 0; i+1 < len(stmts); i++ {
+				if _, ret := stmts[i+1].(*ast.ReturnStmt); ret && endsInRecompute(stmts[i]) {
+					t.Errorf("%s: Recompute directly before a return", fset.Position(stmts[i].Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if checked == 0 {
+		t.Fatal("found no pass_*.go file to check; is the test running in internal/lir?")
+	}
+}

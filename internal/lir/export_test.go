@@ -28,12 +28,19 @@ func AnalysisState(f *Function) string {
 // must be safe for concurrent use.
 func OnStampSkip(report func(f *Function, err error)) (restore func()) {
 	stampHit = func(f *Function) {
-		c := Clone(f)
-		c.recompute()
-		c.stampCFG()
-		report(f, diffLines(AnalysisState(f), AnalysisState(c)))
+		want, _ := fullRecompute(f)
+		report(f, diffLines(AnalysisState(f), want))
 	}
 	return func() { stampHit = nil }
+}
+
+// fullRecompute runs the full recompute on a clone of f and returns the
+// clone's AnalysisState and HashFunction.
+func fullRecompute(f *Function) (state string, hash uint64) {
+	c := Clone(f)
+	c.recompute()
+	c.stampCFG()
+	return AnalysisState(c), HashFunction(c)
 }
 
 // diffLines reports the first line where the skipped Recompute's state

@@ -1,6 +1,7 @@
 package lir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -670,5 +671,67 @@ func main() int {
 	// Every value line must carry a mnemonic (no "mop"-style fallbacks).
 	if strings.Contains(s, "op(") {
 		t.Errorf("unknown-op fallback in:\n%s", s)
+	}
+}
+
+// recomputeTracer checks what the pipeline hands each observer: every
+// application starts from the state a full Recompute leaves, and every
+// record's After hashes the recomputed function.
+type recomputeTracer struct {
+	t    *testing.T
+	apps []PassApplication
+}
+
+func (r *recomputeTracer) BeforePass(f *Function, app *PassApplication) bool {
+	if want, _ := fullRecompute(f); AnalysisState(f) != want {
+		r.t.Errorf("%s starts from an unrecomputed CFG:\n%s\nwant:\n%s", app.Spec.Name, AnalysisState(f), want)
+	}
+	return true
+}
+
+func (r *recomputeTracer) AfterPass(f *Function, app *PassApplication) {
+	if _, want := fullRecompute(f); app.After != want {
+		r.t.Errorf("%s: record hashes %#x, the recomputed function %#x", app.Spec.Name, app.After, want)
+	}
+	r.apps = append(r.apps, *app)
+}
+
+// TestPipelineRecomputes runs a pass that splits the entry's first edge,
+// appending the new block out of reverse postorder, and never recomputes:
+// the pipeline must, before the record is hashed and the next pass runs,
+// and also when the pass fails.
+func TestPipelineRecomputes(t *testing.T) {
+	errSplit := errors.New("split and fail")
+	defer RegisterForTesting(&PassInfo{
+		Name:   "splitentry",
+		Params: []ParamSpec{{Name: "fail", Min: 0, Max: 1}},
+		CFG:    true,
+		Run: func(f *Function, _ *PassContext, params map[string]int) error {
+			splitEdge(f, f.Blocks[0], 0)
+			if params["fail"] == 1 {
+				return errSplit
+			}
+			return nil
+		},
+	})()
+	prog, err := minic.CompileSource(corpus[1].name, corpus[1].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		passes []PassSpec
+		err    error
+	}{
+		{[]PassSpec{{Name: "splitentry"}, {Name: "dce"}}, nil},
+		{[]PassSpec{{Name: "splitentry", Params: map[string]int{"fail": 1}}}, errSplit},
+	} {
+		tr := &recomputeTracer{t: t}
+		cfg := Config{Passes: tc.passes, Trace: tr}
+		if _, err := CompileMethod(prog, prog.Entry, cfg, nil, nil); err != tc.err {
+			t.Fatalf("compile: %v, want %v", err, tc.err)
+		}
+		if len(tr.apps) != len(tc.passes) || !tr.apps[0].Fired {
+			t.Fatalf("%d applications, want %d, the first changing the IR", len(tr.apps), len(tc.passes))
+		}
 	}
 }

@@ -25,7 +25,6 @@ func init() {
 			runDCE(f)
 			return nil
 		},
-		Traits: Traits{Mem: true},
 	})
 }
 
@@ -46,7 +45,7 @@ type allocPlan struct {
 }
 
 func runStackAlloc(f *Function, ctx *PassContext) {
-	fx := AnalyzeAlias(f, passStatic(ctx))
+	fx := AnalyzeAlias(f, ctx.Static)
 	// Use lists in program order (SSA has no def-use chains).
 	users := map[*Value][]*Value{}
 	phiUser := map[*Value]bool{}
@@ -82,7 +81,7 @@ func runStackAlloc(f *Function, ctx *PassContext) {
 	var subst substitution
 	dead := map[*Value]bool{}
 	for _, p := range plans {
-		if ctx != nil && ctx.Tracing() {
+		if ctx.Tracing() {
 			ctx.Note("stackalloc.demote", NoteAnchor(p.site.Block, p.site),
 				KV("uses", int64(len(p.dead)+len(p.loads))), KV("len", p.arrLen))
 		}

@@ -23,8 +23,8 @@ func registerInlinePasses() {
 			// Rounds of re-inlining newly exposed calls.
 			{Name: "rounds", Default: 1, Min: 1, Max: 6},
 		},
-		Run:    runInline,
-		Traits: Traits{CFG: true, Mem: true},
+		Run: runInline,
+		CFG: true,
 	})
 	register(&PassInfo{
 		Name: "devirt",
@@ -37,8 +37,8 @@ func registerInlinePasses() {
 			// receiver type shows up.
 			{Name: "nofallback", Default: 0, Min: 0, Max: 1, Unsafe: true},
 		},
-		Run:    runDevirt,
-		Traits: Traits{CFG: true, Mem: true},
+		Run: runDevirt,
+		CFG: true,
 	})
 	register(&PassInfo{
 		Name: "intrinsics",
@@ -47,7 +47,6 @@ func registerInlinePasses() {
 			runIntrinsics(f, ctx)
 			return nil
 		},
-		Traits: Traits{Mem: true}, // rewrites native calls into intrinsics
 	})
 }
 
@@ -61,7 +60,7 @@ func runIntrinsics(f *Function, ctx *PassContext) {
 			if nt.Intrinsic == dex.IntrinsicNone {
 				continue
 			}
-			if ctx != nil && ctx.Tracing() {
+			if ctx.Tracing() {
 				ctx.Note("intrinsics.replace", NoteAnchor(b, v), KV("intrinsic", int64(nt.Intrinsic)))
 			}
 			v.Op = OpIntrinsic
@@ -135,7 +134,6 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 			if err != nil {
 				// The rewrite trace hashes what a failed pass leaves.
 				subst.apply(f)
-				f.Recompute()
 				return err
 			}
 		}
@@ -144,7 +142,6 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 			break
 		}
 	}
-	f.Recompute()
 	return nil
 }
 
@@ -319,7 +316,6 @@ func runDevirt(f *Function, ctx *PassContext, params map[string]int) error {
 		devirtGuard(f, s.b, s.v, cls, resolved, &subst)
 	}
 	subst.apply(f)
-	f.Recompute()
 	return nil
 }
 

@@ -23,8 +23,8 @@ func registerLoopPasses() {
 			// whenever the trip count is not a multiple of the factor.
 			{Name: "no-remainder", Default: 0, Min: 0, Max: 1, Unsafe: true},
 		},
-		Run:    runUnroll,
-		Traits: Traits{CFG: true, Mem: true},
+		Run: runUnroll,
+		CFG: true,
 	})
 	register(&PassInfo{
 		Name: "peel",
@@ -32,14 +32,14 @@ func registerLoopPasses() {
 		Params: []ParamSpec{
 			{Name: "count", Default: 1, Min: 1, Max: 4},
 		},
-		Run:    runPeel,
-		Traits: Traits{CFG: true, Mem: true},
+		Run: runPeel,
+		CFG: true,
 	})
 	register(&PassInfo{
-		Name:   "vectorize",
-		Doc:    "widen call-free counted loops by 4; crashes on loops with calls",
-		Run:    runVectorize,
-		Traits: Traits{CFG: true, Mem: true},
+		Name: "vectorize",
+		Doc:  "widen call-free counted loops by 4; crashes on loops with calls",
+		Run:  runVectorize,
+		CFG:  true,
 	})
 }
 
@@ -179,20 +179,18 @@ func unrollLoops(f *Function, ctx *PassContext, pass string, factor int, innerOn
 	pick func(*countedLoop) (bool, error)) error {
 	processed := map[*Block]bool{}
 	for {
-		// The one Recompute per unrolled loop: Loops reads dominators, and
-		// the result must be in reverse postorder.
+		// Loops reads dominators, which the last unrolled loop left stale.
 		f.Recompute()
 		loops := f.Loops()
 		var target *countedLoop
 		for _, l := range loops {
-			if processed[l.Head] || innerOnly && !isInnermost(l, loops) {
+			if processed[l.Head] || innerOnly && !l.Innermost {
 				continue
 			}
 			cl, ok := analyzeCounted(f, l)
 			if ok {
 				var err error
 				if ok, err = pick(cl); err != nil {
-					f.Recompute() // the rewrite trace hashes what a failed pass leaves
 					return err
 				}
 			}
@@ -204,7 +202,6 @@ func unrollLoops(f *Function, ctx *PassContext, pass string, factor int, innerOn
 			break
 		}
 		if target == nil {
-			f.Recompute() // analyzeCounted may have split preheaders
 			return nil
 		}
 		mainHead := unrollOne(f, target, factor, noRemainder)
@@ -213,19 +210,9 @@ func unrollLoops(f *Function, ctx *PassContext, pass string, factor int, innerOn
 		processed[mainHead] = true
 		processed[target.head] = true
 		if err := ctx.checkGrowth(f, pass); err != nil {
-			f.Recompute() // the rewrite trace hashes what a failed pass leaves
 			return err
 		}
 	}
-}
-
-func isInnermost(l *Loop, all []*Loop) bool {
-	for _, o := range all {
-		if o != l && l.Contains(o.Head) {
-			return false
-		}
-	}
-	return true
 }
 
 // unrollOne rewrites one canonical loop and returns the new main-loop head.
@@ -322,7 +309,7 @@ func runPeel(f *Function, ctx *PassContext, params map[string]int) error {
 		count = 1
 	}
 	for n := 0; n < count; n++ {
-		// The one Recompute per peeled iteration: Loops reads dominators.
+		// Loops reads dominators, which the last peel left stale.
 		f.Recompute()
 		peeled := false
 		for _, l := range f.Loops() {
@@ -336,7 +323,6 @@ func runPeel(f *Function, ctx *PassContext, params map[string]int) error {
 			}
 			peelOne(f, cl)
 			if err := ctx.checkGrowth(f, "peel"); err != nil {
-				f.Recompute() // the rewrite trace hashes what a failed pass leaves
 				return err
 			}
 			peeled = true
@@ -346,7 +332,6 @@ func runPeel(f *Function, ctx *PassContext, params map[string]int) error {
 			break
 		}
 	}
-	f.Recompute() // order the last peel's clone and any split preheaders
 	return nil
 }
 

@@ -28,7 +28,6 @@ func registerMemPasses() {
 			runDCE(f)
 			return nil
 		},
-		Traits: Traits{Mem: true},
 	})
 	register(&PassInfo{
 		Name: "dse",
@@ -39,8 +38,7 @@ func registerMemPasses() {
 			// still reads (a deliberate Fig. 1 wrong-output source).
 			{Name: "alias-blind", Default: 0, Min: 0, Max: 1, Unsafe: true},
 		},
-		Run:    runDSE,
-		Traits: Traits{Mem: true},
+		Run: runDSE,
 	})
 	register(&PassInfo{
 		Name: "licm",
@@ -56,8 +54,8 @@ func registerMemPasses() {
 			// reading stale values.
 			{Name: "unsafe", Default: 0, Min: 0, Max: 1, Unsafe: true},
 		},
-		Run:    runLICM,
-		Traits: Traits{CFG: true, Mem: true}, // inserts preheaders, moves loads
+		Run: runLICM,
+		CFG: true, // inserts preheaders
 	})
 	register(&PassInfo{
 		Name: "bce",
@@ -67,8 +65,7 @@ func registerMemPasses() {
 			// program to be in-bounds (silent corruption if it is not).
 			{Name: "aggressive", Default: 0, Min: 0, Max: 1, Unsafe: true},
 		},
-		Run:    runBCE,
-		Traits: Traits{CFG: true, Mem: true}, // calls Recompute, removes bounds checks
+		Run: runBCE,
 	})
 	register(&PassInfo{
 		Name: "gccheckelim",
@@ -77,7 +74,6 @@ func registerMemPasses() {
 			runGCCheckElim(f, ctx)
 			return nil
 		},
-		Traits: Traits{CFG: true, Mem: true}, // calls Recompute, removes safepoints
 	})
 }
 
@@ -119,14 +115,6 @@ func isCall(v *Value) bool {
 		return true
 	}
 	return false
-}
-
-// passStatic unwraps the interprocedural analysis a pass context carries.
-func passStatic(ctx *PassContext) *sa.Result {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Static
 }
 
 // keyLoc abstracts a locKey to the interprocedural location vocabulary.
@@ -174,7 +162,7 @@ func keysMayAlias(fx *AliasFacts, a, b locKey) bool {
 // may-aliasing locations and on calls whose interprocedural mod set covers an
 // available location (every call, when summaries are missing).
 func runStoreForward(f *Function, ctx *PassContext) {
-	fx := AnalyzeAlias(f, passStatic(ctx))
+	fx := AnalyzeAlias(f, ctx.Static)
 	var subst substitution
 	for _, b := range f.Blocks {
 		avail := map[locKey]*Value{}
@@ -207,7 +195,7 @@ func runStoreForward(f *Function, ctx *PassContext) {
 			}
 			if k, ok := loadKey(v); ok {
 				if prev, hit := avail[k]; hit && prev.Type == v.Type {
-					if ctx != nil && ctx.Tracing() {
+					if ctx.Tracing() {
 						ctx.Note("storeforward.forward", NoteAnchor(b, v), KV("from", int64(prev.ID)))
 					}
 					subst.add(v, prev)
@@ -230,7 +218,7 @@ func runStoreForward(f *Function, ctx *PassContext) {
 // syntactically — both unsound.
 func runDSE(f *Function, ctx *PassContext, params map[string]int) error {
 	aliasBlind := params["alias-blind"] == 1
-	fx := AnalyzeAlias(f, passStatic(ctx))
+	fx := AnalyzeAlias(f, ctx.Static)
 	for _, b := range f.Blocks {
 		dead := map[*Value]bool{}
 		insns := b.Insns
@@ -279,7 +267,7 @@ func runDSE(f *Function, ctx *PassContext, params map[string]int) error {
 					break scan
 				}
 			}
-			if dead[insns[i]] && ctx != nil && ctx.Tracing() {
+			if dead[insns[i]] && ctx.Tracing() {
 				ctx.Note("dse.remove", NoteAnchor(b, insns[i]), KV("alias-blind", b2i(aliasBlind)))
 			}
 		}
@@ -291,8 +279,7 @@ func runDSE(f *Function, ctx *PassContext, params map[string]int) error {
 func runLICM(f *Function, ctx *PassContext, params map[string]int) error {
 	hoistLoads := params["loads"] == 1
 	unsafe := params["unsafe"] == 1
-	f.Recompute()
-	fx := AnalyzeAlias(f, passStatic(ctx))
+	fx := AnalyzeAlias(f, ctx.Static)
 	for _, l := range f.Loops() {
 		ph := ensurePreheader(f, l)
 		if ph == nil {
@@ -364,7 +351,7 @@ func runLICM(f *Function, ctx *PassContext, params map[string]int) error {
 					}
 				}
 				if len(moved) > 0 {
-					if ctx != nil && ctx.Tracing() {
+					if ctx.Tracing() {
 						for _, v := range moved {
 							ctx.Note("licm.hoist", NoteAnchor(b, v),
 								KV("to", int64(ph.ID)), KV("depth", int64(l.Depth)))
@@ -383,7 +370,6 @@ func runLICM(f *Function, ctx *PassContext, params map[string]int) error {
 			}
 		}
 	}
-	f.Recompute() // place the preheaders ensurePreheader appended
 	return nil
 }
 
@@ -392,13 +378,12 @@ func runLICM(f *Function, ctx *PassContext, params map[string]int) error {
 // `for i = 0; i < arr.length; i++`; the aggressive variant removes all of
 // them.
 func runBCE(f *Function, ctx *PassContext, params map[string]int) error {
-	f.Recompute()
 	if params["aggressive"] == 1 {
 		dead := map[*Value]bool{}
 		for _, b := range f.Blocks {
 			for _, v := range b.Insns {
 				if v.Op == OpBoundsCheck {
-					if ctx != nil && ctx.Tracing() {
+					if ctx.Tracing() {
 						ctx.Note("bce.aggressive", NoteAnchor(b, v))
 					}
 					dead[v] = true
@@ -458,7 +443,7 @@ func runBCE(f *Function, ctx *PassContext, params map[string]int) error {
 		for _, b := range l.Blocks {
 			for _, v := range b.Insns {
 				if v.Op == OpBoundsCheck && v.Args[1] == iv && sameArrayIn(l, v.Args[0], arr) {
-					if ctx != nil && ctx.Tracing() {
+					if ctx.Tracing() {
 						ctx.Note("bce.induction", NoteAnchor(b, v), KV("iv", int64(iv.ID)))
 					}
 					dead[v] = true
@@ -481,7 +466,7 @@ func runBCE(f *Function, ctx *PassContext, params map[string]int) error {
 			}
 			c, cok := isConstInt(idx)
 			if nok && cok && c >= 0 && c < n {
-				if ctx != nil && ctx.Tracing() {
+				if ctx.Tracing() {
 					ctx.Note("bce.const", NoteAnchor(b, v), KV("index", c), KV("length", n))
 				}
 				dead[v] = true
@@ -534,7 +519,6 @@ func stableGlobalSlot(l *Loop, slot int64) bool {
 // safepoint in an allocation-free loop can never observe a crossed threshold
 // that was not already crossed on entry.
 func runGCCheckElim(f *Function, ctx *PassContext) {
-	f.Recompute()
 	loops := f.Loops()
 	// Innermost loops claim their checks first so an outer loop never
 	// deletes an inner loop's only safepoint.
@@ -556,7 +540,7 @@ func runGCCheckElim(f *Function, ctx *PassContext) {
 	// since their block sets include it) keeps none.
 	kept := map[*Value]bool{}
 	for _, l := range loops {
-		allocFree := ctx != nil && ctx.Static != nil && loopAllocFree(f, l, ctx.Static)
+		allocFree := ctx.Static != nil && loopAllocFree(f, l, ctx.Static)
 		if allocFree && ctx.Tracing() {
 			ctx.Note("gccheckelim.allocfree", NoteAnchor(l.Head, nil), KV("depth", int64(l.Depth)))
 		}

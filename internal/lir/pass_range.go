@@ -16,8 +16,9 @@ package lir
 //
 // Safety under translation validation: removing a proven check shrinks the
 // trap-risky op set, which tv classifies Unverified (never Rejected — the
-// disprover only fires on paired values proven unequal), and the CFG trait is
-// declared because every pass here calls Recompute through AnalyzeRanges.
+// disprover only fires on paired values proven unequal). Only rangebranch
+// declares the CFG trait: AnalyzeRanges' Recompute finds the CFG the pipeline
+// left and changes nothing.
 
 func init() { registerRangePasses() }
 
@@ -29,8 +30,7 @@ func registerRangePasses() {
 			// divs=0 restricts the pass to bounds checks (no NoTrap marking).
 			{Name: "divs", Default: 1, Min: 0, Max: 1},
 		},
-		Run:    runRangeCheckElim,
-		Traits: Traits{CFG: true, Mem: true}, // calls Recompute, removes bounds checks
+		Run: runRangeCheckElim,
 	})
 	register(&PassInfo{
 		Name: "rangebranch",
@@ -40,8 +40,8 @@ func registerRangePasses() {
 			// joins enough to decide another.
 			{Name: "rounds", Default: 1, Min: 1, Max: 4},
 		},
-		Run:    runRangeBranch,
-		Traits: Traits{CFG: true},
+		Run: runRangeBranch,
+		CFG: true,
 	})
 	register(&PassInfo{
 		Name: "rangestrength",
@@ -50,8 +50,7 @@ func registerRangePasses() {
 			// rem=0 restricts the pass to divisions.
 			{Name: "rem", Default: 1, Min: 0, Max: 1},
 		},
-		Run:    runRangeStrength,
-		Traits: Traits{CFG: true}, // calls Recompute (via AnalyzeRanges)
+		Run: runRangeStrength,
 	})
 }
 
@@ -104,12 +103,11 @@ func runRangeCheckElim(f *Function, ctx *PassContext, params map[string]int) err
 }
 
 func runRangeBranch(f *Function, ctx *PassContext, params map[string]int) error {
-	folded := 0
 	for round := 0; round < params["rounds"]; round++ {
 		// AnalyzeRanges recomputes, pruning the previous round's
 		// now-unreachable side.
 		ra := AnalyzeRanges(f, ctx.Static)
-		folded = 0
+		folded := 0
 		for _, b := range f.Blocks {
 			keep, _, ok := ra.FoldableBranch(b)
 			if !ok || b.Succs[0] == b.Succs[1] {
@@ -129,9 +127,6 @@ func runRangeBranch(f *Function, ctx *PassContext, params map[string]int) error 
 		if folded == 0 {
 			break
 		}
-	}
-	if folded > 0 {
-		f.Recompute() // the last round folded: prune before returning
 	}
 	return nil
 }

@@ -17,7 +17,6 @@ func registerScalarPasses() {
 		Name: "constfold",
 		Doc:  "fold operations on constant operands; propagate iteratively",
 		Run:  runConstFold,
-		// Traits: pure local rewrites, no CFG or memory changes.
 	})
 	register(&PassInfo{
 		Name: "instcombine",
@@ -49,10 +48,9 @@ func registerScalarPasses() {
 		},
 	})
 	register(&PassInfo{
-		Name:   "gvn",
-		Doc:    "dominator-scoped value numbering of pure values, lengths, and checks",
-		Run:    runGVN,
-		Traits: Traits{CFG: true}, // calls Recompute (may prune unreachable blocks)
+		Name: "gvn",
+		Doc:  "dominator-scoped value numbering of pure values, lengths, and checks",
+		Run:  runGVN,
 	})
 	register(&PassInfo{
 		Name: "simplifycfg",
@@ -64,7 +62,7 @@ func registerScalarPasses() {
 			}
 			return nil
 		},
-		Traits: Traits{CFG: true},
+		CFG: true,
 	})
 	register(&PassInfo{
 		Name: "phisimplify",
@@ -81,7 +79,6 @@ func registerScalarPasses() {
 			runSink(f)
 			return nil
 		},
-		Traits: Traits{CFG: true}, // calls Recompute (may prune unreachable blocks)
 	})
 }
 
@@ -439,7 +436,6 @@ func gvnEligible(v *Value) bool {
 }
 
 func runGVN(f *Function, ctx *PassContext, _ map[string]int) error {
-	f.Recompute()
 	replaced := int64(0)
 	kids := f.domChildren()
 	// One table scoped to the dominator-tree walk: each block undoes the
@@ -498,10 +494,10 @@ func runGVN(f *Function, ctx *PassContext, _ map[string]int) error {
 }
 
 // runSimplifyCFG folds constant branches, removes branches with identical
-// successors, merges straight-line block pairs, and prunes unreachable
-// blocks. It reports how many branches were folded and blocks merged.
+// successors, and merges straight-line block pairs; the pipeline's Recompute
+// prunes the blocks this leaves unreachable. It reports how many branches
+// were folded and blocks merged.
 func runSimplifyCFG(f *Function) (folded, merged int64) {
-	stale := false
 	var subst substitution // merged blocks' phis, replaced by their inputs
 	for changed := true; changed; {
 		changed = false
@@ -552,7 +548,7 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 					s.Preds = nil
 					s.Insns = nil
 					merged++
-					changed, stale = true, true
+					changed = true
 					break
 				}
 			}
@@ -560,16 +556,13 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 		// A fold can orphan blocks and reorder the rest, so the next scan
 		// needs a Recompute. A merge cannot: b takes over s's successors in
 		// order, every other block keeps its place in reverse postorder, and
-		// the emptied s (no terminator) is skipped until the final prune.
+		// the emptied s (no terminator) is skipped until the pipeline's
+		// Recompute prunes it.
 		if foldedNow {
 			f.Recompute()
-			stale = false
 		}
 	}
 	subst.apply(f)
-	if stale {
-		f.Recompute() // drop the blocks the last merges emptied
-	}
 	return folded, merged
 }
 
@@ -577,7 +570,6 @@ func runSimplifyCFG(f *Function) (folded, merged int64) {
 // when that block is dominated by the current one (shrinking live ranges and
 // avoiding computation on paths that do not need it).
 func runSink(f *Function) {
-	f.Recompute()
 	useBlocks := map[*Value][]*Block{}
 	useCount := map[*Value]int{}
 	for _, b := range f.Blocks {

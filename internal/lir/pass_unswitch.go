@@ -9,17 +9,17 @@ import "slices"
 
 func init() {
 	register(&PassInfo{
-		Name:   "unswitch",
-		Doc:    "hoist loop-invariant branches by duplicating the loop per branch side",
-		Run:    runUnswitch,
-		Traits: Traits{CFG: true, Mem: true},
+		Name: "unswitch",
+		Doc:  "hoist loop-invariant branches by duplicating the loop per branch side",
+		Run:  runUnswitch,
+		CFG:  true,
 	})
 }
 
 func runUnswitch(f *Function, ctx *PassContext, _ map[string]int) error {
 	var done []bool // loop heads already tried, by Block.ID
 	for {
-		// The one Recompute per unswitched loop: Loops reads dominators.
+		// Loops reads dominators, which the last unswitch left stale.
 		f.Recompute()
 		done = append(done, make([]bool, f.nextBlockID-len(done))...)
 		applied := false
@@ -34,14 +34,12 @@ func runUnswitch(f *Function, ctx *PassContext, _ map[string]int) error {
 				}
 				applied = true
 				if err := ctx.checkGrowth(f, "unswitch"); err != nil {
-					f.Recompute() // the rewrite trace hashes what a failed pass leaves
 					return err
 				}
 				break // loop structures are stale; rescan
 			}
 		}
 		if !applied {
-			f.Recompute() // unswitchOne may have split preheaders
 			return nil
 		}
 	}

@@ -213,19 +213,6 @@ type ParamSpec struct {
 	Unsafe bool
 }
 
-// Traits declare the kinds of change a pass may make at any parameter
-// setting. The translation validator (internal/lir/tv) reads them to choose
-// its equivalence strategy and to flag anomalies: a pass that reshapes the
-// CFG despite declaring CFG=false is itself suspect.
-type Traits struct {
-	// CFG: the pass may add, remove, merge, or reorder basic blocks (or call
-	// Recompute, which prunes unreachable blocks).
-	CFG bool
-	// Mem: the pass may add, remove, or reorder memory operations, calls,
-	// allocations, bounds checks, or safepoints.
-	Mem bool
-}
-
 // PassInfo is one registry entry.
 type PassInfo struct {
 	Name   string
@@ -234,8 +221,11 @@ type PassInfo struct {
 	Run    PassFunc
 	// Unsafe passes can miscompile even at default parameters.
 	Unsafe bool
-	// Traits bound what the pass is allowed to change (see Traits).
-	Traits Traits
+	// CFG declares that the pass may add, remove, merge or reorder basic
+	// blocks at some parameter setting. The translation validator
+	// (internal/lir/tv) labels a CFG change by a pass that does not declare
+	// it as an anomaly.
+	CFG bool
 }
 
 // registry of all transformation passes, filled by registerPasses.
@@ -290,13 +280,15 @@ func replaceWithConstFloat(v *Value, fval float64) {
 	v.F = fval
 }
 
-// RunPassForTest runs one registered pass at default (or given) parameters —
-// a test hook for verifier and differential harnesses.
+// RunPassForTest runs one registered pass at default (or given) parameters
+// and recomputes after it, as the pipeline does — a test hook for verifier
+// and differential harnesses.
 func RunPassForTest(f *Function, name string, params map[string]int) error {
 	info, ok := PassByName(name)
 	if !ok {
 		return fmt.Errorf("lir: unknown pass %q", name)
 	}
-	ctx := &PassContext{}
-	return info.Run(f, ctx, resolveParams(info, params))
+	err := info.Run(f, &PassContext{}, resolveParams(info, params))
+	f.Recompute()
+	return err
 }

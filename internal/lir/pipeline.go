@@ -168,6 +168,10 @@ func compileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile
 			}
 			start := time.Now()
 			app.Err = info.Run(f, ctx, app.Params)
+			// The pipeline, not the pass, re-establishes the CFG analyses
+			// (analysis.go), on the error path too: Check, the hash and
+			// the next pass see a function in reverse postorder.
+			f.Recompute()
 			tally := scope != nil && app.Err == nil
 			if scope != nil {
 				scope.Histogram("lir.pass_ms." + spec.Name).Observe(float64(time.Since(start).Microseconds()) / 1000)

@@ -38,9 +38,13 @@ import (
 // additive constant, in blocks that dominate every function exit — code that
 // runs on every terminating execution. Floats are never disproved (NaN and
 // rounding make "different bits" an unsound argument).
-func Validate(before, after *lir.Function, traits lir.Traits) (Verdict, string) {
+//
+// cfg is the pass's declared CFG trait (lir.PassInfo.CFG): an Unverified
+// reason caused by a CFG change the pass did not declare is labeled an
+// anomaly.
+func Validate(before, after *lir.Function, cfg bool) (Verdict, string) {
 	var e equiv
-	return e.validate(before, after, traits)
+	return e.validate(before, after, cfg)
 }
 
 // valState is one value's hashing state, indexed by Value.ID.
@@ -212,7 +216,7 @@ type blockPair struct {
 type equiv struct {
 	t             table
 	before, after side
-	traits        lir.Traits
+	cfgDeclared   bool
 	pairs         []blockPair
 
 	listB, listA []*lir.Value
@@ -229,14 +233,14 @@ type equiv struct {
 // the CFG without declaring the CFG trait.
 func (e *equiv) unverified(cfgChange bool, format string, args ...any) (Verdict, string) {
 	reason := fmt.Sprintf(format, args...)
-	if cfgChange && !e.traits.CFG {
+	if cfgChange && !e.cfgDeclared {
 		reason = "anomaly: undeclared CFG change: " + reason
 	}
 	return Unverified, reason
 }
 
-func (e *equiv) validate(before, after *lir.Function, traits lir.Traits) (Verdict, string) {
-	e.traits = traits
+func (e *equiv) validate(before, after *lir.Function, cfg bool) (Verdict, string) {
+	e.cfgDeclared = cfg
 	e.pairs = e.pairs[:0]
 	if len(before.Blocks) == 0 || len(after.Blocks) == 0 {
 		return Unverified, "empty function"

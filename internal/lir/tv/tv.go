@@ -148,7 +148,7 @@ func (c *Checker) AfterPass(f *lir.Function, app *lir.PassApplication) error {
 		c.selfVerified = c.verified && c.ev.selfVerifies(f)
 	}
 	if verdict != Rejected && c.snap != nil && !(c.unchanged && c.selfVerified) {
-		verdict, reason = c.ev.validate(c.snap, f, app.Info.Traits)
+		verdict, reason = c.ev.validate(c.snap, f, app.Info.CFG)
 	}
 	c.Verdicts = append(c.Verdicts, PassVerdict{Fn: f.Name, Pass: pass, Verdict: verdict, Reason: reason})
 	app.Verdict, app.VerdictReason = verdict.String(), reason

@@ -70,7 +70,7 @@ func runPass(t *testing.T, f *lir.Function, name string) {
 // Identity: a function is equivalent to its own clone.
 func TestValidateIdentity(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	v, reason := Validate(lir.Clone(f), f, lir.Traits{})
+	v, reason := Validate(lir.Clone(f), f, false)
 	if v != Verified {
 		t.Fatalf("identity: %s (%s)", v, reason)
 	}
@@ -91,7 +91,7 @@ func TestValidateSinglePasses(t *testing.T) {
 				continue // designed compile-time outcome (e.g. vectorize crash)
 			}
 			info, _ := lir.PassByName(pass)
-			v, reason := Validate(before, f, info.Traits)
+			v, reason := Validate(before, f, info.CFG)
 			if v == Rejected {
 				t.Errorf("%s on %s: falsely rejected: %s", pass, fname, reason)
 			}
@@ -145,7 +145,7 @@ func TestMiscompileRejected(t *testing.T) {
 	if !skewFirstStore(f) {
 		t.Fatal("skewFirstStore found nothing to mutate")
 	}
-	v, reason := Validate(before, f, lir.Traits{})
+	v, reason := Validate(before, f, false)
 	if v != Rejected {
 		t.Fatalf("skewed store: %s (%s), want rejected", v, reason)
 	}
@@ -334,7 +334,7 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	skewFirstStore(c)
-	if v, reason := Validate(f, lir.Clone(f), lir.Traits{}); v != Verified {
+	if v, reason := Validate(f, lir.Clone(f), false); v != Verified {
 		t.Fatalf("original damaged by clone mutation: %s (%s)", v, reason)
 	}
 }
@@ -472,13 +472,13 @@ func TestValidateSharedChainIsLinear(t *testing.T) {
 	if err := lir.VerifyIR(f); err != nil {
 		t.Fatalf("fixture invalid: %v", err)
 	}
-	if v, reason := Validate(f, lir.Clone(f), lir.Traits{}); v != Verified {
+	if v, reason := Validate(f, lir.Clone(f), false); v != Verified {
 		t.Fatalf("60-level chain: %s (%s), want verified", v, reason)
 	}
 	allocs := func(depth int) float64 {
 		f := fibChain(depth)
 		c := lir.Clone(f)
-		return testing.AllocsPerRun(5, func() { Validate(f, c, lir.Traits{}) })
+		return testing.AllocsPerRun(5, func() { Validate(f, c, false) })
 	}
 	a30, a60 := allocs(30), allocs(60)
 	// Doubling the values may double the per-value work; the slack covers
@@ -494,13 +494,13 @@ func TestValidateSharedChainIsLinear(t *testing.T) {
 // opaque, and two values sharing one ID make the function unindexable.
 func TestValidateDegenerateInputsAreUnverified(t *testing.T) {
 	deep := fibChain(100) // Fibonacci multiplicities overflow int64 near level 92
-	if v, reason := Validate(deep, lir.Clone(deep), lir.Traits{}); v != Unverified {
+	if v, reason := Validate(deep, lir.Clone(deep), false); v != Unverified {
 		t.Errorf("overflowing chain: %s (%s), want unverified", v, reason)
 	}
 	f := fibChain(4)
 	c := lir.Clone(f)
 	c.Blocks[0].Insns[3].ID = c.Blocks[0].Insns[2].ID
-	if v, reason := Validate(f, c, lir.Traits{}); v != Unverified || !strings.Contains(reason, "share one ID") {
+	if v, reason := Validate(f, c, false); v != Unverified || !strings.Contains(reason, "share one ID") {
 		t.Errorf("duplicate value ID: %s (%s), want unverified", v, reason)
 	}
 }
@@ -582,7 +582,7 @@ func TestSnapshotReuse(t *testing.T) {
 // A function need not validate as Verified against itself: a chain whose
 // multiplicities overflow is Unverified even against its own copy. The
 // checker must then give every unchanged application that verdict, per
-// Traits, as validating each in full does; a chain that fits is Verified.
+// declared CFG trait, as validating each in full does; a chain that fits is Verified.
 func TestSelfVerdictIsComputed(t *testing.T) {
 	for _, tc := range []struct {
 		depth   int
@@ -624,5 +624,38 @@ func TestSelfVerdictIsComputed(t *testing.T) {
 	var e equiv
 	if e.selfVerifies(f) {
 		t.Error("selfVerifies proved a function with an unreachable block")
+	}
+}
+
+// A pass that changes the CFG without declaring lir.PassInfo.CFG gets the
+// anomaly label on its Unverified reason; simplifycfg itself, which declares
+// it, does not.
+func TestUndeclaredCFGChangeIsAnomaly(t *testing.T) {
+	simplify, _ := lir.PassByName("simplifycfg")
+	defer lir.RegisterForTesting(&lir.PassInfo{Name: "quietcfg", Run: simplify.Run})()
+	prog, err := minic.CompileSource("tvtest", `
+global int g;
+func main() int {
+	int k = 3;
+	if (k > 2) { g = 1; } else { g = 2; }
+	return g;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"simplifycfg", "quietcfg"} {
+		chk := NewChecker(Options{Strict: true})
+		cfg := lir.Config{Passes: []lir.PassSpec{{Name: pass}}, Check: chk}
+		if _, err := lir.CompileMethod(prog, prog.Entry, cfg, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		pv := chk.Verdicts[0]
+		if pv.Verdict != Unverified {
+			t.Fatalf("%s: %s (%s), want a CFG change left unverified", pass, pv.Verdict, pv.Reason)
+		}
+		if anomaly := strings.HasPrefix(pv.Reason, "anomaly: undeclared CFG change: "); anomaly != (pass == "quietcfg") {
+			t.Errorf("%s: reason %q", pass, pv.Reason)
+		}
 	}
 }
